@@ -398,6 +398,8 @@ def classify_exhaustive(d: int) -> ClassCensus:
 def census_random(d: int, samples: int, seed: int) -> ClassCensus:
     """Same cross-checked census over ``samples`` random matrices."""
     check_prime(d)
+    if samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
     counts = {CLASS_G: 0, CLASS_C: 0, CLASS_P: 0, DISCONNECTED: 0}
     pairs = list(combinations(range(N_VERTICES), 2))

@@ -39,6 +39,7 @@ from .states import (
     generators,
     verify_eigen,
 )
+from .steering import ClassificationError, ZeroProbabilityError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -112,8 +113,11 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
             writer.writerow([path, "" if value is None else value])
         text = buf.getvalue()
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -213,9 +217,14 @@ def _cmd_state(args) -> int:
 def _cmd_tables(args) -> int:
     for d in args.d_values:
         check_prime(d)
-        if d > 13:
-            raise ValueError("tables supports prime dimensions up to 13")
-    bundle, ok = build_report(args.d_values)
+        if d > 31:
+            raise ValueError("tables supports prime dimensions up to 31")
+    try:
+        bundle, ok = build_report(args.d_values)
+    except (ClassificationError, ZeroProbabilityError) as exc:
+        # steering verification failures, not bad input, despite subclassing ValueError
+        sys.stderr.write(f"quditgraph: steering verification failed: {exc}\n")
+        return EXIT_MISMATCH
     _emit(bundle, args.format, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 

@@ -6,14 +6,26 @@ ordered single measurement and measurement pair, classifies the residual
 state by its single-site purity pattern, and aggregates the results into
 tallies, per-branch trees, and averaged persistency statistics.
 
+``enumerate_paths`` works on whole measurement levels at once. The d(d+1)
+basis eigenvectors of a dimension are stacked once and cached. For each
+first qudit, one contraction measures it in all d+1 bases; on each of the
+three residual sites, one more contraction measures all (d+1)^2 second
+measurements. The single-site purities of a whole level come from one
+batched matmul per site. ``project`` is the single-event form of the same
+projection.
+
 Outcome indices never affect the residual class (a property the test suite
-checks exhaustively), so tallies fix one outcome per projection.
+checks exhaustively), so tallies fix one outcome per projection: the lowest
+index whose probability reaches PROB_TOL. Outcome 0 is contracted for every
+entry of a level, and only the entries below PROB_TOL are redone at the next
+index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,19 +182,6 @@ def project(s: StateVector, event: MeasurementEvent) -> tuple[StateVector, float
     return residual, prob
 
 
-def _project_first_valid(
-    s: StateVector, qudit: int, basis: MeasurementBasis
-) -> StateVector:
-    """Residual for the lowest outcome index of nonzero probability."""
-    for outcome in range(s.d):
-        try:
-            residual, _ = project(s, MeasurementEvent(qudit, basis, outcome))
-            return residual
-        except ZeroProbabilityError:
-            continue
-    raise ZeroProbabilityError("no outcome has nonzero probability")
-
-
 @dataclass(frozen=True)
 class StateClass3:
     """Residue class after one measurement: product, S_nB, or a 3-particle
@@ -200,29 +199,36 @@ class StateClass2:
     kind: str
 
 
-def _purity_kind(value: float, d: int) -> str:
-    if abs(value - 1.0) <= PURITY_TOL:
-        return "pure"
-    if abs(value - 1.0 / d) <= PURITY_TOL:
-        return "mixed"
-    raise ClassificationError(f"single-site purity {value} is neither 1 nor 1/{d}")
+def _pure_sites(purities: np.ndarray, d: int) -> np.ndarray:
+    """True where a single-site purity is 1, False where it is 1/d; any other
+    value is no graph-state residue and raises ClassificationError."""
+    pure = np.abs(purities - 1.0) <= PURITY_TOL
+    odd = ~pure & (np.abs(purities - 1.0 / d) > PURITY_TOL)
+    if odd.any():
+        raise ClassificationError(
+            f"single-site purity {purities[odd][0]} is neither 1 nor 1/{d}"
+        )
+    return pure
 
 
 def classify3(s: StateVector) -> StateClass3:
     """Classify a 3-qudit projection residue by its single-site purities."""
     if s.n_qudits != 3:
         raise ValueError("classify3 expects a 3-qudit state")
-    kinds = [
-        _purity_kind(purity(partial_trace(s, (i,), validate=False)), s.d)
-        for i in range(3)
-    ]
-    pure_sites = [i for i, k in enumerate(kinds) if k == "pure"]
-    if len(pure_sites) == 0:
+    purities = [purity(partial_trace(s, (i,), validate=False)) for i in range(3)]
+    return _class3(_pure_sites(np.array(purities), s.d).tolist())
+
+
+def _class3(pure_sites: list[bool]) -> StateClass3:
+    """Residue class of a 3-qudit purity pattern (True marks a pure site)."""
+    count = sum(pure_sites)
+    if count == 0:
         return StateClass3(GHZ3)
-    if len(pure_sites) == 3:
+    if count == 3:
         return StateClass3(PRODUCT)
-    if len(pure_sites) == 1:
-        return StateClass3(SNB, pure_sites[0])
+    if count == 1:
+        return StateClass3(SNB, pure_sites.index(True))
+    kinds = ["pure" if p else "mixed" for p in pure_sites]
     raise ClassificationError(f"purity pattern {kinds} is not a graph-state residue")
 
 
@@ -230,8 +236,8 @@ def classify2(s: StateVector) -> StateClass2:
     """Classify a 2-qudit projection residue: Bell-type or product."""
     if s.n_qudits != 2:
         raise ValueError("classify2 expects a 2-qudit state")
-    kind = _purity_kind(purity(partial_trace(s, (0,), validate=False)), s.d)
-    return StateClass2(PRODUCT if kind == "pure" else BELL)
+    pure = _pure_sites(np.array([purity(partial_trace(s, (0,), validate=False))]), s.d)
+    return StateClass2(PRODUCT if pure[0] else BELL)
 
 
 @dataclass(frozen=True)
@@ -315,27 +321,90 @@ class PathTally:
         }
 
 
-def enumerate_paths(s: StateVector) -> PathTally:
-    """Classify the residue of every ordered single and pair of measurements.
+@lru_cache(maxsize=None)
+def _mub_covectors(d: int) -> np.ndarray:
+    """Conjugated eigenvectors of all d+1 bases, indexed [basis, outcome, component]
+    in ``all_bases`` order; contracting a state with one row projects it."""
+    stack = np.array(
+        [[mub_eigenstate(b, o, d).amps for o in range(d)] for b in all_bases(d)]
+    ).conj()
+    stack.flags.writeable = False
+    return stack
 
-    The outcome of each projection is fixed to the lowest index of nonzero
-    probability; residue classes are outcome-independent for graph states.
+
+def _norms2(a: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis."""
+    mags = np.abs(a)
+    mags *= mags
+    return mags.sum(axis=-1)
+
+
+def _measure_all(states: np.ndarray, covectors: np.ndarray) -> np.ndarray:
+    """Normalized residues of measuring one qudit of a batch of states in every basis.
+
+    ``states`` has shape (n, d, m): the measured qudit on axis 1, the others
+    flattened in order. Returns shape (n, d+1, m). Each (state, basis) entry
+    takes the lowest outcome of probability at least PROB_TOL: outcome 0 is
+    contracted for every entry at once, and only the entries still below
+    PROB_TOL are redone at the next outcome.
+    """
+    res = np.matmul(covectors[:, 0], states)
+    probs = _norms2(res)
+    for outcome in range(1, states.shape[1]):
+        low = np.nonzero(probs < PROB_TOL)
+        if not low[0].size:
+            break
+        n, b = low
+        redo = np.matmul(covectors[b, outcome][:, None, :], states[n])[:, 0]
+        res[n, b] = redo
+        probs[n, b] = _norms2(redo)
+    if np.any(probs < PROB_TOL):
+        raise ZeroProbabilityError("no outcome has nonzero probability")
+    res /= np.sqrt(probs)[..., None]
+    return res
+
+
+def _site_purities(states: np.ndarray, n: int, sites) -> np.ndarray:
+    """Single-site purities of a batch of normalized states; ``states`` ends
+    in the n qudit axes and the result in one axis over ``sites``. Per site,
+    one batched matmul gives the reduced matrices of all states."""
+    d = states.shape[-1]
+    lead = states.ndim - n
+    purities = []
+    for i in sites:
+        m = np.moveaxis(states, lead + i, lead).reshape(states.shape[:lead] + (d, -1))
+        rho = np.matmul(m, m.conj().swapaxes(-1, -2))
+        purities.append(_norms2(rho.reshape(rho.shape[:-2] + (-1,))))
+    return np.stack(purities, axis=-1)
+
+
+def enumerate_paths(s: StateVector) -> PathTally:
+    """Classify the residue of every ordered single and pair of measurements,
+    one batched contraction per measurement level (see the module docstring).
     """
     if s.n_qudits != 4:
         raise ValueError("path enumeration expects a four-qudit state")
-    bases = all_bases(s.d)
+    d = s.d
+    bases = all_bases(d)
+    covectors = _mub_covectors(d)
+    psi = s.reshaped()
     moves = []
     for q1 in range(4):
-        for b1 in bases:
-            res3 = _project_first_valid(s, q1, b1)
-            c3 = classify3(res3)
-            seconds = []
-            for q2 in range(3):
-                for b2 in bases:
-                    res2 = _project_first_valid(res3, q2, b2)
-                    seconds.append((q2, b2, classify2(res2).kind))
-            moves.append(FirstMove(q1, b1, c3, tuple(seconds)))
-    return PathTally(s.d, tuple(moves))
+        res3 = _measure_all(np.moveaxis(psi, q1, 0).reshape(1, d, d**3), covectors)[0]
+        cube = res3.reshape(-1, d, d, d)
+        firsts = _pure_sites(_site_purities(cube, 3, range(3)), d).tolist()
+        seconds = []
+        for q2 in range(3):
+            res2 = _measure_all(np.moveaxis(cube, 1 + q2, 1).reshape(-1, d, d * d), covectors)
+            purities = _site_purities(res2.reshape(res2.shape[:2] + (d, d)), 2, (0,))
+            pure = _pure_sites(purities[..., 0], d)
+            seconds.append([[PRODUCT if p else BELL for p in row] for row in pure.tolist()])
+        for i, b1 in enumerate(bases):
+            pairs = tuple(
+                (q2, b2, seconds[q2][i][j]) for q2 in range(3) for j, b2 in enumerate(bases)
+            )
+            moves.append(FirstMove(q1, b1, _class3(firsts[i]), pairs))
+    return PathTally(d, tuple(moves))
 
 
 @dataclass(frozen=True)

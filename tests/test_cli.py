@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from quditgraph.cli import EXIT_INVALID, EXIT_OK, main
+from quditgraph import report
+from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+from quditgraph.steering import ClassificationError, ZeroProbabilityError
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +96,42 @@ def test_tables_rejects_nonprime(capsys):
     assert code == EXIT_INVALID
 
 
+def test_tables_d17_passes(capsys):
+    payload = run_json(capsys, "tables", "--d", "17")
+    assert payload["metadata"]["d_values"] == [17]
+    assert payload["all_pass"] is True
+
+
+def test_tables_rejects_d_above_cap(capsys):
+    code, out, err = run_cli(capsys, "tables", "--d", "37")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "up to 31" in err
+
+
+@pytest.mark.parametrize("error", [ClassificationError, ZeroProbabilityError])
+def test_tables_steering_failure_is_mismatch(capsys, monkeypatch, error):
+    def failing(state):
+        raise error("injected steering failure")
+
+    monkeypatch.setattr(report, "enumerate_paths", failing)
+    code, out, err = run_cli(capsys, "tables", "--d", "3")
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "injected steering failure" in err
+
+
+def test_tables_unwritable_out_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "tables", "--d", "3", "--out", str(target))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("quditgraph: error: cannot write")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_tables_deterministic_output(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -133,6 +171,13 @@ def test_classify_random_census(capsys):
     payload = run_json(capsys, "classify", "--random", "60", "--seed", "7", "--d", "7")
     assert payload["total"] == 60
     assert payload["mismatches"] == 0
+
+
+def test_classify_random_rejects_negative_count(capsys):
+    code, out, err = run_cli(capsys, "classify", "--random", "-5", "--d", "3")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "non-negative" in err
 
 
 def test_classify_rejects_asymmetric_matrix(capsys):

@@ -22,10 +22,22 @@ from quditgraph import (
     project,
     verify_eigen,
 )
-from quditgraph.graphs import cluster_graph, ghz_graph, p_graph
+from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
 from quditgraph.pauli import PauliWord, omega_powers
+from quditgraph.report import _family_effective
 from quditgraph.states import family_reduced_state
-from quditgraph.steering import BELL, GHZ3, PRODUCT, SNB, basis_eigenvalue, basis_operator
+from quditgraph.steering import (
+    BELL,
+    GHZ3,
+    PRODUCT,
+    SNB,
+    FirstMove,
+    PathTally,
+    basis_eigenvalue,
+    basis_operator,
+)
+
+from conftest import random_state_amps
 
 
 def bell_state(d):
@@ -388,3 +400,87 @@ def test_cluster_residual_generators_after_z2():
         assert verify_eigen(res, PauliWord.from_powers(d, (0, 0, 0), (1, 1, 0))) == outcome
         assert verify_eigen(res, PauliWord.from_powers(d, (1, d - 1, 0), (0, 0, 0))) == 0
         assert verify_eigen(res, PauliWord.from_powers(d, (0, 0, 0), (0, 0, 1))) == outcome
+
+
+def reference_paths(s):
+    """Single-projection form of ``enumerate_paths``: one ``project`` call per
+    outcome tried, lowest outcome of nonzero probability first."""
+
+    def first_valid(state, qudit, basis):
+        for outcome in range(state.d):
+            try:
+                residual, _ = project(state, MeasurementEvent(qudit, basis, outcome))
+                return residual
+            except ZeroProbabilityError:
+                continue
+        raise ZeroProbabilityError("no outcome has nonzero probability")
+
+    bases = all_bases(s.d)
+    moves = []
+    for q1 in range(4):
+        for b1 in bases:
+            res3 = first_valid(s, q1, b1)
+            c3 = classify3(res3)
+            seconds = []
+            for q2 in range(3):
+                for b2 in bases:
+                    seconds.append((q2, b2, classify2(first_valid(res3, q2, b2)).kind))
+            moves.append(FirstMove(q1, b1, c3, tuple(seconds)))
+    return PathTally(s.d, tuple(moves))
+
+
+def random_graph_state(rng, d):
+    weights = np.zeros((4, 4), dtype=int)
+    weights[np.triu_indices(4, 1)] = rng.integers(0, d, size=6)
+    return build_state(AdjacencyMatrix.from_array(weights + weights.T, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("family", ["G", "C", "P"])
+def test_batched_paths_match_reference_families(d, family):
+    s = family_reduced_state(family, d)
+    assert enumerate_paths(s) == reference_paths(s)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_batched_paths_match_reference_random_graphs(d):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(20):
+        s = random_graph_state(rng, d)
+        assert enumerate_paths(s) == reference_paths(s)
+
+
+def test_batched_paths_match_reference_basis_state():
+    # outcome 0 has zero probability for most Z measurements here, so the
+    # later outcomes are tried at both levels
+    s = StateVector.basis_state(3, (1, 2, 0, 1))
+    tally = enumerate_paths(s)
+    assert tally == reference_paths(s)
+    assert tally.first_counts() == {PRODUCT: 16, SNB: 0, GHZ3: 0}
+
+
+def test_batched_paths_reject_non_graph_state_like_reference(rng):
+    s = StateVector(3, 4, random_state_amps(rng, 3**4))
+    with pytest.raises(ClassificationError):
+        reference_paths(s)
+    with pytest.raises(ClassificationError):
+        enumerate_paths(s)
+
+
+def closed_form_persistency(family, d):
+    """(n_ave, delta) of a family, from its expected pair tallies."""
+    den = 3 * (d + 1) ** 2
+    if family == "G":
+        return Fraction(9 * d * d + 9 * d + 3, den), Fraction(3 * (d * d - 2 * d - 1), den)
+    if family == "C":
+        return Fraction(9 * d * d + 13 * d + 7, den), Fraction(3 * d * d - 4 * d - 1, den)
+    return Fraction(3 * d + 2, d + 1), Fraction(d - 1, d + 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17])
+@pytest.mark.parametrize("family", ["G", "C", "P"])
+def test_persistency_closed_forms(d, family):
+    stats = persistency_stats(family_reduced_state(family, d))
+    n_ave, delta = closed_form_persistency(_family_effective(family, d), d)
+    assert stats.n_ave_exact == n_ave
+    assert stats.delta_exact == delta
