@@ -22,7 +22,9 @@ from .classify import (
     canonicalize,
     census_random,
     classify_exhaustive,
+    cut_rank_classes,
     profile_class,
+    purity_class,
     replay,
 )
 from .graphs import (

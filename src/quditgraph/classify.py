@@ -8,17 +8,28 @@ connected 4-vertex graph to one of three canonical forms: the unit star
 (GHZ class G), or the chain-plus-chord form with parameter gamma_tilde,
 which is class C for gamma_tilde in {0, 1} and class P otherwise.
 
-Every reduction is recorded as a replayable trace of operations.
+Every reduction is recorded as a replayable trace of operations. The
+reduction runs on plain 4x4 int tuples; the public operations wrap the same
+kernels and validate one ``AdjacencyMatrix`` per call.
+
+Sweeps cross-check every class against an exact oracle: the purity of a
+subsystem A of a graph state is d**-rank, the rank taken over GF(d) of the
+cut block Gamma[A, complement of A] (Hein, Eisert, Briegel, PRA 69, 062311;
+Hostens, Dehaene, De Moor, PRA 71, 042315 for qudits). A zero vertex row or
+a zero 2|2 block marks a disconnected graph; otherwise the number of 2|2
+cuts of rank 1 is 3, 1 or 0 for classes G, C and P. Every recorded trace is
+also replayed. The dense purity-profile route (``purity_class``) is the
+reference the tests hold the cut-rank oracle to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from operator import itemgetter
 
 import numpy as np
 
-from .graphs import N_VERTICES, AdjacencyMatrix, gamma_graph
+from .graphs import N_VERTICES, AdjacencyMatrix
 from .measures import PurityProfile, purity_profile
 from .pauli import check_prime, inv_mod
 from .states import build_state
@@ -27,10 +38,12 @@ __all__ = [
     "CanonicalResult",
     "ClassCensus",
     "ClassOracleMismatch",
+    "ClassificationPatternError",
     "LCOperation",
     "ScaleOp",
     "StarOp",
     "SwapOp",
+    "VerificationFailure",
     "apply_op",
     "apply_scale",
     "apply_star",
@@ -38,8 +51,10 @@ __all__ = [
     "canonicalize",
     "census_random",
     "classify_exhaustive",
+    "cut_rank_classes",
     "ghz_canonical_graph",
     "profile_class",
+    "purity_class",
     "replay",
 ]
 
@@ -48,6 +63,33 @@ CLASS_C = "C"
 CLASS_P = "P"
 DISCONNECTED = "disconnected"
 ORACLE_TOL = 1e-7
+MAX_EXHAUSTIVE_D = 7
+
+# Vertex pairs in the order of the sweeps' weight columns (w01, ..., w23).
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Canonical G form: unit-weight star centered at vertex 3.
+_G_FORM = ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (1, 1, 1, 0))
+
+
+class VerificationFailure(RuntimeError):
+    """A computed result failed one of its independent cross-checks."""
+
+
+class ClassificationPatternError(VerificationFailure):
+    """Purity or cut-rank pattern matches none of the known class fingerprints."""
+
+
+class ClassOracleMismatch(VerificationFailure):
+    """Canonical class disagrees with the cut-rank oracle."""
+
+    def __init__(self, g: AdjacencyMatrix, canonical_cls: str, oracle_cls: str):
+        super().__init__(
+            f"class mismatch for matrix {g.entries}: "
+            f"canonicalization says {canonical_cls}, cut-rank oracle says {oracle_cls}"
+        )
+        self.matrix = g
+        self.canonical_cls = canonical_cls
+        self.oracle_cls = oracle_cls
 
 
 @dataclass(frozen=True)
@@ -77,16 +119,54 @@ class SwapOp:
 LCOperation = ScaleOp | StarOp | SwapOp
 
 
-def apply_scale(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
-    d = g.d
+def _scale(e, d: int, vertex: int, factor: int):
     factor %= d
     if factor == 0:
         raise ValueError("scale factor must be nonzero")
-    a = g.as_array()
-    a[vertex, :] = a[vertex, :] * factor % d
-    a[:, vertex] = a[:, vertex] * factor % d
-    a[vertex, vertex] = 0
-    return AdjacencyMatrix.from_array(a, d)
+    rows = [list(row) for row in e]
+    for m in range(N_VERTICES):
+        rows[vertex][m] = rows[m][vertex] = e[vertex][m] * factor % d
+    return tuple(map(tuple, rows))
+
+
+def _star(e, d: int, vertex: int, factor: int):
+    # Rows n with Gamma_n,vertex = 0 (vertex itself included) are unchanged.
+    col = e[vertex]
+    rows = []
+    for n, (row, c) in enumerate(zip(e, col)):
+        if c:
+            new = [(w + factor * c * cm) % d for w, cm in zip(row, col)]
+            new[n] = 0
+            row = tuple(new)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _swap(e, a: int, b: int):
+    axes = list(range(N_VERTICES))
+    axes[a], axes[b] = axes[b], axes[a]
+    pick = itemgetter(*axes)
+    return tuple([pick(e[n]) for n in axes])
+
+
+def _apply(e, d: int, op: LCOperation):
+    if isinstance(op, ScaleOp):
+        return _scale(e, d, op.vertex, op.factor)
+    if isinstance(op, StarOp):
+        return _star(e, d, op.vertex, op.factor)
+    if isinstance(op, SwapOp):
+        return _swap(e, op.a, op.b)
+    raise TypeError(f"unknown operation {op!r}")
+
+
+def _replay(e, d: int, trace):
+    for op in trace:
+        e = _apply(e, d, op)
+    return e
+
+
+def apply_scale(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
+    return AdjacencyMatrix(g.d, _scale(g.entries, g.d, vertex, factor))
 
 
 def apply_star(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
@@ -95,40 +175,25 @@ def apply_star(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
     The diagonal is pinned to zero; entries in the row and column of
     ``vertex`` are unchanged because the added term carries Gamma_vv = 0.
     """
-    d = g.d
-    a = g.as_array()
-    col = a[:, vertex]
-    update = factor * np.outer(col, col) % d
-    np.fill_diagonal(update, 0)
-    return AdjacencyMatrix.from_array((a + update) % d, d)
+    return AdjacencyMatrix(g.d, _star(g.entries, g.d, vertex, factor))
 
 
 def apply_swap(g: AdjacencyMatrix, a: int, b: int) -> AdjacencyMatrix:
-    axes = list(range(N_VERTICES))
-    axes[a], axes[b] = axes[b], axes[a]
-    return g.permuted(axes)
+    return AdjacencyMatrix(g.d, _swap(g.entries, a, b))
 
 
 def apply_op(g: AdjacencyMatrix, op: LCOperation) -> AdjacencyMatrix:
-    if isinstance(op, ScaleOp):
-        return apply_scale(g, op.vertex, op.factor)
-    if isinstance(op, StarOp):
-        return apply_star(g, op.vertex, op.factor)
-    if isinstance(op, SwapOp):
-        return apply_swap(g, op.a, op.b)
-    raise TypeError(f"unknown operation {op!r}")
+    return AdjacencyMatrix(g.d, _apply(g.entries, g.d, op))
 
 
 def replay(g: AdjacencyMatrix, trace) -> AdjacencyMatrix:
     """Apply a recorded operation sequence to a matrix."""
-    for op in trace:
-        g = apply_op(g, op)
-    return g
+    return AdjacencyMatrix(g.d, _replay(g.entries, g.d, trace))
 
 
 def ghz_canonical_graph(d: int) -> AdjacencyMatrix:
     """Canonical G form: unit-weight star centered at vertex 3."""
-    return AdjacencyMatrix.from_edges(d, {(0, 3): 1, (1, 3): 1, (2, 3): 1})
+    return AdjacencyMatrix(d, _G_FORM)
 
 
 @dataclass(frozen=True)
@@ -159,53 +224,59 @@ class CanonicalResult:
 
 
 class _Reducer:
-    """Mutable canonicalization state: current matrix plus recorded trace."""
+    """Mutable canonicalization state: current entries plus recorded trace."""
 
-    def __init__(self, g: AdjacencyMatrix):
-        self.h = g
+    def __init__(self, e, d: int):
+        self.h = e
+        self.d = d
         self.ops: list[LCOperation] = []
 
     def scale(self, vertex: int, factor: int) -> None:
-        if factor % self.h.d != 1:
-            self.h = apply_scale(self.h, vertex, factor)
-            self.ops.append(ScaleOp(vertex, factor % self.h.d))
+        factor %= self.d
+        if factor != 1:
+            self.h = _scale(self.h, self.d, vertex, factor)
+            self.ops.append(ScaleOp(vertex, factor))
 
     def star(self, vertex: int, factor: int) -> None:
-        if factor % self.h.d != 0:
-            self.h = apply_star(self.h, vertex, factor)
-            self.ops.append(StarOp(vertex, factor % self.h.d))
+        factor %= self.d
+        if factor != 0:
+            self.h = _star(self.h, self.d, vertex, factor)
+            self.ops.append(StarOp(vertex, factor))
 
     def permute(self, axes) -> None:
-        """Realize h -> h.permuted(axes) as a sequence of swaps."""
+        """Relabel so that new vertex i is old vertex axes[i], as a sequence of swaps."""
         cur = list(range(N_VERTICES))
         for r in range(N_VERTICES):
             if cur[r] != axes[r]:
                 s = cur.index(axes[r])
-                self.h = apply_swap(self.h, r, s)
+                self.h = _swap(self.h, r, s)
                 self.ops.append(SwapOp(r, s))
                 cur[r], cur[s] = cur[s], cur[r]
 
     def normalize_edge(self, vertex: int, other: int) -> None:
         """Scale ``vertex`` so the edge to ``other`` gets unit weight."""
-        w = self.h[vertex, other]
-        self.scale(vertex, inv_mod(w, self.h.d))
+        self.scale(vertex, inv_mod(self.h[vertex][other], self.d))
 
 
-def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
-    """Reduce a 4-vertex graph to its canonical class representative.
+def _is_connected(e) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        n = stack.pop()
+        for m in range(N_VERTICES):
+            if e[n][m] != 0 and m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return len(seen) == N_VERTICES
 
-    Disconnected graphs (including everything with fewer than three edges)
-    return the class "disconnected" with an empty trace. Connected graphs
-    reduce to the unit star (class G) or to the chain-plus-chord form whose
-    chord weight gamma_tilde decides between C (0 or 1) and P (anything else).
-    """
-    d = g.d
-    if not g.is_connected():
-        return CanonicalResult(DISCONNECTED, None, (), g)
 
-    r = _Reducer(g)
-    n_edges = g.edge_count()
+def _canonical(e, d: int):
+    """(class, gamma_tilde, trace, canonical entries) of the entries ``e``."""
+    if not _is_connected(e):
+        return DISCONNECTED, None, (), e
 
+    r = _Reducer(e, d)
+    n_edges = sum(1 for n, m in _PAIRS if e[n][m] != 0)
     if n_edges == 6:
         _reduce_six_edged(r)
     elif n_edges == 5:
@@ -216,24 +287,34 @@ def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
         _reduce_three_edged(r)
 
     h = r.h
-    if h == ghz_canonical_graph(d):
-        result = CanonicalResult(CLASS_G, None, tuple(r.ops), h)
-    else:
-        gamma = h[0, 3]
-        if h != gamma_graph(gamma, d):
-            raise RuntimeError(f"reduction left a non-canonical matrix {h.entries}")
-        cls = CLASS_C if gamma in (0, 1) else CLASS_P
-        result = CanonicalResult(cls, gamma, tuple(r.ops), h)
-    return result
+    if h == _G_FORM:
+        return CLASS_G, None, tuple(r.ops), h
+    gamma = h[0][3]
+    # the gamma_graph form: chain 0-1-2-3 of unit weights plus the 0-3 chord
+    if h != ((0, 1, 0, gamma), (1, 0, 1, 0), (0, 1, 0, 1), (gamma, 0, 1, 0)):
+        raise VerificationFailure(f"reduction left a non-canonical matrix {h}")
+    return (CLASS_C if gamma in (0, 1) else CLASS_P), gamma, tuple(r.ops), h
+
+
+def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
+    """Reduce a 4-vertex graph to its canonical class representative.
+
+    Disconnected graphs (including everything with fewer than three edges)
+    return the class "disconnected" with an empty trace. Connected graphs
+    reduce to the unit star (class G) or to the chain-plus-chord form whose
+    chord weight gamma_tilde decides between C (0 or 1) and P (anything else).
+    """
+    cls, gamma, trace, h = _canonical(g.entries, g.d)
+    return CanonicalResult(cls, gamma, trace, g if h is g.entries else AdjacencyMatrix(g.d, h))
 
 
 def _reduce_six_edged(r: _Reducer) -> None:
-    d = r.h.d
+    d = r.d
     # Kill the 1-3 edge with a star at 2, then normalize the 1-2 and 2-3 edges.
-    r.star(2, -r.h[1, 3] * inv_mod(r.h[1, 2], d) * inv_mod(r.h[2, 3], d))
+    r.star(2, -r.h[1][3] * inv_mod(r.h[1][2], d) * inv_mod(r.h[2][3], d))
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
-    alpha, beta, gamma = r.h[0, 1], r.h[0, 2], r.h[0, 3]
+    alpha, gamma = r.h[0][1], r.h[0][3]
     if alpha == 0 and gamma == 0:
         # Remaining graph is a star at vertex 2 with one non-unit edge.
         r.permute((0, 1, 3, 2))
@@ -242,43 +323,39 @@ def _reduce_six_edged(r: _Reducer) -> None:
     if alpha == 0:
         r.permute((0, 3, 2, 1))  # exchange the roles of the 0-1 and 0-3 edges
     # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
-    r.star(1, -r.h[0, 2] * inv_mod(r.h[0, 1], d))
+    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1], d))
     r.normalize_edge(0, 1)
 
 
 def _reduce_five_edged(r: _Reducer) -> None:
-    d = r.h.d
-    (zero_pair,) = [
-        (n, m) for n, m in combinations(range(N_VERTICES), 2) if r.h[n, m] == 0
-    ]
+    (zero_pair,) = [(n, m) for n, m in _PAIRS if r.h[n][m] == 0]
     others = [v for v in range(N_VERTICES) if v not in zero_pair]
     r.permute((others[0], zero_pair[0], others[1], zero_pair[1]))
-    # Kill the 0-2 chord, leaving the 4-cycle 0-1-2-3-0.
-    r.star(1, -r.h[0, 2] * inv_mod(r.h[0, 1] * r.h[1, 2], d))
-    _normalize_cycle(r)
+    # Kill the 0-2 chord, leaving the 4-cycle 0-1-2-3-0; normalizing its chain
+    # edges turns the 0-3 edge into gamma_tilde.
+    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1] * r.h[1][2], r.d))
+    _normalize_chain(r)
 
 
 def _reduce_four_edged(r: _Reducer) -> None:
-    d = r.h.d
-    zeros = [(n, m) for n, m in combinations(range(N_VERTICES), 2) if r.h[n, m] == 0]
-    (z1, z2) = zeros
+    (z1, z2) = [(n, m) for n, m in _PAIRS if r.h[n][m] == 0]
     shared = set(z1) & set(z2)
     if not shared:
         # Diagonally placed gaps: the graph is already a 4-cycle.
         r.permute((z1[0], z2[0], z1[1], z2[1]))
-        _normalize_cycle(r)
+        _normalize_chain(r)
         return
     v = shared.pop()
     i, j = sorted((set(z1) | set(z2)) - {v})
     (k,) = set(range(N_VERTICES)) - {v, i, j}
     r.permute((i, j, k, v))
     # Triangle 0-1-2 with a pendant 3; kill the 0-2 edge to leave the chain.
-    r.star(1, -r.h[0, 2] * inv_mod(r.h[0, 1] * r.h[1, 2], d))
+    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1] * r.h[1][2], r.d))
     _normalize_chain(r)
 
 
 def _reduce_three_edged(r: _Reducer) -> None:
-    degrees = [r.h.degree(v) for v in range(N_VERTICES)]
+    degrees = [sum(1 for w in row if w != 0) for row in r.h]
     if 3 in degrees:
         center = degrees.index(3)
         leaves = [v for v in range(N_VERTICES) if v != center]
@@ -290,11 +367,7 @@ def _reduce_three_edged(r: _Reducer) -> None:
     first = min(v for v in range(N_VERTICES) if degrees[v] == 1)
     order = [first]
     while len(order) < N_VERTICES:
-        nxt = [
-            m
-            for m in range(N_VERTICES)
-            if r.h[order[-1], m] != 0 and m not in order
-        ]
+        nxt = [m for m in range(N_VERTICES) if r.h[order[-1]][m] != 0 and m not in order]
         order.append(nxt[0])
     r.permute(tuple(order))
     _normalize_chain(r)
@@ -304,24 +377,6 @@ def _normalize_chain(r: _Reducer) -> None:
     r.normalize_edge(1, 0)
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
-
-
-def _normalize_cycle(r: _Reducer) -> None:
-    # Scale the chain edges to one; the 0-3 chord becomes gamma_tilde.
-    _normalize_chain(r)
-
-
-class ClassOracleMismatch(RuntimeError):
-    """Canonical class disagrees with the purity-profile oracle."""
-
-    def __init__(self, g: AdjacencyMatrix, canonical_cls: str, oracle_cls: str):
-        super().__init__(
-            f"class mismatch for matrix {g.entries}: "
-            f"canonicalization says {canonical_cls}, purity oracle says {oracle_cls}"
-        )
-        self.matrix = g
-        self.canonical_cls = canonical_cls
-        self.oracle_cls = oracle_cls
 
 
 def profile_class(profile: PurityProfile, tol: float = ORACLE_TOL) -> str:
@@ -341,25 +396,53 @@ def profile_class(profile: PurityProfile, tol: float = ORACLE_TOL) -> str:
     return mapping[n_loose]
 
 
-class ClassificationPatternError(RuntimeError):
-    """Purity profile matches none of the known class fingerprints."""
+def purity_class(g: AdjacencyMatrix) -> str:
+    """Class of a graph by the dense route: build its state, take every purity."""
+    return profile_class(purity_profile(build_state(g)))
 
 
-def _check_one(g: AdjacencyMatrix) -> str:
-    """Canonicalize, then cross-check against the purity oracle and the trace."""
-    result = canonicalize(g)
-    oracle = profile_class(purity_profile(build_state(g)))
-    if oracle != result.cls:
-        raise ClassOracleMismatch(g, result.cls, oracle)
-    if replay(g, result.trace) != result.canonical:
-        raise RuntimeError(f"trace replay failed for matrix {g.entries}")
-    return result.cls
+# Weight columns of the cut block of each one- and two-site subsystem: the
+# four vertex rows, then the 2|2 cuts {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2}
+# as (a, b, c, e) with block determinant w_a w_b - w_c w_e.
+_VERTEX_ROWS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+_CUT_BLOCKS = ((1, 4, 2, 3), (0, 5, 2, 3), (0, 5, 1, 4))
+
+
+def cut_rank_classes(d: int, weights) -> list[str]:
+    """Class of each graph of an (N, 6) weight array (w01, w02, w03, w12, w13, w23).
+
+    A vertex row or a 2|2 cut block of rank 0 (all zero) is a pure subsystem:
+    the graph is disconnected. Otherwise each 2|2 block has rank 1 (its
+    determinant vanishes mod d) or 2, and the number of rank-1 cuts is 3, 1
+    or 0 for classes G, C and P; complementary pairs share a cut, so this is
+    the purity pair pattern 6, 2, 0 halved.
+    """
+    # int64 holds the products w_a w_b exactly while d**2 < 2**63.
+    w = np.asarray(weights, dtype=np.int64 if d * d < 2**63 else object).reshape(-1, 6)
+    zero = w == 0
+    disconnected = np.zeros(len(w), dtype=bool)
+    rank_one = np.zeros(len(w), dtype=np.int64)
+    for cols in _VERTEX_ROWS + _CUT_BLOCKS:
+        disconnected |= zero[:, cols].all(axis=1)
+    for a, b, c, e in _CUT_BLOCKS:
+        # every block of a connected graph is nonzero, so det = 0 means rank 1
+        rank_one += (w[:, a] * w[:, b] - w[:, c] * w[:, e]) % d == 0
+    bad = ~disconnected & (rank_one == 2)
+    if bad.any():
+        raise ClassificationPatternError(
+            f"cut-rank pattern of weights {w[bad][0].tolist()} matches no class"
+        )
+    # Indexed by the rank-1 cut count; count 2 is excluded above, so its slot
+    # carries the disconnected graphs.
+    labels = np.array([CLASS_P, CLASS_C, DISCONNECTED, CLASS_G], dtype=object)
+    return labels[np.where(disconnected, 2, rank_one)].tolist()
 
 
 @dataclass(frozen=True)
 class ClassCensus:
-    """Class counts over a set of graphs, with the number of oracle mismatches
-    (always zero: a mismatch raises instead of being tallied)."""
+    """Class counts over a set of graphs. Every class was cross-checked against
+    the cut-rank oracle and every trace replayed; ``mismatches`` is always
+    zero, because a failed check raises instead of being tallied."""
 
     d: int
     total: int
@@ -375,24 +458,37 @@ class ClassCensus:
         }
 
 
+def _sweep(d: int, weights: np.ndarray) -> ClassCensus:
+    """Canonicalize each row of an (N, 6) weight array, replay its trace, and
+    check its class against the cut-rank oracle."""
+    oracle = cut_rank_classes(d, weights)
+    counts = {CLASS_G: 0, CLASS_C: 0, CLASS_P: 0, DISCONNECTED: 0}
+    columns = weights.T.tolist()  # six lists of ints rather than N small lists
+    for (a, b, c, x, y, z), expected in zip(zip(*columns), oracle):
+        e = ((0, a, b, c), (a, 0, x, y), (b, x, 0, z), (c, y, z, 0))
+        cls, _, trace, h = _canonical(e, d)
+        if cls != expected:
+            raise ClassOracleMismatch(AdjacencyMatrix(d, e), cls, expected)
+        if _replay(e, d, trace) != h:
+            raise VerificationFailure(f"trace replay failed for matrix {e}")
+        counts[cls] += 1
+    return ClassCensus(d, len(oracle), counts, 0)
+
+
 def classify_exhaustive(d: int) -> ClassCensus:
     """Canonicalize every symmetric zero-diagonal matrix over Z_d.
 
-    Every connected graph's class is cross-checked against the purity-profile
-    oracle and every trace is replayed; any disagreement raises with the
-    offending matrix. Full sweeps are limited to d <= 5 (d^6 matrices).
+    Every class is cross-checked against the cut-rank oracle and every trace
+    is replayed; any disagreement raises with the offending matrix. Full
+    sweeps are limited to d <= 7 (d^6 matrices).
     """
     check_prime(d)
-    if d > 5:
-        raise ValueError("full sweep supports d <= 5; use census_random beyond that")
-    counts = {CLASS_G: 0, CLASS_C: 0, CLASS_P: 0, DISCONNECTED: 0}
-    pairs = list(combinations(range(N_VERTICES), 2))
-    total = 0
-    for weights in product(range(d), repeat=len(pairs)):
-        g = AdjacencyMatrix.from_edges(d, dict(zip(pairs, weights)))
-        counts[_check_one(g)] += 1
-        total += 1
-    return ClassCensus(d, total, counts, 0)
+    if d > MAX_EXHAUSTIVE_D:
+        raise ValueError(
+            f"full sweep supports d <= {MAX_EXHAUSTIVE_D}; use census_random beyond that"
+        )
+    weights = np.indices((d,) * len(_PAIRS), dtype=np.int8).reshape(len(_PAIRS), -1).T
+    return _sweep(d, weights)
 
 
 def census_random(d: int, samples: int, seed: int) -> ClassCensus:
@@ -401,10 +497,4 @@ def census_random(d: int, samples: int, seed: int) -> ClassCensus:
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
-    counts = {CLASS_G: 0, CLASS_C: 0, CLASS_P: 0, DISCONNECTED: 0}
-    pairs = list(combinations(range(N_VERTICES), 2))
-    for _ in range(samples):
-        weights = rng.integers(0, d, size=len(pairs))
-        g = AdjacencyMatrix.from_edges(d, dict(zip(pairs, map(int, weights))))
-        counts[_check_one(g)] += 1
-    return ClassCensus(d, samples, counts, 0)
+    return _sweep(d, rng.integers(0, d, size=(samples, len(_PAIRS))))

@@ -8,7 +8,8 @@ Three command groups:
 * ``tables`` emits the full verified report bundle for one or more prime
   dimensions and fails (exit 2) if any value misses its expectation.
 * ``classify`` canonicalizes a single matrix, or sweeps all (or random)
-  matrices with the purity-profile oracle cross-check.
+  matrices, cross-checking each class against the exact cut-rank oracle and
+  replaying each trace.
 
 Exit codes: 0 success, 2 verification mismatch, 3 invalid input. Output is
 deterministic: fixed key order, floats at 12 significant digits.
@@ -26,7 +27,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import __version__
-from .classify import ClassOracleMismatch, canonicalize, census_random, classify_exhaustive
+from .classify import VerificationFailure, canonicalize, census_random, classify_exhaustive
 from .graphs import AdjacencyMatrix, graph_from_json_dict
 from .pauli import check_prime, omega_powers
 from .report import build_report, flatten_json, fmt_float
@@ -246,14 +247,10 @@ def _cmd_classify(args) -> int:
         return EXIT_OK
     if args.d is None:
         raise ValueError("sweep modes need --d")
-    try:
-        if args.exhaustive:
-            census = classify_exhaustive(args.d)
-        else:
-            census = census_random(args.d, args.random, args.seed)
-    except ClassOracleMismatch as exc:
-        sys.stderr.write(f"quditgraph: {exc}\n")
-        return EXIT_MISMATCH
+    if args.exhaustive:
+        census = classify_exhaustive(args.d)
+    else:
+        census = census_random(args.d, args.random, args.seed)
     payload = {
         "metadata": {"tool": "quditgraph", "version": __version__, "d": args.d},
         **census.to_json_dict(),
@@ -271,6 +268,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"quditgraph: error: {exc}\n")
         return EXIT_INVALID
+    except VerificationFailure as exc:
+        sys.stderr.write(f"quditgraph: verification failed: {exc}\n")
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ and m, with 0 meaning no edge. Vertices are indexed 0..3 in code and reported
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -73,31 +72,6 @@ class AdjacencyMatrix:
     def __getitem__(self, nm: tuple[int, int]) -> int:
         return self.entries[nm[0]][nm[1]]
 
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """Nonzero edges as (n, m, weight) with n < m."""
-        return tuple(
-            (n, m, self.entries[n][m])
-            for n, m in combinations(range(N_VERTICES), 2)
-            if self.entries[n][m] != 0
-        )
-
-    def edge_count(self) -> int:
-        return len(self.edges())
-
-    def degree(self, n: int) -> int:
-        return sum(1 for m in range(N_VERTICES) if self.entries[n][m] != 0)
-
-    def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            n = stack.pop()
-            for m in range(N_VERTICES):
-                if self.entries[n][m] != 0 and m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return len(seen) == N_VERTICES
-
     def permuted(self, axes: Sequence[int]) -> "AdjacencyMatrix":
         """Relabel vertices so that new vertex i is old vertex axes[i]."""
         if sorted(axes) != list(range(N_VERTICES)):
@@ -121,6 +95,16 @@ def graph_from_json_dict(obj: Mapping) -> AdjacencyMatrix:
         gamma = obj["gamma"]
     except (KeyError, TypeError) as exc:
         raise ValueError('graph JSON must carry keys "d" and "gamma"') from exc
+    if not (
+        isinstance(gamma, list)
+        and len(gamma) == N_VERTICES
+        and all(isinstance(row, list) and len(row) == N_VERTICES for row in gamma)
+    ):
+        raise ValueError('graph JSON "gamma" must be a 4x4 list of lists')
+    for row in gamma:
+        for w in row:
+            if type(w) is not int:  # bool, float and str weights are not coerced
+                raise ValueError(f"edge weight {w!r} is not an integer")
     return AdjacencyMatrix(d, tuple(tuple(row) for row in gamma))
 
 

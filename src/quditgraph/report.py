@@ -133,10 +133,9 @@ class _Checklist:
         return all(row["pass"] for row in self.rows)
 
 
-def _purity_section(d: int, checks: _Checklist) -> dict:
+def _purity_section(d: int, states: dict, checks: _Checklist) -> dict:
     section = {}
-    for family in FAMILIES:
-        state = family_reduced_state(family, d)
+    for family, state in states.items():
         profile = purity_profile(state)
         section[family] = profile.to_json_dict()
         exp_single, exp_diag, exp_adj = expected_purity_columns(family, d)
@@ -153,10 +152,9 @@ def _purity_section(d: int, checks: _Checklist) -> dict:
     return section
 
 
-def _steering_section(d: int, checks: _Checklist) -> dict:
+def _steering_section(d: int, states: dict, checks: _Checklist) -> dict:
     firsts, pairs, trees, persistency = {}, {}, {}, {}
-    for family in FAMILIES:
-        state = family_reduced_state(family, d)
+    for family, state in states.items():
         tally = enumerate_paths(state)
         fc, pc = tally.first_counts(), tally.pair_counts()
         firsts[family] = fc
@@ -199,9 +197,10 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
     sections = {}
     n_aves: dict[str, list[float]] = {family: [] for family in FAMILIES}
     for d in d_values:
-        purities = _purity_section(d, checks)
+        states = {family: family_reduced_state(family, d) for family in FAMILIES}
+        purities = _purity_section(d, states, checks)
         mmes = purities.pop("_mmes")
-        steering = _steering_section(d, checks)
+        steering = _steering_section(d, states, checks)
         for family in FAMILIES:
             n_aves[family].append(steering["persistency"][family]["n_ave"]["float"])
         sections[str(d)] = {

@@ -1,5 +1,7 @@
 """Local-equivalence operations, canonicalization, and the exhaustive sweep."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,16 +17,21 @@ from quditgraph import (
     census_random,
     classify_exhaustive,
     cluster_graph,
+    cut_rank_classes,
     gamma_graph,
     ghz_graph,
     inv_mod,
     p_graph,
     path_graph,
     profile_class,
+    purity_class,
     purity_profile,
     replay,
 )
 from quditgraph.classify import CLASS_C, CLASS_G, CLASS_P, DISCONNECTED, ghz_canonical_graph
+
+# Vertex pairs in the order of the weight columns cut_rank_classes takes.
+PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def all_ones_graph(d):
@@ -280,7 +287,63 @@ def test_exhaustive_census_d2_has_no_p_class():
 
 def test_exhaustive_rejects_large_d():
     with pytest.raises(ValueError):
-        classify_exhaustive(7)
+        classify_exhaustive(11)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_exhaustive_census_closed_forms(d):
+    # G and P are closed forms in x = d - 1; the disconnected count follows
+    # independently from the 38 labelled connected 4-vertex graphs (16, 15, 6
+    # and 1 with 3, 4, 5 and 6 edges), each edge taking one of x nonzero weights
+    x = d - 1
+    disconnected = d**6 - (16 * x**3 + 15 * x**4 + 6 * x**5 + x**6)
+    g = x**3 * (d + 3)
+    p = d * x**3 * (d - 2) * (d + 2)
+    census = classify_exhaustive(d)
+    assert census.total == d**6
+    assert census.counts == {
+        CLASS_G: g,
+        CLASS_C: d**6 - g - p - disconnected,
+        CLASS_P: p,
+        DISCONNECTED: disconnected,
+    }
+
+
+def _weights_graph(d, weights):
+    return AdjacencyMatrix.from_edges(d, dict(zip(PAIRS, weights)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_cut_rank_oracle_matches_dense_route_exhaustively(d):
+    weights = list(product(range(d), repeat=6))
+    expected = [purity_class(_weights_graph(d, w)) for w in weights]
+    assert cut_rank_classes(d, np.array(weights)) == expected
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_cut_rank_oracle_matches_dense_route_sampled(d):
+    weights = np.random.default_rng(1000 + d).integers(0, d, size=(300, 6))
+    expected = [purity_class(_weights_graph(d, map(int, w))) for w in weights]
+    assert cut_rank_classes(d, weights) == expected
+    assert set(expected) >= {CLASS_C, CLASS_P}
+
+
+def test_cut_rank_oracle_exact_beyond_int64_products(rng):
+    # d**2 overflows int64. Random scales and stars of the three class
+    # representatives keep their vanishing cut determinants only mod d.
+    d = 2**32 + 15
+    graphs = []
+    for base in (ghz_graph(d), cluster_graph(d), p_graph(d)):
+        for _ in range(10):
+            g = base
+            for v in range(4):
+                g = apply_scale(g, v, int(rng.integers(1, d)))
+            graphs.append(apply_star(g, int(rng.integers(0, 4)), int(rng.integers(0, d))))
+    graphs.append(AdjacencyMatrix.from_edges(d, {(0, 1): d - 1, (2, 3): d - 2}))
+    weights = np.array([[g[n, m] for n, m in PAIRS] for g in graphs])
+    expected = [canonicalize(g).cls for g in graphs]
+    assert cut_rank_classes(d, weights) == expected
+    assert expected == [CLASS_G] * 10 + [CLASS_C] * 10 + [CLASS_P] * 10 + [DISCONNECTED]
 
 
 def test_census_random_d7():

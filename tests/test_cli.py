@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from quditgraph import report
+from quditgraph import classify, report
 from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from quditgraph.steering import ClassificationError, ZeroProbabilityError
 
@@ -190,6 +190,53 @@ def test_classify_rejects_asymmetric_matrix(capsys):
 def test_classify_rejects_bad_json(capsys):
     code, _, err = run_cli(capsys, "classify", "--matrix", "{not json")
     assert code == EXIT_INVALID
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        [[0, 1.7, 0, 0], [1.7, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, "1", 0, 0], ["1", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, True, 0, 0], [True, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        5,
+        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [5, 5, 5, 5],
+    ],
+)
+def test_classify_rejects_malformed_gamma(capsys, gamma):
+    matrix = json.dumps({"d": 3, "gamma": gamma})
+    code, out, err = run_cli(capsys, "classify", "--matrix", matrix)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("quditgraph: error:")
+    assert err.count("\n") == 1
+
+
+def _mislabel_cluster(canonical):
+    def mislabelled(e, d):
+        cls, gamma, trace, h = canonical(e, d)
+        return ("G" if cls == "C" and gamma == 1 else cls), gamma, trace, h
+
+    return mislabelled
+
+
+def _drop_last_op(canonical):
+    def truncated(e, d):
+        cls, gamma, trace, h = canonical(e, d)
+        return cls, gamma, trace[:-1], h
+
+    return truncated
+
+
+@pytest.mark.parametrize("fault", [_mislabel_cluster, _drop_last_op])
+def test_classify_sweep_check_failure_is_mismatch(capsys, monkeypatch, fault):
+    monkeypatch.setattr(classify, "_canonical", fault(classify._canonical))
+    code, out, err = run_cli(capsys, "classify", "--exhaustive", "--d", "3")
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err.startswith("quditgraph: verification failed:")
+    assert err.count("\n") == 1
 
 
 def test_classify_needs_exactly_one_mode(capsys):
