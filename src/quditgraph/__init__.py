@@ -46,7 +46,6 @@ from .measures import (
     purity,
     purity_profile,
     reduced_from_stabilizers,
-    schmidt_bounds,
     wedge_measure,
 )
 from .pauli import (
@@ -88,4 +87,5 @@ from .steering import (
     mub_eigenstate,
     persistency_stats,
     project,
+    schmidt_bounds,
 )

@@ -44,7 +44,6 @@ __all__ = [
     "StarOp",
     "SwapOp",
     "VerificationFailure",
-    "apply_op",
     "apply_scale",
     "apply_star",
     "apply_swap",
@@ -180,10 +179,6 @@ def apply_star(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
 
 def apply_swap(g: AdjacencyMatrix, a: int, b: int) -> AdjacencyMatrix:
     return AdjacencyMatrix(g.d, _swap(g.entries, a, b))
-
-
-def apply_op(g: AdjacencyMatrix, op: LCOperation) -> AdjacencyMatrix:
-    return AdjacencyMatrix(g.d, _apply(g.entries, g.d, op))
 
 
 def replay(g: AdjacencyMatrix, trace) -> AdjacencyMatrix:

@@ -22,15 +22,16 @@ import csv
 import io
 import json
 import sys
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
 from . import __version__
 from .classify import VerificationFailure, canonicalize, census_random, classify_exhaustive
 from .graphs import AdjacencyMatrix, graph_from_json_dict
-from .pauli import check_prime, omega_powers
-from .report import build_report, flatten_json, fmt_float
+from .pauli import omega_powers
+from .report import build_report
+from .serialize import flatten_json, fmt_float
 from .states import (
     build_state,
     family_fourier_sites,
@@ -38,6 +39,7 @@ from .states import (
     family_reduced_generators,
     family_reduced_state,
     generators,
+    phase_exponents,
     verify_eigen,
 )
 from .steering import ClassificationError, ZeroProbabilityError
@@ -123,13 +125,18 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _parse_matrix(text: str) -> AdjacencyMatrix:
+    """Graph of a --matrix argument in the wire format."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid matrix JSON: {exc}") from exc
+    return graph_from_json_dict(obj)
+
+
 def _resolve_graph(args) -> AdjacencyMatrix:
-    if args.matrix:
-        try:
-            obj = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid matrix JSON: {exc}") from exc
-        return graph_from_json_dict(obj)
+    if args.matrix is not None:
+        return _parse_matrix(args.matrix)
     if not args.family:
         raise ValueError("provide --family or --matrix")
     if args.d is None:
@@ -139,15 +146,12 @@ def _resolve_graph(args) -> AdjacencyMatrix:
 
 def _graph_amplitudes(g: AdjacencyMatrix) -> list[dict]:
     """Exact (basis, phase exponent, magnitude) triples of a graph state."""
-    d = g.d
-    magnitude = fmt_float(1.0 / d**2)
-    rows = []
-    for idx in product(range(d), repeat=4):
-        exp = sum(
-            g.entries[n][m] * idx[n] * idx[m] for n, m in combinations(range(4), 2)
-        )
-        rows.append({"basis": list(idx), "phase_exp": exp % d, "magnitude": magnitude})
-    return rows
+    magnitude = fmt_float(1.0 / g.d**2)
+    exponents = phase_exponents(g).reshape(-1).tolist()
+    return [
+        {"basis": list(idx), "phase_exp": exp, "magnitude": magnitude}
+        for idx, exp in zip(product(range(g.d), repeat=4), exponents)
+    ]
 
 
 def _state_amplitudes(state, tol: float = 1e-9) -> list[dict]:
@@ -216,44 +220,27 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    for d in args.d_values:
-        check_prime(d)
-        if d > 31:
-            raise ValueError("tables supports prime dimensions up to 31")
-    try:
-        bundle, ok = build_report(args.d_values)
-    except (ClassificationError, ZeroProbabilityError) as exc:
-        # steering verification failures, not bad input, despite subclassing ValueError
-        sys.stderr.write(f"quditgraph: steering verification failed: {exc}\n")
-        return EXIT_MISMATCH
+    bundle, ok = build_report(args.d_values)
     _emit(bundle, args.format, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _cmd_classify(args) -> int:
-    modes = sum(bool(m) for m in (args.matrix, args.exhaustive, args.random))
+    modes = (args.matrix is not None) + args.exhaustive + (args.random is not None)
     if modes != 1:
         raise ValueError("choose exactly one of --matrix, --exhaustive, --random N")
-    if args.matrix:
-        try:
-            obj = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid matrix JSON: {exc}") from exc
-        g = graph_from_json_dict(obj)
-        result = canonicalize(g)
-        payload = {"metadata": {"tool": "quditgraph", "version": __version__, "d": g.d}}
-        payload.update(result.to_json_dict())
-        _emit(payload, args.format, args.out)
-        return EXIT_OK
-    if args.d is None:
+    if args.matrix is not None:
+        g = _parse_matrix(args.matrix)
+        d, result = g.d, canonicalize(g)
+    elif args.d is None:
         raise ValueError("sweep modes need --d")
-    if args.exhaustive:
-        census = classify_exhaustive(args.d)
+    elif args.exhaustive:
+        d, result = args.d, classify_exhaustive(args.d)
     else:
-        census = census_random(args.d, args.random, args.seed)
+        d, result = args.d, census_random(args.d, args.random, args.seed)
     payload = {
-        "metadata": {"tool": "quditgraph", "version": __version__, "d": args.d},
-        **census.to_json_dict(),
+        "metadata": {"tool": "quditgraph", "version": __version__, "d": d},
+        **result.to_json_dict(),
     }
     _emit(payload, args.format, args.out)
     return EXIT_OK
@@ -265,12 +252,13 @@ def main(argv=None) -> int:
     handlers = {"state": _cmd_state, "tables": _cmd_tables, "classify": _cmd_classify}
     try:
         return handlers[args.command](args)
+    except (VerificationFailure, ClassificationError, ZeroProbabilityError) as exc:
+        # before ValueError: the steering errors subclass it but are failed checks
+        sys.stderr.write(f"quditgraph: verification failed: {exc}\n")
+        return EXIT_MISMATCH
     except (ValueError, ZeroDivisionError) as exc:
         sys.stderr.write(f"quditgraph: error: {exc}\n")
         return EXIT_INVALID
-    except VerificationFailure as exc:
-        sys.stderr.write(f"quditgraph: verification failed: {exc}\n")
-        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -84,9 +84,6 @@ class AdjacencyMatrix:
             ),
         )
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "gamma": [list(row) for row in self.entries]}
-
 
 def graph_from_json_dict(obj: Mapping) -> AdjacencyMatrix:
     """Parse the wire format {"d": int, "gamma": [[int x4] x4]}."""

@@ -16,6 +16,7 @@ import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
 from .pauli import omega_powers, site_matrix
+from .serialize import exact_and_float
 from .states import StateVector, stabilizer
 
 __all__ = [
@@ -29,14 +30,12 @@ __all__ = [
     "purity",
     "purity_profile",
     "reduced_from_stabilizers",
-    "schmidt_bounds",
     "subsystem_label",
     "wedge_measure",
 ]
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
-RANK_TOL = 1e-8
 
 
 def subsystem_label(keep: tuple[int, ...]) -> str:
@@ -121,10 +120,6 @@ def purity(r) -> float:
     return float(np.vdot(m, m).real)
 
 
-def _site_purity(s: StateVector, site: int) -> float:
-    return purity(partial_trace(s, (site,), validate=False))
-
-
 @dataclass(frozen=True)
 class PurityProfile:
     """Map from subsystem to Tr(rho^2) for all single sites and pairs."""
@@ -147,8 +142,6 @@ class PurityProfile:
         return sum(1 for v in self.pairs().values() if abs(v - 1.0 / self.d) <= tol)
 
     def to_json_dict(self) -> dict:
-        from .report import exact_and_float
-
         return {subsystem_label(k): exact_and_float(v) for k, v in self.values.items()}
 
 
@@ -244,27 +237,3 @@ def max_identity_factors(g: AdjacencyMatrix) -> int:
     nontrivial = np.any(powers != 0, axis=1)
     id_counts = np.sum((x == 0) & (z == 0), axis=1)
     return int(id_counts[nontrivial].max())
-
-
-def schmidt_bounds(s: StateVector) -> tuple[float, int]:
-    """(lower, upper) bounds on the Schmidt measure log_d N_min.
-
-    Lower: max over bipartitions of log_d of the numerical rank of the
-    coefficient matrix. Upper: the minimum number of single-site measurements
-    that removes all entanglement. For the canonical graph states the two
-    coincide and equal the Schmidt measure.
-    """
-    if s.n_qudits != N_VERTICES:
-        raise ValueError("Schmidt bounds are implemented for four-qudit states")
-    lower = 0.0
-    for keep in all_subsystems(s.n_qudits, 2):
-        if len(keep) == 2 and 0 not in keep:
-            continue  # complements repeat the 2-2 bipartitions
-        m = _associated_matrix(s, keep)
-        rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL))
-        lower = max(lower, float(np.log(rank) / np.log(s.d)) if rank > 1 else 0.0)
-
-    from .steering import persistency_stats  # deferred: steering builds on this module
-
-    upper = persistency_stats(s).n_min
-    return lower, upper

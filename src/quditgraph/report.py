@@ -16,48 +16,24 @@ from typing import Sequence
 from . import __version__
 from .measures import is_k_mm, purity_profile
 from .pauli import check_prime
+from .serialize import exact_and_float, fmt_float, rational_str
 from .states import family_reduced_state
 from .steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths, persistency_stats
 
 __all__ = [
     "build_report",
-    "exact_and_float",
     "expected_first_counts",
     "expected_pair_counts",
     "expected_purity_columns",
-    "flatten_json",
-    "fmt_float",
-    "rational_str",
 ]
 
 FAMILIES = ("G", "C", "P")
+MAX_TABLES_D = 31
 
 # Pair subsystems of the reduced states, split by their role on the square:
 # (0,2) and (1,3) are the diagonally coordinated pairs.
 DIAGONAL_PAIRS = ((0, 2), (1, 3))
 ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3), (0, 3))
-
-
-def fmt_float(x: float) -> float:
-    """Round to 12 significant digits for stable serialization."""
-    return float(f"{float(x):.12g}")
-
-
-def rational_str(x, max_den: int = 10**6) -> str | None:
-    """Exact-rational rendering of a numerically rational value, or None."""
-    if isinstance(x, Fraction):
-        frac = x
-    else:
-        frac = Fraction(float(x)).limit_denominator(max_den)
-        if abs(float(frac) - float(x)) > 1e-9:
-            return None
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
-
-
-def exact_and_float(x) -> dict:
-    return {"exact": rational_str(x), "float": fmt_float(x)}
 
 
 def _family_effective(family: str, d: int) -> str:
@@ -189,10 +165,14 @@ def _steering_section(d: int, states: dict, checks: _Checklist) -> dict:
 def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
     """Full verified bundle over the given prime dimensions.
 
-    Returns (bundle, all_pass); every comparison row also appears under
-    ``checks`` with its expected and actual values.
+    The dimensions must be distinct primes up to MAX_TABLES_D. Returns
+    (bundle, all_pass); every comparison row also appears under ``checks``.
     """
     d_values = [check_prime(d) for d in d_values]
+    if any(d > MAX_TABLES_D for d in d_values):
+        raise ValueError(f"tables supports prime dimensions up to {MAX_TABLES_D}")
+    if len(set(d_values)) != len(d_values):
+        raise ValueError(f"each dimension may be given once, got {d_values}")
     checks = _Checklist()
     sections = {}
     n_aves: dict[str, list[float]] = {family: [] for family in FAMILIES}
@@ -226,17 +206,3 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
         "all_pass": checks.all_pass(),
     }
     return bundle, checks.all_pass()
-
-
-def flatten_json(obj, prefix: str = "") -> list[tuple[str, object]]:
-    """Depth-first (path, leaf-value) pairs of a JSON-like structure."""
-    rows: list[tuple[str, object]] = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            rows.extend(flatten_json(v, f"{prefix}.{k}" if prefix else str(k)))
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            rows.extend(flatten_json(v, f"{prefix}[{i}]"))
-    else:
-        rows.append((prefix, obj))
-    return rows

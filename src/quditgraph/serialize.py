@@ -1,0 +1,48 @@
+"""Output number format shared by every serialized result.
+
+Floats are rounded to 12 significant digits, numerically rational values
+also carry an exact-rational string, and nested results flatten to
+(path, value) rows for CSV, so repeated runs are byte-identical.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+__all__ = ["exact_and_float", "flatten_json", "fmt_float", "rational_str"]
+
+
+def fmt_float(x: float) -> float:
+    """Round to 12 significant digits for stable serialization."""
+    return float(f"{float(x):.12g}")
+
+
+def rational_str(x, max_den: int = 10**6) -> str | None:
+    """Exact-rational rendering of a numerically rational value, or None."""
+    if isinstance(x, Fraction):
+        frac = x
+    else:
+        frac = Fraction(float(x)).limit_denominator(max_den)
+        if abs(float(frac) - float(x)) > 1e-9:
+            return None
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    return f"{frac.numerator}/{frac.denominator}"
+
+
+def exact_and_float(x) -> dict:
+    return {"exact": rational_str(x), "float": fmt_float(x)}
+
+
+def flatten_json(obj, prefix: str = "") -> list[tuple[str, object]]:
+    """Depth-first (path, leaf-value) pairs of a JSON-like structure."""
+    rows: list[tuple[str, object]] = []
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            rows.extend(flatten_json(v, f"{prefix}.{k}" if prefix else str(k)))
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            rows.extend(flatten_json(v, f"{prefix}[{i}]"))
+    else:
+        rows.append((prefix, obj))
+    return rows

@@ -10,7 +10,7 @@ generators X_n (x) Z_m^w_nm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "generators",
     "ghz3_state",
     "iter_stabilizers",
+    "phase_exponents",
     "psi_gamma",
     "stabilizer",
     "verify_eigen",
@@ -63,17 +64,6 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     @classmethod
-    def from_amplitudes(cls, amps, d: int, normalize: bool = False) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        n = round(np.log(len(amps)) / np.log(d))
-        if normalize:
-            norm = np.linalg.norm(amps)
-            if norm == 0:
-                raise ValueError("cannot normalize the zero vector")
-            amps = amps / norm
-        return cls(d, n, amps)
-
-    @classmethod
     def basis_state(cls, d: int, indices: Sequence[int]) -> "StateVector":
         n = len(indices)
         amps = np.zeros(d**n, dtype=complex)
@@ -82,10 +72,6 @@ class StateVector:
 
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape((self.d,) * self.n_qudits)
-
-    def overlap(self, other: "StateVector") -> complex:
-        self._check_compatible(other)
-        return complex(np.vdot(other.amps, self.amps))
 
     def equals_up_to_phase(self, other: "StateVector", tol: float = 1e-9) -> bool:
         """True when |<self|other>| >= 1 - tol, i.e. equal up to a global phase."""
@@ -104,18 +90,22 @@ class StateVector:
             raise ValueError("states live in different Hilbert spaces")
 
 
-def build_state(g: AdjacencyMatrix) -> StateVector:
-    """Graph state of g: amplitudes omega^(sum_{n<m} w_nm j_n j_m) / d^2."""
+def phase_exponents(g: AdjacencyMatrix) -> np.ndarray:
+    """Amplitude exponents sum_{n<m} w_nm j_n j_m mod d as an int array of shape (d,)*4."""
     d = g.d
     idx = np.indices((d,) * N_VERTICES)
     exponent = np.zeros((d,) * N_VERTICES, dtype=int)
-    for n in range(N_VERTICES):
-        for m in range(n + 1, N_VERTICES):
-            w = g.entries[n][m]
-            if w:
-                exponent = exponent + w * idx[n] * idx[m]
-    amps = omega_powers(d)[exponent % d] / d**2
-    return StateVector(d, N_VERTICES, amps.reshape(-1))
+    for n, m in combinations(range(N_VERTICES), 2):
+        w = g.entries[n][m]
+        if w:
+            exponent = exponent + w * idx[n] * idx[m]
+    return exponent % d
+
+
+def build_state(g: AdjacencyMatrix) -> StateVector:
+    """Graph state of g: amplitudes omega^(sum_{n<m} w_nm j_n j_m) / d^2."""
+    amps = omega_powers(g.d)[phase_exponents(g)] / g.d**2
+    return StateVector(g.d, N_VERTICES, amps.reshape(-1))
 
 
 @dataclass(frozen=True)

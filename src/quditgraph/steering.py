@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import partial_trace, purity
+from .measures import _associated_matrix, all_subsystems, partial_trace, purity
 from .pauli import check_prime, omega_powers, site_matrix
 from .states import StateVector
 
@@ -51,10 +51,12 @@ __all__ = [
     "mub_eigenstate",
     "persistency_stats",
     "project",
+    "schmidt_bounds",
 ]
 
 PURITY_TOL = 1e-7
 PROB_TOL = 1e-9
+RANK_TOL = 1e-8
 
 GHZ3 = "ghz3"
 SNB = "snb"
@@ -309,17 +311,6 @@ class PathTally:
             return self.moves
         return tuple(mv for mv in self.moves if mv.qudit == qudit)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "first_measurements": self.first_counts(),
-            "measurement_pairs": self.pair_counts(),
-            "persistency_histogram": {
-                str(k): v for k, v in self.persistency_histogram().items()
-            },
-            "branches_first_qudit": self.branch_tree(0),
-        }
-
 
 @lru_cache(maxsize=None)
 def _mub_covectors(d: int) -> np.ndarray:
@@ -454,3 +445,23 @@ def persistency_stats(s: StateVector, tally: PathTally | None = None) -> Persist
     n_ave = Fraction(n_sum, total)
     delta = Fraction(bell - prod, total)
     return PersistencyStats(float(n_ave), n_min, float(delta), n_ave, delta)
+
+
+def schmidt_bounds(s: StateVector) -> tuple[float, int]:
+    """(lower, upper) bounds on the Schmidt measure log_d N_min.
+
+    Lower: max over bipartitions of log_d of the numerical rank of the
+    coefficient matrix. Upper: the minimum number of single-site measurements
+    that removes all entanglement, ``persistency_stats(s).n_min``. For the
+    canonical graph states the two coincide and equal the Schmidt measure.
+    """
+    if s.n_qudits != 4:
+        raise ValueError("Schmidt bounds are implemented for four-qudit states")
+    lower = 0.0
+    for keep in all_subsystems(s.n_qudits, 2):
+        if len(keep) == 2 and 0 not in keep:
+            continue  # complements repeat the 2-2 bipartitions
+        m = _associated_matrix(s, keep)
+        rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL))
+        lower = max(lower, float(np.log(rank) / np.log(s.d)) if rank > 1 else 0.0)
+    return lower, persistency_stats(s).n_min

@@ -1,12 +1,16 @@
 """Command-line surface: outputs, verification gating, and determinism."""
 
 import json
+from itertools import product
 
+import numpy as np
 import pytest
 
 from quditgraph import classify, report
 from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from quditgraph.steering import ClassificationError, ZeroProbabilityError
+
+from conftest import random_graph, reference_phase_exponents
 
 
 def run_cli(capsys, *argv):
@@ -267,3 +271,28 @@ def test_unknown_family_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["state", "build", "--family", "Q", "--d", "3"])
     assert exc.value.code == EXIT_INVALID
+
+
+def test_state_build_reports_phase_exponents(capsys):
+    rng = np.random.default_rng(55)
+    for _ in range(3):
+        g = random_graph(rng, 5)
+        matrix = json.dumps({"d": 5, "gamma": [list(row) for row in g.entries]})
+        amps = run_json(capsys, "state", "build", "--matrix", matrix)["amplitudes"]
+        assert [a["basis"] for a in amps] == [list(idx) for idx in product(range(5), repeat=4)]
+        expected = reference_phase_exponents(g).reshape(-1).tolist()
+        assert [a["phase_exp"] for a in amps] == expected
+
+
+def test_tables_rejects_duplicate_d(capsys):
+    code, out, err = run_cli(capsys, "tables", "--d", "3", "--d", "5", "--d", "3")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "once" in err
+
+
+def test_classify_random_zero_count(capsys):
+    payload = run_json(capsys, "classify", "--random", "0", "--d", "3")
+    assert payload["total"] == 0
+    assert payload["counts"] == {"G": 0, "C": 0, "P": 0, "disconnected": 0}

@@ -27,7 +27,9 @@ from quditgraph import (
     verify_eigen,
 )
 from quditgraph.pauli import omega_powers
-from quditgraph.states import family_reduced_generators, family_reduced_state
+from quditgraph.states import family_reduced_generators, family_reduced_state, phase_exponents
+
+from conftest import random_graph, reference_phase_exponents
 
 
 def state_from_phase_fn(d, phase_fn):
@@ -347,3 +349,13 @@ def test_graph_permutation_consistent_with_state_permutation(rng):
 def test_state_vector_norm_enforced():
     with pytest.raises(ValueError):
         StateVector(3, 1, np.array([1.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_phase_exponents_match_loop_reference(d):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(10):
+        g = random_graph(rng, d)
+        exps = phase_exponents(g)
+        assert exps.shape == (d,) * 4
+        np.testing.assert_array_equal(exps, reference_phase_exponents(g))
