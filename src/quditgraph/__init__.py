@@ -60,6 +60,7 @@ from .pauli import (
 from .states import (
     GeneratorSet,
     StateVector,
+    Tableau,
     apply_local_fourier,
     apply_pauli,
     build_state,
@@ -71,6 +72,7 @@ from .states import (
     iter_stabilizers,
     psi_gamma,
     stabilizer,
+    stabilizer_tableau,
     verify_eigen,
 )
 from .steering import (

@@ -31,7 +31,7 @@ from .classify import VerificationFailure, canonicalize, census_random, classify
 from .graphs import AdjacencyMatrix, graph_from_json_dict
 from .pauli import omega_powers
 from .report import build_report
-from .serialize import flatten_json, fmt_float
+from .serialize import BASIS_ORDER, flatten_json, fmt_float, metadata
 from .states import (
     build_state,
     family_fourier_sites,
@@ -177,15 +177,8 @@ def _state_amplitudes(state, tol: float = 1e-9) -> list[dict]:
 
 def _cmd_state(args) -> int:
     g = _resolve_graph(args)
-    meta = {
-        "tool": "quditgraph",
-        "version": __version__,
-        "d": g.d,
-        "family": args.family,
-        "gamma": args.gamma,
-        "matrix": [list(row) for row in g.entries],
-        "basis_order": "row-major |j1 j2 j3 j4>, first qudit slowest",
-    }
+    meta = metadata(d=g.d, family=args.family, gamma=args.gamma,
+                    matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
     if args.action == "build":
         payload = {"metadata": meta, "amplitudes": _graph_amplitudes(g)}
         _emit(payload, args.format, args.out)
@@ -239,7 +232,7 @@ def _cmd_classify(args) -> int:
     else:
         d, result = args.d, census_random(args.d, args.random, args.seed)
     payload = {
-        "metadata": {"tool": "quditgraph", "version": __version__, "d": d},
+        "metadata": metadata(d=d),
         **result.to_json_dict(),
     }
     _emit(payload, args.format, args.out)

@@ -23,31 +23,38 @@ __all__ = [
     "check_odd_prime",
     "check_prime",
     "dense_matrix",
+    "eliminate_mod",
     "fourier_conjugate",
     "inv_mod",
     "is_prime",
     "omega_powers",
     "pauli_mul",
     "pauli_pow",
+    "rank_mod",
     "site_matrix",
 ]
 
 MAX_DENSE_DIM = 4096
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017) 985).
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for small moduli)."""
-    if n < 2:
-        return False
-    if n in (2, 3):
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin primality test; n at or above
+    PRIME_TEST_LIMIT, where it is no longer exact, raises ValueError."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is beyond the exact primality test (below {PRIME_TEST_LIMIT})")
+    if n < 2 or any(n % p == 0 for p in _PRIME_TEST_BASES):
+        return n in _PRIME_TEST_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = m * 2^s with m odd
+    for a in _PRIME_TEST_BASES:
+        chain = [pow(a, (n - 1) >> (s - i), n) for i in range(s)]
+        if chain[0] != 1 and n - 1 not in chain:
             return False
-        f += 2
     return True
 
 
@@ -70,6 +77,26 @@ def inv_mod(a: int, d: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"0 has no multiplicative inverse mod {d}")
     return pow(a, -1, d)
+
+
+def eliminate_mod(t: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
+    """Clear the per-row values ``col`` (..., rows) of a batch of matrices
+    ``t`` (..., rows, columns) against one pivot row, zeroing it: row r becomes
+    lead * r - col_r * pivot mod d, lead the pivot's value (or 1 if col is 0)."""
+    pivot = (col != 0).argmax(axis=-1)[..., None]
+    lead = np.take_along_axis(col, pivot, axis=-1)
+    lead += lead == 0
+    row = np.take_along_axis(t, pivot[..., None], axis=-2)
+    return (lead[..., None] * t - col[..., None] * row) % d
+
+
+def rank_mod(m: np.ndarray, d: int) -> np.ndarray:
+    """Ranks over GF(d) of a batch of integer matrices (..., rows, columns)."""
+    rank = 0
+    for c in range(m.shape[-1]):
+        rank = rank + (m[..., c] != 0).any(axis=-1)
+        m = eliminate_mod(m, m[..., c], d)
+    return rank
 
 
 @lru_cache(maxsize=None)

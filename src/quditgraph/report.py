@@ -13,11 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__
 from .measures import is_k_mm, purity_profile
 from .pauli import check_prime
-from .serialize import exact_and_float, fmt_float, rational_str
-from .states import family_reduced_state
+from .serialize import BASIS_ORDER, exact_and_float, fmt_float, metadata, rational_str
+from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableau
 from .steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths, persistency_stats
 
 __all__ = [
@@ -128,10 +127,11 @@ def _purity_section(d: int, states: dict, checks: _Checklist) -> dict:
     return section
 
 
-def _steering_section(d: int, states: dict, checks: _Checklist) -> dict:
+def _steering_section(d: int, checks: _Checklist) -> dict:
     firsts, pairs, trees, persistency = {}, {}, {}, {}
-    for family, state in states.items():
-        tally = enumerate_paths(state)
+    for family in FAMILIES:
+        tableau = stabilizer_tableau(family_graph(family, d), family_fourier_sites(family))
+        tally = enumerate_paths(tableau)
         fc, pc = tally.first_counts(), tally.pair_counts()
         firsts[family] = fc
         pairs[family] = pc
@@ -140,7 +140,7 @@ def _steering_section(d: int, states: dict, checks: _Checklist) -> dict:
         checks.add(d, f"pair_tally:{family}", expected_pair_counts(family, d), pc)
         checks.add(d, f"pair_total:{family}", 12 * (d + 1) ** 2, sum(pc.values()))
 
-        stats = persistency_stats(state, tally)
+        stats = persistency_stats(tableau, tally)
         persistency[family] = {
             "n_ave": exact_and_float(stats.n_ave_exact),
             "n_min": stats.n_min,
@@ -180,7 +180,7 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
         states = {family: family_reduced_state(family, d) for family in FAMILIES}
         purities = _purity_section(d, states, checks)
         mmes = purities.pop("_mmes")
-        steering = _steering_section(d, states, checks)
+        steering = _steering_section(d, checks)
         for family in FAMILIES:
             n_aves[family].append(steering["persistency"][family]["n_ave"]["float"])
         sections[str(d)] = {
@@ -194,13 +194,9 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
             increasing = all(a < b for a, b in zip(seq, seq[1:]))
             checks.add(0, f"n_ave_monotone:{family}", True, increasing)
     bundle = {
-        "metadata": {
-            "tool": "quditgraph",
-            "version": __version__,
-            "d_values": list(d_values),
-            "families": list(FAMILIES),
-            "basis_order": "row-major |j1 j2 j3 j4>, first qudit slowest",
-        },
+        "metadata": metadata(
+            d_values=list(d_values), families=list(FAMILIES), basis_order=BASIS_ORDER
+        ),
         "sections": sections,
         "checks": checks.rows,
         "all_pass": checks.all_pass(),

@@ -1,15 +1,24 @@
-"""Output number format shared by every serialized result.
+"""Output format shared by every serialized result.
 
-Floats are rounded to 12 significant digits, numerically rational values
-also carry an exact-rational string, and nested results flatten to
-(path, value) rows for CSV, so repeated runs are byte-identical.
+Outputs open with one ``metadata`` header, floats are rounded to 12
+significant digits, rational values also carry an exact-rational string, and
+nested results flatten to (path, value) rows for CSV: reruns are identical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["exact_and_float", "flatten_json", "fmt_float", "rational_str"]
+from . import __version__
+
+__all__ = ["exact_and_float", "flatten_json", "fmt_float", "metadata", "rational_str"]
+
+BASIS_ORDER = "row-major |j1 j2 j3 j4>, first qudit slowest"
+
+
+def metadata(**fields) -> dict:
+    """Output header: the tool and its version, then ``fields`` in order."""
+    return {"tool": "quditgraph", "version": __version__, **fields}
 
 
 def fmt_float(x: float) -> float:

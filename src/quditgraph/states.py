@@ -4,7 +4,7 @@ States are dense complex vectors over the standard product basis
 |j1, j2, j3, j4>, stored row-major with the first qudit slowest. A graph
 state carries the amplitude omega^(sum over edges of w_nm * j_n * j_m) / d^2,
 each edge counted once, and is the simultaneous +1 eigenstate of the four
-generators X_n (x) Z_m^w_nm.
+generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix, cluster_graph, gamma_graph, ghz_graph, p_graph
-from .pauli import PauliWord, check_prime, fourier_conjugate, omega_powers
+from .pauli import PauliWord, check_prime, fourier_conjugate, omega_powers, rank_mod
 
 __all__ = [
     "GeneratorSet",
     "StateVector",
+    "Tableau",
     "apply_local_fourier",
     "apply_pauli",
     "build_state",
@@ -34,6 +35,7 @@ __all__ = [
     "phase_exponents",
     "psi_gamma",
     "stabilizer",
+    "stabilizer_tableau",
     "verify_eigen",
 ]
 
@@ -148,6 +150,41 @@ def stabilizer(g: AdjacencyMatrix, powers: Sequence[int]) -> PauliWord:
     )
     z = [sum(g.entries[n][m] * p[m] for m in range(N_VERTICES)) % d for n in range(N_VERTICES)]
     return PauliWord.from_powers(d, p, z, phase)
+
+
+@dataclass(frozen=True, eq=False)
+class Tableau:
+    """Stabilizer tableau of a pure four-qudit state over GF(d): ``xz[n, q]`` is
+    the (x, z) pair of generator n on qudit q; rows commute and are independent.
+    Phases are left out, as no residue class or cut rank depends on them."""
+
+    d: int
+    xz: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = check_prime(self.d)
+        xz = np.asarray(self.xz)
+        if xz.dtype.kind not in "iu" or xz.shape != (N_VERTICES, N_VERTICES, 2):
+            raise ValueError(f"expected a {N_VERTICES}x{N_VERTICES}x2 integer array")
+        xz = xz.astype(np.int64) % d
+        x, z = xz[..., 0], xz[..., 1]
+        if ((x @ z.T - z @ x.T) % d).any() or rank_mod(xz.reshape(N_VERTICES, -1), d) < N_VERTICES:
+            raise ValueError("tableau rows must commute pairwise and be independent")
+        xz.flags.writeable = False
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "xz", xz)
+
+
+def stabilizer_tableau(g: AdjacencyMatrix, fourier_sites: Sequence[int]) -> Tableau:
+    """Tableau of the graph state of g, rows X_n Z^Gamma_n, in the frame where
+    ``apply_local_fourier`` acted on ``fourier_sites``: there each pair (x, z)
+    becomes (z, -x), as in ``fourier_conjugate``."""
+    sites = sorted(set(fourier_sites))
+    if any(not 0 <= q < N_VERTICES for q in sites):
+        raise ValueError(f"Fourier sites {sites} out of range")
+    xz = np.stack([np.eye(N_VERTICES, dtype=np.int64), g.as_array()], axis=-1)
+    xz[:, sites] = xz[:, sites, ::-1] * (1, -1)
+    return Tableau(g.d, xz)
 
 
 def iter_stabilizers(g: AdjacencyMatrix) -> Iterator[tuple[tuple[int, ...], PauliWord]]:

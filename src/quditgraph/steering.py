@@ -6,32 +6,26 @@ ordered single measurement and measurement pair, classifies the residual
 state by its single-site purity pattern, and aggregates the results into
 tallies, per-branch trees, and averaged persistency statistics.
 
-``enumerate_paths`` works on whole measurement levels at once. The d(d+1)
-basis eigenvectors of a dimension are stacked once and cached. For each
-first qudit, one contraction measures it in all d+1 bases; on each of the
-three residual sites, one more contraction measures all (d+1)^2 second
-measurements. The single-site purities of a whole level come from one
-batched matmul per site. ``project`` is the single-event form of the same
-projection.
-
-Outcome indices never affect the residual class (a property the test suite
-checks exhaustively), so tallies fix one outcome per projection: the lowest
-index whose probability reaches PROB_TOL. Outcome 0 is contracted for every
-entry of a level, and only the entries below PROB_TOL are redone at the next
-index.
+The engine is exact: bases are lines of GF(d)^2, (0, 1) for Z and (1, k)
+for XZ^k, and measuring qudit q of a ``Tableau`` along one clears the rows
+with a nonzero symplectic product against a pivot row, zeroes the pivot, and
+deletes q's columns (Gottesman, quant-ph/9802007). Sites A of a tableau T
+carry entropy rank(T on A) - |A| in units of log d (Hein, Eisert and
+Briegel, PRA 69, 062311). Each elimination runs over all d+1 lines at once.
+``project``, ``classify3`` and ``classify2`` are the single-event form on
+dense vectors, with PROB_TOL and PURITY_TOL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .measures import _associated_matrix, all_subsystems, partial_trace, purity
-from .pauli import check_prime, omega_powers, site_matrix
-from .states import StateVector
+from .measures import all_subsystems, partial_trace, purity
+from .pauli import check_prime, eliminate_mod, omega_powers, rank_mod, site_matrix
+from .states import StateVector, Tableau
 
 __all__ = [
     "ClassificationError",
@@ -56,7 +50,6 @@ __all__ = [
 
 PURITY_TOL = 1e-7
 PROB_TOL = 1e-9
-RANK_TOL = 1e-8
 
 GHZ3 = "ghz3"
 SNB = "snb"
@@ -312,87 +305,39 @@ class PathTally:
         return tuple(mv for mv in self.moves if mv.qudit == qudit)
 
 
-@lru_cache(maxsize=None)
-def _mub_covectors(d: int) -> np.ndarray:
-    """Conjugated eigenvectors of all d+1 bases, indexed [basis, outcome, component]
-    in ``all_bases`` order; contracting a state with one row projects it."""
-    stack = np.array(
-        [[mub_eigenstate(b, o, d).amps for o in range(d)] for b in all_bases(d)]
-    ).conj()
-    stack.flags.writeable = False
-    return stack
+def _entropy(t: np.ndarray, sites, d: int) -> np.ndarray:
+    """Entanglement of ``sites`` with the rest, in units of log d, for a batch
+    of tableaux (..., rows, 2n): the GF(d) rank of the sites' columns minus
+    the number of sites."""
+    return rank_mod(t[..., [c for i in sites for c in (2 * i, 2 * i + 1)]], d) - len(sites)
 
 
-def _norms2(a: np.ndarray) -> np.ndarray:
-    """Squared norms along the last axis."""
-    mags = np.abs(a)
-    mags *= mags
-    return mags.sum(axis=-1)
+def _measure(t: np.ndarray, q: int, d: int) -> np.ndarray:
+    """Residual tableaux of measuring qudit q of a batch ``t`` (..., rows, 2n)
+    along every line, in ``all_bases`` order: shape (..., d+1, rows, 2n-2)."""
+    lines = np.array([(0, 1)] + [(1, k) for k in range(d)])
+    x, z = t[..., None, :, 2 * q], t[..., None, :, 2 * q + 1]
+    col = (x * lines[:, 1:] - z * lines[:, :1]) % d  # symplectic products
+    t = np.broadcast_to(t[..., None, :, :], col.shape + t.shape[-1:])
+    return np.delete(eliminate_mod(t, col, d), (2 * q, 2 * q + 1), axis=-1)
 
 
-def _measure_all(states: np.ndarray, covectors: np.ndarray) -> np.ndarray:
-    """Normalized residues of measuring one qudit of a batch of states in every basis.
-
-    ``states`` has shape (n, d, m): the measured qudit on axis 1, the others
-    flattened in order. Returns shape (n, d+1, m). Each (state, basis) entry
-    takes the lowest outcome of probability at least PROB_TOL: outcome 0 is
-    contracted for every entry at once, and only the entries still below
-    PROB_TOL are redone at the next outcome.
-    """
-    res = np.matmul(covectors[:, 0], states)
-    probs = _norms2(res)
-    for outcome in range(1, states.shape[1]):
-        low = np.nonzero(probs < PROB_TOL)
-        if not low[0].size:
-            break
-        n, b = low
-        redo = np.matmul(covectors[b, outcome][:, None, :], states[n])[:, 0]
-        res[n, b] = redo
-        probs[n, b] = _norms2(redo)
-    if np.any(probs < PROB_TOL):
-        raise ZeroProbabilityError("no outcome has nonzero probability")
-    res /= np.sqrt(probs)[..., None]
-    return res
-
-
-def _site_purities(states: np.ndarray, n: int, sites) -> np.ndarray:
-    """Single-site purities of a batch of normalized states; ``states`` ends
-    in the n qudit axes and the result in one axis over ``sites``. Per site,
-    one batched matmul gives the reduced matrices of all states."""
-    d = states.shape[-1]
-    lead = states.ndim - n
-    purities = []
-    for i in sites:
-        m = np.moveaxis(states, lead + i, lead).reshape(states.shape[:lead] + (d, -1))
-        rho = np.matmul(m, m.conj().swapaxes(-1, -2))
-        purities.append(_norms2(rho.reshape(rho.shape[:-2] + (-1,))))
-    return np.stack(purities, axis=-1)
-
-
-def enumerate_paths(s: StateVector) -> PathTally:
+def enumerate_paths(t: Tableau) -> PathTally:
     """Classify the residue of every ordered single and pair of measurements,
-    one batched contraction per measurement level (see the module docstring).
+    one batched elimination per measurement level (see the module docstring).
     """
-    if s.n_qudits != 4:
-        raise ValueError("path enumeration expects a four-qudit state")
-    d = s.d
+    d = t.d
     bases = all_bases(d)
-    covectors = _mub_covectors(d)
-    psi = s.reshaped()
     moves = []
     for q1 in range(4):
-        res3 = _measure_all(np.moveaxis(psi, q1, 0).reshape(1, d, d**3), covectors)[0]
-        cube = res3.reshape(-1, d, d, d)
-        firsts = _pure_sites(_site_purities(cube, 3, range(3)), d).tolist()
-        seconds = []
-        for q2 in range(3):
-            res2 = _measure_all(np.moveaxis(cube, 1 + q2, 1).reshape(-1, d, d * d), covectors)
-            purities = _site_purities(res2.reshape(res2.shape[:2] + (d, d)), 2, (0,))
-            pure = _pure_sites(purities[..., 0], d)
-            seconds.append([[PRODUCT if p else BELL for p in row] for row in pure.tolist()])
+        res3 = _measure(t.xz.reshape(4, 8), q1, d)
+        firsts = np.stack([_entropy(res3, (i,), d) == 0 for i in range(3)], axis=-1).tolist()
+        seconds = [(_entropy(_measure(res3, q2, d), (0,), d) == 0).tolist() for q2 in range(3)]
         for i, b1 in enumerate(bases):
             pairs = tuple(
-                (q2, b2, seconds[q2][i][j]) for q2 in range(3) for j, b2 in enumerate(bases)
+                (q2, b2, PRODUCT if seconds[q2][i][j] else BELL)
+                for q2 in range(3)
+                for j, b2 in enumerate(bases)
             )
             moves.append(FirstMove(q1, b1, _class3(firsts[i]), pairs))
     return PathTally(d, tuple(moves))
@@ -410,8 +355,8 @@ class PersistencyStats:
     delta_exact: Fraction
 
 
-def persistency_stats(s: StateVector, tally: PathTally | None = None) -> PersistencyStats:
-    """Persistency statistics of a four-qudit graph state.
+def persistency_stats(t: Tableau, tally: PathTally | None = None) -> PersistencyStats:
+    """Persistency statistics of a four-qudit stabilizer state.
 
     A path scores 1 if entanglement is gone after the first measurement, 2 if
     after the second, and 3 otherwise; the average runs over the 3(d+1)^2
@@ -420,14 +365,11 @@ def persistency_stats(s: StateVector, tally: PathTally | None = None) -> Persist
     An already computed ``tally`` for the same state may be passed to avoid
     re-enumeration.
     """
-    d = s.d
-    if all(
-        abs(purity(partial_trace(s, (i,), validate=False)) - 1.0) <= PURITY_TOL
-        for i in range(s.n_qudits)
-    ):
+    d = t.d
+    if all(_entropy(t.xz.reshape(4, 8), (i,), d) == 0 for i in range(4)):
         return PersistencyStats(0.0, 0, 0.0, Fraction(0), Fraction(0))
     if tally is None:
-        tally = enumerate_paths(s)
+        tally = enumerate_paths(t)
     total = 3 * (d + 1) ** 2
     per_qudit = []
     for q in range(4):
@@ -447,21 +389,14 @@ def persistency_stats(s: StateVector, tally: PathTally | None = None) -> Persist
     return PersistencyStats(float(n_ave), n_min, float(delta), n_ave, delta)
 
 
-def schmidt_bounds(s: StateVector) -> tuple[float, int]:
+def schmidt_bounds(t: Tableau) -> tuple[float, int]:
     """(lower, upper) bounds on the Schmidt measure log_d N_min.
 
-    Lower: max over bipartitions of log_d of the numerical rank of the
-    coefficient matrix. Upper: the minimum number of single-site measurements
-    that removes all entanglement, ``persistency_stats(s).n_min``. For the
-    canonical graph states the two coincide and equal the Schmidt measure.
+    Lower: the largest entropy of a bipartition, log_d of its Schmidt rank.
+    Upper: the minimum number of single-site measurements that removes all
+    entanglement, ``persistency_stats(t).n_min``. For the canonical graph
+    states the two coincide and equal the Schmidt measure.
     """
-    if s.n_qudits != 4:
-        raise ValueError("Schmidt bounds are implemented for four-qudit states")
-    lower = 0.0
-    for keep in all_subsystems(s.n_qudits, 2):
-        if len(keep) == 2 and 0 not in keep:
-            continue  # complements repeat the 2-2 bipartitions
-        m = _associated_matrix(s, keep)
-        rank = int(np.linalg.matrix_rank(m, tol=RANK_TOL))
-        lower = max(lower, float(np.log(rank) / np.log(s.d)) if rank > 1 else 0.0)
-    return lower, persistency_stats(s).n_min
+    cuts = [keep for keep in all_subsystems(4, 2) if len(keep) == 1 or 0 in keep]
+    lower = max(int(_entropy(t.xz.reshape(4, 8), keep, t.d)) for keep in cuts)
+    return float(lower), persistency_stats(t).n_min

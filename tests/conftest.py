@@ -9,6 +9,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from quditgraph import AdjacencyMatrix, PauliWord
+from quditgraph.states import Tableau, family_fourier_sites, family_graph, stabilizer_tableau
 
 
 def pytest_configure(config):
@@ -34,6 +35,16 @@ def random_graph(rng: np.random.Generator, d: int) -> AdjacencyMatrix:
     weights = np.zeros((4, 4), dtype=int)
     weights[np.triu_indices(4, 1)] = rng.integers(0, d, size=6)
     return AdjacencyMatrix.from_array(weights + weights.T, d)
+
+
+def family_tableau(family: str, d: int) -> Tableau:
+    """Tableau of a family state in the frame of ``family_reduced_state``."""
+    return stabilizer_tableau(family_graph(family, d), family_fourier_sites(family))
+
+
+def z_tableau(d: int) -> Tableau:
+    """Tableau of a computational basis state: the rows Z_n."""
+    return Tableau(d, np.stack([np.zeros((4, 4), dtype=int), np.eye(4, dtype=int)], axis=-1))
 
 
 def reference_phase_exponents(g: AdjacencyMatrix) -> np.ndarray:

@@ -42,7 +42,7 @@ from quditgraph.measures import all_subsystems
 from quditgraph.states import family_reduced_state, generators
 from quditgraph.steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths
 
-from conftest import random_state_amps, random_word
+from conftest import family_tableau, random_state_amps, random_word
 
 
 def report(num: int, text: str, elapsed: float | None = None) -> None:
@@ -81,7 +81,7 @@ def test_criterion_02_first_measurement_tallies():
     }
     for d in (3, 5, 7):
         for fam, exp in expected.items():
-            tally = enumerate_paths(family_reduced_state(fam, d))
+            tally = enumerate_paths(family_tableau(fam, d))
             assert tally.first_counts() == exp(d)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -97,7 +97,7 @@ def test_criterion_03_pair_tallies():
     }
     for d in (3, 5, 7):
         for fam, exp in expected.items():
-            pairs = enumerate_paths(family_reduced_state(fam, d)).pair_counts()
+            pairs = enumerate_paths(family_tableau(fam, d)).pair_counts()
             assert pairs == exp(d)
             assert sum(pairs.values()) == 12 * (d + 1) ** 2
     elapsed = time.perf_counter() - t0
@@ -113,12 +113,12 @@ def test_criterion_04_persistency_values():
         "P": (2.75, 0.500, 2),
     }
     for fam, (ave, delta, nmin) in targets.items():
-        state = family_reduced_state(fam, d)
-        stats = persistency_stats(state)
+        tableau = family_tableau(fam, d)
+        stats = persistency_stats(tableau)
         assert abs(stats.n_ave - ave) <= 5e-3
         assert abs(stats.delta - delta) <= 1e-3
         assert stats.n_min == nmin
-        lower, upper = schmidt_bounds(state)
+        lower, upper = schmidt_bounds(tableau)
         assert upper == nmin
         assert abs(lower - nmin) <= 1e-9  # bounds coincide: this is the measure
     report(4, "persistency averages 2.31/2.65/2.75, deltas, and N_min = (1,2,2)")
@@ -127,7 +127,7 @@ def test_criterion_04_persistency_values():
 def test_criterion_05_asymptotics():
     for fam in ("G", "C", "P"):
         values = [
-            persistency_stats(family_reduced_state(fam, d)).n_ave
+            persistency_stats(family_tableau(fam, d)).n_ave
             for d in (3, 5, 7, 11)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))

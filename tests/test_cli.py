@@ -1,6 +1,7 @@
 """Command-line surface: outputs, verification gating, and determinism."""
 
 import json
+import time
 from itertools import product
 
 import numpy as np
@@ -182,6 +183,30 @@ def test_classify_random_rejects_negative_count(capsys):
     assert code == EXIT_INVALID
     assert out == ""
     assert "non-negative" in err
+
+
+def test_classify_random_at_huge_prime_d(capsys):
+    d = 2**61 - 1
+    start = time.perf_counter()
+    payload = run_json(capsys, "classify", "--random", "3", "--d", str(d))
+    assert time.perf_counter() - start < 2.0
+    assert payload["metadata"]["d"] == d
+    assert payload["total"] == 3 and payload["mismatches"] == 0
+
+
+@pytest.mark.parametrize("d", [2**61 - 1, 10**30])
+def test_tables_rejects_huge_d(capsys, d):
+    code, out, err = run_cli(capsys, "tables", "--d", str(d))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1
+
+
+def test_classify_rejects_d_beyond_primality_test(capsys):
+    code, out, err = run_cli(capsys, "classify", "--random", "3", "--d", str(10**30))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert "beyond the exact primality test" in err
 
 
 def test_classify_rejects_asymmetric_matrix(capsys):

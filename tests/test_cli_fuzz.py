@@ -1,7 +1,9 @@
 """Fuzzed command lines: every argv ends in exit 0, 2 or 3, never a traceback.
 
 The grammar is bounded so each example stays cheap: no exhaustive sweep at
-d = 5 or 7, and no state command at d = 37 (a 37^4-amplitude dump).
+d = 5 or 7, and no state command at d = 37 or at the huge d values (a
+d^4-amplitude dump). The huge values, the prime 2^61 - 1 and 10^18, reach
+``tables`` and ``classify``, where the primality test must stay fast.
 """
 
 import contextlib
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 
 from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 
-D_VALUES = (-1, 0, 1, 2, 3, 4, 5, 9, 11, 13, 37)
-STATE_D_VALUES = tuple(d for d in D_VALUES if d != 37)
+HUGE_D_VALUES = (2**61 - 1, 10**18)
+D_VALUES = (-1, 0, 1, 2, 3, 4, 5, 9, 11, 13, 37) + HUGE_D_VALUES
+STATE_D_VALUES = tuple(d for d in D_VALUES if d != 37 and d not in HUGE_D_VALUES)
 
 # integers stay below 17, so no matrix "d" asks for a large state dump
 _leaf = st.one_of(

@@ -1,4 +1,5 @@
-"""Module layering: imports sit at module level and form no cycle."""
+"""Module layering: imports sit at module level, form no cycle, and reach
+no private name of another module."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,15 @@ def test_module_import_graph_is_acyclic():
     for name in sorted(graph):
         visit(name)
     assert graph["serialize"] == set()
+
+
+def test_no_private_name_imported_from_another_module():
+    private = [
+        f"{name}.py:{node.lineno} {alias.name}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("quditgraph"))
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "__version__"
+    ]
+    assert private == []

@@ -27,7 +27,7 @@ from quditgraph.measures import all_subsystems, subsystem_label
 from quditgraph.pauli import site_matrix
 from quditgraph.states import family_reduced_state
 
-from conftest import random_state_amps
+from conftest import family_tableau, random_state_amps, z_tableau
 
 CANONICAL_GRAPHS = {
     "G": ghz_graph,
@@ -284,13 +284,13 @@ def test_two_mm_iff_single_identity_factors(d):
 
 
 def test_schmidt_bounds_canonical():
-    assert schmidt_bounds(family_reduced_state("G", 3)) == (1.0, 1)
-    assert schmidt_bounds(family_reduced_state("P", 3)) == (2.0, 2)
-    assert schmidt_bounds(family_reduced_state("C", 3)) == (2.0, 2)
+    assert schmidt_bounds(family_tableau("G", 3)) == (1.0, 1)
+    assert schmidt_bounds(family_tableau("P", 3)) == (2.0, 2)
+    assert schmidt_bounds(family_tableau("C", 3)) == (2.0, 2)
 
 
 def test_schmidt_bounds_product():
-    assert schmidt_bounds(StateVector.basis_state(3, (0, 0, 0, 0))) == (0.0, 0)
+    assert schmidt_bounds(z_tableau(3)) == (0.0, 0)
 
 
 def test_profile_json_exact_rationals():

@@ -1,17 +1,66 @@
 """Exact Pauli arithmetic against the dense-matrix oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
 from quditgraph import PauliWord, dense_matrix, fourier_conjugate, inv_mod, is_prime, pauli_mul, pauli_pow
-from quditgraph.pauli import omega_powers, site_matrix
+from quditgraph.pauli import PRIME_TEST_LIMIT, check_prime, omega_powers, rank_mod, site_matrix
 
 from conftest import random_word
+
+
+def reference_rank(m, d):
+    """Gaussian elimination over GF(d), one row operation at a time."""
+    rows = [[int(v) % d for v in row] for row in m]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, d)
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inv
+                rows[r] = [(a - f * b) % d for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_rank_mod_matches_reference(rng, d):
+    # low-rank products as well as full random matrices, in one batch
+    full = rng.integers(0, d, size=(40, 4, 6))
+    low = (rng.integers(0, d, size=(40, 4, 2)) @ rng.integers(0, d, size=(40, 2, 6))) % d
+    batch = np.concatenate([full, low])
+    assert rank_mod(batch, d).tolist() == [reference_rank(m, d) for m in batch]
 
 
 def test_is_prime_small():
     primes = [n for n in range(30) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(10**5))
+
+
+def test_is_prime_large():
+    # a strong pseudoprime to every prime base up to 23
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    assert not is_prime(10**18)
+    # a strong pseudoprime to every prime base up to 37, caught by base 41
+    assert not is_prime(399165290221 * 798330580441)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError):
+        check_prime(10**30)
 
 
 @pytest.mark.parametrize("d,a,expected", [(3, 2, 2), (5, 3, 2)])

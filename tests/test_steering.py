@@ -22,10 +22,11 @@ from quditgraph import (
     project,
     verify_eigen,
 )
+from quditgraph.classify import DISCONNECTED, cut_rank_classes
 from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
-from quditgraph.pauli import PauliWord, omega_powers
+from quditgraph.pauli import PauliWord, omega_powers, site_matrix
 from quditgraph.report import _family_effective
-from quditgraph.states import family_reduced_state
+from quditgraph.states import Tableau, family_reduced_state, stabilizer_tableau
 from quditgraph.steering import (
     BELL,
     GHZ3,
@@ -37,7 +38,7 @@ from quditgraph.steering import (
     basis_operator,
 )
 
-from conftest import random_state_amps
+from conftest import family_tableau, random_state_amps, z_tableau
 
 
 def bell_state(d):
@@ -217,7 +218,7 @@ EXPECTED_PAIRS = {
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_path_tallies(d, family):
-    tally = enumerate_paths(family_reduced_state(family, d))
+    tally = enumerate_paths(family_tableau(family, d))
     assert tally.first_counts() == EXPECTED_FIRST[family](d)
     assert tally.pair_counts() == EXPECTED_PAIRS[family](d)
     assert sum(tally.first_counts().values()) == 4 * (d + 1)
@@ -231,14 +232,14 @@ def test_persistency_d3_exact():
         "P": (Fraction(11, 4), 2, Fraction(1, 2)),
     }
     for fam, (ave, nmin, delta) in expected.items():
-        stats = persistency_stats(family_reduced_state(fam, 3))
+        stats = persistency_stats(family_tableau(fam, 3))
         assert stats.n_ave_exact == ave
         assert stats.n_min == nmin
         assert stats.delta_exact == delta
 
 
 def test_persistency_product_input():
-    stats = persistency_stats(StateVector.basis_state(3, (0, 0, 0, 0)))
+    stats = persistency_stats(z_tableau(3))
     assert (stats.n_ave, stats.n_min, stats.delta) == (0.0, 0, 0.0)
 
 
@@ -286,7 +287,7 @@ def test_second_level_outcome_independence_d3():
 def test_first_qudit_symmetry():
     d = 3
     for fam in ("G", "C", "P"):
-        tally = enumerate_paths(family_reduced_state(fam, d))
+        tally = enumerate_paths(family_tableau(fam, d))
         firsts = [tally.first_counts(q) for q in range(4)]
         pairs = [tally.pair_counts(q) for q in range(4)]
         assert all(fc == firsts[0] for fc in firsts)
@@ -297,7 +298,7 @@ def test_first_qudit_symmetry():
 
 def test_ghz_vulnerable_basis_is_z_on_every_qudit():
     d = 3
-    tally = enumerate_paths(family_reduced_state("G", d))
+    tally = enumerate_paths(family_tableau("G", d))
     for q in range(4):
         product_bases = [
             mv.basis for mv in tally.moves if mv.qudit == q and mv.class3.kind == PRODUCT
@@ -307,13 +308,13 @@ def test_ghz_vulnerable_basis_is_z_on_every_qudit():
 
 def test_p_has_no_vulnerable_first_basis():
     d = 3
-    tally = enumerate_paths(family_reduced_state("P", d))
+    tally = enumerate_paths(family_tableau("P", d))
     assert all(mv.class3.kind == GHZ3 for mv in tally.moves)
 
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_p_every_basis_appears_vulnerable_to_second_measurements(d):
-    tally = enumerate_paths(family_reduced_state("P", d))
+    tally = enumerate_paths(family_tableau("P", d))
     vulnerable = set()
     for mv in tally.moves:
         for q2, basis, kind in mv.seconds:
@@ -325,7 +326,7 @@ def test_p_every_basis_appears_vulnerable_to_second_measurements(d):
 def test_n_ave_monotone_and_below_three():
     for fam in ("G", "C", "P"):
         values = [
-            persistency_stats(family_reduced_state(fam, d)).n_ave for d in (3, 5, 7, 11)
+            persistency_stats(family_tableau(fam, d)).n_ave for d in (3, 5, 7, 11)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < 3 for v in values)
@@ -333,11 +334,11 @@ def test_n_ave_monotone_and_below_three():
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_bell_fractions(d):
-    g_pairs = enumerate_paths(family_reduced_state("G", d)).pair_counts()
+    g_pairs = enumerate_paths(family_tableau("G", d)).pair_counts()
     total = 12 * (d + 1) ** 2
     assert Fraction(g_pairs[BELL], total) == Fraction(d * d, (d + 1) ** 2)
     for fam in ("C", "P"):
-        pairs = enumerate_paths(family_reduced_state(fam, d)).pair_counts()
+        pairs = enumerate_paths(family_tableau(fam, d)).pair_counts()
         assert Fraction(pairs[BELL], total) > Fraction(d * d, (d + 1) ** 2)
 
 
@@ -345,15 +346,15 @@ def test_unprimed_graph_states_give_same_tallies():
     # the tallies are invariant under the local Fourier reduction
     d = 3
     for fam, graph_fn in (("G", ghz_graph), ("C", cluster_graph), ("P", p_graph)):
-        raw = enumerate_paths(build_state(graph_fn(d)))
-        reduced = enumerate_paths(family_reduced_state(fam, d))
+        raw = enumerate_paths(stabilizer_tableau(graph_fn(d), ()))
+        reduced = enumerate_paths(family_tableau(fam, d))
         assert raw.first_counts() == reduced.first_counts()
         assert raw.pair_counts() == reduced.pair_counts()
 
 
 def test_persistency_histogram_totals():
     d = 3
-    tally = enumerate_paths(family_reduced_state("G", d))
+    tally = enumerate_paths(family_tableau("G", d))
     hist = tally.persistency_histogram()
     assert hist == {1: 48, 2: 36, 3: 108}
     assert sum(hist.values()) == 12 * (d + 1) ** 2
@@ -362,7 +363,7 @@ def test_persistency_histogram_totals():
 def test_branch_tree_marginals_match_tallies():
     d = 3
     for fam in ("G", "C", "P"):
-        tally = enumerate_paths(family_reduced_state(fam, d))
+        tally = enumerate_paths(family_tableau(fam, d))
         tree = tally.branch_tree(0)
         assert sum(node["first_count"] for node in tree) == d + 1
         pair_total = sum(
@@ -429,42 +430,45 @@ def reference_paths(s):
     return PathTally(s.d, tuple(moves))
 
 
-def random_graph_state(rng, d):
-    weights = np.zeros((4, 4), dtype=int)
-    weights[np.triu_indices(4, 1)] = rng.integers(0, d, size=6)
-    return build_state(AdjacencyMatrix.from_array(weights + weights.T, d))
-
-
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_batched_paths_match_reference_families(d, family):
     s = family_reduced_state(family, d)
-    assert enumerate_paths(s) == reference_paths(s)
+    assert enumerate_paths(family_tableau(family, d)) == reference_paths(s)
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_batched_paths_match_reference_random_graphs(d):
+    # every third graph keeps a random subset of its edges, so the batch
+    # holds disconnected graphs as well as connected ones
     rng = np.random.default_rng(1000 + d)
-    for _ in range(20):
-        s = random_graph_state(rng, d)
-        assert enumerate_paths(s) == reference_paths(s)
+    weights = rng.integers(0, d, size=(24, 6))
+    weights[::3] *= rng.integers(0, 2, size=(8, 6))
+    classes = cut_rank_classes(d, weights)
+    assert DISCONNECTED in classes and set(classes) != {DISCONNECTED}
+    for w in weights:
+        grid = np.zeros((4, 4), dtype=int)
+        grid[np.triu_indices(4, 1)] = w
+        g = AdjacencyMatrix.from_array(grid + grid.T, d)
+        assert enumerate_paths(stabilizer_tableau(g, ())) == reference_paths(build_state(g))
 
 
 def test_batched_paths_match_reference_basis_state():
     # outcome 0 has zero probability for most Z measurements here, so the
-    # later outcomes are tried at both levels
+    # reference tries later outcomes at both levels; the tableau holds the
+    # same state as the rows Z_n
     s = StateVector.basis_state(3, (1, 2, 0, 1))
-    tally = enumerate_paths(s)
+    tally = enumerate_paths(z_tableau(3))
     assert tally == reference_paths(s)
     assert tally.first_counts() == {PRODUCT: 16, SNB: 0, GHZ3: 0}
 
 
 def test_batched_paths_reject_non_graph_state_like_reference(rng):
+    # a generic vector is no stabilizer state, so it has no tableau; only
+    # the single-event reference sees it
     s = StateVector(3, 4, random_state_amps(rng, 3**4))
     with pytest.raises(ClassificationError):
         reference_paths(s)
-    with pytest.raises(ClassificationError):
-        enumerate_paths(s)
 
 
 def closed_form_persistency(family, d):
@@ -477,10 +481,55 @@ def closed_form_persistency(family, d):
     return Fraction(3 * d + 2, d + 1), Fraction(d - 1, d + 1)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17])
-@pytest.mark.parametrize("family", ["G", "C", "P"])
+# every prime d that ``tables`` accepts, and P beyond that cap
+CLOSED_FORM_CASES = [
+    (family, d) for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for family in ("G", "C", "P")
+] + [("P", 61), ("P", 101)]
+
+
+@pytest.mark.parametrize("family,d", CLOSED_FORM_CASES)
 def test_persistency_closed_forms(d, family):
-    stats = persistency_stats(family_reduced_state(family, d))
+    stats = persistency_stats(family_tableau(family, d))
     n_ave, delta = closed_form_persistency(_family_effective(family, d), d)
     assert stats.n_ave_exact == n_ave
     assert stats.delta_exact == delta
+
+
+@pytest.mark.parametrize("family,d", CLOSED_FORM_CASES)
+def test_tally_closed_forms(d, family):
+    tally = enumerate_paths(family_tableau(family, d))
+    assert tally.first_counts() == EXPECTED_FIRST[_family_effective(family, d)](d)
+    assert tally.pair_counts() == EXPECTED_PAIRS[_family_effective(family, d)](d)
+
+
+def test_tableau_rejects_bad_input():
+    good = family_tableau("C", 3).xz
+    dependent = good.copy()
+    dependent[3] = (dependent[0] + 2 * dependent[1]) % 3
+    anticommuting = np.zeros((4, 4, 2), dtype=int)  # rows X_0, Z_0, X_2, X_3
+    anticommuting[[0, 1, 2, 3], [0, 0, 2, 3]] = [(1, 0), (0, 1), (1, 0), (1, 0)]
+    for d, xz in [
+        (4, good),  # not prime
+        (3, good[:3]),  # wrong shape
+        (3, good.astype(float)),  # not integers
+        (3, np.zeros((4, 4, 2), dtype=int)),  # no state at all
+        (3, dependent),
+        (3, anticommuting),
+    ]:
+        with pytest.raises(ValueError):
+            Tableau(d, xz)
+    with pytest.raises(ValueError):
+        stabilizer_tableau(ghz_graph(3), (4,))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("family", ["G", "C", "P"])
+def test_tableau_rows_stabilize_reduced_state(d, family):
+    # each row, as a phase-free Pauli word, maps the reduced family state to
+    # a multiple of itself: |<s|W|s>| = 1
+    s = family_reduced_state(family, d)
+    for row in family_tableau(family, d).xz:
+        w = s.reshaped()
+        for q, (x, z) in enumerate(row):
+            w = np.moveaxis(np.tensordot(site_matrix(d, x, z), w, axes=([1], [q])), 0, q)
+        assert abs(np.vdot(s.amps, w.reshape(-1))) == pytest.approx(1.0, abs=1e-9)
