@@ -8,30 +8,39 @@ connected 4-vertex graph to one of three canonical forms: the unit star
 (GHZ class G), or the chain-plus-chord form with parameter gamma_tilde,
 which is class C for gamma_tilde in {0, 1} and class P otherwise.
 
-Every reduction is recorded as a replayable trace of operations. The
-reduction runs on plain 4x4 int tuples; the public operations wrap the same
-kernels and validate one ``AdjacencyMatrix`` per call.
+A batch of graphs is held as six weight columns (w01, w02, w03, w12, w13,
+w23), one entry per graph, and every operation is a column operation mod d.
+The reduction program of a graph is fixed by its edge-support pattern (which
+weights are nonzero), apart from one branch of the six-edged program, so the
+reducer runs each pattern's rows as one group. A group records its trace as
+one operation list whose scale and star factors are columns, one entry per
+row. ``canonicalize`` is the one-graph call of the same reducer, and the
+public operations and ``replay`` run the same kernels. Columns are int64
+while d**3 < 2**63 and Python ints beyond; inverses come from a length-d
+table for d up to the chunk size and from ``pow`` per entry beyond.
 
-Sweeps cross-check every class against an exact oracle: the purity of a
-subsystem A of a graph state is d**-rank, the rank taken over GF(d) of the
-cut block Gamma[A, complement of A] (Hein, Eisert, Briegel, PRA 69, 062311;
-Hostens, Dehaene, De Moor, PRA 71, 042315 for qudits). A zero vertex row or
-a zero 2|2 block marks a disconnected graph; otherwise the number of 2|2
-cuts of rank 1 is 3, 1 or 0 for classes G, C and P. Every recorded trace is
-also replayed. The dense purity-profile route (``purity_class``) is the
-reference the tests hold the cut-rank oracle to.
+Sweeps run the reducer over fixed chunks of rows, so its memory does not
+grow with the number of graphs, and hold every row to three checks: the reduced
+matrix must be a canonical form; its class must equal an exact oracle's; and
+each group's trace, replayed from the original rows, must give the reduced
+rows. The oracle uses that the purity of a subsystem A of a graph state is
+d**-rank, the rank taken over GF(d) of the cut block Gamma[A, complement of
+A] (Hein, Eisert, Briegel, PRA 69, 062311; Hostens, Dehaene, De Moor, PRA
+71, 042315 for qudits). A zero vertex row or a zero 2|2 block marks a
+disconnected graph; otherwise the number of 2|2 cuts of rank 1 is 3, 1 or 0
+for classes G, C and P. The dense purity-profile route (``purity_class``)
+is the reference the tests hold the cut-rank oracle to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
 from .measures import PurityProfile, purity_profile
-from .pauli import check_prime, inv_mod
+from .pauli import check_prime
 from .states import build_state
 
 __all__ = [
@@ -62,12 +71,16 @@ CLASS_C = "C"
 CLASS_P = "P"
 DISCONNECTED = "disconnected"
 ORACLE_TOL = 1e-7
-MAX_EXHAUSTIVE_D = 7
+MAX_EXHAUSTIVE_D = 13
+# Rows per sweep step: bounds the reducer's working set, not the output.
+_CHUNK = 4096
 
-# Vertex pairs in the order of the sweeps' weight columns (w01, ..., w23).
+# Vertex pairs in the order of the weight columns (w01, ..., w23).
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# Canonical G form: unit-weight star centered at vertex 3.
-_G_FORM = ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (1, 1, 1, 0))
+_PAIR_INDEX = {p: k for k, (n, m) in enumerate(_PAIRS) for p in ((n, m), (m, n))}
+# Class codes index the labels; cut_rank_classes relies on this order.
+_P, _C, _DISCONNECTED, _G = range(4)
+_LABELS = np.array([CLASS_P, CLASS_C, DISCONNECTED, CLASS_G], dtype=object)
 
 
 class VerificationFailure(RuntimeError):
@@ -93,7 +106,9 @@ class ClassOracleMismatch(VerificationFailure):
 
 @dataclass(frozen=True)
 class ScaleOp:
-    """Multiply the row and column of ``vertex`` by the nonzero ``factor``."""
+    """Multiply the row and column of ``vertex`` by the nonzero ``factor``.
+
+    In a group's trace the factor is a column, one entry per row."""
 
     vertex: int
     factor: int
@@ -101,7 +116,9 @@ class ScaleOp:
 
 @dataclass(frozen=True)
 class StarOp:
-    """Add factor * Gamma_l,vertex * Gamma_vertex,m to every off-diagonal entry."""
+    """Add factor * Gamma_l,vertex * Gamma_vertex,m to every off-diagonal entry.
+
+    In a group's trace the factor is a column, one entry per row."""
 
     vertex: int
     factor: int
@@ -118,54 +135,50 @@ class SwapOp:
 LCOperation = ScaleOp | StarOp | SwapOp
 
 
-def _scale(e, d: int, vertex: int, factor: int):
-    factor %= d
-    if factor == 0:
-        raise ValueError("scale factor must be nonzero")
-    rows = [list(row) for row in e]
-    for m in range(N_VERTICES):
-        rows[vertex][m] = rows[m][vertex] = e[vertex][m] * factor % d
-    return tuple(map(tuple, rows))
+def _dtype(d: int):
+    # int64 holds a star term f * w * w + w exactly while d**3 < 2**63
+    return np.int64 if d**3 < 2**63 else object
 
 
-def _star(e, d: int, vertex: int, factor: int):
-    # Rows n with Gamma_n,vertex = 0 (vertex itself included) are unchanged.
-    col = e[vertex]
-    rows = []
-    for n, (row, c) in enumerate(zip(e, col)):
-        if c:
-            new = [(w + factor * c * cm) % d for w, cm in zip(row, col)]
-            new[n] = 0
-            row = tuple(new)
-        rows.append(row)
-    return tuple(rows)
+def _scale(w, d: int, vertex: int, factor):
+    return [c * factor % d if vertex in pair else c for c, pair in zip(w, _PAIRS)]
 
 
-def _swap(e, a: int, b: int):
-    axes = list(range(N_VERTICES))
-    axes[a], axes[b] = axes[b], axes[a]
-    pick = itemgetter(*axes)
-    return tuple([pick(e[n]) for n in axes])
+def _star(w, d: int, vertex: int, factor):
+    # Weights at the star vertex are unchanged: the added term carries Gamma_vv = 0.
+    return [
+        c if vertex in (n, m)
+        else (c + factor * w[_PAIR_INDEX[n, vertex]] * w[_PAIR_INDEX[vertex, m]]) % d
+        for c, (n, m) in zip(w, _PAIRS)
+    ]
 
 
-def _apply(e, d: int, op: LCOperation):
+def _swap(w, a: int, b: int):
+    t = {a: b, b: a}
+    return [w[_PAIR_INDEX[t.get(n, n), t.get(m, m)]] for n, m in _PAIRS]
+
+
+def _apply(w, d: int, op: LCOperation):
+    """One operation on six weight columns; factors are already reduced mod d."""
     if isinstance(op, ScaleOp):
-        return _scale(e, d, op.vertex, op.factor)
+        return _scale(w, d, op.vertex, op.factor)
     if isinstance(op, StarOp):
-        return _star(e, d, op.vertex, op.factor)
-    if isinstance(op, SwapOp):
-        return _swap(e, op.a, op.b)
-    raise TypeError(f"unknown operation {op!r}")
+        return _star(w, d, op.vertex, op.factor)
+    return _swap(w, op.a, op.b)
 
 
-def _replay(e, d: int, trace):
-    for op in trace:
-        e = _apply(e, d, op)
-    return e
+def _columns(g: AdjacencyMatrix):
+    return [np.array([g[pair]], dtype=_dtype(g.d)) for pair in _PAIRS]
+
+
+def _entries(w, i: int):
+    """4x4 entries of row ``i`` of six weight columns."""
+    a, b, c, x, y, z = (int(col[i]) for col in w)
+    return ((0, a, b, c), (a, 0, x, y), (b, x, 0, z), (c, y, z, 0))
 
 
 def apply_scale(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
-    return AdjacencyMatrix(g.d, _scale(g.entries, g.d, vertex, factor))
+    return replay(g, (ScaleOp(vertex, factor),))
 
 
 def apply_star(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
@@ -174,21 +187,35 @@ def apply_star(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
     The diagonal is pinned to zero; entries in the row and column of
     ``vertex`` are unchanged because the added term carries Gamma_vv = 0.
     """
-    return AdjacencyMatrix(g.d, _star(g.entries, g.d, vertex, factor))
+    return replay(g, (StarOp(vertex, factor),))
 
 
 def apply_swap(g: AdjacencyMatrix, a: int, b: int) -> AdjacencyMatrix:
-    return AdjacencyMatrix(g.d, _swap(g.entries, a, b))
+    return replay(g, (SwapOp(a, b),))
 
 
 def replay(g: AdjacencyMatrix, trace) -> AdjacencyMatrix:
     """Apply a recorded operation sequence to a matrix."""
-    return AdjacencyMatrix(g.d, _replay(g.entries, g.d, trace))
+    w = _columns(g)
+    for op in trace:
+        if isinstance(op, SwapOp):
+            vertices = (op.a, op.b)
+        elif isinstance(op, (ScaleOp, StarOp)):
+            vertices = (op.vertex,)
+            op = type(op)(op.vertex, op.factor % g.d)
+            if isinstance(op, ScaleOp) and op.factor == 0:
+                raise ValueError("scale factor must be nonzero")
+        else:
+            raise TypeError(f"unknown operation {op!r}")
+        if not all(v in range(N_VERTICES) for v in vertices):
+            raise ValueError(f"{op} names a vertex outside 0..{N_VERTICES - 1}")
+        w = _apply(w, g.d, op)
+    return AdjacencyMatrix(g.d, _entries(w, 0))
 
 
 def ghz_canonical_graph(d: int) -> AdjacencyMatrix:
     """Canonical G form: unit-weight star centered at vertex 3."""
-    return AdjacencyMatrix(d, _G_FORM)
+    return AdjacencyMatrix(d, ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (1, 1, 1, 0)))
 
 
 @dataclass(frozen=True)
@@ -218,25 +245,46 @@ class CanonicalResult:
         }
 
 
-class _Reducer:
-    """Mutable canonicalization state: current entries plus recorded trace."""
+def _inverter(d: int):
+    """Column-wise inverse mod the prime d of nonzero entries."""
+    if d > _CHUNK:
+        # a length-d table would cost more to build than the lookups of a chunk
+        return lambda col: np.array([pow(int(a), -1, d) for a in col], dtype=_dtype(d))
+    # Fermat's a**(d-2) as a table, exact in int64 for d <= _CHUNK
+    table, base, e = np.ones(d, dtype=np.int64), np.arange(d, dtype=np.int64), d - 2
+    while e:
+        if e & 1:
+            table = table * base % d
+        base = base * base % d
+        e >>= 1
+    return table.__getitem__
 
-    def __init__(self, e, d: int):
-        self.h = e
+
+class _Group:
+    """Rows under reduction that share one program: their indices into the
+    chunk, their current weight columns, the trace so far, and, once
+    reduced, their class codes."""
+
+    def __init__(self, rows, w, d: int, inverse):
+        self.rows = rows
+        self.w = w
         self.d = d
+        self.inverse = inverse
         self.ops: list[LCOperation] = []
+        self.codes = None
 
-    def scale(self, vertex: int, factor: int) -> None:
-        factor %= self.d
-        if factor != 1:
-            self.h = _scale(self.h, self.d, vertex, factor)
-            self.ops.append(ScaleOp(vertex, factor))
+    def weight(self, n: int, m: int):
+        return self.w[_PAIR_INDEX[n, m]]
 
-    def star(self, vertex: int, factor: int) -> None:
-        factor %= self.d
-        if factor != 0:
-            self.h = _star(self.h, self.d, vertex, factor)
-            self.ops.append(StarOp(vertex, factor))
+    def _record(self, op: LCOperation) -> None:
+        self.w = _apply(self.w, self.d, op)
+        self.ops.append(op)
+
+    def scale(self, vertex: int, factor) -> None:
+        self._record(ScaleOp(vertex, factor % self.d))
+
+    def star(self, vertex: int, factor) -> None:
+        self._record(StarOp(vertex, factor % self.d))
 
     def permute(self, axes) -> None:
         """Relabel so that new vertex i is old vertex axes[i], as a sequence of swaps."""
@@ -244,51 +292,87 @@ class _Reducer:
         for r in range(N_VERTICES):
             if cur[r] != axes[r]:
                 s = cur.index(axes[r])
-                self.h = _swap(self.h, r, s)
-                self.ops.append(SwapOp(r, s))
+                self._record(SwapOp(r, s))
                 cur[r], cur[s] = cur[s], cur[r]
 
     def normalize_edge(self, vertex: int, other: int) -> None:
         """Scale ``vertex`` so the edge to ``other`` gets unit weight."""
-        self.scale(vertex, inv_mod(self.h[vertex][other], self.d))
+        self.scale(vertex, self.inverse(self.weight(vertex, other)))
+
+    def split(self, mask):
+        """(the rows where ``mask`` holds, the others), each with its part of the trace."""
+        return self._take(mask), self._take(~mask)
+
+    def _take(self, mask) -> "_Group":
+        part = _Group(self.rows[mask], [c[mask] for c in self.w], self.d, self.inverse)
+        part.ops = [
+            op if isinstance(op, SwapOp) else type(op)(op.vertex, op.factor[mask])
+            for op in self.ops
+        ]
+        return part
+
+    def check_canonical(self) -> None:
+        """Set the class codes of reduced rows; raise if a row is in no canonical form."""
+        w01, w02, w03, w12, w13, w23 = self.w
+        is_g = (w01 == 0) & (w02 == 0) & (w03 == 1) & (w12 == 0) & (w13 == 1) & (w23 == 1)
+        # the gamma_graph form: chain 0-1-2-3 of unit weights plus the 0-3 chord
+        is_chain = (w01 == 1) & (w02 == 0) & (w12 == 1) & (w13 == 0) & (w23 == 1)
+        bad = np.flatnonzero(~(is_g | is_chain))
+        if bad.size:
+            raise VerificationFailure(
+                f"reduction left a non-canonical matrix {_entries(self.w, bad[0])}"
+            )
+        self.codes = np.where(is_g, _G, np.where((w03 == 0) | (w03 == 1), _C, _P))
+
+    def result(self, i: int):
+        """(class, gamma_tilde, trace, canonical entries) of row ``i``; the trace
+        leaves out the scales by 1 and stars by 0 the group applies."""
+        code = int(self.codes[i])
+        trace = []
+        for op in self.ops:
+            if not isinstance(op, SwapOp):
+                op = type(op)(op.vertex, int(op.factor[i]))
+                if op.factor == (1 if isinstance(op, ScaleOp) else 0):
+                    continue
+            trace.append(op)
+        gamma = int(self.w[2][i]) if code in (_C, _P) else None
+        return _LABELS[code], gamma, tuple(trace), _entries(self.w, i)
 
 
-def _is_connected(e) -> bool:
+def _connected(edges) -> bool:
     seen = {0}
     stack = [0]
     while stack:
         n = stack.pop()
         for m in range(N_VERTICES):
-            if e[n][m] != 0 and m not in seen:
+            if (n, m) in edges and m not in seen:
                 seen.add(m)
                 stack.append(m)
     return len(seen) == N_VERTICES
 
 
-def _canonical(e, d: int):
-    """(class, gamma_tilde, trace, canonical entries) of the entries ``e``."""
-    if not _is_connected(e):
-        return DISCONNECTED, None, (), e
+def _reduce(w, d: int, inverse):
+    """Reduce the graphs of six weight columns to canonical forms.
 
-    r = _Reducer(e, d)
-    n_edges = sum(1 for n, m in _PAIRS if e[n][m] != 0)
-    if n_edges == 6:
-        _reduce_six_edged(r)
-    elif n_edges == 5:
-        _reduce_five_edged(r)
-    elif n_edges == 4:
-        _reduce_four_edged(r)
-    else:
-        _reduce_three_edged(r)
-
-    h = r.h
-    if h == _G_FORM:
-        return CLASS_G, None, tuple(r.ops), h
-    gamma = h[0][3]
-    # the gamma_graph form: chain 0-1-2-3 of unit weights plus the 0-3 chord
-    if h != ((0, 1, 0, gamma), (1, 0, 1, 0), (0, 1, 0, 1), (gamma, 0, 1, 0)):
-        raise VerificationFailure(f"reduction left a non-canonical matrix {h}")
-    return (CLASS_C if gamma in (0, 1) else CLASS_P), gamma, tuple(r.ops), h
+    Rows are grouped by edge-support pattern; each group runs its pattern's
+    program, and the six-edged program splits its group once more. Yields
+    the nonempty groups with their class codes set.
+    """
+    pattern = sum((c != 0).astype(np.int64) << k for k, c in enumerate(w))
+    order = np.argsort(pattern, kind="stable")
+    patterns, starts = np.unique(pattern[order], return_index=True)
+    for support, rows in zip(patterns.tolist(), np.split(order, starts[1:])):
+        group = _Group(rows, [c[rows] for c in w], d, inverse)
+        # both orientations of each edge of the pattern
+        edges = {pair for pair, k in _PAIR_INDEX.items() if support >> k & 1}
+        if not _connected(edges):
+            group.codes = np.full(len(rows), _DISCONNECTED)
+            yield group
+            continue
+        for part in _PROGRAMS[len(edges) // 2](group, edges):
+            if len(part.rows):
+                part.check_canonical()
+                yield part
 
 
 def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
@@ -299,79 +383,85 @@ def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
     reduce to the unit star (class G) or to the chain-plus-chord form whose
     chord weight gamma_tilde decides between C (0 or 1) and P (anything else).
     """
-    cls, gamma, trace, h = _canonical(g.entries, g.d)
-    return CanonicalResult(cls, gamma, trace, g if h is g.entries else AdjacencyMatrix(g.d, h))
+    (group,) = _reduce(_columns(g), g.d, _inverter(g.d))
+    cls, gamma, trace, h = group.result(0)
+    return CanonicalResult(cls, gamma, trace, AdjacencyMatrix(g.d, h))
 
 
-def _reduce_six_edged(r: _Reducer) -> None:
+def _reduce_six_edged(r: _Group, edges):
     d = r.d
     # Kill the 1-3 edge with a star at 2, then normalize the 1-2 and 2-3 edges.
-    r.star(2, -r.h[1][3] * inv_mod(r.h[1][2], d) * inv_mod(r.h[2][3], d))
+    r.star(2, -r.weight(1, 3) * r.inverse(r.weight(1, 2) * r.weight(2, 3) % d))
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
-    alpha, gamma = r.h[0][1], r.h[0][3]
-    if alpha == 0 and gamma == 0:
-        # Remaining graph is a star at vertex 2 with one non-unit edge.
-        r.permute((0, 1, 3, 2))
-        r.normalize_edge(0, 3)
-        return
-    if alpha == 0:
-        r.permute((0, 3, 2, 1))  # exchange the roles of the 0-1 and 0-3 edges
-    # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
-    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1], d))
-    r.normalize_edge(0, 1)
+    star, rest = r.split((r.weight(0, 1) == 0) & (r.weight(0, 3) == 0))
+    # Remaining graph is a star at vertex 2 with one non-unit edge.
+    star.permute((0, 1, 3, 2))
+    star.normalize_edge(0, 3)
+    flipped, kept = rest.split(rest.weight(0, 1) == 0)
+    flipped.permute((0, 3, 2, 1))  # exchange the roles of the 0-1 and 0-3 edges
+    for part in (flipped, kept):
+        # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
+        part.star(1, -part.weight(0, 2) * part.inverse(part.weight(0, 1)))
+        part.normalize_edge(0, 1)
+    return star, flipped, kept
 
 
-def _reduce_five_edged(r: _Reducer) -> None:
-    (zero_pair,) = [(n, m) for n, m in _PAIRS if r.h[n][m] == 0]
+def _reduce_five_edged(r: _Group, edges):
+    (zero_pair,) = [p for p in _PAIRS if p not in edges]
     others = [v for v in range(N_VERTICES) if v not in zero_pair]
     r.permute((others[0], zero_pair[0], others[1], zero_pair[1]))
     # Kill the 0-2 chord, leaving the 4-cycle 0-1-2-3-0; normalizing its chain
     # edges turns the 0-3 edge into gamma_tilde.
-    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1] * r.h[1][2], r.d))
-    _normalize_chain(r)
+    r.star(1, -r.weight(0, 2) * r.inverse(r.weight(0, 1) * r.weight(1, 2) % r.d))
+    return _normalize_chain(r)
 
 
-def _reduce_four_edged(r: _Reducer) -> None:
-    (z1, z2) = [(n, m) for n, m in _PAIRS if r.h[n][m] == 0]
+def _reduce_four_edged(r: _Group, edges):
+    (z1, z2) = [p for p in _PAIRS if p not in edges]
     shared = set(z1) & set(z2)
     if not shared:
         # Diagonally placed gaps: the graph is already a 4-cycle.
         r.permute((z1[0], z2[0], z1[1], z2[1]))
-        _normalize_chain(r)
-        return
+        return _normalize_chain(r)
     v = shared.pop()
     i, j = sorted((set(z1) | set(z2)) - {v})
     (k,) = set(range(N_VERTICES)) - {v, i, j}
     r.permute((i, j, k, v))
     # Triangle 0-1-2 with a pendant 3; kill the 0-2 edge to leave the chain.
-    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1] * r.h[1][2], r.d))
-    _normalize_chain(r)
+    r.star(1, -r.weight(0, 2) * r.inverse(r.weight(0, 1) * r.weight(1, 2) % r.d))
+    return _normalize_chain(r)
 
 
-def _reduce_three_edged(r: _Reducer) -> None:
-    degrees = [sum(1 for w in row if w != 0) for row in r.h]
+def _reduce_three_edged(r: _Group, edges):
+    degrees = [sum((v, m) in edges for m in range(N_VERTICES)) for v in range(N_VERTICES)]
     if 3 in degrees:
         center = degrees.index(3)
         leaves = [v for v in range(N_VERTICES) if v != center]
         r.permute((*leaves, center))
         for v in range(3):
             r.normalize_edge(v, 3)
-        return
+        return (r,)
     # A connected 3-edged graph without a degree-3 vertex is an open chain.
     first = min(v for v in range(N_VERTICES) if degrees[v] == 1)
     order = [first]
     while len(order) < N_VERTICES:
-        nxt = [m for m in range(N_VERTICES) if r.h[order[-1]][m] != 0 and m not in order]
+        nxt = [m for m in range(N_VERTICES) if (order[-1], m) in edges and m not in order]
         order.append(nxt[0])
     r.permute(tuple(order))
-    _normalize_chain(r)
+    return _normalize_chain(r)
 
 
-def _normalize_chain(r: _Reducer) -> None:
+def _normalize_chain(r: _Group):
     r.normalize_edge(1, 0)
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
+    return (r,)
+
+
+# Reduction program by edge count of a connected graph.
+_PROGRAMS = {3: _reduce_three_edged, 4: _reduce_four_edged, 5: _reduce_five_edged,
+             6: _reduce_six_edged}
 
 
 def profile_class(profile: PurityProfile, tol: float = ORACLE_TOL) -> str:
@@ -403,6 +493,27 @@ _VERTEX_ROWS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 _CUT_BLOCKS = ((1, 4, 2, 3), (0, 5, 2, 3), (0, 5, 1, 4))
 
 
+def _cut_rank_codes(d: int, w):
+    """Class codes of the graphs of six weight columns, by cut ranks."""
+    zero = [c == 0 for c in w]
+    disconnected = np.zeros(len(w[0]), dtype=bool)
+    for cols in _VERTEX_ROWS + _CUT_BLOCKS:
+        disconnected |= np.logical_and.reduce([zero[k] for k in cols])
+    rank_one = np.zeros(len(w[0]), dtype=np.int64)
+    for a, b, c, e in _CUT_BLOCKS:
+        # every block of a connected graph is nonzero, so det = 0 means rank 1
+        rank_one += (w[a] * w[b] - w[c] * w[e]) % d == 0
+    bad = np.flatnonzero(~disconnected & (rank_one == 2))
+    if bad.size:
+        weights = [int(c[bad[0]]) for c in w]
+        raise ClassificationPatternError(
+            f"cut-rank pattern of weights {weights} matches no class"
+        )
+    # The rank-1 cut count is the class code; count 2 is excluded above, so
+    # its code marks the disconnected graphs.
+    return np.where(disconnected, _DISCONNECTED, rank_one)
+
+
 def cut_rank_classes(d: int, weights) -> list[str]:
     """Class of each graph of an (N, 6) weight array (w01, w02, w03, w12, w13, w23).
 
@@ -412,25 +523,8 @@ def cut_rank_classes(d: int, weights) -> list[str]:
     or 0 for classes G, C and P; complementary pairs share a cut, so this is
     the purity pair pattern 6, 2, 0 halved.
     """
-    # int64 holds the products w_a w_b exactly while d**2 < 2**63.
-    w = np.asarray(weights, dtype=np.int64 if d * d < 2**63 else object).reshape(-1, 6)
-    zero = w == 0
-    disconnected = np.zeros(len(w), dtype=bool)
-    rank_one = np.zeros(len(w), dtype=np.int64)
-    for cols in _VERTEX_ROWS + _CUT_BLOCKS:
-        disconnected |= zero[:, cols].all(axis=1)
-    for a, b, c, e in _CUT_BLOCKS:
-        # every block of a connected graph is nonzero, so det = 0 means rank 1
-        rank_one += (w[:, a] * w[:, b] - w[:, c] * w[:, e]) % d == 0
-    bad = ~disconnected & (rank_one == 2)
-    if bad.any():
-        raise ClassificationPatternError(
-            f"cut-rank pattern of weights {w[bad][0].tolist()} matches no class"
-        )
-    # Indexed by the rank-1 cut count; count 2 is excluded above, so its slot
-    # carries the disconnected graphs.
-    labels = np.array([CLASS_P, CLASS_C, DISCONNECTED, CLASS_G], dtype=object)
-    return labels[np.where(disconnected, 2, rank_one)].tolist()
+    w = np.asarray(weights, dtype=_dtype(d)).reshape(-1, len(_PAIRS))
+    return _LABELS[_cut_rank_codes(d, list(np.ascontiguousarray(w.T)))].tolist()
 
 
 @dataclass(frozen=True)
@@ -453,21 +547,34 @@ class ClassCensus:
         }
 
 
-def _sweep(d: int, weights: np.ndarray) -> ClassCensus:
-    """Canonicalize each row of an (N, 6) weight array, replay its trace, and
-    check its class against the cut-rank oracle."""
-    oracle = cut_rank_classes(d, weights)
-    counts = {CLASS_G: 0, CLASS_C: 0, CLASS_P: 0, DISCONNECTED: 0}
-    columns = weights.T.tolist()  # six lists of ints rather than N small lists
-    for (a, b, c, x, y, z), expected in zip(zip(*columns), oracle):
-        e = ((0, a, b, c), (a, 0, x, y), (b, x, 0, z), (c, y, z, 0))
-        cls, _, trace, h = _canonical(e, d)
-        if cls != expected:
-            raise ClassOracleMismatch(AdjacencyMatrix(d, e), cls, expected)
-        if _replay(e, d, trace) != h:
-            raise VerificationFailure(f"trace replay failed for matrix {e}")
-        counts[cls] += 1
-    return ClassCensus(d, len(oracle), counts, 0)
+def _sweep(d: int, chunks) -> ClassCensus:
+    """Canonicalize every row of each chunk of six weight columns, check its
+    class against the cut-rank oracle, and replay each group's trace."""
+    inverse = _inverter(d)
+    tally = np.zeros(len(_LABELS), dtype=np.int64)
+    for w in chunks:
+        expected = _cut_rank_codes(d, w)
+        for group in _reduce(w, d, inverse):
+            oracle = expected[group.rows]
+            bad = np.flatnonzero(group.codes != oracle)
+            if bad.size:
+                i = bad[0]
+                raise ClassOracleMismatch(
+                    AdjacencyMatrix(d, _entries(w, group.rows[i])),
+                    _LABELS[group.codes[i]],
+                    _LABELS[oracle[i]],
+                )
+            replayed = [c[group.rows] for c in w]
+            for op in group.ops:
+                replayed = _apply(replayed, d, op)
+            bad = np.flatnonzero(np.any([a != b for a, b in zip(replayed, group.w)], axis=0))
+            if bad.size:
+                raise VerificationFailure(
+                    f"trace replay failed for matrix {_entries(w, group.rows[bad[0]])}"
+                )
+        tally += np.bincount(expected, minlength=len(_LABELS))
+    counts = {_LABELS[code]: int(tally[code]) for code in (_G, _C, _P, _DISCONNECTED)}
+    return ClassCensus(d, int(tally.sum()), counts, 0)
 
 
 def classify_exhaustive(d: int) -> ClassCensus:
@@ -475,15 +582,22 @@ def classify_exhaustive(d: int) -> ClassCensus:
 
     Every class is cross-checked against the cut-rank oracle and every trace
     is replayed; any disagreement raises with the offending matrix. Full
-    sweeps are limited to d <= 7 (d^6 matrices).
+    sweeps are limited to d <= 13 (d^6 matrices).
     """
     check_prime(d)
     if d > MAX_EXHAUSTIVE_D:
         raise ValueError(
             f"full sweep supports d <= {MAX_EXHAUSTIVE_D}; use census_random beyond that"
         )
-    weights = np.indices((d,) * len(_PAIRS), dtype=np.int8).reshape(len(_PAIRS), -1).T
-    return _sweep(d, weights)
+
+    def chunks():
+        n = d ** len(_PAIRS)
+        for start in range(0, n, _CHUNK):
+            index = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
+            # row r holds the base-d digits of r, w01 the most significant
+            yield [index // d**k % d for k in range(len(_PAIRS) - 1, -1, -1)]
+
+    return _sweep(d, chunks())
 
 
 def census_random(d: int, samples: int, seed: int) -> ClassCensus:
@@ -492,4 +606,8 @@ def census_random(d: int, samples: int, seed: int) -> ClassCensus:
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
-    return _sweep(d, rng.integers(0, d, size=(samples, len(_PAIRS))))
+    weights = rng.integers(0, d, size=(samples, len(_PAIRS)))
+    return _sweep(d, (
+        list(np.ascontiguousarray(weights[start:start + _CHUNK].T, dtype=_dtype(d)))
+        for start in range(0, samples, _CHUNK)
+    ))

@@ -1,14 +1,17 @@
 """Local-equivalence operations, canonicalization, and the exhaustive sweep."""
 
 from itertools import product
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 from quditgraph import (
     AdjacencyMatrix,
+    LCOperation,
     ScaleOp,
     StarOp,
+    SwapOp,
     apply_scale,
     apply_star,
     apply_swap,
@@ -28,7 +31,16 @@ from quditgraph import (
     purity_profile,
     replay,
 )
-from quditgraph.classify import CLASS_C, CLASS_G, CLASS_P, DISCONNECTED, ghz_canonical_graph
+from quditgraph import classify
+from quditgraph.classify import (
+    CLASS_C,
+    CLASS_G,
+    CLASS_P,
+    DISCONNECTED,
+    VerificationFailure,
+    ghz_canonical_graph,
+)
+from quditgraph.graphs import N_VERTICES
 
 # Vertex pairs in the order of the weight columns cut_rank_classes takes.
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -69,8 +81,22 @@ def test_scale_inverse_restores(rng):
 
 
 def test_scale_rejects_zero_factor():
+    for factor in (0, 3, -6):  # zero mod d = 3
+        with pytest.raises(ValueError):
+            apply_scale(p_graph(3), 0, factor)
+
+
+@pytest.mark.parametrize(
+    "op", [ScaleOp(4, 1), ScaleOp(-1, 1), StarOp(4, 1), SwapOp(0, 4), SwapOp(-1, 2)]
+)
+def test_operations_reject_vertex_out_of_range(op):
     with pytest.raises(ValueError):
-        apply_scale(p_graph(3), 0, 0)
+        replay(p_graph(3), (op,))
+
+
+def test_replay_rejects_unknown_operation():
+    with pytest.raises(TypeError):
+        replay(p_graph(3), ((0, 1),))
 
 
 def test_star_zero_factor_is_identity():
@@ -287,10 +313,10 @@ def test_exhaustive_census_d2_has_no_p_class():
 
 def test_exhaustive_rejects_large_d():
     with pytest.raises(ValueError):
-        classify_exhaustive(11)
+        classify_exhaustive(17)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
 def test_exhaustive_census_closed_forms(d):
     # G and P are closed forms in x = d - 1; the disconnected count follows
     # independently from the 38 labelled connected 4-vertex graphs (16, 15, 6
@@ -370,3 +396,259 @@ def test_profile_class_fingerprints():
     assert profile_class(purity_profile(build_state(ghz_graph(d)))) == CLASS_G
     assert profile_class(purity_profile(build_state(cluster_graph(d)))) == CLASS_C
     assert profile_class(purity_profile(build_state(p_graph(d)))) == CLASS_P
+
+
+# Tuple reference reducer: the per-matrix reduction on plain 4x4 int tuples
+# that the batched, column-wise reducer of quditgraph.classify replaced, kept
+# unchanged as the reference the batched reducer is held to.
+
+_PAIRS = tuple(PAIRS)
+_G_FORM = ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 1), (1, 1, 1, 0))
+
+
+def _scale(e, d: int, vertex: int, factor: int):
+    factor %= d
+    if factor == 0:
+        raise ValueError("scale factor must be nonzero")
+    rows = [list(row) for row in e]
+    for m in range(N_VERTICES):
+        rows[vertex][m] = rows[m][vertex] = e[vertex][m] * factor % d
+    return tuple(map(tuple, rows))
+
+
+def _star(e, d: int, vertex: int, factor: int):
+    # Rows n with Gamma_n,vertex = 0 (vertex itself included) are unchanged.
+    col = e[vertex]
+    rows = []
+    for n, (row, c) in enumerate(zip(e, col)):
+        if c:
+            new = [(w + factor * c * cm) % d for w, cm in zip(row, col)]
+            new[n] = 0
+            row = tuple(new)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _swap(e, a: int, b: int):
+    axes = list(range(N_VERTICES))
+    axes[a], axes[b] = axes[b], axes[a]
+    pick = itemgetter(*axes)
+    return tuple([pick(e[n]) for n in axes])
+
+
+def _apply(e, d: int, op: LCOperation):
+    if isinstance(op, ScaleOp):
+        return _scale(e, d, op.vertex, op.factor)
+    if isinstance(op, StarOp):
+        return _star(e, d, op.vertex, op.factor)
+    if isinstance(op, SwapOp):
+        return _swap(e, op.a, op.b)
+    raise TypeError(f"unknown operation {op!r}")
+
+
+def _replay(e, d: int, trace):
+    for op in trace:
+        e = _apply(e, d, op)
+    return e
+
+
+class _Reducer:
+    """Mutable canonicalization state: current entries plus recorded trace."""
+
+    def __init__(self, e, d: int):
+        self.h = e
+        self.d = d
+        self.ops: list[LCOperation] = []
+
+    def scale(self, vertex: int, factor: int) -> None:
+        factor %= self.d
+        if factor != 1:
+            self.h = _scale(self.h, self.d, vertex, factor)
+            self.ops.append(ScaleOp(vertex, factor))
+
+    def star(self, vertex: int, factor: int) -> None:
+        factor %= self.d
+        if factor != 0:
+            self.h = _star(self.h, self.d, vertex, factor)
+            self.ops.append(StarOp(vertex, factor))
+
+    def permute(self, axes) -> None:
+        """Relabel so that new vertex i is old vertex axes[i], as a sequence of swaps."""
+        cur = list(range(N_VERTICES))
+        for r in range(N_VERTICES):
+            if cur[r] != axes[r]:
+                s = cur.index(axes[r])
+                self.h = _swap(self.h, r, s)
+                self.ops.append(SwapOp(r, s))
+                cur[r], cur[s] = cur[s], cur[r]
+
+    def normalize_edge(self, vertex: int, other: int) -> None:
+        """Scale ``vertex`` so the edge to ``other`` gets unit weight."""
+        self.scale(vertex, inv_mod(self.h[vertex][other], self.d))
+
+
+def _is_connected(e) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        n = stack.pop()
+        for m in range(N_VERTICES):
+            if e[n][m] != 0 and m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return len(seen) == N_VERTICES
+
+
+def _canonical(e, d: int):
+    """(class, gamma_tilde, trace, canonical entries) of the entries ``e``."""
+    if not _is_connected(e):
+        return DISCONNECTED, None, (), e
+
+    r = _Reducer(e, d)
+    n_edges = sum(1 for n, m in _PAIRS if e[n][m] != 0)
+    if n_edges == 6:
+        _reduce_six_edged(r)
+    elif n_edges == 5:
+        _reduce_five_edged(r)
+    elif n_edges == 4:
+        _reduce_four_edged(r)
+    else:
+        _reduce_three_edged(r)
+
+    h = r.h
+    if h == _G_FORM:
+        return CLASS_G, None, tuple(r.ops), h
+    gamma = h[0][3]
+    # the gamma_graph form: chain 0-1-2-3 of unit weights plus the 0-3 chord
+    if h != ((0, 1, 0, gamma), (1, 0, 1, 0), (0, 1, 0, 1), (gamma, 0, 1, 0)):
+        raise VerificationFailure(f"reduction left a non-canonical matrix {h}")
+    return (CLASS_C if gamma in (0, 1) else CLASS_P), gamma, tuple(r.ops), h
+
+
+def _reduce_six_edged(r: _Reducer) -> None:
+    d = r.d
+    # Kill the 1-3 edge with a star at 2, then normalize the 1-2 and 2-3 edges.
+    r.star(2, -r.h[1][3] * inv_mod(r.h[1][2], d) * inv_mod(r.h[2][3], d))
+    r.normalize_edge(2, 1)
+    r.normalize_edge(3, 2)
+    alpha, gamma = r.h[0][1], r.h[0][3]
+    if alpha == 0 and gamma == 0:
+        # Remaining graph is a star at vertex 2 with one non-unit edge.
+        r.permute((0, 1, 3, 2))
+        r.normalize_edge(0, 3)
+        return
+    if alpha == 0:
+        r.permute((0, 3, 2, 1))  # exchange the roles of the 0-1 and 0-3 edges
+    # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
+    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1], d))
+    r.normalize_edge(0, 1)
+
+
+def _reduce_five_edged(r: _Reducer) -> None:
+    (zero_pair,) = [(n, m) for n, m in _PAIRS if r.h[n][m] == 0]
+    others = [v for v in range(N_VERTICES) if v not in zero_pair]
+    r.permute((others[0], zero_pair[0], others[1], zero_pair[1]))
+    # Kill the 0-2 chord, leaving the 4-cycle 0-1-2-3-0; normalizing its chain
+    # edges turns the 0-3 edge into gamma_tilde.
+    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1] * r.h[1][2], r.d))
+    _normalize_chain(r)
+
+
+def _reduce_four_edged(r: _Reducer) -> None:
+    (z1, z2) = [(n, m) for n, m in _PAIRS if r.h[n][m] == 0]
+    shared = set(z1) & set(z2)
+    if not shared:
+        # Diagonally placed gaps: the graph is already a 4-cycle.
+        r.permute((z1[0], z2[0], z1[1], z2[1]))
+        _normalize_chain(r)
+        return
+    v = shared.pop()
+    i, j = sorted((set(z1) | set(z2)) - {v})
+    (k,) = set(range(N_VERTICES)) - {v, i, j}
+    r.permute((i, j, k, v))
+    # Triangle 0-1-2 with a pendant 3; kill the 0-2 edge to leave the chain.
+    r.star(1, -r.h[0][2] * inv_mod(r.h[0][1] * r.h[1][2], r.d))
+    _normalize_chain(r)
+
+
+def _reduce_three_edged(r: _Reducer) -> None:
+    degrees = [sum(1 for w in row if w != 0) for row in r.h]
+    if 3 in degrees:
+        center = degrees.index(3)
+        leaves = [v for v in range(N_VERTICES) if v != center]
+        r.permute((*leaves, center))
+        for v in range(3):
+            r.normalize_edge(v, 3)
+        return
+    # A connected 3-edged graph without a degree-3 vertex is an open chain.
+    first = min(v for v in range(N_VERTICES) if degrees[v] == 1)
+    order = [first]
+    while len(order) < N_VERTICES:
+        nxt = [m for m in range(N_VERTICES) if r.h[order[-1]][m] != 0 and m not in order]
+        order.append(nxt[0])
+    r.permute(tuple(order))
+    _normalize_chain(r)
+
+
+def _normalize_chain(r: _Reducer) -> None:
+    r.normalize_edge(1, 0)
+    r.normalize_edge(2, 1)
+    r.normalize_edge(3, 2)
+
+
+def _batched_results(d, weights):
+    """(row, result) of every row of an (N, 6) weight array, through the batched reducer."""
+    w = list(np.ascontiguousarray(np.asarray(weights).T, dtype=classify._dtype(d)))
+    for group in classify._reduce(w, d, classify._inverter(d)):
+        for i, row in enumerate(group.rows):
+            yield int(row), group.result(i)
+
+
+def _assert_batched_matches_reference(d, weights):
+    rows = []
+    for row, result in _batched_results(d, weights):
+        a, b, c, x, y, z = map(int, weights[row])
+        e = ((0, a, b, c), (a, 0, x, y), (b, x, 0, z), (c, y, z, 0))
+        assert result == _canonical(e, d), e
+        rows.append(row)
+    assert sorted(rows) == list(range(len(weights)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batched_reducer_matches_reference_exhaustively(d):
+    # (class, gamma_tilde, trace, canonical) of every matrix
+    _assert_batched_matches_reference(d, np.array(list(product(range(d), repeat=6))))
+
+
+@pytest.mark.parametrize("d, n", [(11, 2000), (13, 2000), (1000003, 200), (2**61 - 1, 50)])
+def test_batched_reducer_matches_reference_sampled(d, n):
+    # Inverse tables at d = 11 and 13; pow per entry on int64 columns at
+    # d = 1000003 and on Python-int columns at d = 2**61 - 1. A third of the
+    # weights are zero, so sparse patterns show up at every d.
+    rng = np.random.default_rng(n + d % 1000)
+    weights = rng.integers(1, d, size=(n, 6)) * (rng.random((n, 6)) > 1 / 3)
+    _assert_batched_matches_reference(d, weights)
+
+
+def test_canonicalize_matches_reference_d3():
+    # the one-graph call drops the scales by 1 and stars by 0 of its group
+    for w in product(range(3), repeat=6):
+        g = _weights_graph(3, w)
+        res = canonicalize(g)
+        assert (res.cls, res.gamma_tilde, res.trace, res.canonical.entries) == _canonical(
+            g.entries, 3
+        )
+
+
+@pytest.mark.parametrize("d", [5, 2**32 + 15])
+def test_public_operations_match_tuple_kernels(rng, d):
+    # int64 columns at d = 5, Python-int columns at d = 2**32 + 15
+    for _ in range(40):
+        g = _weights_graph(d, map(int, rng.integers(0, d, size=6)))
+        v, f = int(rng.integers(0, 4)), int(rng.integers(1, d))
+        a, b = map(int, rng.choice(4, size=2, replace=False))
+        assert apply_scale(g, v, f).entries == _scale(g.entries, d, v, f)
+        assert apply_star(g, v, f).entries == _star(g.entries, d, v, f)
+        assert apply_swap(g, a, b).entries == _swap(g.entries, a, b)
+        trace = (StarOp(v, -f), SwapOp(a, b), ScaleOp(b, f + d), StarOp(a, f << 70))
+        assert replay(g, trace).entries == _replay(g.entries, d, trace)

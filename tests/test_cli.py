@@ -7,8 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgraph import classify, report
-from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+from quditgraph import SwapOp, classify, report
+from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, MAX_STATE_D, main
 from quditgraph.steering import ClassificationError, ZeroProbabilityError
 
 from conftest import random_graph, reference_phase_exponents
@@ -202,6 +202,23 @@ def test_tables_rejects_huge_d(capsys, d):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("action", ["build", "reduce", "eigen"])
+@pytest.mark.parametrize("d", [MAX_STATE_D + 6, 1009, 2**61 - 1])
+def test_state_rejects_d_above_cap(capsys, action, d):
+    # the d^4 amplitudes are never allocated: d = 1009 would need 30 TiB
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "state", action, "--family", "P", "--d", str(d))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and f"d <= {MAX_STATE_D}" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_state_accepts_d_at_cap(capsys):
+    payload = run_json(capsys, "state", "reduce", "--family", "P", "--d", str(MAX_STATE_D))
+    assert payload["metadata"]["d"] == MAX_STATE_D
+
+
 def test_classify_rejects_d_beyond_primality_test(capsys):
     code, out, err = run_cli(capsys, "classify", "--random", "3", "--d", str(10**30))
     assert code == EXIT_INVALID
@@ -242,29 +259,55 @@ def test_classify_rejects_malformed_gamma(capsys, gamma):
     assert err.count("\n") == 1
 
 
-def _mislabel_cluster(canonical):
-    def mislabelled(e, d):
-        cls, gamma, trace, h = canonical(e, d)
-        return ("G" if cls == "C" and gamma == 1 else cls), gamma, trace, h
+def _mislabel_cluster(reduce):
+    """Label every square (class C with gamma_tilde 1) as class G."""
+
+    def mislabelled(w, d, inverse):
+        for g in reduce(w, d, inverse):
+            square = (g.codes == classify._C) & (g.weight(0, 3) == 1)
+            g.codes = np.where(square, classify._G, g.codes)
+            yield g
 
     return mislabelled
 
 
-def _drop_last_op(canonical):
-    def truncated(e, d):
-        cls, gamma, trace, h = canonical(e, d)
-        return cls, gamma, trace[:-1], h
+def _drop_last_op(reduce):
+    def truncated(w, d, inverse):
+        for g in reduce(w, d, inverse):
+            g.ops = g.ops[:-1]
+            yield g
 
     return truncated
 
 
-@pytest.mark.parametrize("fault", [_mislabel_cluster, _drop_last_op])
+def _corrupt_one_factor(reduce):
+    """Change one row's factor of the first scale or star recorded in the chunk."""
+
+    def corrupted(w, d, inverse):
+        groups = list(reduce(w, d, inverse))
+        factors = [op.factor for g in groups for op in g.ops if not isinstance(op, SwapOp)]
+        factors[0][0] = (factors[0][0] + 1) % d
+        return groups
+
+    return corrupted
+
+
+# The check of the sweep each fault must trip.
+_FAULT_CHECKS = {
+    _mislabel_cluster: "class mismatch",
+    _drop_last_op: "trace replay failed",
+    _corrupt_one_factor: "trace replay failed",
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULT_CHECKS))
 def test_classify_sweep_check_failure_is_mismatch(capsys, monkeypatch, fault):
-    monkeypatch.setattr(classify, "_canonical", fault(classify._canonical))
+    monkeypatch.setattr(classify, "_reduce", fault(classify._reduce))
     code, out, err = run_cli(capsys, "classify", "--exhaustive", "--d", "3")
     assert code == EXIT_MISMATCH
     assert out == ""
     assert err.startswith("quditgraph: verification failed:")
+    assert _FAULT_CHECKS[fault] in err
     assert err.count("\n") == 1
 
 

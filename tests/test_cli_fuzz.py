@@ -1,9 +1,9 @@
 """Fuzzed command lines: every argv ends in exit 0, 2 or 3, never a traceback.
 
 The grammar is bounded so each example stays cheap: no exhaustive sweep at
-d = 5 or 7, and no state command at d = 37 or at the huge d values (a
-d^4-amplitude dump). The huge values, the prime 2^61 - 1 and 10^18, reach
-``tables`` and ``classify``, where the primality test must stay fast.
+d = 5, 7, 11 or 13. Every d value reaches every command; the state commands
+must reject d = 37 and the huge values, the prime 2^61 - 1 and 10^18, before
+allocating their d^4 amplitudes, and the primality test must stay fast.
 """
 
 import contextlib
@@ -17,7 +17,6 @@ from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 
 HUGE_D_VALUES = (2**61 - 1, 10**18)
 D_VALUES = (-1, 0, 1, 2, 3, 4, 5, 9, 11, 13, 37) + HUGE_D_VALUES
-STATE_D_VALUES = tuple(d for d in D_VALUES if d != 37 and d not in HUGE_D_VALUES)
 
 # integers stay below 17, so no matrix "d" asks for a large state dump
 _leaf = st.one_of(
@@ -37,8 +36,8 @@ _gamma = st.one_of(
     st.lists(_leaf, max_size=5),
     st.lists(st.lists(st.one_of(st.integers(-1, 40), _leaf), max_size=5), max_size=5),
 )
-# well-formed graphs over the primes of D_VALUES below 37
-_graph = st.sampled_from([2, 3, 5, 11, 13]).flatmap(
+# well-formed graphs over the primes of D_VALUES
+_graph = st.sampled_from([2, 3, 5, 11, 13, 37, 2**61 - 1]).flatmap(
     lambda d: st.lists(st.integers(0, d - 1), min_size=6, max_size=6).map(
         lambda w: {"d": d, "gamma": _symmetric(w)}
     )
@@ -46,7 +45,7 @@ _graph = st.sampled_from([2, 3, 5, 11, 13]).flatmap(
 _matrix_obj = st.one_of(
     _graph,
     st.fixed_dictionaries(
-        {"d": st.one_of(st.sampled_from(STATE_D_VALUES), _leaf), "gamma": _gamma}
+        {"d": st.one_of(st.sampled_from(D_VALUES), _leaf), "gamma": _gamma}
     ),
     _leaf,
     st.lists(_leaf, max_size=5),
@@ -74,7 +73,7 @@ _format = _opt("--format", st.sampled_from(["json", "csv"]))
 
 _family = _argv(
     _flag("--family", st.sampled_from(["G", "C", "P", "psi"])),
-    _flag("--d", st.sampled_from(STATE_D_VALUES)),
+    _flag("--d", st.sampled_from(D_VALUES)),
     _opt("--gamma", st.integers(-3, 40)),
 )
 STATE = _argv(
@@ -96,7 +95,7 @@ _random = _argv(
     _opt("--seed", st.integers(-2, 5)),
 )
 _exhaustive = st.one_of(
-    st.sampled_from([d for d in D_VALUES if d not in (5, 7)]).map(
+    st.sampled_from([d for d in D_VALUES if d not in (5, 7, 11, 13)]).map(
         lambda d: ["--exhaustive", "--d", str(d)]
     ),
     st.just(["--exhaustive"]),
