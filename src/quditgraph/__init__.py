@@ -1,10 +1,10 @@
 """Four-qudit graph states over prime dimensions.
 
 Construction of weighted-graph states and their stabilizer groups, exact
-generalized Pauli arithmetic, entanglement measures by two independent
-routes, exhaustive enumeration of projective-measurement steering paths, and
-canonicalization of arbitrary 4-vertex graphs into the three entanglement
-classes.
+generalized Pauli arithmetic, entanglement measures by dense and exact
+tableau routes, exhaustive enumeration of projective-measurement steering
+paths, and canonicalization of arbitrary 4-vertex graphs into the three
+entanglement classes.
 """
 
 __version__ = "0.1.0"
@@ -46,6 +46,7 @@ from .measures import (
     purity,
     purity_profile,
     reduced_from_stabilizers,
+    tableau_purity_profile,
     wedge_measure,
 )
 from .pauli import (

@@ -5,11 +5,14 @@ state vector (the Gram matrix of associated states) and summing the dense
 matrices of the stabilizers that survive the partial trace. Purity-based
 quantities (k-MM tests, concurrence, the summed wedge product) all live on
 top of the first route; the second exists so the two can be cross-checked.
+A third route is exact and builds no state: ``tableau_purity_profile``
+reads each purity d^-entropy off a stabilizer ``Tableau``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -17,7 +20,7 @@ import numpy as np
 from .graphs import N_VERTICES, AdjacencyMatrix
 from .pauli import omega_powers, site_matrix
 from .serialize import exact_and_float
-from .states import StateVector, stabilizer
+from .states import StateVector, Tableau, stabilizer, tableau_entropy
 
 __all__ = [
     "PurityProfile",
@@ -31,6 +34,7 @@ __all__ = [
     "purity_profile",
     "reduced_from_stabilizers",
     "subsystem_label",
+    "tableau_purity_profile",
     "wedge_measure",
 ]
 
@@ -122,7 +126,7 @@ def purity(r) -> float:
 
 @dataclass(frozen=True)
 class PurityProfile:
-    """Map from subsystem to Tr(rho^2) for all single sites and pairs."""
+    """Map from subsystem to Tr(rho^2) (a float, or an exact Fraction) for all sites and pairs."""
 
     d: int
     n_qudits: int
@@ -154,6 +158,14 @@ def purity_profile(s: StateVector) -> PurityProfile:
         for keep in all_subsystems(s.n_qudits, 2)
     }
     return PurityProfile(s.d, s.n_qudits, values)
+
+
+def tableau_purity_profile(t: Tableau) -> PurityProfile:
+    """Exact purities Fraction(1, d**entropy) of all one- and two-site subsystems."""
+    xz = t.xz.reshape(N_VERTICES, -1)
+    values = {keep: Fraction(1, t.d ** int(tableau_entropy(xz, keep, t.d)))
+              for keep in all_subsystems(N_VERTICES, 2)}
+    return PurityProfile(t.d, N_VERTICES, values)
 
 
 def is_k_mm(profile: PurityProfile, k: int, tol: float = 1e-9) -> bool:

@@ -4,8 +4,10 @@ A bundle collects, per prime dimension, the purity profiles, the first- and
 second-measurement tallies, the per-branch path tree, the persistency
 statistics, and the maximal-mixing flags of the three reduced family states,
 together with a checklist comparing every value against its closed-form
-expectation. Numeric entries carry both an exact-rational string and a float
-rounded to 12 significant digits, so repeated runs are byte-identical.
+expectation. Every number comes from one stabilizer ``Tableau`` per family
+and d, and no dense state is built: purities are exact cut ranks, d^-entropy.
+Numeric entries carry both an exact-rational string and a float rounded to
+12 significant digits, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .measures import is_k_mm, purity_profile
+# purity_profile and family_reduced_state stay bound for perfbench/child.py's tracer.
+from .measures import is_k_mm, purity_profile, tableau_purity_profile
 from .pauli import check_prime
 from .serialize import BASIS_ORDER, exact_and_float, fmt_float, metadata, rational_str
 from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableau
@@ -27,12 +30,15 @@ __all__ = [
 ]
 
 FAMILIES = ("G", "C", "P")
-MAX_TABLES_D = 31
+MAX_TABLES_D = 101
 
-# Pair subsystems of the reduced states, split by their role on the square:
-# (0,2) and (1,3) are the diagonally coordinated pairs.
-DIAGONAL_PAIRS = ((0, 2), (1, 3))
-ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3), (0, 3))
+# Checked purity columns, in the order of expected_purity_columns; (0,2) and
+# (1,3) are the diagonally coordinated pairs of the square.
+PURITY_COLUMNS = (
+    ("single", ((0,), (1,), (2,), (3,))),
+    ("diagonal_pair", ((0, 2), (1, 3))),
+    ("adjacent_pair", ((0, 1), (1, 2), (2, 3), (0, 3))),
+)
 
 
 def _family_effective(family: str, d: int) -> str:
@@ -108,29 +114,24 @@ class _Checklist:
         return all(row["pass"] for row in self.rows)
 
 
-def _purity_section(d: int, states: dict, checks: _Checklist) -> dict:
-    section = {}
-    for family, state in states.items():
-        profile = purity_profile(state)
+def _purity_section(d: int, tableaux: dict, checks: _Checklist) -> tuple[dict, dict]:
+    """(purity profiles, k-MM flags) of the family tableaux."""
+    section, mmes = {}, {}
+    for family, tableau in tableaux.items():
+        profile = tableau_purity_profile(tableau)
         section[family] = profile.to_json_dict()
-        exp_single, exp_diag, exp_adj = expected_purity_columns(family, d)
-        singles = tuple(fmt_float(v) for v in profile.singles())
-        checks.add(d, f"purity:{family}:single", (fmt_float(exp_single),) * 4, singles)
-        diag = tuple(fmt_float(profile[p]) for p in DIAGONAL_PAIRS)
-        checks.add(d, f"purity:{family}:diagonal_pair", (fmt_float(exp_diag),) * 2, diag)
-        adj = tuple(fmt_float(profile[p]) for p in ADJACENT_PAIRS)
-        checks.add(d, f"purity:{family}:adjacent_pair", (fmt_float(exp_adj),) * 4, adj)
-
+        for (name, keeps), exp in zip(PURITY_COLUMNS, expected_purity_columns(family, d)):
+            actual = tuple(fmt_float(profile[keep]) for keep in keeps)
+            checks.add(d, f"purity:{family}:{name}", (fmt_float(exp),) * len(keeps), actual)
         one_mm, two_mm = is_k_mm(profile, 1), is_k_mm(profile, 2)
         checks.add(d, f"mmes:{family}", expected_mmes(family, d), (one_mm, two_mm))
-        section.setdefault("_mmes", {})[family] = {"1mm": one_mm, "2mm": two_mm}
-    return section
+        mmes[family] = {"1mm": one_mm, "2mm": two_mm}
+    return section, mmes
 
 
-def _steering_section(d: int, checks: _Checklist) -> dict:
+def _steering_section(d: int, tableaux: dict, checks: _Checklist) -> dict:
     firsts, pairs, trees, persistency = {}, {}, {}, {}
-    for family in FAMILIES:
-        tableau = stabilizer_tableau(family_graph(family, d), family_fourier_sites(family))
+    for family, tableau in tableaux.items():
         tally = enumerate_paths(tableau)
         fc, pc = tally.first_counts(), tally.pair_counts()
         firsts[family] = fc
@@ -175,22 +176,15 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
         raise ValueError(f"each dimension may be given once, got {d_values}")
     checks = _Checklist()
     sections = {}
-    n_aves: dict[str, list[float]] = {family: [] for family in FAMILIES}
     for d in d_values:
-        states = {family: family_reduced_state(family, d) for family in FAMILIES}
-        purities = _purity_section(d, states, checks)
-        mmes = purities.pop("_mmes")
-        steering = _steering_section(d, checks)
-        for family in FAMILIES:
-            n_aves[family].append(steering["persistency"][family]["n_ave"]["float"])
-        sections[str(d)] = {
-            "purities": purities,
-            "mmes": mmes,
-            **steering,
-        }
+        tableaux = {f: stabilizer_tableau(family_graph(f, d), family_fourier_sites(f))
+                    for f in FAMILIES}
+        purities, mmes = _purity_section(d, tableaux, checks)
+        sections[str(d)] = {"purities": purities, "mmes": mmes,
+                            **_steering_section(d, tableaux, checks)}
     if len(d_values) >= 2 and sorted(d_values) == d_values:
         for family in FAMILIES:
-            seq = n_aves[family]
+            seq = [sections[str(d)]["persistency"][family]["n_ave"]["float"] for d in d_values]
             increasing = all(a < b for a, b in zip(seq, seq[1:]))
             checks.add(0, f"n_ave_monotone:{family}", True, increasing)
     bundle = {

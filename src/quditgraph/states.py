@@ -4,7 +4,8 @@ States are dense complex vectors over the standard product basis
 |j1, j2, j3, j4>, stored row-major with the first qudit slowest. A graph
 state carries the amplitude omega^(sum over edges of w_nm * j_n * j_m) / d^2,
 each edge counted once, and is the simultaneous +1 eigenstate of the four
-generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``.
+generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``;
+``tableau_entropy`` reads the exact entanglement of any sites off the rows.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "psi_gamma",
     "stabilizer",
     "stabilizer_tableau",
+    "tableau_entropy",
     "verify_eigen",
 ]
 
@@ -185,6 +187,13 @@ def stabilizer_tableau(g: AdjacencyMatrix, fourier_sites: Sequence[int]) -> Tabl
     xz = np.stack([np.eye(N_VERTICES, dtype=np.int64), g.as_array()], axis=-1)
     xz[:, sites] = xz[:, sites, ::-1] * (1, -1)
     return Tableau(g.d, xz)
+
+
+def tableau_entropy(t: np.ndarray, sites, d: int) -> np.ndarray:
+    """Entanglement of ``sites`` with the rest, in units of log d, for a batch
+    of tableaux (..., rows, 2n): the GF(d) rank of the sites' columns minus the
+    number of sites (Hein, Eisert and Briegel, PRA 69, 062311)."""
+    return rank_mod(t[..., [c for i in sites for c in (2 * i, 2 * i + 1)]], d) - len(sites)
 
 
 def iter_stabilizers(g: AdjacencyMatrix) -> Iterator[tuple[tuple[int, ...], PauliWord]]:

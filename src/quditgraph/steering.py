@@ -9,9 +9,9 @@ tallies, per-branch trees, and averaged persistency statistics.
 The engine is exact: bases are lines of GF(d)^2, (0, 1) for Z and (1, k)
 for XZ^k, and measuring qudit q of a ``Tableau`` along one clears the rows
 with a nonzero symplectic product against a pivot row, zeroes the pivot, and
-deletes q's columns (Gottesman, quant-ph/9802007). Sites A of a tableau T
-carry entropy rank(T on A) - |A| in units of log d (Hein, Eisert and
-Briegel, PRA 69, 062311). Each elimination runs over all d+1 lines at once.
+deletes q's columns (Gottesman, quant-ph/9802007). Residues are classed by
+``states.tableau_entropy``, the exact entropy of sites on a tableau. Each
+elimination runs over all d+1 lines at once.
 ``project``, ``classify3`` and ``classify2`` are the single-event form on
 dense vectors, with PROB_TOL and PURITY_TOL.
 """
@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from .measures import all_subsystems, partial_trace, purity
-from .pauli import check_prime, eliminate_mod, omega_powers, rank_mod, site_matrix
-from .states import StateVector, Tableau
+from .pauli import check_prime, eliminate_mod, omega_powers, site_matrix
+from .states import StateVector, Tableau, tableau_entropy
 
 __all__ = [
     "ClassificationError",
@@ -305,13 +305,6 @@ class PathTally:
         return tuple(mv for mv in self.moves if mv.qudit == qudit)
 
 
-def _entropy(t: np.ndarray, sites, d: int) -> np.ndarray:
-    """Entanglement of ``sites`` with the rest, in units of log d, for a batch
-    of tableaux (..., rows, 2n): the GF(d) rank of the sites' columns minus
-    the number of sites."""
-    return rank_mod(t[..., [c for i in sites for c in (2 * i, 2 * i + 1)]], d) - len(sites)
-
-
 def _measure(t: np.ndarray, q: int, d: int) -> np.ndarray:
     """Residual tableaux of measuring qudit q of a batch ``t`` (..., rows, 2n)
     along every line, in ``all_bases`` order: shape (..., d+1, rows, 2n-2)."""
@@ -331,8 +324,9 @@ def enumerate_paths(t: Tableau) -> PathTally:
     moves = []
     for q1 in range(4):
         res3 = _measure(t.xz.reshape(4, 8), q1, d)
-        firsts = np.stack([_entropy(res3, (i,), d) == 0 for i in range(3)], axis=-1).tolist()
-        seconds = [(_entropy(_measure(res3, q2, d), (0,), d) == 0).tolist() for q2 in range(3)]
+        firsts = np.stack([tableau_entropy(res3, (i,), d) == 0 for i in range(3)], -1).tolist()
+        seconds = [(tableau_entropy(_measure(res3, q2, d), (0,), d) == 0).tolist()
+                   for q2 in range(3)]
         for i, b1 in enumerate(bases):
             pairs = tuple(
                 (q2, b2, PRODUCT if seconds[q2][i][j] else BELL)
@@ -366,7 +360,7 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
     re-enumeration.
     """
     d = t.d
-    if all(_entropy(t.xz.reshape(4, 8), (i,), d) == 0 for i in range(4)):
+    if all(tableau_entropy(t.xz.reshape(4, 8), (i,), d) == 0 for i in range(4)):
         return PersistencyStats(0.0, 0, 0.0, Fraction(0), Fraction(0))
     if tally is None:
         tally = enumerate_paths(t)
@@ -398,5 +392,5 @@ def schmidt_bounds(t: Tableau) -> tuple[float, int]:
     states the two coincide and equal the Schmidt measure.
     """
     cuts = [keep for keep in all_subsystems(4, 2) if len(keep) == 1 or 0 in keep]
-    lower = max(int(_entropy(t.xz.reshape(4, 8), keep, t.d)) for keep in cuts)
+    lower = max(int(tableau_entropy(t.xz.reshape(4, 8), keep, t.d)) for keep in cuts)
     return float(lower), persistency_stats(t).n_min

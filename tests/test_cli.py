@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgraph import SwapOp, classify, report
+from quditgraph import SwapOp, classify, measures, report, states
 from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, MAX_STATE_D, main
 from quditgraph.steering import ClassificationError, ZeroProbabilityError
 
@@ -108,10 +108,34 @@ def test_tables_d17_passes(capsys):
 
 
 def test_tables_rejects_d_above_cap(capsys):
-    code, out, err = run_cli(capsys, "tables", "--d", "37")
+    code, out, err = run_cli(capsys, "tables", "--d", "103")
     assert code == EXIT_INVALID
     assert out == ""
-    assert "up to 31" in err
+    assert "up to 101" in err
+
+
+def test_tables_large_d_up_to_cap(capsys):
+    payload = run_json(capsys, "tables", "--d", "37", "--d", "61", "--d", "101")
+    assert payload["all_pass"] is True
+    labels = (("1", "2", "3", "4"), ("13", "24"), ("12", "23", "34", "14"))
+    for d in (37, 61, 101):
+        purities = payload["sections"][str(d)]["purities"]
+        for family in ("G", "C", "P"):
+            expected = report.expected_purity_columns(family, d)
+            for column, value in zip(labels, expected):
+                assert {purities[family][label]["exact"] for label in column} == {str(value)}
+
+
+def test_tables_builds_no_dense_state(monkeypatch):
+    def dense_route(*args, **kwargs):
+        raise AssertionError("tables took a dense-state route")
+
+    monkeypatch.setattr(states, "build_state", dense_route)
+    monkeypatch.setattr(measures, "partial_trace", dense_route)
+    monkeypatch.setattr(report, "purity_profile", dense_route)
+    monkeypatch.setattr(report, "family_reduced_state", dense_route)
+    bundle, all_pass = report.build_report([2, 3, 5, 7])
+    assert all_pass is True and bundle["all_pass"] is True
 
 
 @pytest.mark.parametrize("error", [ClassificationError, ZeroProbabilityError])

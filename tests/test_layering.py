@@ -1,7 +1,9 @@
 """Module layering: imports sit at module level, form no cycle, and reach
-no private name of another module."""
+no private name of another module; the benchmark tracer's bindings exist."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import quditgraph
@@ -76,3 +78,19 @@ def test_no_private_name_imported_from_another_module():
         if alias.name.startswith("_") and alias.name != "__version__"
     ]
     assert private == []
+
+
+def test_benchmark_tracer_bindings_resolve():
+    """perfbench/child.py wraps each (module, attr) of its SPANS by name in
+    trace mode; a binding a refactor drops would fail every traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    unresolved = [
+        f"{mod}.{attr}"
+        for bindings in child.SPANS.values()
+        for mod, attr in bindings
+        if not callable(getattr(importlib.import_module(f"quditgraph.{mod}"), attr, None))
+    ]
+    assert child.SPANS and unresolved == []

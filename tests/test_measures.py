@@ -1,5 +1,6 @@
 """Reduced states, purities, k-MM, concurrence, wedge product, and bounds."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from quditgraph import (
     ReducedState,
     StateVector,
+    apply_local_fourier,
     build_state,
     cluster_graph,
     concurrence,
@@ -21,13 +23,15 @@ from quditgraph import (
     purity_profile,
     reduced_from_stabilizers,
     schmidt_bounds,
+    stabilizer_tableau,
+    tableau_purity_profile,
     wedge_measure,
 )
 from quditgraph.measures import all_subsystems, subsystem_label
 from quditgraph.pauli import site_matrix
 from quditgraph.states import family_reduced_state
 
-from conftest import family_tableau, random_state_amps, z_tableau
+from conftest import family_tableau, random_graph, random_state_amps, z_tableau
 
 CANONICAL_GRAPHS = {
     "G": ghz_graph,
@@ -298,3 +302,39 @@ def test_profile_json_exact_rationals():
     as_json = prof.to_json_dict()
     assert as_json["13"] == {"exact": "1/9", "float": pytest.approx(1 / 9, abs=1e-9)}
     assert as_json["1"]["exact"] == "1/3"
+
+
+def _assert_profiles_agree(exact, dense):
+    assert exact.d == dense.d and exact.values.keys() == dense.values.keys()
+    for keep, value in exact.values.items():
+        assert abs(float(value) - dense[keep]) <= 1e-12, keep
+    assert exact.to_json_dict() == dense.to_json_dict()
+    assert is_k_mm(exact, 1) == is_k_mm(dense, 1)
+    assert is_k_mm(exact, 2) == is_k_mm(dense, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("family", ["G", "C", "P"])
+def test_tableau_profile_matches_dense_on_families(family, d):
+    _assert_profiles_agree(
+        tableau_purity_profile(family_tableau(family, d)),
+        purity_profile(family_reduced_state(family, d)),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_tableau_profile_matches_dense_on_random_graphs(d):
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(20):
+        g = random_graph(rng, d)
+        sites = tuple(int(q) for q in np.flatnonzero(rng.integers(0, 2, size=4)))
+        _assert_profiles_agree(
+            tableau_purity_profile(stabilizer_tableau(g, sites)),
+            purity_profile(apply_local_fourier(build_state(g), sites)),
+        )
+
+
+def test_tableau_profile_is_exact():
+    prof = tableau_purity_profile(family_tableau("C", 5))
+    assert prof[(0,)] == Fraction(1, 5) and prof[(0, 1)] == Fraction(1, 25)
+    assert prof[(0, 2)] == Fraction(1, 5)
