@@ -11,8 +11,9 @@ Three command groups:
   matrices, cross-checking each class against the exact cut-rank oracle and
   replaying each trace.
 
-Exit codes: 0 success, 2 verification mismatch, 3 invalid input. Output is
-deterministic: fixed key order, floats at 12 significant digits.
+Exit codes: 0 success (also when the reader closes stdout early), 2
+verification mismatch, 3 invalid input. Output is deterministic: fixed key
+order, floats at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ import argparse
 import csv
 import io
 import json
+import os
+import string
 import sys
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +50,22 @@ from .steering import ClassificationError, ZeroProbabilityError
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INVALID = 3
-# The state commands hold all d^4 amplitudes: d = 23 dumps 40 MB at a 431 MB peak.
+# reduce and eigen hold a dense d^4 state (48 MB peak RSS at d = 23); build
+# streams its rows: state build --d 23 writes 55 MB of CSV in 0.5 s at 39 MB.
 MAX_STATE_D = 23
+# Amplitude rows rendered and written per write call: memory stays flat in d.
+_SLAB_ROWS = 4096
+# One amplitude row per format, filled from (row, j1, j2, j3, j4, phase_exp, magnitude):
+# the bytes csv.writer over flatten_json and json.dumps(indent=2) give the row.
+_ROW_TEMPLATES = {
+    "csv": ("amplitudes[{0}].basis[0],{1}\namplitudes[{0}].basis[1],{2}\n"
+            "amplitudes[{0}].basis[2],{3}\namplitudes[{0}].basis[3],{4}\n"
+            "amplitudes[{0}].phase_exp,{5}\namplitudes[{0}].magnitude,{6}\n"),
+    "json": ('\n    {{\n      "basis": [\n        {1},\n        {2},\n        {3},\n'
+             '        {4}\n      ],\n      "phase_exp": {5},\n      "magnitude": {6}\n    }}'),
+}
+_ROW_SEPARATORS = {"csv": "", "json": ","}
+_NULLS = {"csv": "", "json": "null"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,7 +124,66 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write to this path instead of stdout")
 
 
-def _emit(payload: dict, fmt: str, out: str | None) -> None:
+@dataclass(frozen=True)
+class _AmplitudeTable:
+    """Amplitudes omega^phase_exp * magnitude at flat indices of the d^4 basis.
+
+    A phase_exp of -1 marks a phase that is no power of omega. Magnitudes are
+    rendered once: row i has ``magnitudes[mag_code[i]]``, or
+    ``magnitudes[0]`` when mag_code is None.
+    """
+
+    d: int
+    flat: np.ndarray
+    phase_exp: np.ndarray
+    magnitudes: tuple[str, ...]
+    mag_code: np.ndarray | None = None
+
+
+def _strings(items) -> np.ndarray:
+    return np.array([str(x) for x in items], dtype=object)
+
+
+def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
+    """The table's rows as the row template renders them, _SLAB_ROWS at a time.
+
+    A slab is one join over a grid of cells: the template's literal text and
+    its fields, picked from small tables of rendered numbers, so no string is
+    built per row. A row number is two cells, its thousands and the rest.
+    """
+    n = len(table.flat)
+    digits = _strings(range(table.d))
+    phases = _strings([*range(table.d), _NULLS[fmt]])  # phase_exp -1 picks the null
+    magnitudes = np.array(table.magnitudes, dtype=object)
+    thousands = _strings(range(n // 1000 + 1))
+    thousands[0] = ""
+    units = _strings(range(1000))
+    padded_units = _strings(f"{k:03}" for k in range(1000))
+    template = list(string.Formatter().parse(_ROW_TEMPLATES[fmt]))
+    for start in range(0, n, _SLAB_ROWS):
+        stop = min(start + _SLAB_ROWS, n)
+        high, low = np.divmod(np.arange(start, stop), 1000)
+        basis = np.unravel_index(table.flat[start:stop], (table.d,) * 4)
+        fields = {
+            "0": (thousands[high], np.where(high > 0, padded_units[low], units[low])),
+            **{str(q + 1): (digits[j],) for q, j in enumerate(basis)},
+            "5": (phases[table.phase_exp[start:stop]],),
+            "6": (magnitudes[0 if table.mag_code is None else table.mag_code[start:stop]],),
+        }
+        columns = [_ROW_SEPARATORS[fmt]]
+        for literal, field, _, _ in template:
+            columns.append(literal)
+            columns.extend(fields[field] if field is not None else ())
+        cells = np.empty((stop - start, len(columns)), dtype=object)
+        for c, column in enumerate(columns):
+            cells[:, c] = column
+        if start == 0:
+            cells[0, 0] = ""  # no separator before the first row
+        yield "".join(cells.ravel().tolist())
+
+
+def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
+    """Output text in pieces: payload, then the amplitude rows under "amplitudes"."""
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -117,14 +193,34 @@ def _emit(payload: dict, fmt: str, out: str | None) -> None:
         for path, value in flatten_json(payload):
             writer.writerow([path, "" if value is None else value])
         text = buf.getvalue()
+    if amplitudes is None:
+        yield text
+        return
+    tail = ""
+    if fmt == "json":  # reopen the payload's closing brace for the list
+        text = text[: -len("\n}\n")] + ',\n  "amplitudes": ['
+        tail = "\n  ]\n}\n"
+    yield text
+    yield from _amplitude_slabs(amplitudes, fmt)
+    yield tail
+
+
+def _emit(payload: dict, fmt: str, out: str | None,
+          amplitudes: _AmplitudeTable | None = None) -> None:
+    """Write payload to ``out`` or stdout, followed by the amplitude table if
+    given: its rows are rendered and written a slab at a time."""
+    pieces = _render(payload, fmt, amplitudes)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                for piece in pieces:
+                    fh.write(piece)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        stdout = sys.stdout  # looked up per call: tests and callers replace it
+        for piece in pieces:
+            stdout.write(piece)
 
 
 def _parse_matrix(text: str) -> AdjacencyMatrix:
@@ -146,35 +242,26 @@ def _resolve_graph(args) -> AdjacencyMatrix:
     return family_graph(args.family, args.d, args.gamma)
 
 
-def _graph_amplitudes(g: AdjacencyMatrix) -> list[dict]:
-    """Exact (basis, phase exponent, magnitude) triples of a graph state."""
-    magnitude = fmt_float(1.0 / g.d**2)
-    exponents = phase_exponents(g).reshape(-1).tolist()
-    return [
-        {"basis": list(idx), "phase_exp": exp, "magnitude": magnitude}
-        for idx, exp in zip(product(range(g.d), repeat=4), exponents)
-    ]
+def _graph_amplitudes(g: AdjacencyMatrix) -> _AmplitudeTable:
+    """Exact amplitudes omega^phase_exp / d^2 of a graph state, in basis order."""
+    exponents = phase_exponents(g).reshape(-1)
+    return _AmplitudeTable(g.d, np.arange(exponents.size), exponents,
+                           (repr(fmt_float(1.0 / g.d**2)),))
 
 
-def _state_amplitudes(state, tol: float = 1e-9) -> list[dict]:
-    """Nonzero amplitudes as triples, after normalizing the global phase so
-    the first nonzero amplitude is real positive."""
+def _state_amplitudes(state, tol: float = 1e-9) -> _AmplitudeTable:
+    """Nonzero amplitudes of a four-qudit state, after normalizing the global
+    phase so the first nonzero amplitude is real positive."""
     d = state.d
     amps = state.amps
-    nz = np.nonzero(np.abs(amps) > tol)[0]
-    rotated = amps * (abs(amps[nz[0]]) / amps[nz[0]])
-    rows = []
-    for flat in nz:
-        a = rotated[flat]
-        mag = abs(a)
-        k = int(np.round(d * np.angle(a) / (2 * np.pi))) % d
-        entry = {
-            "basis": [int(v) for v in np.unravel_index(int(flat), (d,) * state.n_qudits)],
-            "phase_exp": k if abs(a - mag * omega_powers(d)[k]) <= 1e-8 * mag else None,
-            "magnitude": fmt_float(mag),
-        }
-        rows.append(entry)
-    return rows
+    flat = np.nonzero(np.abs(amps) > tol)[0]
+    rotated = amps[flat] * (abs(amps[flat[0]]) / amps[flat[0]])
+    mag = np.abs(rotated)
+    k = np.round(d * np.angle(rotated) / (2 * np.pi)).astype(np.int64) % d
+    exact = np.abs(rotated - mag * omega_powers(d)[k]) <= 1e-8 * mag
+    mags, mag_code = np.unique(mag, return_inverse=True)
+    return _AmplitudeTable(d, flat, np.where(exact, k, -1),
+                           tuple(repr(fmt_float(m)) for m in mags), mag_code)
 
 
 def _cmd_state(args) -> int:
@@ -184,16 +271,14 @@ def _cmd_state(args) -> int:
     meta = metadata(d=g.d, family=args.family, gamma=args.gamma,
                     matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
     if args.action == "build":
-        payload = {"metadata": meta, "amplitudes": _graph_amplitudes(g)}
-        _emit(payload, args.format, args.out)
+        _emit({"metadata": meta}, args.format, args.out, _graph_amplitudes(g))
         return EXIT_OK
     if args.action == "reduce":
         if not args.family:
             raise ValueError("reduce needs a named family (the reduction frame)")
         state = family_reduced_state(args.family, g.d, args.gamma)
         meta["fourier_sites"] = [s + 1 for s in family_fourier_sites(args.family)]
-        payload = {"metadata": meta, "amplitudes": _state_amplitudes(state)}
-        _emit(payload, args.format, args.out)
+        _emit({"metadata": meta}, args.format, args.out, _state_amplitudes(state))
         return EXIT_OK
     # eigen
     if args.generators == "reduced":
@@ -248,7 +333,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"state": _cmd_state, "tables": _cmd_tables, "classify": _cmd_classify}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`quditgraph ... | head`): stop quietly,
+        # with stdout on devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (VerificationFailure, ClassificationError, ZeroProbabilityError) as exc:
         # before ValueError: the steering errors subclass it but are failed checks
         sys.stderr.write(f"quditgraph: verification failed: {exc}\n")

@@ -97,12 +97,12 @@ class StateVector:
 def phase_exponents(g: AdjacencyMatrix) -> np.ndarray:
     """Amplitude exponents sum_{n<m} w_nm j_n j_m mod d as an int array of shape (d,)*4."""
     d = g.d
-    idx = np.indices((d,) * N_VERTICES)
+    idx = np.indices((d,) * N_VERTICES, sparse=True)  # broadcast axes, not d^4 x 4 digits
     exponent = np.zeros((d,) * N_VERTICES, dtype=int)
     for n, m in combinations(range(N_VERTICES), 2):
         w = g.entries[n][m]
         if w:
-            exponent = exponent + w * idx[n] * idx[m]
+            exponent += w * idx[n] * idx[m]
     return exponent % d
 
 

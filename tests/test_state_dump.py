@@ -1,0 +1,235 @@
+"""`state build` and `state reduce` stream their amplitude rows in slabs: the
+bytes must equal the one-dict-per-amplitude route, memory must stay flat, and
+a reader that closes the pipe early must not see a traceback."""
+
+import csv
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from itertools import product
+
+import numpy as np
+import pytest
+
+import quditgraph
+from quditgraph import cli
+from quditgraph.cli import EXIT_INVALID, EXIT_OK, main
+from quditgraph.pauli import omega_powers
+from quditgraph.serialize import BASIS_ORDER, flatten_json, fmt_float, metadata
+from quditgraph.states import (
+    StateVector,
+    family_fourier_sites,
+    family_graph,
+    family_reduced_state,
+    phase_exponents,
+)
+
+from conftest import random_graph, random_state_amps
+
+FAMILY_ARGS = [("G", None), ("C", None), ("P", None), ("psi", 2)]
+P13_CSV_SHA256 = "6996e5e1031b35fc3e2f63ad9c90bf283fbb2f1a4e0102304ae0b316751d49cc"
+
+
+def reference_graph_amplitudes(g) -> list[dict]:
+    """One dict per basis state, in basis order."""
+    magnitude = fmt_float(1.0 / g.d**2)
+    exponents = phase_exponents(g).reshape(-1).tolist()
+    return [
+        {"basis": list(idx), "phase_exp": exp, "magnitude": magnitude}
+        for idx, exp in zip(product(range(g.d), repeat=4), exponents)
+    ]
+
+
+def reference_state_amplitudes(state, tol: float = 1e-9) -> list[dict]:
+    """One dict per nonzero amplitude, one amplitude at a time, with the global
+    phase normalized so the first nonzero amplitude is real positive."""
+    d = state.d
+    amps = state.amps
+    nz = np.nonzero(np.abs(amps) > tol)[0]
+    rotated = amps * (abs(amps[nz[0]]) / amps[nz[0]])
+    rows = []
+    for flat in nz:
+        a = rotated[flat]
+        mag = abs(a)
+        k = int(np.round(d * np.angle(a) / (2 * np.pi))) % d
+        rows.append({
+            "basis": [int(v) for v in np.unravel_index(int(flat), (d,) * state.n_qudits)],
+            "phase_exp": k if abs(a - mag * omega_powers(d)[k]) <= 1e-8 * mag else None,
+            "magnitude": fmt_float(mag),
+        })
+    return rows
+
+
+def reference_text(payload: dict, fmt: str) -> str:
+    """The whole payload through json.dumps, or csv.writer over flatten_json."""
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["path", "value"])
+    for path, value in flatten_json(payload):
+        writer.writerow([path, "" if value is None else value])
+    return buf.getvalue()
+
+
+def assert_same_text(text: str, expected: str, label) -> None:
+    """Equality of two dumps, reporting the first difference in context
+    rather than diffing megabytes."""
+    if text != expected:
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+                  min(len(text), len(expected)))
+        window = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"{label}: dumps differ at character {at}: "
+                    f"{text[window]!r} != {expected[window]!r}")
+
+
+def _graph_cases(d: int):
+    """(CLI graph arguments, graph, family, gamma) for the four families and
+    two seeded inline matrices."""
+    for family, gamma in FAMILY_ARGS:
+        args = ["--family", family, "--d", str(d)]
+        if gamma is not None:
+            args += ["--gamma", str(gamma)]
+        yield args, family_graph(family, d, gamma), family, gamma
+    rng = np.random.default_rng(1000 + d)
+    for _ in range(2):
+        g = random_graph(rng, d)
+        matrix = json.dumps({"d": d, "gamma": [list(row) for row in g.entries]})
+        yield ["--matrix", matrix], g, None, None
+
+
+def _dump(capsys, tmp_path, argv, out: bool) -> str:
+    if out:
+        target = tmp_path / "dump.txt"
+        argv = [*argv, "--out", str(target)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_OK, captured.err
+    assert captured.err == ""
+    if out:
+        assert captured.out == ""
+        return target.read_text(encoding="utf-8")
+    return captured.out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("action", ["build", "reduce"])
+def test_streamed_dump_matches_reference(capsys, tmp_path, action, d):
+    # each graph goes through one (format, sink) pair, cycling, so every d and
+    # action covers both formats on stdout and with --out, and every graph
+    # meets both formats over the four d values
+    sinks = [(fmt, to_file) for fmt in ("csv", "json") for to_file in (False, True)]
+    for case, (args, g, family, gamma) in enumerate(_graph_cases(d)):
+        if action == "reduce" and family is None:
+            continue  # reduce needs a named family's Fourier frame
+        meta = metadata(d=d, family=family, gamma=gamma,
+                        matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
+        if action == "build":
+            amplitudes = reference_graph_amplitudes(g)
+        else:
+            meta["fourier_sites"] = [s + 1 for s in family_fourier_sites(family)]
+            amplitudes = reference_state_amplitudes(family_reduced_state(family, d, gamma))
+        fmt, to_file = sinks[(case + d) % len(sinks)]
+        expected = reference_text({"metadata": meta, "amplitudes": amplitudes}, fmt)
+        text = _dump(capsys, tmp_path, ["state", action, *args, "--format", fmt], to_file)
+        assert_same_text(text, expected, (action, args, fmt, to_file))
+
+
+def test_streamed_rows_render_inexact_phases_and_mixed_magnitudes(capsys):
+    # a generic state over more rows than one slab: random magnitudes, half
+    # the phases powers of omega, most amplitudes zero and dropped
+    d = 11
+    rng = np.random.default_rng(7)
+    amps = random_state_amps(rng, d**4)
+    exact = rng.random(d**4) < 0.5
+    amps[exact] = np.abs(amps[exact]) * omega_powers(d)[rng.integers(0, d, exact.sum())]
+    amps[rng.random(d**4) < 0.67] = 0
+    state = StateVector(d, 4, amps / np.linalg.norm(amps))
+    reference = reference_state_amplitudes(state)
+    assert len(reference) > cli._SLAB_ROWS
+    assert {a["phase_exp"] is None for a in reference} == {True, False}
+    table = cli._state_amplitudes(state)
+    for fmt in ("csv", "json"):
+        cli._emit({"metadata": {"d": d}}, fmt, None, table)
+        expected = reference_text({"metadata": {"d": d}, "amplitudes": reference}, fmt)
+        assert_same_text(capsys.readouterr().out, expected, fmt)
+
+
+def test_state_dump_d13_sha256(capsys):
+    argv = ["state", "build", "--family", "P", "--d", "13", "--format", "csv"]
+    out = _dump(capsys, None, argv, out=False)
+    assert hashlib.sha256(out.encode()).hexdigest() == P13_CSV_SHA256
+
+
+def test_state_build_memory_stays_flat(tmp_path):
+    target = tmp_path / "p23.csv"
+    argv = ["state", "build", "--family", "P", "--d", "23", "--format", "csv", "--out", str(target)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    written = target.stat().st_size
+    assert written > 50 * 2**20
+    assert peak < 0.25 * written, (peak, written)
+
+
+@pytest.mark.parametrize("action", ["build", "reduce"])
+def test_state_unwritable_out_is_invalid_input(tmp_path, capsys, action):
+    target = tmp_path / "missing" / "x.csv"
+    code = main(["state", action, "--family", "P", "--d", "5", "--format", "csv",
+                 "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "cannot write" in captured.err
+    assert "Traceback" not in captured.err
+    assert not target.parent.exists()
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # Each dump is megabytes, written over several slabs: the writes after the
+    # reader has read 10 bytes and gone fail with a broken pipe. Stdout is
+    # block-buffered, as it is by default on a pipe.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quditgraph.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    heads = {"csv": b"path,value", "json": b'{\n  "metad'}
+    procs = {
+        fmt: subprocess.Popen(
+            [sys.executable, "-m", "quditgraph.cli", "state", "build", "--family", "P",
+             "--d", "11", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        for fmt in heads
+    }
+    try:
+        for fmt, proc in procs.items():
+            assert proc.stdout.read(10) == heads[fmt]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait(timeout=60) == EXIT_OK, (fmt, err)
+            assert err == b"", fmt
+    finally:
+        for proc in procs.values():
+            proc.kill()  # a no-op for a process already waited for
+            proc.wait()
+
+
+def test_pipe_closed_before_output_exits_quietly(monkeypatch):
+    # a short output sits in stdout's buffer: main flushes it, meets the
+    # closed pipe, and leaves stdout on devnull for the flush at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["classify", "--exhaustive", "--d", "2"]) == EXIT_OK
+        pipe.write("more")
+        pipe.flush()
