@@ -162,9 +162,9 @@ def purity_profile(s: StateVector) -> PurityProfile:
 
 def tableau_purity_profile(t: Tableau) -> PurityProfile:
     """Exact purities Fraction(1, d**entropy) of all one- and two-site subsystems."""
-    xz = t.xz.reshape(N_VERTICES, -1)
-    values = {keep: Fraction(1, t.d ** int(tableau_entropy(xz, keep, t.d)))
-              for keep in all_subsystems(N_VERTICES, 2)}
+    keeps = all_subsystems(N_VERTICES, 2)
+    entropy = tableau_entropy(t.xz.reshape(N_VERTICES, -1), keeps, t.d).tolist()
+    values = {keep: Fraction(1, t.d ** e) for keep, e in zip(keeps, entropy)}
     return PurityProfile(t.d, N_VERTICES, values)
 
 

@@ -46,12 +46,16 @@ def exact_and_float(x) -> dict:
 def flatten_json(obj, prefix: str = "") -> list[tuple[str, object]]:
     """Depth-first (path, leaf-value) pairs of a JSON-like structure."""
     rows: list[tuple[str, object]] = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            rows.extend(flatten_json(v, f"{prefix}.{k}" if prefix else str(k)))
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            rows.extend(flatten_json(v, f"{prefix}[{i}]"))
-    else:
-        rows.append((prefix, obj))
+
+    def walk(node, path: str) -> None:
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, f"{path}.{k}" if path else str(k))
+        elif isinstance(node, (list, tuple)):
+            for i, v in enumerate(node):
+                walk(v, f"{path}[{i}]")
+        else:
+            rows.append((path, node))
+
+    walk(obj, prefix)
     return rows

@@ -189,11 +189,24 @@ def stabilizer_tableau(g: AdjacencyMatrix, fourier_sites: Sequence[int]) -> Tabl
     return Tableau(g.d, xz)
 
 
-def tableau_entropy(t: np.ndarray, sites, d: int) -> np.ndarray:
-    """Entanglement of ``sites`` with the rest, in units of log d, for a batch
-    of tableaux (..., rows, 2n): the GF(d) rank of the sites' columns minus the
-    number of sites (Hein, Eisert and Briegel, PRA 69, 062311)."""
-    return rank_mod(t[..., [c for i in sites for c in (2 * i, 2 * i + 1)]], d) - len(sites)
+def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]], d: int) -> np.ndarray:
+    """Entanglement of each of k site sets with the rest, in units of log d,
+    for a batch of tableaux (..., rows, 2n) reduced mod d: shape (..., k), the
+    GF(d) rank of a set's columns minus its size (Hein, Eisert and Briegel,
+    PRA 69, 062311). Smaller sets are padded with zero columns. A lone site's
+    two columns have rank (any entry nonzero) + (any 2x2 minor nonzero)."""
+    sizes = [len(s) for s in site_sets]
+    width = max(sizes)
+    cols = np.array([[c for i in s for c in (2 * i, 2 * i + 1)] + [0] * (2 * (width - len(s)))
+                     for s in site_sets])
+    m = np.moveaxis(t[..., cols], -3, -2)  # (..., k, rows, 2 width)
+    if width == 1:
+        x, z = m[..., :, None, 0], m[..., None, :, 1]
+        minors = (x * z - np.swapaxes(x * z, -1, -2)) % d
+        rank = m.any(axis=(-2, -1)).astype(np.int64) + minors.any(axis=(-2, -1))
+    else:
+        rank = rank_mod(m * (np.arange(2 * width) < 2 * np.array(sizes)[:, None])[:, None], d)
+    return rank - np.array(sizes)
 
 
 def iter_stabilizers(g: AdjacencyMatrix) -> Iterator[tuple[tuple[int, ...], PauliWord]]:

@@ -10,8 +10,10 @@ The engine is exact: bases are lines of GF(d)^2, (0, 1) for Z and (1, k)
 for XZ^k, and measuring qudit q of a ``Tableau`` along one clears the rows
 with a nonzero symplectic product against a pivot row, zeroes the pivot, and
 deletes q's columns (Gottesman, quant-ph/9802007). Residues are classed by
-``states.tableau_entropy``, the exact entropy of sites on a tableau. Each
-elimination runs over all d+1 lines at once.
+``states.tableau_entropy``, the exact entropy of sites on a tableau. One
+elimination measures all four first qudits along all d+1 lines, then one per
+first qudit measures all three second qudits along all (d+1)^2 line pairs;
+each level's single-site entropies take one ``tableau_entropy`` call.
 ``project``, ``classify3`` and ``classify2`` are the single-event form on
 dense vectors, with PROB_TOL and PURITY_TOL.
 """
@@ -305,14 +307,18 @@ class PathTally:
         return tuple(mv for mv in self.moves if mv.qudit == qudit)
 
 
-def _measure(t: np.ndarray, q: int, d: int) -> np.ndarray:
-    """Residual tableaux of measuring qudit q of a batch ``t`` (..., rows, 2n)
-    along every line, in ``all_bases`` order: shape (..., d+1, rows, 2n-2)."""
+def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
+    """Residual tableaux of measuring each qudit q of a batch ``t`` (..., rows,
+    2n) along every line, in ``all_bases`` order: shape (n, ..., d+1, rows,
+    2n-2), the other qudits' columns in order. Row operations commute with
+    deleting columns, so q's columns are split off before the elimination."""
+    n = t.shape[-1] // 2
+    order = [[q] + [p for p in range(n) if p != q] for q in range(n)]
+    cols = np.array([[c for p in sites for c in (2 * p, 2 * p + 1)] for sites in order])
+    g = np.moveaxis(t[..., cols], -2, 0)[..., None, :, :]  # (n, ..., 1, rows, 2n)
     lines = np.array([(0, 1)] + [(1, k) for k in range(d)])
-    x, z = t[..., None, :, 2 * q], t[..., None, :, 2 * q + 1]
-    col = (x * lines[:, 1:] - z * lines[:, :1]) % d  # symplectic products
-    t = np.broadcast_to(t[..., None, :, :], col.shape + t.shape[-1:])
-    return np.delete(eliminate_mod(t, col, d), (2 * q, 2 * q + 1), axis=-1)
+    col = (g[..., 0] * lines[:, 1:] - g[..., 1] * lines[:, :1]) % d  # symplectic products
+    return eliminate_mod(np.broadcast_to(g[..., 2:], col.shape + (2 * n - 2,)), col, d)
 
 
 def enumerate_paths(t: Tableau) -> PathTally:
@@ -321,19 +327,16 @@ def enumerate_paths(t: Tableau) -> PathTally:
     """
     d = t.d
     bases = all_bases(d)
+    res3 = _measure_each(t.xz.reshape(4, 8), d)  # (q1, b1, rows, 6)
+    firsts = (tableau_entropy(res3, ((0,), (1,), (2,)), d) == 0).tolist()
+    labels = [((q2, b2, PRODUCT), (q2, b2, BELL)) for q2 in range(3) for b2 in bases]
     moves = []
     for q1 in range(4):
-        res3 = _measure(t.xz.reshape(4, 8), q1, d)
-        firsts = np.stack([tableau_entropy(res3, (i,), d) == 0 for i in range(3)], -1).tolist()
-        seconds = [(tableau_entropy(_measure(res3, q2, d), (0,), d) == 0).tolist()
-                   for q2 in range(3)]
-        for i, b1 in enumerate(bases):
-            pairs = tuple(
-                (q2, b2, PRODUCT if seconds[q2][i][j] else BELL)
-                for q2 in range(3)
-                for j, b2 in enumerate(bases)
-            )
-            moves.append(FirstMove(q1, b1, _class3(firsts[i]), pairs))
+        pure = tableau_entropy(_measure_each(res3[q1], d), ((0,),), d)[..., 0] == 0
+        seconds = pure.transpose(1, 0, 2).reshape(d + 1, -1).tolist()  # (b1, q2 b2)
+        for b1, second, first in zip(bases, seconds, firsts[q1]):
+            pairs = tuple(lab[0] if p else lab[1] for lab, p in zip(labels, second))
+            moves.append(FirstMove(q1, b1, _class3(first), pairs))
     return PathTally(d, tuple(moves))
 
 
@@ -360,7 +363,7 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
     re-enumeration.
     """
     d = t.d
-    if all(tableau_entropy(t.xz.reshape(4, 8), (i,), d) == 0 for i in range(4)):
+    if (tableau_entropy(t.xz.reshape(4, 8), [(i,) for i in range(4)], d) == 0).all():
         return PersistencyStats(0.0, 0, 0.0, Fraction(0), Fraction(0))
     if tally is None:
         tally = enumerate_paths(t)
@@ -392,5 +395,5 @@ def schmidt_bounds(t: Tableau) -> tuple[float, int]:
     states the two coincide and equal the Schmidt measure.
     """
     cuts = [keep for keep in all_subsystems(4, 2) if len(keep) == 1 or 0 in keep]
-    lower = max(int(tableau_entropy(t.xz.reshape(4, 8), keep, t.d)) for keep in cuts)
+    lower = int(tableau_entropy(t.xz.reshape(4, 8), cuts, t.d).max())
     return float(lower), persistency_stats(t).n_min

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, verification gating, and determinism."""
 
+import hashlib
 import json
 import time
 from itertools import product
@@ -124,6 +125,17 @@ def test_tables_large_d_up_to_cap(capsys):
             expected = report.expected_purity_columns(family, d)
             for column, value in zip(labels, expected):
                 assert {purities[family][label]["exact"] for label in column} == {str(value)}
+
+
+@pytest.mark.parametrize("d_values, sha256", [
+    ((17, 19, 23, 29, 31), "23325229794587b1482459c9eb934d4f930bf5296e22148f8e1ae109f13ac133"),
+    ((61, 101), "f44596c4b8c4768950f41c71116000062a688ed9f4e66354ecb4ad38dcc7d675"),
+])
+def test_tables_large_d_sha256(capsys, d_values, sha256):
+    # no benchmark workload runs tables beyond d = 13, so its bytes are pinned here
+    code, out, err = run_cli(capsys, "tables", *(a for d in d_values for a in ("--d", str(d))))
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_tables_builds_no_dense_state(monkeypatch):

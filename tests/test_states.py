@@ -26,8 +26,15 @@ from quditgraph import (
     stabilizer,
     verify_eigen,
 )
-from quditgraph.pauli import omega_powers
-from quditgraph.states import family_reduced_generators, family_reduced_state, phase_exponents
+from quditgraph.measures import all_subsystems
+from quditgraph.pauli import eliminate_mod, omega_powers, rank_mod
+from quditgraph.states import (
+    family_reduced_generators,
+    family_reduced_state,
+    phase_exponents,
+    stabilizer_tableau,
+    tableau_entropy,
+)
 
 from conftest import random_graph, reference_phase_exponents
 
@@ -359,3 +366,43 @@ def test_phase_exponents_match_loop_reference(d):
         exps = phase_exponents(g)
         assert exps.shape == (d,) * 4
         np.testing.assert_array_equal(exps, reference_phase_exponents(g))
+
+
+def random_row_mix(rng, d):
+    """A random invertible 4x4 matrix over GF(d)."""
+    while True:
+        m = rng.integers(0, d, size=(4, 4))
+        if rank_mod(m, d) == 4:
+            return m
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+def test_tableau_entropy_batch_matches_per_set_rank(d):
+    # random graph tableaux, every third with some edges removed (often
+    # disconnected), in random Fourier frames, with their rows mixed by a
+    # random invertible matrix; plus their residuals after measuring qudit 0
+    # along a random line, which have a zero row. Every site set of the batch,
+    # and the lone sites through the minor rule, must match one rank_mod per set.
+    rng = np.random.default_rng(2000 + d)
+    full, residual = [], []
+    for n in range(30):
+        weights = np.zeros((4, 4), dtype=int)
+        weights[np.triu_indices(4, 1)] = rng.integers(0, d, size=6) * (
+            rng.integers(0, 2, size=6) if n % 3 == 0 else 1)
+        g = AdjacencyMatrix.from_array(weights + weights.T, d)
+        sites = tuple(np.flatnonzero(rng.integers(0, 2, size=4)))
+        t = (random_row_mix(rng, d) @ stabilizer_tableau(g, sites).xz.reshape(4, 8)) % d
+        full.append(t)
+        a, b = [(0, 1), (1, int(rng.integers(d)))][int(rng.integers(2))]
+        col = (t[:, 0] * b - t[:, 1] * a) % d
+        residual.append(eliminate_mod(t, col, d)[:, 2:])
+    for batch, n_sites in ((np.array(full), 4), (np.array(residual), 3)):
+        singles = all_subsystems(n_sites, 1)
+        for site_sets in (singles, all_subsystems(n_sites, n_sites)):
+            got = tableau_entropy(batch, site_sets, d)
+            assert got.shape == (len(batch), len(site_sets))
+            assert set(got[:, :n_sites].ravel().tolist()) == {0, 1}  # pure and mixed lone sites
+            for t, row in zip(batch, got.tolist()):
+                expected = [int(rank_mod(t[:, [c for i in s for c in (2 * i, 2 * i + 1)]], d)) - len(s)
+                            for s in site_sets]
+                assert row == expected

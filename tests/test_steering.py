@@ -12,6 +12,7 @@ from quditgraph import (
     StateVector,
     ZeroProbabilityError,
     all_bases,
+    apply_local_fourier,
     build_state,
     classify2,
     classify3,
@@ -440,7 +441,8 @@ def test_batched_paths_match_reference_families(d, family):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_batched_paths_match_reference_random_graphs(d):
     # every third graph keeps a random subset of its edges, so the batch
-    # holds disconnected graphs as well as connected ones
+    # holds disconnected graphs as well as connected ones; at d <= 5 each
+    # graph is also compared in a frame with random Fourier sites
     rng = np.random.default_rng(1000 + d)
     weights = rng.integers(0, d, size=(24, 6))
     weights[::3] *= rng.integers(0, 2, size=(8, 6))
@@ -451,6 +453,10 @@ def test_batched_paths_match_reference_random_graphs(d):
         grid[np.triu_indices(4, 1)] = w
         g = AdjacencyMatrix.from_array(grid + grid.T, d)
         assert enumerate_paths(stabilizer_tableau(g, ())) == reference_paths(build_state(g))
+        if d <= 5:  # the same graph with the Fourier gate on random sites
+            sites = tuple(np.flatnonzero(rng.integers(0, 2, size=4)))
+            state = apply_local_fourier(build_state(g), sites)
+            assert enumerate_paths(stabilizer_tableau(g, sites)) == reference_paths(state)
 
 
 def test_batched_paths_match_reference_basis_state():
