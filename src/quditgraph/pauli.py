@@ -91,7 +91,10 @@ def eliminate_mod(t: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
 
 
 def rank_mod(m: np.ndarray, d: int) -> np.ndarray:
-    """Ranks over GF(d) of a batch of integer matrices (..., rows, columns)."""
+    """Ranks over GF(d) of a batch of integer matrices (..., rows, columns),
+    one elimination per column of the narrower of m and its transpose."""
+    if m.shape[-2] < m.shape[-1]:
+        m = np.swapaxes(m, -1, -2)
     rank = 0
     for c in range(m.shape[-1]):
         rank = rank + (m[..., c] != 0).any(axis=-1)

@@ -30,7 +30,10 @@ __all__ = [
 ]
 
 FAMILIES = ("G", "C", "P")
-MAX_TABLES_D = 101
+# Every int64 product in the tableau arithmetic multiplies two residues mod d,
+# so all intermediates stay below 2d^2 (about 2e6 here). The cap bounds time
+# and memory: a tally's pair array holds 12(d+1)^2 booleans, 12 MB at d = 1009.
+MAX_TABLES_D = 1009
 
 # Checked purity columns, in the order of expected_purity_columns; (0,2) and
 # (1,3) are the diagonally coordinated pairs of the square.

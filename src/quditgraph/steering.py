@@ -9,13 +9,38 @@ tallies, per-branch trees, and averaged persistency statistics.
 The engine is exact: bases are lines of GF(d)^2, (0, 1) for Z and (1, k)
 for XZ^k, and measuring qudit q of a ``Tableau`` along one clears the rows
 with a nonzero symplectic product against a pivot row, zeroes the pivot, and
-deletes q's columns (Gottesman, quant-ph/9802007). Residues are classed by
-``states.tableau_entropy``, the exact entropy of sites on a tableau. One
-elimination measures all four first qudits along all d+1 lines, then one per
-first qudit measures all three second qudits along all (d+1)^2 line pairs;
-each level's single-site entropies take one ``tableau_entropy`` call.
-``project``, ``classify3`` and ``classify2`` are the single-event form on
-dense vectors, with PROB_TOL and PURITY_TOL.
+deletes q's columns (Gottesman, quant-ph/9802007). One batched elimination
+measures all four first qudits along all d+1 lines, and
+``states.tableau_entropy`` classes each 3-qudit residue R by which of its
+sites are pure (Hein, Eisert and Briegel, PRA 69, 062311). Every second
+measurement is then classed from R alone, with no further elimination:
+
+Let R's rows span V (dim V = 3), measure site c along line l, and let a, b
+be the other two sites. The measurement keeps the v in V with v_c in <l>
+and adds l on c, so the pair (a, b) is stabilized by those v's restrictions;
+it is a product exactly when site a is pure there, that is, when some v in V
+has v_b = 0, v_a != 0 and v_c in <l>. With W = {v in V : v_b = 0}, a site
+set's entropy being its size minus the dimension of V's vectors supported on
+it gives dim W = 2 - S(b) and, for each site s, a nonzero v supported on s
+alone exactly when s is pure. Hence, by R's purity pattern:
+
+- all three sites pure: take v on a alone; a product for every l;
+- one pure site s, c = s: W is spanned by the v on c alone, whose v_a = 0;
+  a Bell pair for every l;
+- one pure site s = a: take v on a alone; a product for every l;
+- one pure site s = b: W, of dim 2, stabilizes a Bell pair of a and c, so
+  v -> v_c is a bijection of W onto GF(d)^2; the v with v_c = l has v_a != 0;
+  a product for every l;
+- no pure site: W = <n>, where n_a != 0 (else c would be pure) and n_c != 0
+  (else a would be); a product exactly when n_c in <l>, i.e. when l is
+  n_c's line, Z if n_c = (0, z) and XZ^(z/x) if n_c = (x, z) with x != 0;
+- two pure sites: no stabilizer state (S(c) = S(ab) <= S(a) + S(b) = 0),
+  so ``ClassificationError``.
+
+n comes from two eliminations that clear b's columns, batched over every
+residue and c, so the second level costs O(d) per tally beyond filling its
+boolean arrays. ``project``, ``classify3`` and ``classify2`` are the
+single-event form on dense vectors, with PROB_TOL and PURITY_TOL.
 """
 
 from __future__ import annotations
@@ -237,74 +262,80 @@ def classify2(s: StateVector) -> StateClass2:
     return StateClass2(PRODUCT if pure[0] else BELL)
 
 
-@dataclass(frozen=True)
-class FirstMove:
-    """One first measurement (qudit, basis), its residue class, and the class
-    of every second measurement that can follow it. Second-qudit indices refer
-    to positions within the 3-qudit residual state."""
-
-    qudit: int
-    basis: MeasurementBasis
-    class3: StateClass3
-    seconds: tuple[tuple[int, MeasurementBasis, str], ...]
-
-    def pair_count(self, kind: str) -> int:
-        return sum(1 for _, _, c in self.seconds if c == kind)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathTally:
-    """Classified outcomes of all single measurements and measurement pairs.
+    """Classified outcomes of all single measurements and measurement pairs,
+    as two read-only boolean arrays over the lines of ``all_bases``:
 
+    - ``first`` (4 q1, d+1 b1, 3 sites): which sites of the residue of
+      measuring qudit q1 along b1 are pure; three pure sites make a product,
+      one an S_nB state and none a GHZ3 state;
+    - ``pure`` (4 q1, d+1 b1, 3 q2, d+1 b2): whether measuring residue site
+      q2 along b2 next leaves a product pair rather than a Bell pair.
+
+    Residue sites are positions within the 3-qudit residual state.
     First-measurement classes total 4(d+1); ordered pairs total 12(d+1)^2.
     """
 
     d: int
-    moves: tuple[FirstMove, ...]
+    first: np.ndarray
+    pure: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = self.d + 1
+        first, pure = np.asarray(self.first, dtype=bool), np.asarray(self.pure, dtype=bool)
+        if first.shape != (4, n, 3) or pure.shape != (4, n, 3, n):
+            raise ValueError(f"expected arrays of shapes (4, {n}, 3) and (4, {n}, 3, {n})")
+        first, pure = first.view(), pure.view()
+        first.flags.writeable = pure.flags.writeable = False
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "pure", pure)
+        # per first move (q1, b1): pure residue sites, second moves to a product
+        object.__setattr__(self, "_per_move", (first.sum(-1), pure.sum((-2, -1))))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PathTally):
+            return NotImplemented
+        return (self.d == other.d and np.array_equal(self.first, other.first)
+                and np.array_equal(self.pure, other.pure))
 
     def first_counts(self, qudit: int | None = None) -> dict[str, int]:
-        counts = {PRODUCT: 0, SNB: 0, GHZ3: 0}
-        for mv in self._moves(qudit):
-            counts[mv.class3.kind] += 1
-        return counts
+        counts = np.bincount(self._moves(qudit)[0], minlength=4)
+        return {PRODUCT: int(counts[3]), SNB: int(counts[1]), GHZ3: int(counts[0])}
 
     def pair_counts(self, qudit: int | None = None) -> dict[str, int]:
-        counts = {PRODUCT: 0, BELL: 0}
-        for mv in self._moves(qudit):
-            counts[PRODUCT] += mv.pair_count(PRODUCT)
-            counts[BELL] += mv.pair_count(BELL)
-        return counts
+        n_pure, products = self._moves(qudit)
+        return self._pairs(products, len(n_pure))
 
     def persistency_histogram(self, qudit: int | None = None) -> dict[int, int]:
         """Paths binned by the measurement count after which entanglement is gone."""
-        hist = {1: 0, 2: 0, 3: 0}
-        for mv in self._moves(qudit):
-            if mv.class3.kind == PRODUCT:
-                hist[1] += len(mv.seconds)
-                continue
-            for _, _, c in mv.seconds:
-                hist[2 if c == PRODUCT else 3] += 1
-        return hist
+        n_pure, products = self._moves(qudit)
+        entangled = n_pure != 3
+        pairs = self._pairs(products[entangled], int(entangled.sum()))
+        return {1: 3 * (self.d + 1) * (len(n_pure) - int(entangled.sum())),
+                2: pairs[PRODUCT], 3: pairs[BELL]}
 
     def branch_tree(self, qudit: int = 0) -> list[dict]:
         """Per-branch counts for one first-qudit choice: first-measurement class,
         how many bases lead to it, and where its measurement pairs end up."""
-        branches: dict[str, dict] = {}
-        for mv in self._moves(qudit):
-            node = branches.setdefault(
-                mv.class3.kind,
-                {"first_class": mv.class3.kind, "first_count": 0,
-                 "pairs": {PRODUCT: 0, BELL: 0}},
-            )
-            node["first_count"] += 1
-            node["pairs"][PRODUCT] += mv.pair_count(PRODUCT)
-            node["pairs"][BELL] += mv.pair_count(BELL)
-        return [branches[k] for k in (PRODUCT, SNB, GHZ3) if k in branches]
+        n_pure, products = self._moves(qudit)
+        tree = []
+        for kind, count in ((PRODUCT, 3), (SNB, 1), (GHZ3, 0)):
+            branch = n_pure == count
+            if branch.any():
+                tree.append({"first_class": kind, "first_count": int(branch.sum()),
+                             "pairs": self._pairs(products[branch], int(branch.sum()))})
+        return tree
 
-    def _moves(self, qudit: int | None) -> tuple[FirstMove, ...]:
-        if qudit is None:
-            return self.moves
-        return tuple(mv for mv in self.moves if mv.qudit == qudit)
+    def _moves(self, qudit: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Per first move (q1, b1) of one or every first qudit: how many residue
+        sites are pure, and how many second measurements leave a product."""
+        sel = slice(None) if qudit is None else slice(qudit, qudit + 1)
+        return tuple(a[sel].ravel() for a in self._per_move)
+
+    def _pairs(self, products: np.ndarray, moves: int) -> dict[str, int]:
+        product = int(products.sum())
+        return {PRODUCT: product, BELL: 3 * (self.d + 1) * moves - product}
 
 
 def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
@@ -321,23 +352,43 @@ def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
     return eliminate_mod(np.broadcast_to(g[..., 2:], col.shape + (2 * n - 2,)), col, d)
 
 
+def _line_index(xz: np.ndarray, d: int) -> np.ndarray:
+    """Index in ``all_bases`` of the line through each (x, z) of ``xz`` (..., 2):
+    Z when x = 0, else XZ^k with k = z / x, the inverse being x^(d-2) (Fermat)."""
+    x, z = xz[..., 0], xz[..., 1]
+    inv, base, e = np.ones_like(x), x, d - 2
+    while e:
+        if e & 1:
+            inv = inv * base % d
+        base = base * base % d
+        e >>= 1
+    return np.where(x == 0, 0, 1 + z * inv % d)
+
+
 def enumerate_paths(t: Tableau) -> PathTally:
-    """Classify the residue of every ordered single and pair of measurements,
-    one batched elimination per measurement level (see the module docstring).
+    """Classify the residue of every ordered single and pair of measurements:
+    one batched elimination measures every first qudit along every line, and
+    each second measurement is classed by the rule of the module docstring.
     """
     d = t.d
-    bases = all_bases(d)
     res3 = _measure_each(t.xz.reshape(4, 8), d)  # (q1, b1, rows, 6)
-    firsts = (tableau_entropy(res3, ((0,), (1,), (2,)), d) == 0).tolist()
-    labels = [((q2, b2, PRODUCT), (q2, b2, BELL)) for q2 in range(3) for b2 in bases]
-    moves = []
-    for q1 in range(4):
-        pure = tableau_entropy(_measure_each(res3[q1], d), ((0,),), d)[..., 0] == 0
-        seconds = pure.transpose(1, 0, 2).reshape(d + 1, -1).tolist()  # (b1, q2 b2)
-        for b1, second, first in zip(bases, seconds, firsts[q1]):
-            pairs = tuple(lab[0] if p else lab[1] for lab, p in zip(labels, second))
-            moves.append(FirstMove(q1, b1, _class3(first), pairs))
-    return PathTally(d, tuple(moves))
+    first = tableau_entropy(res3, ((0,), (1,), (2,)), d) == 0  # (q1, b1, site)
+    n_pure = first.sum(-1)
+    if (n_pure == 2).any():
+        _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
+    # for each measured site c, clear the columns of b = c + 1 mod 3 from the
+    # residue's rows, keeping c's columns: these then span {v_c : v in W}
+    cols = np.array([[2 * b, 2 * b + 1, 2 * c, 2 * c + 1] for c, b in ((0, 1), (1, 2), (2, 0))])
+    w = np.swapaxes(res3[..., cols], -3, -2)  # (q1, b1, c, rows, 4)
+    w = eliminate_mod(w, w[..., 0], d)
+    w = eliminate_mod(w, w[..., 1], d)[..., 2:]
+    row = w.any(-1).argmax(-1)[..., None, None]  # a nonzero row, where W reaches c
+    line = _line_index(np.take_along_axis(w, row, -2)[..., 0, :], d)  # (q1, b1, c)
+    always = (n_pure == 3)[..., None] | ((n_pure == 1)[..., None] & ~first)
+    pure = np.repeat(always[..., None], d + 1, axis=-1)
+    on_line = always | (n_pure == 0)[..., None]
+    np.put_along_axis(pure, line[..., None], on_line[..., None], axis=-1)
+    return PathTally(d, first, pure)
 
 
 @dataclass(frozen=True)

@@ -109,10 +109,16 @@ def test_tables_d17_passes(capsys):
 
 
 def test_tables_rejects_d_above_cap(capsys):
-    code, out, err = run_cli(capsys, "tables", "--d", "103")
+    code, out, err = run_cli(capsys, "tables", "--d", "1013")
     assert code == EXIT_INVALID
     assert out == ""
-    assert "up to 101" in err
+    assert "up to 1009" in err
+
+
+def test_tables_runs_at_cap(capsys):
+    payload = run_json(capsys, "tables", "--d", "1009")
+    assert payload["metadata"]["d_values"] == [1009]
+    assert payload["all_pass"] is True
 
 
 def test_tables_large_d_up_to_cap(capsys):

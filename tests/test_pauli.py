@@ -31,11 +31,14 @@ def reference_rank(m, d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_rank_mod_matches_reference(rng, d):
-    # low-rank products as well as full random matrices, in one batch
-    full = rng.integers(0, d, size=(40, 4, 6))
-    low = (rng.integers(0, d, size=(40, 4, 2)) @ rng.integers(0, d, size=(40, 2, 6))) % d
-    batch = np.concatenate([full, low])
-    assert rank_mod(batch, d).tolist() == [reference_rank(m, d) for m in batch]
+    # low-rank products as well as full random matrices, in one batch per
+    # shape; wide batches are eliminated along their rows, tall ones along
+    # their columns
+    for rows, cols in [(4, 6), (4, 8), (4, 4), (6, 4), (8, 3)]:
+        full = rng.integers(0, d, size=(40, rows, cols))
+        low = (rng.integers(0, d, size=(40, rows, 2)) @ rng.integers(0, d, size=(40, 2, cols))) % d
+        batch = np.concatenate([full, low])
+        assert rank_mod(batch, d).tolist() == [reference_rank(m, d) for m in batch]
 
 
 def test_is_prime_small():

@@ -25,16 +25,16 @@ from quditgraph import (
 )
 from quditgraph.classify import DISCONNECTED, cut_rank_classes
 from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
-from quditgraph.pauli import PauliWord, omega_powers, site_matrix
+from quditgraph.pauli import PauliWord, omega_powers, rank_mod, site_matrix
 from quditgraph.report import _family_effective
-from quditgraph.states import Tableau, family_reduced_state, stabilizer_tableau
+from quditgraph.states import Tableau, family_reduced_state, stabilizer_tableau, tableau_entropy
 from quditgraph.steering import (
     BELL,
     GHZ3,
     PRODUCT,
     SNB,
-    FirstMove,
     PathTally,
+    _measure_each,
     basis_eigenvalue,
     basis_operator,
 )
@@ -300,28 +300,25 @@ def test_first_qudit_symmetry():
 def test_ghz_vulnerable_basis_is_z_on_every_qudit():
     d = 3
     tally = enumerate_paths(family_tableau("G", d))
+    bases = all_bases(d)
     for q in range(4):
-        product_bases = [
-            mv.basis for mv in tally.moves if mv.qudit == q and mv.class3.kind == PRODUCT
-        ]
+        product_bases = [bases[b] for b in np.flatnonzero(tally.first[q].all(axis=-1))]
         assert product_bases == [MeasurementBasis.z()]
 
 
 def test_p_has_no_vulnerable_first_basis():
     d = 3
     tally = enumerate_paths(family_tableau("P", d))
-    assert all(mv.class3.kind == GHZ3 for mv in tally.moves)
+    assert not tally.first.any()  # no pure residue site: every first move is GHZ3
+    assert tally.first_counts() == {PRODUCT: 0, SNB: 0, GHZ3: 4 * (d + 1)}
 
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_p_every_basis_appears_vulnerable_to_second_measurements(d):
     tally = enumerate_paths(family_tableau("P", d))
-    vulnerable = set()
-    for mv in tally.moves:
-        for q2, basis, kind in mv.seconds:
-            if kind == PRODUCT:
-                vulnerable.add(basis)
-    assert vulnerable == set(all_bases(d))
+    bases = all_bases(d)
+    vulnerable = {bases[b] for b in np.flatnonzero(tally.pure.any(axis=(0, 1, 2)))}
+    assert vulnerable == set(bases)
 
 
 def test_n_ave_monotone_and_below_three():
@@ -406,7 +403,8 @@ def test_cluster_residual_generators_after_z2():
 
 def reference_paths(s):
     """Single-projection form of ``enumerate_paths``: one ``project`` call per
-    outcome tried, lowest outcome of nonzero probability first."""
+    outcome tried, lowest outcome of nonzero probability first, each residue
+    classed by ``classify3`` and each pair by ``classify2``."""
 
     def first_valid(state, qudit, basis):
         for outcome in range(state.d):
@@ -418,17 +416,17 @@ def reference_paths(s):
         raise ZeroProbabilityError("no outcome has nonzero probability")
 
     bases = all_bases(s.d)
-    moves = []
+    first = np.zeros((4, s.d + 1, 3), dtype=bool)
+    pure = np.zeros((4, s.d + 1, 3, s.d + 1), dtype=bool)
     for q1 in range(4):
-        for b1 in bases:
+        for i1, b1 in enumerate(bases):
             res3 = first_valid(s, q1, b1)
             c3 = classify3(res3)
-            seconds = []
+            first[q1, i1] = [c3.kind == PRODUCT or c3.separated == site for site in range(3)]
             for q2 in range(3):
-                for b2 in bases:
-                    seconds.append((q2, b2, classify2(first_valid(res3, q2, b2)).kind))
-            moves.append(FirstMove(q1, b1, c3, tuple(seconds)))
-    return PathTally(s.d, tuple(moves))
+                for i2, b2 in enumerate(bases):
+                    pure[q1, i1, q2, i2] = classify2(first_valid(res3, q2, b2)).kind == PRODUCT
+    return PathTally(s.d, first, pure)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -475,6 +473,95 @@ def test_batched_paths_reject_non_graph_state_like_reference(rng):
     s = StateVector(3, 4, random_state_amps(rng, 3**4))
     with pytest.raises(ClassificationError):
         reference_paths(s)
+
+
+def per_line_second_level(t):
+    """Per-line form of the second level of ``enumerate_paths``: every
+    first-level residue measured along every line by one elimination per first
+    qudit, each pair classed by its first site's entropy. Shape (4 q1, d+1 b1,
+    3 q2, d+1 b2), True for a product pair."""
+    d = t.d
+    res3 = _measure_each(t.xz.reshape(4, 8), d)  # (q1, b1, rows, 6)
+    pure = [tableau_entropy(_measure_each(res3[q1], d), ((0,),), d)[..., 0] == 0
+            for q1 in range(4)]  # each (q2, b1, b2)
+    return np.stack(pure).transpose(0, 2, 1, 3)
+
+
+def random_graph_tableau(rng, d):
+    """A random graph's tableau, one graph in three with a random subset of
+    its edges, in a frame with the Fourier gate on random sites, its rows
+    mixed by a random invertible matrix mod d."""
+    w = rng.integers(0, d, size=6) * (rng.integers(0, 2, size=6) if rng.random() < 1 / 3 else 1)
+    grid = np.zeros((4, 4), dtype=int)
+    grid[np.triu_indices(4, 1)] = w
+    g = AdjacencyMatrix.from_array(grid + grid.T, d)
+    xz = stabilizer_tableau(g, tuple(np.flatnonzero(rng.integers(0, 2, size=4)))).xz
+    mix = rng.integers(0, d, size=(4, 4))
+    while rank_mod(mix, d) < 4:
+        mix = rng.integers(0, d, size=(4, 4))
+    return Tableau(d, np.einsum("mn,nqk->mqk", mix, xz) % d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 101])
+def test_second_level_rule_matches_per_line_oracle(d):
+    # the purity-pattern rule of enumerate_paths against one elimination per
+    # second measurement, over tableaux whose residues take every pattern
+    rng = np.random.default_rng(2000 + d)
+    kinds = set()
+    for _ in range(12 if d > 13 else 24):
+        t = random_graph_tableau(rng, d)
+        tally = enumerate_paths(t)
+        assert np.array_equal(tally.pure, per_line_second_level(t))
+        kinds |= {k for k, n in tally.first_counts().items() if n}
+    assert kinds == {PRODUCT, SNB, GHZ3}
+
+
+def looped_readers(tally, qudit):
+    """first_counts, pair_counts, persistency_histogram and branch_tree of a
+    tally, by a plain loop over its arrays."""
+    d = tally.d
+    first, pairs, hist = {PRODUCT: 0, SNB: 0, GHZ3: 0}, {PRODUCT: 0, BELL: 0}, {1: 0, 2: 0, 3: 0}
+    branches = {}
+    for q1 in range(4) if qudit is None else (qudit,):
+        for b1 in range(d + 1):
+            kind = {3: PRODUCT, 1: SNB, 0: GHZ3}[int(tally.first[q1, b1].sum())]
+            first[kind] += 1
+            node = branches.setdefault(
+                kind, {"first_class": kind, "first_count": 0, "pairs": {PRODUCT: 0, BELL: 0}})
+            node["first_count"] += 1
+            for q2 in range(3):
+                for b2 in range(d + 1):
+                    pair = PRODUCT if tally.pure[q1, b1, q2, b2] else BELL
+                    pairs[pair] += 1
+                    node["pairs"][pair] += 1
+                    hist[1 if kind == PRODUCT else 2 if pair == PRODUCT else 3] += 1
+    return first, pairs, hist, [branches[k] for k in (PRODUCT, SNB, GHZ3) if k in branches]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_tally_readers_match_loop_over_arrays(d):
+    rng = np.random.default_rng(3000 + d)
+    tableaux = [family_tableau(f, d) for f in ("G", "C", "P")] + [z_tableau(d)]
+    tableaux += [random_graph_tableau(rng, d) for _ in range(6)]
+    for t in tableaux:
+        tally = enumerate_paths(t)
+        for qudit in (None, 0, 1, 2, 3):
+            readers = (tally.first_counts(qudit), tally.pair_counts(qudit),
+                       tally.persistency_histogram(qudit), tally.branch_tree(qudit))
+            assert readers == looped_readers(tally, qudit)
+            assert all(type(n) is int for reader in readers[:3] for n in reader.values())
+
+
+def test_path_tally_arrays_are_read_only_and_checked():
+    tally = enumerate_paths(family_tableau("C", 3))
+    with pytest.raises(ValueError):
+        tally.pure[0, 0, 0, 0] = True
+    assert tally == PathTally(3, tally.first.copy(), tally.pure.copy())
+    flipped = tally.pure.copy()
+    flipped[0, 0, 0, 0] ^= True
+    assert tally != PathTally(3, tally.first, flipped)
+    with pytest.raises(ValueError):
+        PathTally(5, tally.first, tally.pure)
 
 
 def closed_form_persistency(family, d):
