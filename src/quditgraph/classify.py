@@ -19,21 +19,26 @@ public operations and ``replay`` run the same kernels. Columns are int64
 while d**3 < 2**63 and Python ints beyond; inverses come from a length-d
 table for d up to the chunk size and from ``pow`` per entry beyond.
 
-Sweeps run the reducer over fixed chunks of rows, so its memory does not
-grow with the number of graphs, and hold every row to three checks: the reduced
-matrix must be a canonical form; its class must equal an exact oracle's; and
-each group's trace, replayed from the original rows, must give the reduced
-rows. The oracle uses that the purity of a subsystem A of a graph state is
-d**-rank, the rank taken over GF(d) of the cut block Gamma[A, complement of
-A] (Hein, Eisert, Briegel, PRA 69, 062311; Hostens, Dehaene, De Moor, PRA
-71, 042315 for qudits). A zero vertex row or a zero 2|2 block marks a
-disconnected graph; otherwise the number of 2|2 cuts of rank 1 is 3, 1 or 0
-for classes G, C and P. The dense purity-profile route (``purity_class``)
+Sweeps run the reducer over chunks of at most 4,096 rows, so its memory does
+not grow with the number of graphs. The exhaustive sweep enumerates the rows
+support pattern by support pattern, so each pattern's rows are contiguous
+and the reducer runs about one group per pattern, plus one per chunk
+boundary; a random census groups the rows it drew inside each chunk. Every
+row is held to three checks: the reduced matrix must be a canonical form;
+its class must equal an exact oracle's; and each group's trace, replayed
+from the original rows, must give the reduced rows. The oracle uses that
+the purity of a subsystem A of a graph state is d**-rank, the rank taken
+over GF(d) of the cut block Gamma[A, complement of A] (Hein, Eisert,
+Briegel, PRA 69, 062311; Hostens, Dehaene, De Moor, PRA 71, 042315 for
+qudits). A zero vertex row or a zero 2|2 block marks a disconnected graph;
+otherwise the number of 2|2 cuts of rank 1 is 3, 1 or 0 for classes G, C
+and P. The dense purity-profile route (``purity_class``)
 is the reference the tests hold the cut-rank oracle to.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,6 +278,9 @@ class _Group:
         self.ops: list[LCOperation] = []
         self.codes = None
 
+    def __len__(self) -> int:
+        return len(self.rows)
+
     def weight(self, n: int, m: int):
         return self.w[_PAIR_INDEX[n, m]]
 
@@ -370,9 +378,8 @@ def _reduce(w, d: int, inverse):
             yield group
             continue
         for part in _PROGRAMS[len(edges) // 2](group, edges):
-            if len(part.rows):
-                part.check_canonical()
-                yield part
+            part.check_canonical()
+            yield part
 
 
 def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
@@ -395,16 +402,20 @@ def _reduce_six_edged(r: _Group, edges):
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
     star, rest = r.split((r.weight(0, 1) == 0) & (r.weight(0, 3) == 0))
-    # Remaining graph is a star at vertex 2 with one non-unit edge.
-    star.permute((0, 1, 3, 2))
-    star.normalize_edge(0, 3)
     flipped, kept = rest.split(rest.weight(0, 1) == 0)
-    flipped.permute((0, 3, 2, 1))  # exchange the roles of the 0-1 and 0-3 edges
+    # Operations run on the nonempty parts only; a single graph fills one part.
+    if len(star):
+        # Remaining graph is a star at vertex 2 with one non-unit edge.
+        star.permute((0, 1, 3, 2))
+        star.normalize_edge(0, 3)
+    if len(flipped):
+        flipped.permute((0, 3, 2, 1))  # exchange the roles of the 0-1 and 0-3 edges
     for part in (flipped, kept):
-        # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
-        part.star(1, -part.weight(0, 2) * part.inverse(part.weight(0, 1)))
-        part.normalize_edge(0, 1)
-    return star, flipped, kept
+        if len(part):
+            # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
+            part.star(1, -part.weight(0, 2) * part.inverse(part.weight(0, 1)))
+            part.normalize_edge(0, 1)
+    return [part for part in (star, flipped, kept) if len(part)]
 
 
 def _reduce_five_edged(r: _Group, edges):
@@ -591,11 +602,27 @@ def classify_exhaustive(d: int) -> ClassCensus:
         )
 
     def chunks():
-        n = d ** len(_PAIRS)
+        # Rows run support pattern by support pattern, so a chunk holds few
+        # reduction groups. Support s owns the rows offset[s] to offset[s + 1]:
+        # its i-th row puts the base-(d-1) digits of i, plus one, on the
+        # columns of s, the lowest column taking the least significant digit.
+        supports = [[k for k in range(len(_PAIRS)) if s >> k & 1]
+                    for s in range(2 ** len(_PAIRS))]
+        offset = [0]
+        for cols in supports:
+            offset.append(offset[-1] + (d - 1) ** len(cols))
+        n = offset[-1]  # d**6, by the binomial theorem
         for start in range(0, n, _CHUNK):
-            index = np.arange(start, min(start + _CHUNK, n), dtype=np.int64)
-            # row r holds the base-d digits of r, w01 the most significant
-            yield [index // d**k % d for k in range(len(_PAIRS) - 1, -1, -1)]
+            stop = min(start + _CHUNK, n)
+            w = [np.zeros(stop - start, dtype=np.int64) for _ in _PAIRS]
+            s = bisect_right(offset, start) - 1
+            while offset[s] < stop:
+                lo, hi = max(start, offset[s]), min(stop, offset[s + 1])
+                i = np.arange(lo - offset[s], hi - offset[s])
+                for j, k in enumerate(supports[s]):
+                    w[k][lo - start:hi - start] = i // (d - 1) ** j % (d - 1) + 1
+                s += 1
+            yield w
 
     return _sweep(d, chunks())
 

@@ -158,6 +158,9 @@ def _steering_section(d: int, tableaux: dict, checks: _Checklist) -> dict:
                        rational_str(stats.n_ave_exact))
             checks.add(d, f"persistency_delta:{family}", rational_str(exp_delta),
                        rational_str(stats.delta_exact))
+        # Drop the tally before the next family's is built, so at most one
+        # pair array (12 MB at d = MAX_TABLES_D) is alive at a time.
+        del tally
     return {
         "first_measurement_tallies": firsts,
         "pair_tallies": pairs,

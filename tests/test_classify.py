@@ -335,6 +335,42 @@ def test_exhaustive_census_closed_forms(d):
     }
 
 
+def _index_order_chunks(d):
+    """The sweep's former row order: row r holds the base-d digits of r, w01
+    the most significant, in chunks of the sweep's size."""
+    n = d**6
+    for start in range(0, n, classify._CHUNK):
+        index = np.arange(start, min(start + classify._CHUNK, n), dtype=np.int64)
+        yield [index // d**k % d for k in range(5, -1, -1)]
+
+
+def _exhaustive_chunks(monkeypatch, d):
+    """The chunks of weight columns classify_exhaustive hands to the sweep."""
+    chunks = []
+    monkeypatch.setattr(classify, "_sweep", lambda d, stream: chunks.extend(stream))
+    classify_exhaustive(d)
+    return chunks
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_exhaustive_rows_run_in_support_pattern_order(monkeypatch, d):
+    chunks = _exhaustive_chunks(monkeypatch, d)
+    assert all(len(c) == len(w[0]) <= classify._CHUNK for w in chunks for c in w)
+    rows = np.concatenate([np.stack(w, axis=1) for w in chunks])
+    # every matrix exactly once
+    assert np.array_equal(np.sort(rows @ d ** np.arange(5, -1, -1)), np.arange(d**6))
+    # one run of rows per support pattern
+    support = (rows != 0) @ (1 << np.arange(6))
+    runs = support[np.r_[0, np.flatnonzero(np.diff(support)) + 1]]
+    assert sorted(runs.tolist()) == list(range(64))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_exhaustive_census_independent_of_row_order(d):
+    reference = classify._sweep(d, _index_order_chunks(d))
+    assert classify_exhaustive(d).to_json_dict() == reference.to_json_dict()
+
+
 def _weights_graph(d, weights):
     return AdjacencyMatrix.from_edges(d, dict(zip(PAIRS, weights)))
 

@@ -3,12 +3,13 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
-from quditgraph import SwapOp, classify, measures, report, states
+from quditgraph import SwapOp, classify, measures, report, states, steering
 from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, MAX_STATE_D, main
 from quditgraph.steering import ClassificationError, ZeroProbabilityError
 
@@ -156,6 +157,23 @@ def test_tables_builds_no_dense_state(monkeypatch):
     assert all_pass is True and bundle["all_pass"] is True
 
 
+def test_tables_holds_one_tally_at_a_time():
+    # a P tally's pair array is 12 MB at d = 1009; two alive at once nearly
+    # doubled the peak
+    tableau = states.stabilizer_tableau(states.family_graph("P", 1009),
+                                        states.family_fourier_sites("P"))
+    tracemalloc.start()
+    try:
+        steering.enumerate_paths(tableau)
+        one_tally = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report.build_report([1009])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * one_tally
+
+
 @pytest.mark.parametrize("error", [ClassificationError, ZeroProbabilityError])
 def test_tables_steering_failure_is_mismatch(capsys, monkeypatch, error):
     def failing(state):
@@ -212,6 +230,15 @@ def test_classify_exhaustive_d3(capsys):
     assert payload["mismatches"] == 0
     assert payload["total"] == 729
     assert payload["counts"]["P"] == 120
+
+
+def test_classify_exhaustive_d5_sha256(capsys):
+    # the stdout the classify-exhaustive-d5 benchmark workload records
+    code, out, err = run_cli(capsys, "classify", "--exhaustive", "--d", "5")
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c13e9dc9ebd341abedf09ae405564ca8111d811e7b76310a3b1e728e4b24c1e0"
+    )
 
 
 def test_classify_random_census(capsys):
