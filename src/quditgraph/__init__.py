@@ -47,6 +47,7 @@ from .measures import (
     purity_profile,
     reduced_from_stabilizers,
     tableau_purity_profile,
+    tableau_purity_profiles,
     wedge_measure,
 )
 from .pauli import (

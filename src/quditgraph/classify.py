@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,8 +251,9 @@ class CanonicalResult:
         }
 
 
+@lru_cache(maxsize=None)
 def _inverter(d: int):
-    """Column-wise inverse mod the prime d of nonzero entries."""
+    """Column-wise inverse mod the prime d of nonzero entries, built once per d."""
     if d > _CHUNK:
         # a length-d table would cost more to build than the lookups of a chunk
         return lambda col: np.array([pow(int(a), -1, d) for a in col], dtype=_dtype(d))
@@ -262,6 +264,7 @@ def _inverter(d: int):
             table = table * base % d
         base = base * base % d
         e >>= 1
+    table.flags.writeable = False
     return table.__getitem__
 
 
@@ -308,7 +311,12 @@ class _Group:
         self.scale(vertex, self.inverse(self.weight(vertex, other)))
 
     def split(self, mask):
-        """(the rows where ``mask`` holds, the others), each with its part of the trace."""
+        """(the rows where ``mask`` holds, the others), each with its part of the
+        trace; a part holding every row is this group itself, uncopied."""
+        if mask.all():
+            return self, self._take(slice(0, 0))
+        if not mask.any():
+            return self._take(slice(0, 0)), self
         return self._take(mask), self._take(~mask)
 
     def _take(self, mask) -> "_Group":

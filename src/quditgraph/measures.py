@@ -5,8 +5,8 @@ state vector (the Gram matrix of associated states) and summing the dense
 matrices of the stabilizers that survive the partial trace. Purity-based
 quantities (k-MM tests, concurrence, the summed wedge product) all live on
 top of the first route; the second exists so the two can be cross-checked.
-A third route is exact and builds no state: ``tableau_purity_profile``
-reads each purity d^-entropy off a stabilizer ``Tableau``.
+A third route is exact and builds no state: ``tableau_purity_profiles``
+reads each purity d^-entropy off stabilizer ``Tableau``s, all in one batch.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "reduced_from_stabilizers",
     "subsystem_label",
     "tableau_purity_profile",
+    "tableau_purity_profiles",
     "wedge_measure",
 ]
 
@@ -162,10 +164,19 @@ def purity_profile(s: StateVector) -> PurityProfile:
 
 def tableau_purity_profile(t: Tableau) -> PurityProfile:
     """Exact purities Fraction(1, d**entropy) of all one- and two-site subsystems."""
+    (profile,) = tableau_purity_profiles([t])
+    return profile
+
+
+def tableau_purity_profiles(tableaux: Sequence[Tableau]) -> list[PurityProfile]:
+    """``tableau_purity_profile`` of each tableau, of any mix of primes d, from
+    one batched ``tableau_entropy`` call."""
     keeps = all_subsystems(N_VERTICES, 2)
-    entropy = tableau_entropy(t.xz.reshape(N_VERTICES, -1), keeps, t.d).tolist()
-    values = {keep: Fraction(1, t.d ** e) for keep, e in zip(keeps, entropy)}
-    return PurityProfile(t.d, N_VERTICES, values)
+    d = np.array([t.d for t in tableaux], dtype=np.int64)
+    xz = np.array([t.xz for t in tableaux], dtype=np.int64)
+    entropy = tableau_entropy(xz.reshape(len(d), N_VERTICES, 2 * N_VERTICES), keeps, d).tolist()
+    return [PurityProfile(t.d, N_VERTICES, {k: Fraction(1, t.d**e) for k, e in zip(keeps, row)})
+            for t, row in zip(tableaux, entropy)]
 
 
 def is_k_mm(profile: PurityProfile, k: int, tol: float = 1e-9) -> bool:

@@ -79,20 +79,23 @@ def inv_mod(a: int, d: int) -> int:
     return pow(a, -1, d)
 
 
-def eliminate_mod(t: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
+def eliminate_mod(t: np.ndarray, col: np.ndarray, d: int | np.ndarray) -> np.ndarray:
     """Clear the per-row values ``col`` (..., rows) of a batch of matrices
     ``t`` (..., rows, columns) against one pivot row, zeroing it: row r becomes
-    lead * r - col_r * pivot mod d, lead the pivot's value (or 1 if col is 0)."""
-    pivot = (col != 0).argmax(axis=-1)[..., None]
-    lead = np.take_along_axis(col, pivot, axis=-1)
+    lead * r - col_r * pivot mod d, lead the pivot's value (or 1 if col is 0).
+    The modulus d is an int or an integer array broadcasting over the batch
+    axes (...), one prime per matrix."""
+    pivot = (col != 0).argmax(axis=-1)
+    at = (*np.indices(pivot.shape, sparse=True), pivot)  # each batch entry's pivot
+    lead = col[at][..., None, None]
     lead += lead == 0
-    row = np.take_along_axis(t, pivot[..., None], axis=-2)
-    return (lead[..., None] * t - col[..., None] * row) % d
+    return (lead * t - col[..., None] * t[at][..., None, :]) % np.asarray(d)[..., None, None]
 
 
-def rank_mod(m: np.ndarray, d: int) -> np.ndarray:
+def rank_mod(m: np.ndarray, d: int | np.ndarray) -> np.ndarray:
     """Ranks over GF(d) of a batch of integer matrices (..., rows, columns),
-    one elimination per column of the narrower of m and its transpose."""
+    one elimination per column of the narrower of m and its transpose; d is
+    an int or an integer array broadcasting over the batch axes (...)."""
     if m.shape[-2] < m.shape[-1]:
         m = np.swapaxes(m, -1, -2)
     rank = 0

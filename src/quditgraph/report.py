@@ -13,14 +13,14 @@ Numeric entries carry both an exact-rational string and a float rounded to
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # purity_profile and family_reduced_state stay bound for perfbench/child.py's tracer.
-from .measures import is_k_mm, purity_profile, tableau_purity_profile
+from .measures import is_k_mm, purity_profile, tableau_purity_profiles
 from .pauli import check_prime
 from .serialize import BASIS_ORDER, exact_and_float, fmt_float, metadata, rational_str
 from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableau
-from .steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths, persistency_stats
+from .steering import BELL, GHZ3, PRODUCT, SNB, PathTally, enumerate_paths, persistency_stats
 
 __all__ = [
     "build_report",
@@ -117,11 +117,10 @@ class _Checklist:
         return all(row["pass"] for row in self.rows)
 
 
-def _purity_section(d: int, tableaux: dict, checks: _Checklist) -> tuple[dict, dict]:
-    """(purity profiles, k-MM flags) of the family tableaux."""
+def _purity_section(d: int, profiles: dict, checks: _Checklist) -> tuple[dict, dict]:
+    """(purity profiles, k-MM flags) of the family profiles."""
     section, mmes = {}, {}
-    for family, tableau in tableaux.items():
-        profile = tableau_purity_profile(tableau)
+    for family, profile in profiles.items():
         section[family] = profile.to_json_dict()
         for (name, keeps), exp in zip(PURITY_COLUMNS, expected_purity_columns(family, d)):
             actual = tuple(fmt_float(profile[keep]) for keep in keeps)
@@ -132,10 +131,13 @@ def _purity_section(d: int, tableaux: dict, checks: _Checklist) -> tuple[dict, d
     return section, mmes
 
 
-def _steering_section(d: int, tableaux: dict, checks: _Checklist) -> dict:
+def _steering_section(d: int, tableaux: dict, tallies: Iterator[PathTally],
+                      checks: _Checklist) -> dict:
+    """Tallies, path trees and persistency of the family tableaux, whose
+    tallies are the next ones ``tallies`` yields."""
     firsts, pairs, trees, persistency = {}, {}, {}, {}
     for family, tableau in tableaux.items():
-        tally = enumerate_paths(tableau)
+        tally = next(tallies)
         fc, pc = tally.first_counts(), tally.pair_counts()
         firsts[family] = fc
         pairs[family] = pc
@@ -158,8 +160,9 @@ def _steering_section(d: int, tableaux: dict, checks: _Checklist) -> dict:
                        rational_str(stats.n_ave_exact))
             checks.add(d, f"persistency_delta:{family}", rational_str(exp_delta),
                        rational_str(stats.delta_exact))
-        # Drop the tally before the next family's is built, so at most one
-        # pair array (12 MB at d = MAX_TABLES_D) is alive at a time.
+        # enumerate_paths builds the next tally's pair array only when asked
+        # for it, so dropping this one first keeps at most one (12 MB at
+        # d = MAX_TABLES_D) alive at a time.
         del tally
     return {
         "first_measurement_tallies": firsts,
@@ -174,20 +177,25 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
 
     The dimensions must be distinct primes up to MAX_TABLES_D. Returns
     (bundle, all_pass); every comparison row also appears under ``checks``.
+    Every family tableau is built first; the purities then come from one
+    batched entropy call and the tallies from one ``enumerate_paths`` call.
     """
     d_values = [check_prime(d) for d in d_values]
     if any(d > MAX_TABLES_D for d in d_values):
         raise ValueError(f"tables supports prime dimensions up to {MAX_TABLES_D}")
     if len(set(d_values)) != len(d_values):
         raise ValueError(f"each dimension may be given once, got {d_values}")
+    tableaux = [stabilizer_tableau(family_graph(f, d), family_fourier_sites(f))
+                for d in d_values for f in FAMILIES]
+    profiles = tableau_purity_profiles(tableaux)
+    tallies = enumerate_paths(tableaux)
     checks = _Checklist()
     sections = {}
-    for d in d_values:
-        tableaux = {f: stabilizer_tableau(family_graph(f, d), family_fourier_sites(f))
-                    for f in FAMILIES}
-        purities, mmes = _purity_section(d, tableaux, checks)
-        sections[str(d)] = {"purities": purities, "mmes": mmes,
-                            **_steering_section(d, tableaux, checks)}
+    for i, d in enumerate(d_values):
+        of_d = slice(i * len(FAMILIES), (i + 1) * len(FAMILIES))
+        purities, mmes = _purity_section(d, dict(zip(FAMILIES, profiles[of_d])), checks)
+        steering = _steering_section(d, dict(zip(FAMILIES, tableaux[of_d])), tallies, checks)
+        sections[str(d)] = {"purities": purities, "mmes": mmes, **steering}
     if len(d_values) >= 2 and sorted(d_values) == d_values:
         for family in FAMILIES:
             seq = [sections[str(d)]["persistency"][family]["n_ave"]["float"] for d in d_values]

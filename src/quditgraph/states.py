@@ -189,9 +189,11 @@ def stabilizer_tableau(g: AdjacencyMatrix, fourier_sites: Sequence[int]) -> Tabl
     return Tableau(g.d, xz)
 
 
-def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]], d: int) -> np.ndarray:
+def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]],
+                    d: int | np.ndarray) -> np.ndarray:
     """Entanglement of each of k site sets with the rest, in units of log d,
-    for a batch of tableaux (..., rows, 2n) reduced mod d: shape (..., k), the
+    for a batch of tableaux (..., rows, 2n) reduced mod d, d an int or an
+    integer array broadcasting over the batch axes (...): shape (..., k), the
     GF(d) rank of a set's columns minus its size (Hein, Eisert and Briegel,
     PRA 69, 062311). Smaller sets are padded with zero columns. A lone site's
     two columns have rank (any entry nonzero) + (any 2x2 minor nonzero)."""
@@ -200,9 +202,10 @@ def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]], d: int) -
     cols = np.array([[c for i in s for c in (2 * i, 2 * i + 1)] + [0] * (2 * (width - len(s)))
                      for s in site_sets])
     m = np.moveaxis(t[..., cols], -3, -2)  # (..., k, rows, 2 width)
+    d = np.asarray(d)[..., None]  # over the batch axes and k
     if width == 1:
         x, z = m[..., :, None, 0], m[..., None, :, 1]
-        minors = (x * z - np.swapaxes(x * z, -1, -2)) % d
+        minors = (x * z - np.swapaxes(x * z, -1, -2)) % d[..., None, None]
         rank = m.any(axis=(-2, -1)).astype(np.int64) + minors.any(axis=(-2, -1))
     else:
         rank = rank_mod(m * (np.arange(2 * width) < 2 * np.array(sizes)[:, None])[:, None], d)

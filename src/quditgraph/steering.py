@@ -9,11 +9,13 @@ tallies, per-branch trees, and averaged persistency statistics.
 The engine is exact: bases are lines of GF(d)^2, (0, 1) for Z and (1, k)
 for XZ^k, and measuring qudit q of a ``Tableau`` along one clears the rows
 with a nonzero symplectic product against a pivot row, zeroes the pivot, and
-deletes q's columns (Gottesman, quant-ph/9802007). One batched elimination
-measures all four first qudits along all d+1 lines, and
-``states.tableau_entropy`` classes each 3-qudit residue R by which of its
-sites are pure (Hein, Eisert and Briegel, PRA 69, 062311). Every second
-measurement is then classed from R alone, with no further elimination:
+deletes q's columns (Gottesman, quant-ph/9802007). ``enumerate_paths`` takes
+a batch of tableaux of any mix of primes, each row of its arithmetic reduced
+by its own tableau's d. One batched elimination measures all four first
+qudits of every tableau along all d+1 lines, and ``states.tableau_entropy``
+classes each 3-qudit residue R by which of its sites are pure (Hein, Eisert
+and Briegel, PRA 69, 062311). Every second measurement is then classed from
+R alone, with no further elimination:
 
 Let R's rows span V (dim V = 3), measure site c along line l, and let a, b
 be the other two sites. The measurement keeps the v in V with v_c in <l>
@@ -38,15 +40,19 @@ alone exactly when s is pure. Hence, by R's purity pattern:
   so ``ClassificationError``.
 
 n comes from two eliminations that clear b's columns, batched over every
-residue and c, so the second level costs O(d) per tally beyond filling its
-boolean arrays. ``project``, ``classify3`` and ``classify2`` are the
-single-event form on dense vectors, with PROB_TOL and PURITY_TOL.
+residue and c, so a batch costs three eliminations in all, and the second
+level costs O(d) per tally beyond filling its boolean arrays. A batch holds
+at most 4,096 first measurements (4(d+1) per tableau), so d = 2..13 runs as
+one, while each tableau at d near 1009 runs alone. ``project``, ``classify3``
+and ``classify2`` are the single-event form on dense vectors, with PROB_TOL
+and PURITY_TOL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -338,57 +344,116 @@ class PathTally:
         return {PRODUCT: product, BELL: 3 * (self.d + 1) * moves - product}
 
 
-def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
-    """Residual tableaux of measuring each qudit q of a batch ``t`` (..., rows,
-    2n) along every line, in ``all_bases`` order: shape (n, ..., d+1, rows,
-    2n-2), the other qudits' columns in order. Row operations commute with
-    deleting columns, so q's columns are split off before the elimination."""
+# First-measurement rows (4(d+1) per tableau) that one batch of
+# ``enumerate_paths`` eliminates together; a larger tableau runs alone.
+_GROUP_ROWS = 4096
+
+
+def _qudit_first(t: np.ndarray) -> np.ndarray:
+    """Each qudit q's view of a batch ``t`` (..., rows, 2n): shape (n, ..., rows,
+    2n), q's columns first and the other qudits' columns after them in order."""
     n = t.shape[-1] // 2
     order = [[q] + [p for p in range(n) if p != q] for q in range(n)]
     cols = np.array([[c for p in sites for c in (2 * p, 2 * p + 1)] for sites in order])
-    g = np.moveaxis(t[..., cols], -2, 0)[..., None, :, :]  # (n, ..., 1, rows, 2n)
+    return np.moveaxis(t[..., cols], -2, 0)
+
+
+def _measure(g: np.ndarray, line: np.ndarray, d: int | np.ndarray) -> np.ndarray:
+    """Residual tableaux (..., rows, 2n-2) of measuring the first qudit of each
+    tableau of ``g`` (..., rows, 2n) along the line ``line`` (..., 2) mod d, d
+    broadcasting over (...). Row operations commute with deleting columns, so
+    the measured qudit's columns are split off before the elimination."""
+    d = np.asarray(d)
+    # each row's symplectic product with the line
+    col = (g[..., 0] * line[..., None, 1] - g[..., 1] * line[..., None, 0]) % d[..., None]
+    return eliminate_mod(np.broadcast_to(g[..., 2:], col.shape + (g.shape[-1] - 2,)), col, d)
+
+
+def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
+    """Residual tableaux of measuring each qudit q of a batch ``t`` (..., rows,
+    2n) along every line, in ``all_bases`` order: shape (n, ..., d+1, rows,
+    2n-2), the other qudits' columns in order."""
     lines = np.array([(0, 1)] + [(1, k) for k in range(d)])
-    col = (g[..., 0] * lines[:, 1:] - g[..., 1] * lines[:, :1]) % d  # symplectic products
-    return eliminate_mod(np.broadcast_to(g[..., 2:], col.shape + (2 * n - 2,)), col, d)
+    return _measure(_qudit_first(t)[..., None, :, :], lines, d)
 
 
-def _line_index(xz: np.ndarray, d: int) -> np.ndarray:
-    """Index in ``all_bases`` of the line through each (x, z) of ``xz`` (..., 2):
-    Z when x = 0, else XZ^k with k = z / x, the inverse being x^(d-2) (Fermat)."""
+def _line_index(xz: np.ndarray, d: int | np.ndarray) -> np.ndarray:
+    """Index in ``all_bases`` of the line through each (x, z) of ``xz`` (..., 2)
+    mod d, d broadcasting over (...): Z when x = 0, else XZ^k with k = z / x,
+    the inverse being x^(d-2) (Fermat), raised per row."""
     x, z = xz[..., 0], xz[..., 1]
-    inv, base, e = np.ones_like(x), x, d - 2
-    while e:
-        if e & 1:
-            inv = inv * base % d
+    inv, base, e = np.ones_like(x), x, np.asarray(d) - 2
+    while e.any():
+        inv = np.where(e & 1, inv * base % d, inv)
         base = base * base % d
-        e >>= 1
+        e = e >> 1
     return np.where(x == 0, 0, 1 + z * inv % d)
 
 
-def enumerate_paths(t: Tableau) -> PathTally:
-    """Classify the residue of every ordered single and pair of measurements:
-    one batched elimination measures every first qudit along every line, and
-    each second measurement is classed by the rule of the module docstring.
-    """
-    d = t.d
-    res3 = _measure_each(t.xz.reshape(4, 8), d)  # (q1, b1, rows, 6)
-    first = tableau_entropy(res3, ((0,), (1,), (2,)), d) == 0  # (q1, b1, site)
-    n_pure = first.sum(-1)
-    if (n_pure == 2).any():
-        _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
+def _groups(tableaux: Iterable[Tableau]) -> Iterator[list[Tableau]]:
+    """Consecutive runs of tableaux of at most _GROUP_ROWS first-measurement
+    rows each, or one tableau where it alone has more."""
+    group, rows = [], 0
+    for t in tableaux:
+        if group and rows + 4 * (t.d + 1) > _GROUP_ROWS:
+            yield group
+            group, rows = [], 0
+        group.append(t)
+        rows += 4 * (t.d + 1)
+    if group:
+        yield group
+
+
+def _classify_group(group: list[Tableau]) -> tuple[np.ndarray, np.ndarray]:
+    """(pure residue sites, second-level line) of every first measurement of a
+    group of tableaux, one row per (tableau, q1, b1) in that order: shapes
+    (rows, 3) and (rows, 3 c), the line being the one of the module
+    docstring's n_c for each measured residue site c."""
+    d_t = np.array([t.d for t in group])
+    tab = np.repeat(np.arange(len(group)), 4 * (d_t + 1))
+    start = np.concatenate(([0], np.cumsum(4 * (d_t + 1))[:-1]))
+    q1, b1 = np.divmod(np.arange(len(tab)) - start[tab], d_t[tab] + 1)
+    d = d_t[tab]  # the modulus of each row
+    line = np.stack([b1 > 0, np.where(b1 > 0, b1 - 1, 1)], axis=-1)  # Z, then XZ^k
+    g = _qudit_first(np.stack([t.xz.reshape(4, 8) for t in group]))[q1, tab]
+    res3 = _measure(g, line, d)  # (rows, 4 rows, 6)
+    first = tableau_entropy(res3, ((0,), (1,), (2,)), d) == 0
     # for each measured site c, clear the columns of b = c + 1 mod 3 from the
     # residue's rows, keeping c's columns: these then span {v_c : v in W}
     cols = np.array([[2 * b, 2 * b + 1, 2 * c, 2 * c + 1] for c, b in ((0, 1), (1, 2), (2, 0))])
-    w = np.swapaxes(res3[..., cols], -3, -2)  # (q1, b1, c, rows, 4)
-    w = eliminate_mod(w, w[..., 0], d)
-    w = eliminate_mod(w, w[..., 1], d)[..., 2:]
-    row = w.any(-1).argmax(-1)[..., None, None]  # a nonzero row, where W reaches c
-    line = _line_index(np.take_along_axis(w, row, -2)[..., 0, :], d)  # (q1, b1, c)
+    w = np.swapaxes(res3[..., cols], -3, -2)  # (rows, c, 4 rows, 4)
+    w = eliminate_mod(w, w[..., 0], d[:, None])
+    w = eliminate_mod(w, w[..., 1], d[:, None])[..., 2:]
+    row = w.any(-1).argmax(-1)  # a nonzero row, where W reaches c
+    return first, _line_index(w[(*np.indices(row.shape, sparse=True), row)], d[:, None])
+
+
+def _tally(d: int, first: np.ndarray, line: np.ndarray) -> PathTally:
+    """The tally of one tableau from its (4 q1, d+1 b1, 3) pure sites and lines."""
+    n_pure = first.sum(-1)
+    if (n_pure == 2).any():
+        _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
     always = (n_pure == 3)[..., None] | ((n_pure == 1)[..., None] & ~first)
     pure = np.repeat(always[..., None], d + 1, axis=-1)
     on_line = always | (n_pure == 0)[..., None]
-    np.put_along_axis(pure, line[..., None], on_line[..., None], axis=-1)
+    pure[(*np.indices(line.shape, sparse=True), line)] = on_line
     return PathTally(d, first, pure)
+
+
+def enumerate_paths(tableaux: Iterable[Tableau]) -> Iterator[PathTally]:
+    """The tally of each tableau, in order, of any mix of primes d: the residue
+    of every ordered single and pair of measurements. One batched elimination
+    measures every first qudit of a group of tableaux along every line, and
+    each second measurement is classed by the rule of the module docstring.
+    A tally's pair array is built only as it is yielded, so a caller that
+    drops each tally holds one at a time."""
+    for group in _groups(tableaux):
+        first, line = _classify_group(group)
+        start = 0
+        for t in group:
+            rows = slice(start, start + 4 * (t.d + 1))
+            yield _tally(t.d, first[rows].reshape(4, t.d + 1, 3), line[rows].reshape(4, t.d + 1, 3))
+            start = rows.stop
 
 
 @dataclass(frozen=True)
@@ -417,7 +482,7 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
     if (tableau_entropy(t.xz.reshape(4, 8), [(i,) for i in range(4)], d) == 0).all():
         return PersistencyStats(0.0, 0, 0.0, Fraction(0), Fraction(0))
     if tally is None:
-        tally = enumerate_paths(t)
+        (tally,) = enumerate_paths([t])
     total = 3 * (d + 1) ** 2
     per_qudit = []
     for q in range(4):

@@ -81,7 +81,7 @@ def test_criterion_02_first_measurement_tallies():
     }
     for d in (3, 5, 7):
         for fam, exp in expected.items():
-            tally = enumerate_paths(family_tableau(fam, d))
+            (tally,) = enumerate_paths([family_tableau(fam, d)])
             assert tally.first_counts() == exp(d)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -97,7 +97,8 @@ def test_criterion_03_pair_tallies():
     }
     for d in (3, 5, 7):
         for fam, exp in expected.items():
-            pairs = enumerate_paths(family_tableau(fam, d)).pair_counts()
+            (tally,) = enumerate_paths([family_tableau(fam, d)])
+            pairs = tally.pair_counts()
             assert pairs == exp(d)
             assert sum(pairs.values()) == 12 * (d + 1) ** 2
     elapsed = time.perf_counter() - t0

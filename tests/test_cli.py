@@ -164,8 +164,9 @@ def test_tables_holds_one_tally_at_a_time():
                                         states.family_fourier_sites("P"))
     tracemalloc.start()
     try:
-        steering.enumerate_paths(tableau)
+        (tally,) = steering.enumerate_paths([tableau])
         one_tally = tracemalloc.get_traced_memory()[1]
+        del tally
         tracemalloc.reset_peak()
         report.build_report([1009])
         peak = tracemalloc.get_traced_memory()[1]

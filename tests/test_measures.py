@@ -27,7 +27,7 @@ from quditgraph import (
     tableau_purity_profile,
     wedge_measure,
 )
-from quditgraph.measures import all_subsystems, subsystem_label
+from quditgraph.measures import all_subsystems, subsystem_label, tableau_purity_profiles
 from quditgraph.pauli import site_matrix
 from quditgraph.states import family_reduced_state
 
@@ -332,6 +332,18 @@ def test_tableau_profile_matches_dense_on_random_graphs(d):
             tableau_purity_profile(stabilizer_tableau(g, sites)),
             purity_profile(apply_local_fourier(build_state(g), sites)),
         )
+
+
+def test_tableau_profiles_mixed_d_match_one_call_per_tableau():
+    # one batched call over random graph tableaux of shuffled primes, in
+    # random Fourier frames, against one call per tableau
+    rng = np.random.default_rng(1100)
+    d_values = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101], 3)).tolist()
+    tableaux = [stabilizer_tableau(random_graph(rng, d), np.flatnonzero(rng.integers(0, 2, size=4)))
+                for d in d_values]
+    batch = tableau_purity_profiles(tableaux)
+    assert [p.d for p in batch] == d_values
+    assert [p.values for p in batch] == [tableau_purity_profile(t).values for t in tableaux]
 
 
 def test_tableau_profile_is_exact():

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from quditgraph import PauliWord, dense_matrix, fourier_conjugate, inv_mod, is_prime, pauli_mul, pauli_pow
-from quditgraph.pauli import PRIME_TEST_LIMIT, check_prime, omega_powers, rank_mod, site_matrix
+from quditgraph.pauli import (
+    PRIME_TEST_LIMIT,
+    check_prime,
+    eliminate_mod,
+    omega_powers,
+    rank_mod,
+    site_matrix,
+)
 
 from conftest import random_word
 
@@ -39,6 +46,25 @@ def test_rank_mod_matches_reference(rng, d):
         low = (rng.integers(0, d, size=(40, rows, 2)) @ rng.integers(0, d, size=(40, 2, cols))) % d
         batch = np.concatenate([full, low])
         assert rank_mod(batch, d).tolist() == [reference_rank(m, d) for m in batch]
+
+
+def test_array_modulus_matches_per_d_calls(rng):
+    # matrices over mixed primes in shuffled order, each with its own modulus,
+    # against scalar-modulus calls on each matrix alone; the moduli broadcast
+    # over the last of two batch axes as well as over a single one
+    d = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101, 1009], 4))
+    for rows, cols in [(4, 8), (6, 4), (4, 4)]:
+        full = rng.integers(0, 1 << 20, size=(len(d), rows, cols))
+        left = rng.integers(0, 1 << 20, size=(len(d), rows, 2))
+        low = left @ rng.integers(0, 4, size=(len(d), 2, cols))  # rank at most 2
+        for m in (full % d[:, None, None], low % d[:, None, None]):
+            col = m[..., 1]
+            expected = [eliminate_mod(mi, ci, int(di)) for mi, ci, di in zip(m, col, d)]
+            assert np.array_equal(eliminate_mod(m, col, d), expected)
+            ranks = [int(rank_mod(mi, int(di))) for mi, di in zip(m, d)]
+            assert rank_mod(m, d).tolist() == ranks
+            assert rank_mod(np.stack([m, m]), d).tolist() == [ranks, ranks]
+        assert len(set(ranks)) > 1
 
 
 def test_is_prime_small():

@@ -376,6 +376,27 @@ def random_row_mix(rng, d):
             return m
 
 
+def test_tableau_entropy_array_modulus_matches_per_d_calls():
+    # random graph tableaux over mixed primes in shuffled order, rows mixed,
+    # each with its own modulus, against one scalar-modulus call per tableau;
+    # both the lone-site minor rule and the rank route, over one batch axis
+    # and over two
+    rng = np.random.default_rng(2100)
+    d = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101], 3))
+    batch = []
+    for di in d.tolist():
+        g = random_graph(rng, di)
+        sites = tuple(np.flatnonzero(rng.integers(0, 2, size=4)))
+        batch.append((random_row_mix(rng, di) @ stabilizer_tableau(g, sites).xz.reshape(4, 8)) % di)
+    batch = np.array(batch)
+    for site_sets in (all_subsystems(4, 1), all_subsystems(4, 2)):
+        expected = [tableau_entropy(t, site_sets, int(di)).tolist() for t, di in zip(batch, d)]
+        assert tableau_entropy(batch, site_sets, d).tolist() == expected
+        two_axes = tableau_entropy(batch.reshape(4, -1, 4, 8), site_sets, d.reshape(4, -1))
+        assert two_axes.reshape(len(d), -1).tolist() == expected
+        assert len({tuple(row) for row in expected}) > 1
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 def test_tableau_entropy_batch_matches_per_set_rank(d):
     # random graph tableaux, every third with some edges removed (often

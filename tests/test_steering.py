@@ -34,7 +34,9 @@ from quditgraph.steering import (
     PRODUCT,
     SNB,
     PathTally,
+    _groups,
     _measure_each,
+    _tally,
     basis_eigenvalue,
     basis_operator,
 )
@@ -219,7 +221,7 @@ EXPECTED_PAIRS = {
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_path_tallies(d, family):
-    tally = enumerate_paths(family_tableau(family, d))
+    (tally,) = enumerate_paths([family_tableau(family, d)])
     assert tally.first_counts() == EXPECTED_FIRST[family](d)
     assert tally.pair_counts() == EXPECTED_PAIRS[family](d)
     assert sum(tally.first_counts().values()) == 4 * (d + 1)
@@ -288,7 +290,7 @@ def test_second_level_outcome_independence_d3():
 def test_first_qudit_symmetry():
     d = 3
     for fam in ("G", "C", "P"):
-        tally = enumerate_paths(family_tableau(fam, d))
+        (tally,) = enumerate_paths([family_tableau(fam, d)])
         firsts = [tally.first_counts(q) for q in range(4)]
         pairs = [tally.pair_counts(q) for q in range(4)]
         assert all(fc == firsts[0] for fc in firsts)
@@ -299,7 +301,7 @@ def test_first_qudit_symmetry():
 
 def test_ghz_vulnerable_basis_is_z_on_every_qudit():
     d = 3
-    tally = enumerate_paths(family_tableau("G", d))
+    (tally,) = enumerate_paths([family_tableau("G", d)])
     bases = all_bases(d)
     for q in range(4):
         product_bases = [bases[b] for b in np.flatnonzero(tally.first[q].all(axis=-1))]
@@ -308,14 +310,14 @@ def test_ghz_vulnerable_basis_is_z_on_every_qudit():
 
 def test_p_has_no_vulnerable_first_basis():
     d = 3
-    tally = enumerate_paths(family_tableau("P", d))
+    (tally,) = enumerate_paths([family_tableau("P", d)])
     assert not tally.first.any()  # no pure residue site: every first move is GHZ3
     assert tally.first_counts() == {PRODUCT: 0, SNB: 0, GHZ3: 4 * (d + 1)}
 
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_p_every_basis_appears_vulnerable_to_second_measurements(d):
-    tally = enumerate_paths(family_tableau("P", d))
+    (tally,) = enumerate_paths([family_tableau("P", d)])
     bases = all_bases(d)
     vulnerable = {bases[b] for b in np.flatnonzero(tally.pure.any(axis=(0, 1, 2)))}
     assert vulnerable == set(bases)
@@ -332,11 +334,13 @@ def test_n_ave_monotone_and_below_three():
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_bell_fractions(d):
-    g_pairs = enumerate_paths(family_tableau("G", d)).pair_counts()
+    (tally,) = enumerate_paths([family_tableau("G", d)])
+    g_pairs = tally.pair_counts()
     total = 12 * (d + 1) ** 2
     assert Fraction(g_pairs[BELL], total) == Fraction(d * d, (d + 1) ** 2)
     for fam in ("C", "P"):
-        pairs = enumerate_paths(family_tableau(fam, d)).pair_counts()
+        (tally,) = enumerate_paths([family_tableau(fam, d)])
+        pairs = tally.pair_counts()
         assert Fraction(pairs[BELL], total) > Fraction(d * d, (d + 1) ** 2)
 
 
@@ -344,15 +348,15 @@ def test_unprimed_graph_states_give_same_tallies():
     # the tallies are invariant under the local Fourier reduction
     d = 3
     for fam, graph_fn in (("G", ghz_graph), ("C", cluster_graph), ("P", p_graph)):
-        raw = enumerate_paths(stabilizer_tableau(graph_fn(d), ()))
-        reduced = enumerate_paths(family_tableau(fam, d))
+        (raw,) = enumerate_paths([stabilizer_tableau(graph_fn(d), ())])
+        (reduced,) = enumerate_paths([family_tableau(fam, d)])
         assert raw.first_counts() == reduced.first_counts()
         assert raw.pair_counts() == reduced.pair_counts()
 
 
 def test_persistency_histogram_totals():
     d = 3
-    tally = enumerate_paths(family_tableau("G", d))
+    (tally,) = enumerate_paths([family_tableau("G", d)])
     hist = tally.persistency_histogram()
     assert hist == {1: 48, 2: 36, 3: 108}
     assert sum(hist.values()) == 12 * (d + 1) ** 2
@@ -361,7 +365,7 @@ def test_persistency_histogram_totals():
 def test_branch_tree_marginals_match_tallies():
     d = 3
     for fam in ("G", "C", "P"):
-        tally = enumerate_paths(family_tableau(fam, d))
+        (tally,) = enumerate_paths([family_tableau(fam, d)])
         tree = tally.branch_tree(0)
         assert sum(node["first_count"] for node in tree) == d + 1
         pair_total = sum(
@@ -433,7 +437,8 @@ def reference_paths(s):
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_batched_paths_match_reference_families(d, family):
     s = family_reduced_state(family, d)
-    assert enumerate_paths(family_tableau(family, d)) == reference_paths(s)
+    (tally,) = enumerate_paths([family_tableau(family, d)])
+    assert tally == reference_paths(s)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -450,11 +455,13 @@ def test_batched_paths_match_reference_random_graphs(d):
         grid = np.zeros((4, 4), dtype=int)
         grid[np.triu_indices(4, 1)] = w
         g = AdjacencyMatrix.from_array(grid + grid.T, d)
-        assert enumerate_paths(stabilizer_tableau(g, ())) == reference_paths(build_state(g))
+        (tally,) = enumerate_paths([stabilizer_tableau(g, ())])
+        assert tally == reference_paths(build_state(g))
         if d <= 5:  # the same graph with the Fourier gate on random sites
             sites = tuple(np.flatnonzero(rng.integers(0, 2, size=4)))
             state = apply_local_fourier(build_state(g), sites)
-            assert enumerate_paths(stabilizer_tableau(g, sites)) == reference_paths(state)
+            (tally,) = enumerate_paths([stabilizer_tableau(g, sites)])
+            assert tally == reference_paths(state)
 
 
 def test_batched_paths_match_reference_basis_state():
@@ -462,7 +469,7 @@ def test_batched_paths_match_reference_basis_state():
     # reference tries later outcomes at both levels; the tableau holds the
     # same state as the rows Z_n
     s = StateVector.basis_state(3, (1, 2, 0, 1))
-    tally = enumerate_paths(z_tableau(3))
+    (tally,) = enumerate_paths([z_tableau(3)])
     assert tally == reference_paths(s)
     assert tally.first_counts() == {PRODUCT: 16, SNB: 0, GHZ3: 0}
 
@@ -510,10 +517,47 @@ def test_second_level_rule_matches_per_line_oracle(d):
     kinds = set()
     for _ in range(12 if d > 13 else 24):
         t = random_graph_tableau(rng, d)
-        tally = enumerate_paths(t)
+        (tally,) = enumerate_paths([t])
         assert np.array_equal(tally.pure, per_line_second_level(t))
         kinds |= {k for k, n in tally.first_counts().items() if n}
     assert kinds == {PRODUCT, SNB, GHZ3}
+
+
+def test_mixed_d_batch_matches_one_call_per_tableau():
+    # one enumerate_paths call over random graph tableaux of shuffled primes,
+    # in random Fourier frames with their rows mixed, eliminated as one group
+    rng = np.random.default_rng(2500)
+    d_values = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101], 3)).tolist()
+    tableaux = [random_graph_tableau(rng, d) for d in d_values]
+    assert len(list(_groups(tableaux))) == 1
+    batch = list(enumerate_paths(tableaux))
+    assert [tally.d for tally in batch] == d_values
+    for t, tally in zip(tableaux, batch):
+        (alone,) = enumerate_paths([t])
+        assert tally == alone
+
+
+def test_batch_across_group_boundaries():
+    # 4(d+1) first-measurement rows per tableau: 13 and 1009 fill one group
+    # to exactly 4,096 rows, so 11 starts the next; a tableau of more rows
+    # than that runs alone
+    rng = np.random.default_rng(2600)
+    d_values = [13, 1009, 11, 7, 3, 2, 5]
+    tableaux = [random_graph_tableau(rng, d) for d in d_values]
+    assert [[t.d for t in group] for group in _groups(tableaux)] == [[13, 1009], [11, 7, 3, 2, 5]]
+    for t, tally in zip(tableaux, enumerate_paths(tableaux)):
+        (alone,) = enumerate_paths([t])
+        assert tally == alone
+    large = [z_tableau(2), z_tableau(1031), z_tableau(3), z_tableau(5)]
+    assert [[t.d for t in group] for group in _groups(large)] == [[2], [1031], [3, 5]]
+
+
+def test_two_pure_site_residue_raises():
+    # no stabilizer residue has exactly two pure sites
+    first = np.zeros((4, 4, 3), dtype=bool)
+    first[2, 1, :2] = True
+    with pytest.raises(ClassificationError):
+        _tally(3, first, np.zeros((4, 4, 3), dtype=np.int64))
 
 
 def looped_readers(tally, qudit):
@@ -544,7 +588,7 @@ def test_tally_readers_match_loop_over_arrays(d):
     tableaux = [family_tableau(f, d) for f in ("G", "C", "P")] + [z_tableau(d)]
     tableaux += [random_graph_tableau(rng, d) for _ in range(6)]
     for t in tableaux:
-        tally = enumerate_paths(t)
+        (tally,) = enumerate_paths([t])
         for qudit in (None, 0, 1, 2, 3):
             readers = (tally.first_counts(qudit), tally.pair_counts(qudit),
                        tally.persistency_histogram(qudit), tally.branch_tree(qudit))
@@ -553,7 +597,7 @@ def test_tally_readers_match_loop_over_arrays(d):
 
 
 def test_path_tally_arrays_are_read_only_and_checked():
-    tally = enumerate_paths(family_tableau("C", 3))
+    (tally,) = enumerate_paths([family_tableau("C", 3)])
     with pytest.raises(ValueError):
         tally.pure[0, 0, 0, 0] = True
     assert tally == PathTally(3, tally.first.copy(), tally.pure.copy())
@@ -590,7 +634,7 @@ def test_persistency_closed_forms(d, family):
 
 @pytest.mark.parametrize("family,d", CLOSED_FORM_CASES)
 def test_tally_closed_forms(d, family):
-    tally = enumerate_paths(family_tableau(family, d))
+    (tally,) = enumerate_paths([family_tableau(family, d)])
     assert tally.first_counts() == EXPECTED_FIRST[_family_effective(family, d)](d)
     assert tally.pair_counts() == EXPECTED_PAIRS[_family_effective(family, d)](d)
 
