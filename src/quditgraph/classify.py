@@ -641,8 +641,9 @@ def census_random(d: int, samples: int, seed: int) -> ClassCensus:
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     rng = np.random.default_rng(seed)
-    weights = rng.integers(0, d, size=(samples, len(_PAIRS)))
-    return _sweep(d, (
-        list(np.ascontiguousarray(weights[start:start + _CHUNK].T, dtype=_dtype(d)))
+    return _sweep(d, (  # drawn chunk by chunk: memory stays flat in samples
+        list(np.ascontiguousarray(
+            rng.integers(0, d, size=(min(_CHUNK, samples - start), len(_PAIRS))).T,
+            dtype=_dtype(d)))
         for start in range(0, samples, _CHUNK)
     ))

@@ -2,9 +2,9 @@
 
 Three command groups:
 
-* ``state build|reduce|eigen`` dumps amplitudes of a family or inline graph
-  (as basis-index / phase-exponent / magnitude triples) or verifies the
-  stabilizer eigenvalues of its generator set.
+* ``state build|reduce|eigen`` dumps the exact amplitudes of a family or
+  inline graph (as basis-index / phase-exponent / magnitude triples) or
+  verifies the stabilizer eigenvalues of its generators on the dense state.
 * ``tables`` emits the full verified report bundle for one or more prime
   dimensions and fails (exit 2) if any value misses its expectation.
 * ``classify`` canonicalizes a single matrix, or sweeps all (or random)
@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .classify import VerificationFailure, canonicalize, census_random, classify_exhaustive
 from .graphs import AdjacencyMatrix, graph_from_json_dict
-from .pauli import omega_powers
 from .report import build_report
 from .serialize import BASIS_ORDER, flatten_json, fmt_float, metadata
 from .states import (
@@ -50,8 +49,8 @@ from .steering import ClassificationError, ZeroProbabilityError
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INVALID = 3
-# reduce and eigen hold a dense d^4 state (48 MB peak RSS at d = 23); build
-# streams its rows: state build --d 23 writes 55 MB of CSV in 0.5 s at 39 MB.
+# only eigen holds a dense d^4 state (48 MB peak RSS at d = 23); build and reduce
+# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.5 s, 39 MB).
 MAX_STATE_D = 23
 # Amplitude rows rendered and written per write call: memory stays flat in d.
 _SLAB_ROWS = 4096
@@ -65,7 +64,6 @@ _ROW_TEMPLATES = {
              '        {4}\n      ],\n      "phase_exp": {5},\n      "magnitude": {6}\n    }}'),
 }
 _ROW_SEPARATORS = {"csv": "", "json": ","}
-_NULLS = {"csv": "", "json": "null"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,18 +124,13 @@ def _add_output_args(p: argparse.ArgumentParser) -> None:
 
 @dataclass(frozen=True)
 class _AmplitudeTable:
-    """Amplitudes omega^phase_exp * magnitude at flat indices of the d^4 basis.
-
-    A phase_exp of -1 marks a phase that is no power of omega. Magnitudes are
-    rendered once: row i has ``magnitudes[mag_code[i]]``, or
-    ``magnitudes[0]`` when mag_code is None.
-    """
+    """Amplitudes omega^phase_exp * magnitude at flat indices of the d^4 basis,
+    the magnitude rendered once, as every row shares it."""
 
     d: int
     flat: np.ndarray
     phase_exp: np.ndarray
-    magnitudes: tuple[str, ...]
-    mag_code: np.ndarray | None = None
+    magnitude: str
 
 
 def _strings(items) -> np.ndarray:
@@ -153,8 +146,6 @@ def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
     """
     n = len(table.flat)
     digits = _strings(range(table.d))
-    phases = _strings([*range(table.d), _NULLS[fmt]])  # phase_exp -1 picks the null
-    magnitudes = np.array(table.magnitudes, dtype=object)
     thousands = _strings(range(n // 1000 + 1))
     thousands[0] = ""
     units = _strings(range(1000))
@@ -167,8 +158,8 @@ def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
         fields = {
             "0": (thousands[high], np.where(high > 0, padded_units[low], units[low])),
             **{str(q + 1): (digits[j],) for q, j in enumerate(basis)},
-            "5": (phases[table.phase_exp[start:stop]],),
-            "6": (magnitudes[0 if table.mag_code is None else table.mag_code[start:stop]],),
+            "5": (digits[table.phase_exp[start:stop]],),
+            "6": (table.magnitude,),
         }
         columns = [_ROW_SEPARATORS[fmt]]
         for literal, field, _, _ in template:
@@ -233,35 +224,28 @@ def _parse_matrix(text: str) -> AdjacencyMatrix:
 
 
 def _resolve_graph(args) -> AdjacencyMatrix:
+    """The graph the flags name: --matrix alone, or --family and --d (and
+    --gamma for psi only); any other flag is an error, not silently dropped."""
     if args.matrix is not None:
+        if args.family or args.d is not None or args.gamma is not None:
+            raise ValueError("--matrix excludes --family, --d and --gamma")
         return _parse_matrix(args.matrix)
     if not args.family:
         raise ValueError("provide --family or --matrix")
     if args.d is None:
         raise ValueError("provide --d with --family")
+    if args.gamma is not None and args.family != "psi":
+        raise ValueError(f"--gamma applies to family psi, not {args.family}")
     return family_graph(args.family, args.d, args.gamma)
 
 
-def _graph_amplitudes(g: AdjacencyMatrix) -> _AmplitudeTable:
-    """Exact amplitudes omega^phase_exp / d^2 of a graph state, in basis order."""
-    exponents = phase_exponents(g).reshape(-1)
-    return _AmplitudeTable(g.d, np.arange(exponents.size), exponents,
-                           (repr(fmt_float(1.0 / g.d**2)),))
-
-
-def _state_amplitudes(state, tol: float = 1e-9) -> _AmplitudeTable:
-    """Nonzero amplitudes of a four-qudit state, after normalizing the global
-    phase so the first nonzero amplitude is real positive."""
-    d = state.d
-    amps = state.amps
-    flat = np.nonzero(np.abs(amps) > tol)[0]
-    rotated = amps[flat] * (abs(amps[flat[0]]) / amps[flat[0]])
-    mag = np.abs(rotated)
-    k = np.round(d * np.angle(rotated) / (2 * np.pi)).astype(np.int64) % d
-    exact = np.abs(rotated - mag * omega_powers(d)[k]) <= 1e-8 * mag
-    mags, mag_code = np.unique(mag, return_inverse=True)
-    return _AmplitudeTable(d, flat, np.where(exact, k, -1),
-                           tuple(repr(fmt_float(m)) for m in mags), mag_code)
+def _graph_amplitudes(g: AdjacencyMatrix, fourier_sites=()) -> _AmplitudeTable:
+    """Exact amplitudes omega^phase_exp * d^(|S|/2 - 2) over the support of the
+    graph state of g after a Fourier transform on the sites S, in basis order."""
+    exponents = phase_exponents(g, fourier_sites).reshape(-1)
+    flat = np.flatnonzero(exponents >= 0)
+    magnitude = g.d ** (len(set(fourier_sites)) / 2) / g.d**2
+    return _AmplitudeTable(g.d, flat, exponents[flat], repr(fmt_float(magnitude)))
 
 
 def _cmd_state(args) -> int:
@@ -270,15 +254,14 @@ def _cmd_state(args) -> int:
         raise ValueError(f"state commands support d <= {MAX_STATE_D}")
     meta = metadata(d=g.d, family=args.family, gamma=args.gamma,
                     matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
-    if args.action == "build":
-        _emit({"metadata": meta}, args.format, args.out, _graph_amplitudes(g))
-        return EXIT_OK
-    if args.action == "reduce":
-        if not args.family:
-            raise ValueError("reduce needs a named family (the reduction frame)")
-        state = family_reduced_state(args.family, g.d, args.gamma)
-        meta["fourier_sites"] = [s + 1 for s in family_fourier_sites(args.family)]
-        _emit({"metadata": meta}, args.format, args.out, _state_amplitudes(state))
+    if args.action in ("build", "reduce"):
+        sites = ()
+        if args.action == "reduce":
+            if not args.family:
+                raise ValueError("reduce needs a named family (the reduction frame)")
+            sites = family_fourier_sites(args.family)
+            meta["fourier_sites"] = [s + 1 for s in sites]
+        _emit({"metadata": meta}, args.format, args.out, _graph_amplitudes(g, sites))
         return EXIT_OK
     # eigen
     if args.generators == "reduced":

@@ -94,16 +94,28 @@ class StateVector:
             raise ValueError("states live in different Hilbert spaces")
 
 
-def phase_exponents(g: AdjacencyMatrix) -> np.ndarray:
-    """Amplitude exponents sum_{n<m} w_nm j_n j_m mod d as an int array of shape (d,)*4."""
+def phase_exponents(g: AdjacencyMatrix, fourier_sites: Iterable[int] = ()) -> np.ndarray:
+    """Amplitude exponents sum_{n<m} w_nm j_n j_m mod d as an int array of shape (d,)*4.
+
+    After ``apply_local_fourier`` on a set S of pairwise unjoined sites the
+    amplitudes are omega^e * d^(|S|/2 - 2) on the support j_s = sum_m w_sm j_m
+    (mod d) for s in S, e summed over the edges with no end in S; -1 off it."""
     d = g.d
+    sites = sorted(set(fourier_sites))
+    if any(not 0 <= q < N_VERTICES for q in sites) or any(
+            g.entries[s][t] for s, t in combinations(sites, 2)):
+        raise ValueError(f"Fourier sites {sites} must be pairwise unjoined vertices")
     idx = np.indices((d,) * N_VERTICES, sparse=True)  # broadcast axes, not d^4 x 4 digits
     exponent = np.zeros((d,) * N_VERTICES, dtype=int)
     for n, m in combinations(range(N_VERTICES), 2):
         w = g.entries[n][m]
-        if w:
+        if w and n not in sites and m not in sites:
             exponent += w * idx[n] * idx[m]
-    return exponent % d
+    exponent %= d
+    for s in sites:
+        off = sum(g.entries[s][m] * idx[m] for m in range(N_VERTICES)) - idx[s]
+        exponent = np.where(off % d == 0, exponent, -1)
+    return exponent
 
 
 def build_state(g: AdjacencyMatrix) -> StateVector:

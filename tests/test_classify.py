@@ -415,6 +415,14 @@ def test_census_random_d7():
     assert sum(census.counts.values()) == 150
 
 
+def test_census_random_draws_per_chunk(monkeypatch):
+    # a sweep that stops after the first chunk: only that chunk's weights
+    # may have been drawn, however many samples are asked for
+    monkeypatch.setattr(classify, "_sweep", lambda d, stream: next(iter(stream)))
+    first = census_random(3, 10**13, 0)
+    assert len(first) == len(PAIRS) and all(len(c) == classify._CHUNK for c in first)
+
+
 def test_three_and_four_sided_cluster_same_class():
     # the open chain and the square share the class fingerprint; their reduced
     # states are not related by a qudit permutation alone for d >= 3

@@ -16,6 +16,9 @@ from quditgraph.steering import ClassificationError, ZeroProbabilityError
 from conftest import random_graph, reference_phase_exponents
 
 
+STAR = [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -155,6 +158,44 @@ def test_tables_builds_no_dense_state(monkeypatch):
     monkeypatch.setattr(report, "family_reduced_state", dense_route)
     bundle, all_pass = report.build_report([2, 3, 5, 7])
     assert all_pass is True and bundle["all_pass"] is True
+
+
+def test_only_eigen_builds_a_state_vector(capsys, monkeypatch):
+    def dense_route(self):
+        raise AssertionError("a dense StateVector was built")
+
+    monkeypatch.setattr(states.StateVector, "__post_init__", dense_route)
+    matrix = json.dumps({"d": 5, "gamma": STAR})
+    for argv in (
+        ["state", "build", "--family", "P", "--d", "5"],
+        ["state", "build", "--matrix", matrix],
+        *(["state", "reduce", "--family", f, "--d", "5"] for f in ("G", "C", "P")),
+        ["state", "reduce", "--family", "psi", "--gamma", "2", "--d", "5"],
+        ["tables", "--d", "3", "--d", "5"],
+        ["classify", "--matrix", matrix],
+        ["classify", "--exhaustive", "--d", "3"],
+        ["classify", "--random", "50", "--d", "5"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+    with pytest.raises(AssertionError, match="dense StateVector"):
+        main(["state", "eigen", "--family", "P", "--d", "5"])
+
+
+@pytest.mark.parametrize("action", ["build", "reduce", "eigen"])
+@pytest.mark.parametrize("extra", [
+    ["--family", "P", "--matrix", json.dumps({"d": 3, "gamma": STAR})],
+    ["--d", "3", "--matrix", json.dumps({"d": 5, "gamma": STAR})],
+    ["--gamma", "2", "--matrix", json.dumps({"d": 5, "gamma": STAR})],
+    ["--family", "G", "--d", "3", "--gamma", "1"],
+    ["--family", "C", "--d", "5", "--gamma", "0"],
+])
+def test_state_rejects_conflicting_graph_flags(capsys, action, extra):
+    # the graph the output describes must be the one the flags name
+    code, out, err = run_cli(capsys, "state", action, *extra)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("quditgraph: error:")
 
 
 def test_tables_holds_one_tally_at_a_time():

@@ -1,6 +1,7 @@
-"""`state build` and `state reduce` stream their amplitude rows in slabs: the
-bytes must equal the one-dict-per-amplitude route, memory must stay flat, and
-a reader that closes the pipe early must not see a traceback."""
+"""`state build` and `state reduce` stream their amplitude rows in slabs off
+the exact phase table: the bytes must equal the one-dict-per-amplitude route
+(for `reduce`, over the dense Fourier-reduced state), memory must stay flat,
+and a reader that closes the pipe early must not see a traceback."""
 
 import csv
 import hashlib
@@ -21,17 +22,23 @@ from quditgraph.cli import EXIT_INVALID, EXIT_OK, main
 from quditgraph.pauli import omega_powers
 from quditgraph.serialize import BASIS_ORDER, flatten_json, fmt_float, metadata
 from quditgraph.states import (
-    StateVector,
     family_fourier_sites,
     family_graph,
     family_reduced_state,
     phase_exponents,
 )
 
-from conftest import random_graph, random_state_amps
+from conftest import random_graph
 
 FAMILY_ARGS = [("G", None), ("C", None), ("P", None), ("psi", 2)]
 P13_CSV_SHA256 = "6996e5e1031b35fc3e2f63ad9c90bf283fbb2f1a4e0102304ae0b316751d49cc"
+# state reduce --d 23 --format csv (psi at gamma 2), as the dense Fourier route printed it
+REDUCE23_CSV_SHA256 = {
+    "G": "dc57f7ae1613ae02cb7e02824d51159071d3b66727e3e4efdfe0d384c76ddbc2",
+    "C": "b76a2ddf01c85954bb98397357331c66605ef256064cae6c6da013425a12ca9d",
+    "P": "054f93499965bb6d3da428218cc1f38d51ea2ccd4467941bfb5959584d63bf20",
+    "psi": "80b767055cd93dcaaa7644c5f5637b8b34e0914cb9bc550114f8b1dfce896046",
+}
 
 
 def reference_graph_amplitudes(g) -> list[dict]:
@@ -139,24 +146,30 @@ def test_streamed_dump_matches_reference(capsys, tmp_path, action, d):
         assert_same_text(text, expected, (action, args, fmt, to_file))
 
 
-def test_streamed_rows_render_inexact_phases_and_mixed_magnitudes(capsys):
-    # a generic state over more rows than one slab: random magnitudes, half
-    # the phases powers of omega, most amplitudes zero and dropped
-    d = 11
-    rng = np.random.default_rng(7)
-    amps = random_state_amps(rng, d**4)
-    exact = rng.random(d**4) < 0.5
-    amps[exact] = np.abs(amps[exact]) * omega_powers(d)[rng.integers(0, d, exact.sum())]
-    amps[rng.random(d**4) < 0.67] = 0
-    state = StateVector(d, 4, amps / np.linalg.norm(amps))
-    reference = reference_state_amplitudes(state)
-    assert len(reference) > cli._SLAB_ROWS
-    assert {a["phase_exp"] is None for a in reference} == {True, False}
-    table = cli._state_amplitudes(state)
-    for fmt in ("csv", "json"):
-        cli._emit({"metadata": {"d": d}}, fmt, None, table)
-        expected = reference_text({"metadata": {"d": d}, "amplitudes": reference}, fmt)
-        assert_same_text(capsys.readouterr().out, expected, fmt)
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23])
+def test_reduce_table_matches_dense_reference(d):
+    # the exact table against the dense Fourier route for every family and
+    # every gamma of psi, row by row as the renderer sees them
+    for family, gamma in [("G", None), ("C", None), ("P", None), *(("psi", k) for k in range(d))]:
+        g = family_graph(family, d, gamma)
+        table = cli._graph_amplitudes(g, family_fourier_sites(family))
+        rows = [
+            {"basis": [int(v) for v in np.unravel_index(flat, (d,) * 4)],
+             "phase_exp": int(exp), "magnitude": float(table.magnitude)}
+            for flat, exp in zip(table.flat, table.phase_exp)
+        ]
+        reference = reference_state_amplitudes(family_reduced_state(family, d, gamma))
+        assert rows == reference, (family, gamma)
+        assert {repr(r["magnitude"]) for r in reference} == {table.magnitude}
+
+
+@pytest.mark.parametrize("family, gamma", FAMILY_ARGS)
+def test_state_reduce_d23_sha256(capsys, family, gamma):
+    argv = ["state", "reduce", "--family", family, "--d", "23", "--format", "csv"]
+    if gamma is not None:
+        argv += ["--gamma", str(gamma)]
+    out = _dump(capsys, None, argv, out=False)
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE23_CSV_SHA256[family]
 
 
 def test_state_dump_d13_sha256(capsys):

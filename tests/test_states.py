@@ -1,6 +1,6 @@
 """Graph-state construction, generators, stabilizers, and reduced forms."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -366,6 +366,45 @@ def test_phase_exponents_match_loop_reference(d):
         exps = phase_exponents(g)
         assert exps.shape == (d,) * 4
         np.testing.assert_array_equal(exps, reference_phase_exponents(g))
+
+
+def _unjoined(g, sites) -> bool:
+    return not any(g.entries[s][t] for s, t in combinations(sites, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+def test_fourier_phase_exponents_match_dense_route(d):
+    # the empty graph and random graphs with about half their edges, so
+    # unjoined site sets of every size occur; each set against the dense
+    # Fourier transform
+    rng = np.random.default_rng(2000 + d)
+    sizes = set()
+    for k in range(12):
+        w = random_graph(rng, d).as_array() * np.triu(rng.random((4, 4)) < 0.5 * (k > 0), 1)
+        g = AdjacencyMatrix.from_array(w + w.T, d)
+        for sites in (s for r in range(5) for s in combinations(range(4), r)):
+            if not _unjoined(g, sites):
+                continue
+            sizes.add(len(sites))
+            exps = phase_exponents(g, sites)
+            assert exps.shape == (d,) * 4 and exps.min() >= -1 and exps.max() < d
+            amps = np.where(exps >= 0, omega_powers(d)[exps] * d ** (len(sites) / 2 - 2), 0)
+            dense = apply_local_fourier(build_state(g), sites).reshaped()
+            np.testing.assert_allclose(amps, dense, atol=1e-12, err_msg=str((g.entries, sites)))
+    assert sizes == {0, 1, 2, 3, 4}
+
+
+def test_fourier_phase_exponents_reject_joined_sites():
+    g = p_graph(5)
+    for sites in (s for r in (2, 3, 4) for s in combinations(range(4), r)):
+        if _unjoined(g, sites):
+            exps = phase_exponents(g, sites)
+            np.testing.assert_array_equal(exps, phase_exponents(g, sites[::-1]))
+        else:
+            with pytest.raises(ValueError, match="unjoined"):
+                phase_exponents(g, sites)
+    with pytest.raises(ValueError, match="unjoined vertices"):
+        phase_exponents(g, (4,))
 
 
 def random_row_mix(rng, d):
