@@ -23,7 +23,7 @@ import csv
 import io
 import json
 import os
-import string
+import re
 import sys
 from dataclasses import dataclass
 
@@ -50,8 +50,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INVALID = 3
 # only eigen holds a dense d^4 state (48 MB peak RSS at d = 23); build and reduce
-# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.5 s, 39 MB).
+# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.3 s, 37 MB).
 MAX_STATE_D = 23
+# classify --random runs about 90k matrices/s at d = 11: the cap ends within 20 min.
+MAX_RANDOM_SAMPLES = 10**8
 # Amplitude rows rendered and written per write call: memory stays flat in d.
 _SLAB_ROWS = 4096
 # One amplitude row per format, filled from (row, j1, j2, j3, j4, phase_exp, magnitude):
@@ -133,44 +135,44 @@ class _AmplitudeTable:
     magnitude: str
 
 
-def _strings(items) -> np.ndarray:
-    return np.array([str(x) for x in items], dtype=object)
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """ASCII digits of non-negative ints right-aligned in ``width`` bytes, leading zeros NUL."""
+    text = np.empty((len(values), width), np.uint8)
+    for k in range(width - 1, -1, -1):
+        high = values // 10
+        text[:, k] = (values - 10 * high + ord("0")) * ((values > 0) | (k == width - 1))
+        values = high
+    return text
 
 
 def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
     """The table's rows as the row template renders them, _SLAB_ROWS at a time.
 
-    A slab is one join over a grid of cells: the template's literal text and
-    its fields, picked from small tables of rendered numbers, so no string is
-    built per row. A row number is two cells, its thousands and the rest.
+    The separator and the template, formatted once with each numeric field k a
+    run of byte k + 1 as wide as its widest value, make one skeleton row. A slab
+    tiles it and overwrites each run with digits, leading zeros NUL (values
+    0..d-1 from one digit table, row numbers once per slab), then deletes every
+    NUL: the rendered text itself never holds one.
     """
-    n = len(table.flat)
-    digits = _strings(range(table.d))
-    thousands = _strings(range(n // 1000 + 1))
-    thousands[0] = ""
-    units = _strings(range(1000))
-    padded_units = _strings(f"{k:03}" for k in range(1000))
-    template = list(string.Formatter().parse(_ROW_TEMPLATES[fmt]))
+    n, d, separator = len(table.flat), table.d, _ROW_SEPARATORS[fmt]
+    assert not re.search("[\x00-\x06]", separator + _ROW_TEMPLATES[fmt] + table.magnitude)
+    widths = [len(str(n - 1))] + [len(str(d - 1))] * 5
+    marks = (chr(k + 1) * width for k, width in enumerate(widths))
+    row = separator + _ROW_TEMPLATES[fmt].format(*marks, table.magnitude)
+    slots = [(ord(run[0][0]) - 1, slice(*run.span())) for run in re.finditer("[\x01-\x06]+", row)]
+    skeleton, values = np.frombuffer(row.encode(), np.uint8), _digits(np.arange(d), widths[1])
     for start in range(0, n, _SLAB_ROWS):
         stop = min(start + _SLAB_ROWS, n)
-        high, low = np.divmod(np.arange(start, stop), 1000)
-        basis = np.unravel_index(table.flat[start:stop], (table.d,) * 4)
-        fields = {
-            "0": (thousands[high], np.where(high > 0, padded_units[low], units[low])),
-            **{str(q + 1): (digits[j],) for q, j in enumerate(basis)},
-            "5": (digits[table.phase_exp[start:stop]],),
-            "6": (table.magnitude,),
-        }
-        columns = [_ROW_SEPARATORS[fmt]]
-        for literal, field, _, _ in template:
-            columns.append(literal)
-            columns.extend(fields[field] if field is not None else ())
-        cells = np.empty((stop - start, len(columns)), dtype=object)
-        for c, column in enumerate(columns):
-            cells[:, c] = column
+        columns = (*np.unravel_index(table.flat[start:stop], (d,) * 4), table.phase_exp[start:stop])
+        fields = dict(enumerate((values.take(c, axis=0) for c in columns), 1))
+        if "{0}" in _ROW_TEMPLATES[fmt]:
+            fields[0] = _digits(np.arange(start, stop), widths[0])
+        buf = np.tile(skeleton, (stop - start, 1))
+        for field, slot in slots:
+            buf[:, slot] = fields[field]
         if start == 0:
-            cells[0, 0] = ""  # no separator before the first row
-        yield "".join(cells.ravel().tolist())
+            buf[0, :len(separator)] = 0  # no separator before the first row
+        yield buf.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
@@ -187,13 +189,11 @@ def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
     if amplitudes is None:
         yield text
         return
-    tail = ""
     if fmt == "json":  # reopen the payload's closing brace for the list
         text = text[: -len("\n}\n")] + ',\n  "amplitudes": ['
-        tail = "\n  ]\n}\n"
     yield text
     yield from _amplitude_slabs(amplitudes, fmt)
-    yield tail
+    yield "\n  ]\n}\n" if fmt == "json" else ""
 
 
 def _emit(payload: dict, fmt: str, out: str | None,
@@ -204,14 +204,11 @@ def _emit(payload: dict, fmt: str, out: str | None,
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                for piece in pieces:
-                    fh.write(piece)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        stdout = sys.stdout  # looked up per call: tests and callers replace it
-        for piece in pieces:
-            stdout.write(piece)
+        sys.stdout.writelines(pieces)
 
 
 def _parse_matrix(text: str) -> AdjacencyMatrix:
@@ -301,6 +298,8 @@ def _cmd_classify(args) -> int:
         raise ValueError("sweep modes need --d")
     elif args.exhaustive:
         d, result = args.d, classify_exhaustive(args.d)
+    elif args.random > MAX_RANDOM_SAMPLES:
+        raise ValueError(f"--random supports N <= {MAX_RANDOM_SAMPLES}")
     else:
         d, result = args.d, census_random(args.d, args.random, args.seed)
     payload = {

@@ -9,8 +9,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgraph import SwapOp, classify, measures, report, states, steering
-from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, MAX_STATE_D, main
+from quditgraph import SwapOp, classify, cli, measures, report, states, steering
+from quditgraph.cli import (
+    EXIT_INVALID,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    MAX_RANDOM_SAMPLES,
+    MAX_STATE_D,
+    main,
+)
 from quditgraph.steering import ClassificationError, ZeroProbabilityError
 
 from conftest import random_graph, reference_phase_exponents
@@ -294,6 +301,28 @@ def test_classify_random_rejects_negative_count(capsys):
     assert code == EXIT_INVALID
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_classify_random_count_cap(capsys, monkeypatch, extra):
+    # the sweep itself is stubbed: at the cap the CLI must hand N over untouched,
+    # just above it must refuse before drawing anything
+    calls = []
+
+    def census(d, samples, seed):
+        calls.append(samples)
+        return classify.census_random(d, 0, seed)
+
+    monkeypatch.setattr(cli, "census_random", census)
+    n = MAX_RANDOM_SAMPLES + extra
+    code, out, err = run_cli(capsys, "classify", "--random", str(n), "--d", "3")
+    if extra:
+        assert code == EXIT_INVALID
+        assert out == "" and calls == []
+        assert err.count("\n") == 1 and f"N <= {MAX_RANDOM_SAMPLES}" in err
+    else:
+        assert code == EXIT_OK, err
+        assert calls == [MAX_RANDOM_SAMPLES]
 
 
 def test_classify_random_at_huge_prime_d(capsys):

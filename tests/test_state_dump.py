@@ -32,6 +32,7 @@ from conftest import random_graph
 
 FAMILY_ARGS = [("G", None), ("C", None), ("P", None), ("psi", 2)]
 P13_CSV_SHA256 = "6996e5e1031b35fc3e2f63ad9c90bf283fbb2f1a4e0102304ae0b316751d49cc"
+P13_JSON_SHA256 = "7a76f426f172b33c08633e0ef35583e9524729752c131413a1e0d6a7b5c0cd0d"
 # state reduce --d 23 --format csv (psi at gamma 2), as the dense Fourier route printed it
 REDUCE23_CSV_SHA256 = {
     "G": "dc57f7ae1613ae02cb7e02824d51159071d3b66727e3e4efdfe0d384c76ddbc2",
@@ -146,6 +147,31 @@ def test_streamed_dump_matches_reference(capsys, tmp_path, action, d):
         assert_same_text(text, expected, (action, args, fmt, to_file))
 
 
+@pytest.mark.parametrize("d", [11, 13])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_small_slabs_match_reference(capsys, monkeypatch, fmt, d):
+    # two-digit fields and row numbers crossing 10, 100, 1,000 and 10,000, in
+    # slabs of an odd size so slab boundaries fall mid-pattern
+    monkeypatch.setattr(cli, "_SLAB_ROWS", 7)
+    cases = [(action, ["--family", "P", "--d", str(d)], family_graph("P", d), "P")
+             for action in ("build", "reduce")]
+    rng = np.random.default_rng(2000 + d)
+    g = random_graph(rng, d)
+    matrix = json.dumps({"d": d, "gamma": [list(row) for row in g.entries]})
+    cases.append(("build", ["--matrix", matrix], g, None))
+    for action, args, g, family in cases:
+        meta = metadata(d=d, family=family, gamma=None,
+                        matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
+        if action == "build":
+            amplitudes = reference_graph_amplitudes(g)
+        else:
+            meta["fourier_sites"] = [s + 1 for s in family_fourier_sites(family)]
+            amplitudes = reference_state_amplitudes(family_reduced_state(family, d, None))
+        expected = reference_text({"metadata": meta, "amplitudes": amplitudes}, fmt)
+        text = _dump(capsys, None, ["state", action, *args, "--format", fmt], out=False)
+        assert_same_text(text, expected, (action, args, fmt))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23])
 def test_reduce_table_matches_dense_reference(d):
     # the exact table against the dense Fourier route for every family and
@@ -176,6 +202,12 @@ def test_state_dump_d13_sha256(capsys):
     argv = ["state", "build", "--family", "P", "--d", "13", "--format", "csv"]
     out = _dump(capsys, None, argv, out=False)
     assert hashlib.sha256(out.encode()).hexdigest() == P13_CSV_SHA256
+
+
+def test_state_dump_d13_json_sha256(capsys):
+    argv = ["state", "build", "--family", "P", "--d", "13", "--format", "json"]
+    out = _dump(capsys, None, argv, out=False)
+    assert hashlib.sha256(out.encode()).hexdigest() == P13_JSON_SHA256
 
 
 def test_state_build_memory_stays_flat(tmp_path):
