@@ -16,8 +16,9 @@ reducer runs each pattern's rows as one group. A group records its trace as
 one operation list whose scale and star factors are columns, one entry per
 row. ``canonicalize`` is the one-graph call of the same reducer, and the
 public operations and ``replay`` run the same kernels. Columns are int64
-while d**3 < 2**63 and Python ints beyond; inverses come from a length-d
-table for d up to the chunk size and from ``pow`` per entry beyond.
+while d**3 < 2**63 and Python ints beyond; inverses are Fermat's, by
+``pauli.inv_mod_array``: a length-d table for d up to the chunk size, and
+per column beyond.
 
 Sweeps run the reducer over chunks of at most 4,096 rows, so its memory does
 not grow with the number of graphs. The exhaustive sweep enumerates the rows
@@ -46,7 +47,7 @@ import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
 from .measures import PurityProfile, purity_profile
-from .pauli import check_prime
+from .pauli import check_prime, inv_mod_array
 from .states import build_state
 
 __all__ = [
@@ -256,14 +257,8 @@ def _inverter(d: int):
     """Column-wise inverse mod the prime d of nonzero entries, built once per d."""
     if d > _CHUNK:
         # a length-d table would cost more to build than the lookups of a chunk
-        return lambda col: np.array([pow(int(a), -1, d) for a in col], dtype=_dtype(d))
-    # Fermat's a**(d-2) as a table, exact in int64 for d <= _CHUNK
-    table, base, e = np.ones(d, dtype=np.int64), np.arange(d, dtype=np.int64), d - 2
-    while e:
-        if e & 1:
-            table = table * base % d
-        base = base * base % d
-        e >>= 1
+        return lambda col: inv_mod_array(col, d)
+    table = inv_mod_array(np.arange(d, dtype=np.int64), d)
     table.flags.writeable = False
     return table.__getitem__
 

@@ -86,8 +86,7 @@ def _build_parser() -> _Parser:
     state.add_argument(
         "--generators",
         choices=("graph", "reduced"),
-        default="graph",
-        help="generator frame for the eigen action",
+        help="generator frame for the eigen action (default graph)",
     )
     _add_output_args(state)
 
@@ -107,7 +106,7 @@ def _build_parser() -> _Parser:
     classify.add_argument("--matrix", help='inline JSON {"d": int, "gamma": [[..]x4]}')
     classify.add_argument("--exhaustive", action="store_true", help="sweep all d^6 matrices")
     classify.add_argument("--random", type=int, metavar="N", help="check N random matrices")
-    classify.add_argument("--seed", type=int, default=0, help="seed for --random")
+    classify.add_argument("--seed", type=int, help="seed for --random (default 0)")
     _add_output_args(classify)
     return parser
 
@@ -247,6 +246,8 @@ def _graph_amplitudes(g: AdjacencyMatrix, fourier_sites=()) -> _AmplitudeTable:
 
 def _cmd_state(args) -> int:
     g = _resolve_graph(args)
+    if args.generators is not None and args.action != "eigen":
+        raise ValueError("--generators applies to the eigen action only")
     if g.d > MAX_STATE_D:
         raise ValueError(f"state commands support d <= {MAX_STATE_D}")
     meta = metadata(d=g.d, family=args.family, gamma=args.gamma,
@@ -261,7 +262,8 @@ def _cmd_state(args) -> int:
         _emit({"metadata": meta}, args.format, args.out, _graph_amplitudes(g, sites))
         return EXIT_OK
     # eigen
-    if args.generators == "reduced":
+    frame = args.generators or "graph"
+    if frame == "reduced":
         if not args.family:
             raise ValueError("--generators reduced needs a named family")
         state = family_reduced_state(args.family, g.d, args.gamma)
@@ -275,7 +277,7 @@ def _cmd_state(args) -> int:
         r = verify_eigen(state, word)
         results.append({"generator": str(word), "eigen_exp": r, "expected": expected})
         ok &= r == expected
-    meta["generators"] = args.generators
+    meta["generators"] = frame
     payload = {"metadata": meta, "results": results, "all_match": ok}
     _emit(payload, args.format, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
@@ -291,7 +293,11 @@ def _cmd_classify(args) -> int:
     modes = (args.matrix is not None) + args.exhaustive + (args.random is not None)
     if modes != 1:
         raise ValueError("choose exactly one of --matrix, --exhaustive, --random N")
+    if args.seed is not None and args.random is None:
+        raise ValueError("--seed applies to --random only")
     if args.matrix is not None:
+        if args.d is not None:
+            raise ValueError("--matrix carries its own d; drop --d")
         g = _parse_matrix(args.matrix)
         d, result = g.d, canonicalize(g)
     elif args.d is None:
@@ -301,7 +307,7 @@ def _cmd_classify(args) -> int:
     elif args.random > MAX_RANDOM_SAMPLES:
         raise ValueError(f"--random supports N <= {MAX_RANDOM_SAMPLES}")
     else:
-        d, result = args.d, census_random(args.d, args.random, args.seed)
+        d, result = args.d, census_random(args.d, args.random, args.seed or 0)
     payload = {
         "metadata": metadata(d=d),
         **result.to_json_dict(),

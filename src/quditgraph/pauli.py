@@ -26,6 +26,7 @@ __all__ = [
     "eliminate_mod",
     "fourier_conjugate",
     "inv_mod",
+    "inv_mod_array",
     "is_prime",
     "omega_powers",
     "pauli_mul",
@@ -77,6 +78,19 @@ def inv_mod(a: int, d: int) -> int:
     if a == 0:
         raise ZeroDivisionError(f"0 has no multiplicative inverse mod {d}")
     return pow(a, -1, d)
+
+
+def inv_mod_array(a: np.ndarray, d: int | np.ndarray) -> np.ndarray:
+    """Inverses mod the prime d of the nonzero entries, in [0, d), of ``a``:
+    Fermat's a^(d-2) by square and multiply, d an int or an integer array
+    broadcasting against ``a``. Exact for int64 entries while d^2 < 2^63, and
+    for Python-int (object) entries always."""
+    inv, base, e = np.ones_like(a), a, np.asarray(d) - 2
+    while np.any(e):
+        inv = np.where(e & 1, inv * base % d, inv)
+        base = base * base % d
+        e = e >> 1
+    return inv
 
 
 def eliminate_mod(t: np.ndarray, col: np.ndarray, d: int | np.ndarray) -> np.ndarray:

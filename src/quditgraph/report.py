@@ -13,14 +13,14 @@ Numeric entries carry both an exact-rational string and a float rounded to
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # purity_profile and family_reduced_state stay bound for perfbench/child.py's tracer.
 from .measures import is_k_mm, purity_profile, tableau_purity_profiles
 from .pauli import check_prime
 from .serialize import BASIS_ORDER, exact_and_float, fmt_float, metadata, rational_str
 from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableau
-from .steering import BELL, GHZ3, PRODUCT, SNB, PathTally, enumerate_paths, persistency_stats
+from .steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths, persistency_stats
 
 __all__ = [
     "build_report",
@@ -31,9 +31,9 @@ __all__ = [
 
 FAMILIES = ("G", "C", "P")
 # Every int64 product in the tableau arithmetic multiplies two residues mod d,
-# so all intermediates stay below 2d^2 (about 2e6 here). The cap bounds time
-# and memory: a tally's pair array holds 12(d+1)^2 booleans, 12 MB at d = 1009.
-MAX_TABLES_D = 1009
+# so all intermediates stay below 2d^2 (about 2e8 here). Memory stays flat in
+# d, so the cap bounds time: tables --d 10007 takes about 1 s.
+MAX_TABLES_D = 10007
 
 # Checked purity columns, in the order of expected_purity_columns; (0,2) and
 # (1,3) are the diagonally coordinated pairs of the square.
@@ -131,13 +131,10 @@ def _purity_section(d: int, profiles: dict, checks: _Checklist) -> tuple[dict, d
     return section, mmes
 
 
-def _steering_section(d: int, tableaux: dict, tallies: Iterator[PathTally],
-                      checks: _Checklist) -> dict:
-    """Tallies, path trees and persistency of the family tableaux, whose
-    tallies are the next ones ``tallies`` yields."""
+def _steering_section(d: int, runs: dict, checks: _Checklist) -> dict:
+    """Tallies, path trees and persistency of the family (tableau, tally) runs."""
     firsts, pairs, trees, persistency = {}, {}, {}, {}
-    for family, tableau in tableaux.items():
-        tally = next(tallies)
+    for family, (tableau, tally) in runs.items():
         fc, pc = tally.first_counts(), tally.pair_counts()
         firsts[family] = fc
         pairs[family] = pc
@@ -160,10 +157,6 @@ def _steering_section(d: int, tableaux: dict, tallies: Iterator[PathTally],
                        rational_str(stats.n_ave_exact))
             checks.add(d, f"persistency_delta:{family}", rational_str(exp_delta),
                        rational_str(stats.delta_exact))
-        # enumerate_paths builds the next tally's pair array only when asked
-        # for it, so dropping this one first keeps at most one (12 MB at
-        # d = MAX_TABLES_D) alive at a time.
-        del tally
     return {
         "first_measurement_tallies": firsts,
         "pair_tallies": pairs,
@@ -194,7 +187,8 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
     for i, d in enumerate(d_values):
         of_d = slice(i * len(FAMILIES), (i + 1) * len(FAMILIES))
         purities, mmes = _purity_section(d, dict(zip(FAMILIES, profiles[of_d])), checks)
-        steering = _steering_section(d, dict(zip(FAMILIES, tableaux[of_d])), tallies, checks)
+        runs = dict(zip(FAMILIES, zip(tableaux[of_d], tallies[of_d])))
+        steering = _steering_section(d, runs, checks)
         sections[str(d)] = {"purities": purities, "mmes": mmes, **steering}
     if len(d_values) >= 2 and sorted(d_values) == d_values:
         for family in FAMILIES:

@@ -40,24 +40,26 @@ alone exactly when s is pure. Hence, by R's purity pattern:
   so ``ClassificationError``.
 
 n comes from two eliminations that clear b's columns, batched over every
-residue and c, so a batch costs three eliminations in all, and the second
-level costs O(d) per tally beyond filling its boolean arrays. A batch holds
-at most 4,096 first measurements (4(d+1) per tableau), so d = 2..13 runs as
-one, while each tableau at d near 1009 runs alone. ``project``, ``classify3``
-and ``classify2`` are the single-event form on dense vectors, with PROB_TOL
-and PURITY_TOL.
+residue and c, so a batch costs three eliminations in all. The first
+measurements of all tableaux, 4(d+1) per tableau, are cut into batches of
+4,096, whatever their d: d = 2..13 runs as one, and a tableau at large d
+spans many, so no batch's temporaries grow with d. A tally keeps the O(d)
+result of its first level, the pure sites and n_c's line, from which every
+pair count follows in closed form. ``project``, ``classify3`` and
+``classify2`` are the single-event form on dense vectors, with PROB_TOL and
+PURITY_TOL.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .measures import all_subsystems, partial_trace, purity
-from .pauli import check_prime, eliminate_mod, omega_powers, site_matrix
+from .pauli import check_prime, eliminate_mod, inv_mod_array, omega_powers, site_matrix
 from .states import StateVector, Tableau, tableau_entropy
 
 __all__ = [
@@ -271,39 +273,61 @@ def classify2(s: StateVector) -> StateClass2:
 @dataclass(frozen=True, eq=False)
 class PathTally:
     """Classified outcomes of all single measurements and measurement pairs,
-    as two read-only boolean arrays over the lines of ``all_bases``:
+    as two read-only arrays over the lines of ``all_bases``:
 
     - ``first`` (4 q1, d+1 b1, 3 sites): which sites of the residue of
       measuring qudit q1 along b1 are pure; three pure sites make a product,
       one an S_nB state and none a GHZ3 state;
-    - ``pure`` (4 q1, d+1 b1, 3 q2, d+1 b2): whether measuring residue site
-      q2 along b2 next leaves a product pair rather than a Bell pair.
+    - ``line`` (4 q1, d+1 b1, 3 sites): for a residue with no pure site, the
+      index of the line of the module docstring's n_c for each site c, the
+      one second measurement of c that leaves a product pair; 0 elsewhere.
 
-    Residue sites are positions within the 3-qudit residual state.
-    First-measurement classes total 4(d+1); ordered pairs total 12(d+1)^2.
+    By the module docstring's rule these decide every pair, so a first move
+    leaves 3(d+1) product pairs if all three residue sites are pure, 2(d+1)
+    if one is and 3 if none is; ``pure`` spells the pairs out. A residue with
+    two pure sites raises ClassificationError. Residue sites are positions
+    within the 3-qudit residual state. First-measurement classes total
+    4(d+1); ordered pairs total 12(d+1)^2.
     """
 
     d: int
     first: np.ndarray
-    pure: np.ndarray
+    line: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.d + 1
-        first, pure = np.asarray(self.first, dtype=bool), np.asarray(self.pure, dtype=bool)
-        if first.shape != (4, n, 3) or pure.shape != (4, n, 3, n):
-            raise ValueError(f"expected arrays of shapes (4, {n}, 3) and (4, {n}, 3, {n})")
-        first, pure = first.view(), pure.view()
-        first.flags.writeable = pure.flags.writeable = False
+        first, line = np.asarray(self.first, dtype=bool), np.asarray(self.line, dtype=np.int64)
+        if first.shape != (4, n, 3) or line.shape != (4, n, 3):
+            raise ValueError(f"expected two arrays of shape (4, {n}, 3)")
+        n_pure = first.sum(-1)
+        if (n_pure == 2).any():
+            _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
+        line = np.where((n_pure == 0)[..., None], line, 0)
+        if ((line < 0) | (line >= n)).any():
+            raise ValueError(f"line indices must lie in [0, {n})")
+        first = first.view()
+        first.flags.writeable = line.flags.writeable = False
         object.__setattr__(self, "first", first)
-        object.__setattr__(self, "pure", pure)
+        object.__setattr__(self, "line", line)
         # per first move (q1, b1): pure residue sites, second moves to a product
-        object.__setattr__(self, "_per_move", (first.sum(-1), pure.sum((-2, -1))))
+        products = np.where(n_pure == 3, 3 * n, np.where(n_pure == 1, 2 * n, 3))
+        object.__setattr__(self, "_per_move", (n_pure, products))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathTally):
             return NotImplemented
         return (self.d == other.d and np.array_equal(self.first, other.first)
-                and np.array_equal(self.pure, other.pure))
+                and np.array_equal(self.line, other.line))
+
+    @property
+    def pure(self) -> np.ndarray:
+        """Read-only (4 q1, d+1 b1, 3 q2, d+1 b2) booleans: whether measuring
+        residue site q2 along b2 next leaves a product pair, not a Bell pair."""
+        n_pure, line = self._per_move[0][..., None, None], self.line[..., None]
+        pure = ((n_pure == 3) | ((n_pure == 1) & ~self.first[..., None])
+                | ((n_pure == 0) & (line == np.arange(self.d + 1))))
+        pure.flags.writeable = False
+        return pure
 
     def first_counts(self, qudit: int | None = None) -> dict[str, int]:
         counts = np.bincount(self._moves(qudit)[0], minlength=4)
@@ -344,8 +368,8 @@ class PathTally:
         return {PRODUCT: product, BELL: 3 * (self.d + 1) * moves - product}
 
 
-# First-measurement rows (4(d+1) per tableau) that one batch of
-# ``enumerate_paths`` eliminates together; a larger tableau runs alone.
+# First-measurement rows that ``enumerate_paths`` eliminates together: it cuts
+# the rows of all its tableaux into slices of this many, whatever their d.
 _GROUP_ROWS = 4096
 
 
@@ -377,45 +401,11 @@ def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
     return _measure(_qudit_first(t)[..., None, :, :], lines, d)
 
 
-def _line_index(xz: np.ndarray, d: int | np.ndarray) -> np.ndarray:
-    """Index in ``all_bases`` of the line through each (x, z) of ``xz`` (..., 2)
-    mod d, d broadcasting over (...): Z when x = 0, else XZ^k with k = z / x,
-    the inverse being x^(d-2) (Fermat), raised per row."""
-    x, z = xz[..., 0], xz[..., 1]
-    inv, base, e = np.ones_like(x), x, np.asarray(d) - 2
-    while e.any():
-        inv = np.where(e & 1, inv * base % d, inv)
-        base = base * base % d
-        e = e >> 1
-    return np.where(x == 0, 0, 1 + z * inv % d)
-
-
-def _groups(tableaux: Iterable[Tableau]) -> Iterator[list[Tableau]]:
-    """Consecutive runs of tableaux of at most _GROUP_ROWS first-measurement
-    rows each, or one tableau where it alone has more."""
-    group, rows = [], 0
-    for t in tableaux:
-        if group and rows + 4 * (t.d + 1) > _GROUP_ROWS:
-            yield group
-            group, rows = [], 0
-        group.append(t)
-        rows += 4 * (t.d + 1)
-    if group:
-        yield group
-
-
-def _classify_group(group: list[Tableau]) -> tuple[np.ndarray, np.ndarray]:
-    """(pure residue sites, second-level line) of every first measurement of a
-    group of tableaux, one row per (tableau, q1, b1) in that order: shapes
-    (rows, 3) and (rows, 3 c), the line being the one of the module
+def _classify_rows(g: np.ndarray, line: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pure residue sites, second-level line) of measuring the first qudit of
+    each tableau ``g`` (rows, 4, 8) along ``line`` (rows, 2) mod d (rows,):
+    shapes (rows, 3) and (rows, 3 c), the line being the one of the module
     docstring's n_c for each measured residue site c."""
-    d_t = np.array([t.d for t in group])
-    tab = np.repeat(np.arange(len(group)), 4 * (d_t + 1))
-    start = np.concatenate(([0], np.cumsum(4 * (d_t + 1))[:-1]))
-    q1, b1 = np.divmod(np.arange(len(tab)) - start[tab], d_t[tab] + 1)
-    d = d_t[tab]  # the modulus of each row
-    line = np.stack([b1 > 0, np.where(b1 > 0, b1 - 1, 1)], axis=-1)  # Z, then XZ^k
-    g = _qudit_first(np.stack([t.xz.reshape(4, 8) for t in group]))[q1, tab]
     res3 = _measure(g, line, d)  # (rows, 4 rows, 6)
     first = tableau_entropy(res3, ((0,), (1,), (2,)), d) == 0
     # for each measured site c, clear the columns of b = c + 1 mod 3 from the
@@ -425,35 +415,34 @@ def _classify_group(group: list[Tableau]) -> tuple[np.ndarray, np.ndarray]:
     w = eliminate_mod(w, w[..., 0], d[:, None])
     w = eliminate_mod(w, w[..., 1], d[:, None])[..., 2:]
     row = w.any(-1).argmax(-1)  # a nonzero row, where W reaches c
-    return first, _line_index(w[(*np.indices(row.shape, sparse=True), row)], d[:, None])
+    x, z = np.moveaxis(w[(*np.indices(row.shape, sparse=True), row)], -1, 0)  # n_c
+    # the index in all_bases of n_c's line: Z when x = 0, else XZ^k with k = z / x
+    return first, np.where(x == 0, 0, 1 + z * inv_mod_array(x, d[:, None]) % d[:, None])
 
 
-def _tally(d: int, first: np.ndarray, line: np.ndarray) -> PathTally:
-    """The tally of one tableau from its (4 q1, d+1 b1, 3) pure sites and lines."""
-    n_pure = first.sum(-1)
-    if (n_pure == 2).any():
-        _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
-    always = (n_pure == 3)[..., None] | ((n_pure == 1)[..., None] & ~first)
-    pure = np.repeat(always[..., None], d + 1, axis=-1)
-    on_line = always | (n_pure == 0)[..., None]
-    pure[(*np.indices(line.shape, sparse=True), line)] = on_line
-    return PathTally(d, first, pure)
-
-
-def enumerate_paths(tableaux: Iterable[Tableau]) -> Iterator[PathTally]:
+def enumerate_paths(tableaux: Iterable[Tableau]) -> list[PathTally]:
     """The tally of each tableau, in order, of any mix of primes d: the residue
-    of every ordered single and pair of measurements. One batched elimination
-    measures every first qudit of a group of tableaux along every line, and
-    each second measurement is classed by the rule of the module docstring.
-    A tally's pair array is built only as it is yielded, so a caller that
-    drops each tally holds one at a time."""
-    for group in _groups(tableaux):
-        first, line = _classify_group(group)
-        start = 0
-        for t in group:
-            rows = slice(start, start + 4 * (t.d + 1))
-            yield _tally(t.d, first[rows].reshape(4, t.d + 1, 3), line[rows].reshape(4, t.d + 1, 3))
-            start = rows.stop
+    of every ordered single and pair of measurements. The first measurements
+    of all tableaux, one row per (tableau, q1, b1), are eliminated in slices
+    of _GROUP_ROWS rows, each row reduced by its own tableau's d, and each
+    second measurement is classed by the rule of the module docstring."""
+    tableaux = list(tableaux)
+    if not tableaux:
+        return []
+    d_t = np.array([t.d for t in tableaux])
+    n_rows = 4 * (d_t + 1)
+    stops = np.cumsum(n_rows)
+    tab = np.repeat(np.arange(len(tableaux)), n_rows)
+    q1, b1 = np.divmod(np.arange(len(tab)) - (stops - n_rows)[tab], d_t[tab] + 1)
+    d = d_t[tab]  # the modulus of each row
+    lines = np.stack([b1 > 0, np.where(b1 > 0, b1 - 1, 1)], axis=-1)  # Z, then XZ^k
+    xz = _qudit_first(np.stack([t.xz.reshape(4, 8) for t in tableaux]))
+    first, line = np.empty((len(tab), 3), bool), np.empty((len(tab), 3), np.int64)
+    for start in range(0, len(tab), _GROUP_ROWS):
+        rows = slice(start, start + _GROUP_ROWS)
+        first[rows], line[rows] = _classify_rows(xz[q1[rows], tab[rows]], lines[rows], d[rows])
+    return [PathTally(t.d, f.reshape(4, t.d + 1, 3), l.reshape(4, t.d + 1, 3)) for t, f, l
+            in zip(tableaux, np.split(first, stops[:-1]), np.split(line, stops[:-1]))]
 
 
 @dataclass(frozen=True)

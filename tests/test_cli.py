@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgraph import SwapOp, classify, cli, measures, report, states, steering
+from quditgraph import SwapOp, classify, cli, measures, report, states
 from quditgraph.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
@@ -87,6 +87,7 @@ def test_state_eigen_graph_frame_psi(capsys):
         capsys, "state", "eigen", "--family", "psi", "--gamma", "2", "--d", "5"
     )
     assert payload["all_match"] is True
+    assert payload["metadata"]["generators"] == "graph"  # the default frame
 
 
 def test_tables_d3_passes(capsys):
@@ -120,15 +121,15 @@ def test_tables_d17_passes(capsys):
 
 
 def test_tables_rejects_d_above_cap(capsys):
-    code, out, err = run_cli(capsys, "tables", "--d", "1013")
+    code, out, err = run_cli(capsys, "tables", "--d", "10009")
     assert code == EXIT_INVALID
     assert out == ""
-    assert "up to 1009" in err
+    assert "up to 10007" in err
 
 
 def test_tables_runs_at_cap(capsys):
-    payload = run_json(capsys, "tables", "--d", "1009")
-    assert payload["metadata"]["d_values"] == [1009]
+    payload = run_json(capsys, "tables", "--d", "10007")
+    assert payload["metadata"]["d_values"] == [10007]
     assert payload["all_pass"] is True
 
 
@@ -147,6 +148,8 @@ def test_tables_large_d_up_to_cap(capsys):
 @pytest.mark.parametrize("d_values, sha256", [
     ((17, 19, 23, 29, 31), "23325229794587b1482459c9eb934d4f930bf5296e22148f8e1ae109f13ac133"),
     ((61, 101), "f44596c4b8c4768950f41c71116000062a688ed9f4e66354ecb4ad38dcc7d675"),
+    ((10007,), "d6db1d242ffe6942a60ecdd023ac28b36cf347e2586185c09e77c8c2e9296fc6"),
+    ((10007, 2, 3), "f120867358eba99f15f356e82a8d99da6e3400735c40b1e7e271b4d4125fc230"),
 ])
 def test_tables_large_d_sha256(capsys, d_values, sha256):
     # no benchmark workload runs tables beyond d = 13, so its bytes are pinned here
@@ -205,22 +208,42 @@ def test_state_rejects_conflicting_graph_flags(capsys, action, extra):
     assert err.count("\n") == 1 and err.startswith("quditgraph: error:")
 
 
-def test_tables_holds_one_tally_at_a_time():
-    # a P tally's pair array is 12 MB at d = 1009; two alive at once nearly
-    # doubled the peak
-    tableau = states.stabilizer_tableau(states.family_graph("P", 1009),
-                                        states.family_fourier_sites("P"))
-    tracemalloc.start()
-    try:
-        (tally,) = steering.enumerate_paths([tableau])
-        one_tally = tracemalloc.get_traced_memory()[1]
-        del tally
-        tracemalloc.reset_peak()
-        report.build_report([1009])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.2 * one_tally
+@pytest.mark.parametrize("action", ["build", "reduce"])
+@pytest.mark.parametrize("frame", ["graph", "reduced"])
+def test_state_rejects_generators_outside_eigen(capsys, action, frame):
+    # build and reduce print amplitudes, in no generator frame
+    code, out, err = run_cli(capsys, "state", action, "--family", "P", "--d", "3",
+                             "--generators", frame)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and "--generators" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--matrix", json.dumps({"d": 5, "gamma": STAR}), "--d", "5"],
+    ["--matrix", json.dumps({"d": 5, "gamma": STAR}), "--seed", "9"],
+    ["--exhaustive", "--d", "3", "--seed", "4"],
+])
+def test_classify_rejects_flags_its_mode_ignores(capsys, extra):
+    code, out, err = run_cli(capsys, "classify", *extra)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("quditgraph: error:")
+
+
+def test_tables_memory_is_flat_in_d():
+    # a tally holds O(d) arrays and the first measurements run in fixed row
+    # slices, so a ten times larger d barely moves the peak; a (4, d+1, 3, d+1)
+    # pair array would take 1.2 GB at d = 10007
+    peaks = []
+    for d in (1009, 10007):
+        tracemalloc.start()
+        try:
+            report.build_report([d])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3 * peaks[0]
 
 
 @pytest.mark.parametrize("error", [ClassificationError, ZeroProbabilityError])

@@ -21,6 +21,7 @@ from quditgraph import (
     mub_eigenstate,
     persistency_stats,
     project,
+    steering,
     verify_eigen,
 )
 from quditgraph.classify import DISCONNECTED, cut_rank_classes
@@ -34,9 +35,7 @@ from quditgraph.steering import (
     PRODUCT,
     SNB,
     PathTally,
-    _groups,
     _measure_each,
-    _tally,
     basis_eigenvalue,
     basis_operator,
 )
@@ -406,9 +405,10 @@ def test_cluster_residual_generators_after_z2():
 
 
 def reference_paths(s):
-    """Single-projection form of ``enumerate_paths``: one ``project`` call per
-    outcome tried, lowest outcome of nonzero probability first, each residue
-    classed by ``classify3`` and each pair by ``classify2``."""
+    """Single-projection form of ``enumerate_paths``, as a tally's ``first``
+    and ``pure`` arrays: one ``project`` call per outcome tried, lowest
+    outcome of nonzero probability first, each residue classed by
+    ``classify3`` and each pair by ``classify2``."""
 
     def first_valid(state, qudit, basis):
         for outcome in range(state.d):
@@ -430,7 +430,12 @@ def reference_paths(s):
             for q2 in range(3):
                 for i2, b2 in enumerate(bases):
                     pure[q1, i1, q2, i2] = classify2(first_valid(res3, q2, b2)).kind == PRODUCT
-    return PathTally(s.d, first, pure)
+    return first, pure
+
+
+def matches_reference(tally, s):
+    first, pure = reference_paths(s)
+    return np.array_equal(tally.first, first) and np.array_equal(tally.pure, pure)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -438,7 +443,7 @@ def reference_paths(s):
 def test_batched_paths_match_reference_families(d, family):
     s = family_reduced_state(family, d)
     (tally,) = enumerate_paths([family_tableau(family, d)])
-    assert tally == reference_paths(s)
+    assert matches_reference(tally, s)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -456,12 +461,12 @@ def test_batched_paths_match_reference_random_graphs(d):
         grid[np.triu_indices(4, 1)] = w
         g = AdjacencyMatrix.from_array(grid + grid.T, d)
         (tally,) = enumerate_paths([stabilizer_tableau(g, ())])
-        assert tally == reference_paths(build_state(g))
+        assert matches_reference(tally, build_state(g))
         if d <= 5:  # the same graph with the Fourier gate on random sites
             sites = tuple(np.flatnonzero(rng.integers(0, 2, size=4)))
             state = apply_local_fourier(build_state(g), sites)
             (tally,) = enumerate_paths([stabilizer_tableau(g, sites)])
-            assert tally == reference_paths(state)
+            assert matches_reference(tally, state)
 
 
 def test_batched_paths_match_reference_basis_state():
@@ -470,7 +475,7 @@ def test_batched_paths_match_reference_basis_state():
     # same state as the rows Z_n
     s = StateVector.basis_state(3, (1, 2, 0, 1))
     (tally,) = enumerate_paths([z_tableau(3)])
-    assert tally == reference_paths(s)
+    assert matches_reference(tally, s)
     assert tally.first_counts() == {PRODUCT: 16, SNB: 0, GHZ3: 0}
 
 
@@ -525,31 +530,33 @@ def test_second_level_rule_matches_per_line_oracle(d):
 
 def test_mixed_d_batch_matches_one_call_per_tableau():
     # one enumerate_paths call over random graph tableaux of shuffled primes,
-    # in random Fourier frames with their rows mixed, eliminated as one group
+    # in random Fourier frames with their rows mixed, eliminated as one slice
     rng = np.random.default_rng(2500)
     d_values = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101], 3)).tolist()
     tableaux = [random_graph_tableau(rng, d) for d in d_values]
-    assert len(list(_groups(tableaux))) == 1
-    batch = list(enumerate_paths(tableaux))
+    assert sum(4 * (d + 1) for d in d_values) <= steering._GROUP_ROWS
+    batch = enumerate_paths(tableaux)
     assert [tally.d for tally in batch] == d_values
     for t, tally in zip(tableaux, batch):
         (alone,) = enumerate_paths([t])
         assert tally == alone
 
 
-def test_batch_across_group_boundaries():
-    # 4(d+1) first-measurement rows per tableau: 13 and 1009 fill one group
-    # to exactly 4,096 rows, so 11 starts the next; a tableau of more rows
-    # than that runs alone
+def test_row_slices_cut_through_tableaux(monkeypatch):
+    # 4(d+1) first-measurement rows per tableau; slices of 7 rows cut through
+    # most tableaux, and d = 1009 spans hundreds of them, yet each tally
+    # equals the one of a call of its own
     rng = np.random.default_rng(2600)
     d_values = [13, 1009, 11, 7, 3, 2, 5]
     tableaux = [random_graph_tableau(rng, d) for d in d_values]
-    assert [[t.d for t in group] for group in _groups(tableaux)] == [[13, 1009], [11, 7, 3, 2, 5]]
-    for t, tally in zip(tableaux, enumerate_paths(tableaux)):
-        (alone,) = enumerate_paths([t])
-        assert tally == alone
-    large = [z_tableau(2), z_tableau(1031), z_tableau(3), z_tableau(5)]
-    assert [[t.d for t in group] for group in _groups(large)] == [[2], [1031], [3, 5]]
+    alone = [enumerate_paths([t])[0] for t in tableaux]
+    sizes, classify_rows = [], steering._classify_rows
+    monkeypatch.setattr(steering, "_GROUP_ROWS", 7)
+    monkeypatch.setattr(steering, "_classify_rows",
+                        lambda g, line, d: sizes.append(len(d)) or classify_rows(g, line, d))
+    assert enumerate_paths(tableaux) == alone
+    rows = sum(4 * (d + 1) for d in d_values)
+    assert sizes == [min(7, rows - start) for start in range(0, rows, 7)]
 
 
 def test_two_pure_site_residue_raises():
@@ -557,7 +564,7 @@ def test_two_pure_site_residue_raises():
     first = np.zeros((4, 4, 3), dtype=bool)
     first[2, 1, :2] = True
     with pytest.raises(ClassificationError):
-        _tally(3, first, np.zeros((4, 4, 3), dtype=np.int64))
+        PathTally(3, first, np.zeros((4, 4, 3), dtype=np.int64))
 
 
 def looped_readers(tally, qudit):
@@ -598,14 +605,23 @@ def test_tally_readers_match_loop_over_arrays(d):
 
 def test_path_tally_arrays_are_read_only_and_checked():
     (tally,) = enumerate_paths([family_tableau("C", 3)])
+    for array in (tally.first, tally.line, tally.pure):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+    assert tally == PathTally(3, tally.first.copy(), tally.line.copy())
+    ghz = np.flatnonzero(~tally.first.any(-1).ravel())[0]  # a move with no pure site
+    moved = tally.line.copy()
+    moved.reshape(-1, 3)[ghz, 0] = (moved.reshape(-1, 3)[ghz, 0] + 1) % 4
+    assert tally != PathTally(3, tally.first, moved)
+    # a line off an all-mixed residue carries nothing, so it is not kept
+    snb = np.flatnonzero(tally.first.any(-1).ravel())[0]
+    ignored = tally.line.copy()
+    ignored.reshape(-1, 3)[snb] = 3
+    assert tally == PathTally(3, tally.first, ignored)
     with pytest.raises(ValueError):
-        tally.pure[0, 0, 0, 0] = True
-    assert tally == PathTally(3, tally.first.copy(), tally.pure.copy())
-    flipped = tally.pure.copy()
-    flipped[0, 0, 0, 0] ^= True
-    assert tally != PathTally(3, tally.first, flipped)
+        PathTally(5, tally.first, tally.line)
     with pytest.raises(ValueError):
-        PathTally(5, tally.first, tally.pure)
+        PathTally(3, tally.first, tally.line + 4)
 
 
 def closed_form_persistency(family, d):
