@@ -32,7 +32,7 @@ __all__ = [
 FAMILIES = ("G", "C", "P")
 # Every int64 product in the tableau arithmetic multiplies two residues mod d,
 # so all intermediates stay below 2d^2 (about 2e8 here). Memory stays flat in
-# d, so the cap bounds time: tables --d 10007 takes about 1 s.
+# d, so the cap bounds time: tables --d 10007 takes about 0.5 s.
 MAX_TABLES_D = 10007
 
 # Checked purity columns, in the order of expected_purity_columns; (0,2) and
@@ -145,18 +145,18 @@ def _steering_section(d: int, runs: dict, checks: _Checklist) -> dict:
 
         stats = persistency_stats(tableau, tally)
         persistency[family] = {
-            "n_ave": exact_and_float(stats.n_ave_exact),
+            "n_ave": exact_and_float(stats.n_ave),
             "n_min": stats.n_min,
-            "delta": exact_and_float(stats.delta_exact),
+            "delta": exact_and_float(stats.delta),
         }
         checks.add(d, f"persistency_n_min:{family}", expected_n_min(family, d), stats.n_min)
-        checks.add(d, f"n_ave_below_3:{family}", True, stats.n_ave < 3.0)
+        checks.add(d, f"n_ave_below_3:{family}", True, stats.n_ave < 3)
         if d == 3:
             exp_ave, _, exp_delta = _PERSISTENCY_D3[family]
             checks.add(d, f"persistency_n_ave:{family}", rational_str(exp_ave),
-                       rational_str(stats.n_ave_exact))
+                       rational_str(stats.n_ave))
             checks.add(d, f"persistency_delta:{family}", rational_str(exp_delta),
-                       rational_str(stats.delta_exact))
+                       rational_str(stats.delta))
     return {
         "first_measurement_tallies": firsts,
         "pair_tallies": pairs,

@@ -15,7 +15,7 @@ by its own tableau's d. One batched elimination measures all four first
 qudits of every tableau along all d+1 lines, and ``states.tableau_entropy``
 classes each 3-qudit residue R by which of its sites are pure (Hein, Eisert
 and Briegel, PRA 69, 062311). Every second measurement is then classed from
-R alone, with no further elimination:
+R's purity pattern alone, with no further elimination:
 
 Let R's rows span V (dim V = 3), measure site c along line l, and let a, b
 be the other two sites. The measurement keeps the v in V with v_c in <l>
@@ -39,13 +39,15 @@ alone exactly when s is pure. Hence, by R's purity pattern:
 - two pure sites: no stabilizer state (S(c) = S(ab) <= S(a) + S(b) = 0),
   so ``ClassificationError``.
 
-n comes from two eliminations that clear b's columns, batched over every
-residue and c, so a batch costs three eliminations in all. The first
-measurements of all tableaux, 4(d+1) per tableau, are cut into batches of
-4,096, whatever their d: d = 2..13 runs as one, and a tableau at large d
-spans many, so no batch's temporaries grow with d. A tally keeps the O(d)
-result of its first level, the pure sites and n_c's line, from which every
-pair count follows in closed form. ``project``, ``classify3`` and
+So the class of every pair follows from R's purity pattern: each site of a
+product residue has d+1 second measurements that leave a product, each
+mixed site of an S_nB residue d+1 and its pure site none, and each site of
+a GHZ3 residue exactly one, the line of n_c. A tally keeps only the first
+level, the pure sites of each residue, and every pair count is a closed
+form of it. The first measurements of all tableaux, 4(d+1) per tableau,
+are cut into batches of 4,096, whatever their d, and each batch costs one
+elimination: d = 2..13 runs as one, and a tableau at large d spans many,
+so no batch's temporaries grow with d. ``project``, ``classify3`` and
 ``classify2`` are the single-event form on dense vectors, with PROB_TOL and
 PURITY_TOL.
 """
@@ -59,7 +61,7 @@ from typing import Iterable
 import numpy as np
 
 from .measures import all_subsystems, partial_trace, purity
-from .pauli import check_prime, eliminate_mod, inv_mod_array, omega_powers, site_matrix
+from .pauli import check_prime, eliminate_mod, omega_powers, site_matrix
 from .states import StateVector, Tableau, tableau_entropy
 
 __all__ = [
@@ -273,42 +275,32 @@ def classify2(s: StateVector) -> StateClass2:
 @dataclass(frozen=True, eq=False)
 class PathTally:
     """Classified outcomes of all single measurements and measurement pairs,
-    as two read-only arrays over the lines of ``all_bases``:
+    held as the read-only booleans ``first`` (4 q1, d+1 b1, 3 sites) over the
+    lines of ``all_bases``: which sites of the residue of measuring qudit q1
+    along b1 are pure. Three pure sites make a product, one an S_nB state and
+    none a GHZ3 state; two raise ClassificationError. Residue sites are
+    positions within the 3-qudit residual state.
 
-    - ``first`` (4 q1, d+1 b1, 3 sites): which sites of the residue of
-      measuring qudit q1 along b1 are pure; three pure sites make a product,
-      one an S_nB state and none a GHZ3 state;
-    - ``line`` (4 q1, d+1 b1, 3 sites): for a residue with no pure site, the
-      index of the line of the module docstring's n_c for each site c, the
-      one second measurement of c that leaves a product pair; 0 elsewhere.
-
-    By the module docstring's rule these decide every pair, so a first move
-    leaves 3(d+1) product pairs if all three residue sites are pure, 2(d+1)
-    if one is and 3 if none is; ``pure`` spells the pairs out. A residue with
-    two pure sites raises ClassificationError. Residue sites are positions
-    within the 3-qudit residual state. First-measurement classes total
-    4(d+1); ordered pairs total 12(d+1)^2.
+    By the module docstring's rule the pattern decides every pair, so a first
+    move leaves 3(d+1) product pairs if all three residue sites are pure,
+    2(d+1) if one is and 3 if none is. First-measurement classes total
+    4(d+1); ordered pairs total 12(d+1)^2. The readers take a first qudit
+    0..3, or None for all four.
     """
 
     d: int
     first: np.ndarray
-    line: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.d + 1
-        first, line = np.asarray(self.first, dtype=bool), np.asarray(self.line, dtype=np.int64)
-        if first.shape != (4, n, 3) or line.shape != (4, n, 3):
-            raise ValueError(f"expected two arrays of shape (4, {n}, 3)")
+        first = np.asarray(self.first, dtype=bool).view()
+        if first.shape != (4, n, 3):
+            raise ValueError(f"expected an array of shape (4, {n}, 3)")
         n_pure = first.sum(-1)
         if (n_pure == 2).any():
             _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
-        line = np.where((n_pure == 0)[..., None], line, 0)
-        if ((line < 0) | (line >= n)).any():
-            raise ValueError(f"line indices must lie in [0, {n})")
-        first = first.view()
-        first.flags.writeable = line.flags.writeable = False
+        first.flags.writeable = False
         object.__setattr__(self, "first", first)
-        object.__setattr__(self, "line", line)
         # per first move (q1, b1): pure residue sites, second moves to a product
         products = np.where(n_pure == 3, 3 * n, np.where(n_pure == 1, 2 * n, 3))
         object.__setattr__(self, "_per_move", (n_pure, products))
@@ -316,18 +308,7 @@ class PathTally:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathTally):
             return NotImplemented
-        return (self.d == other.d and np.array_equal(self.first, other.first)
-                and np.array_equal(self.line, other.line))
-
-    @property
-    def pure(self) -> np.ndarray:
-        """Read-only (4 q1, d+1 b1, 3 q2, d+1 b2) booleans: whether measuring
-        residue site q2 along b2 next leaves a product pair, not a Bell pair."""
-        n_pure, line = self._per_move[0][..., None, None], self.line[..., None]
-        pure = ((n_pure == 3) | ((n_pure == 1) & ~self.first[..., None])
-                | ((n_pure == 0) & (line == np.arange(self.d + 1))))
-        pure.flags.writeable = False
-        return pure
+        return self.d == other.d and np.array_equal(self.first, other.first)
 
     def first_counts(self, qudit: int | None = None) -> dict[str, int]:
         counts = np.bincount(self._moves(qudit)[0], minlength=4)
@@ -360,6 +341,8 @@ class PathTally:
     def _moves(self, qudit: int | None) -> tuple[np.ndarray, np.ndarray]:
         """Per first move (q1, b1) of one or every first qudit: how many residue
         sites are pure, and how many second measurements leave a product."""
+        if qudit is not None and qudit not in range(4):
+            raise ValueError(f"qudit must be 0..3 or None, got {qudit!r}")
         sel = slice(None) if qudit is None else slice(qudit, qudit + 1)
         return tuple(a[sel].ravel() for a in self._per_move)
 
@@ -401,23 +384,10 @@ def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
     return _measure(_qudit_first(t)[..., None, :, :], lines, d)
 
 
-def _classify_rows(g: np.ndarray, line: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pure residue sites, second-level line) of measuring the first qudit of
-    each tableau ``g`` (rows, 4, 8) along ``line`` (rows, 2) mod d (rows,):
-    shapes (rows, 3) and (rows, 3 c), the line being the one of the module
-    docstring's n_c for each measured residue site c."""
-    res3 = _measure(g, line, d)  # (rows, 4 rows, 6)
-    first = tableau_entropy(res3, ((0,), (1,), (2,)), d) == 0
-    # for each measured site c, clear the columns of b = c + 1 mod 3 from the
-    # residue's rows, keeping c's columns: these then span {v_c : v in W}
-    cols = np.array([[2 * b, 2 * b + 1, 2 * c, 2 * c + 1] for c, b in ((0, 1), (1, 2), (2, 0))])
-    w = np.swapaxes(res3[..., cols], -3, -2)  # (rows, c, 4 rows, 4)
-    w = eliminate_mod(w, w[..., 0], d[:, None])
-    w = eliminate_mod(w, w[..., 1], d[:, None])[..., 2:]
-    row = w.any(-1).argmax(-1)  # a nonzero row, where W reaches c
-    x, z = np.moveaxis(w[(*np.indices(row.shape, sparse=True), row)], -1, 0)  # n_c
-    # the index in all_bases of n_c's line: Z when x = 0, else XZ^k with k = z / x
-    return first, np.where(x == 0, 0, 1 + z * inv_mod_array(x, d[:, None]) % d[:, None])
+def _classify_rows(g: np.ndarray, line: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Pure residue sites, shape (rows, 3), of measuring the first qudit of
+    each tableau ``g`` (rows, 4, 8) along ``line`` (rows, 2) mod d (rows,)."""
+    return tableau_entropy(_measure(g, line, d), ((0,), (1,), (2,)), d) == 0
 
 
 def enumerate_paths(tableaux: Iterable[Tableau]) -> list[PathTally]:
@@ -437,12 +407,12 @@ def enumerate_paths(tableaux: Iterable[Tableau]) -> list[PathTally]:
     d = d_t[tab]  # the modulus of each row
     lines = np.stack([b1 > 0, np.where(b1 > 0, b1 - 1, 1)], axis=-1)  # Z, then XZ^k
     xz = _qudit_first(np.stack([t.xz.reshape(4, 8) for t in tableaux]))
-    first, line = np.empty((len(tab), 3), bool), np.empty((len(tab), 3), np.int64)
+    first = np.empty((len(tab), 3), bool)
     for start in range(0, len(tab), _GROUP_ROWS):
         rows = slice(start, start + _GROUP_ROWS)
-        first[rows], line[rows] = _classify_rows(xz[q1[rows], tab[rows]], lines[rows], d[rows])
-    return [PathTally(t.d, f.reshape(4, t.d + 1, 3), l.reshape(4, t.d + 1, 3)) for t, f, l
-            in zip(tableaux, np.split(first, stops[:-1]), np.split(line, stops[:-1]))]
+        first[rows] = _classify_rows(xz[q1[rows], tab[rows]], lines[rows], d[rows])
+    return [PathTally(t.d, f.reshape(4, t.d + 1, 3))
+            for t, f in zip(tableaux, np.split(first, stops[:-1]))]
 
 
 @dataclass(frozen=True)
@@ -450,11 +420,9 @@ class PersistencyStats:
     """Averaged persistency over all paths with a fixed first qudit, the
     minimum over paths, and the normalized Bell-minus-product difference."""
 
-    n_ave: float
+    n_ave: Fraction
     n_min: int
-    delta: float
-    n_ave_exact: Fraction
-    delta_exact: Fraction
+    delta: Fraction
 
 
 def persistency_stats(t: Tableau, tally: PathTally | None = None) -> PersistencyStats:
@@ -468,10 +436,15 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
     re-enumeration.
     """
     d = t.d
-    if (tableau_entropy(t.xz.reshape(4, 8), [(i,) for i in range(4)], d) == 0).all():
-        return PersistencyStats(0.0, 0, 0.0, Fraction(0), Fraction(0))
     if tally is None:
         (tally,) = enumerate_paths([t])
+    # A state is a product exactly when every first move leaves three pure
+    # sites: were site a mixed while every move on another site b left a pure,
+    # then for each line at b some stabilizer on {a, b} would be nonzero on a
+    # and on that line; those span two dimensions, a Bell pair of a and b,
+    # which measuring a third site leaves mixed.
+    if tally.first.all():
+        return PersistencyStats(Fraction(0), 0, Fraction(0))
     total = 3 * (d + 1) ** 2
     per_qudit = []
     for q in range(4):
@@ -486,9 +459,7 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
     n_sum, bell, prod = per_qudit[0]
     hist = tally.persistency_histogram(0)
     n_min = 1 if hist[1] else (2 if hist[2] else 3)
-    n_ave = Fraction(n_sum, total)
-    delta = Fraction(bell - prod, total)
-    return PersistencyStats(float(n_ave), n_min, float(delta), n_ave, delta)
+    return PersistencyStats(Fraction(n_sum, total), n_min, Fraction(bell - prod, total))
 
 
 def schmidt_bounds(t: Tableau) -> tuple[float, int]:

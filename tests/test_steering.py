@@ -235,14 +235,14 @@ def test_persistency_d3_exact():
     }
     for fam, (ave, nmin, delta) in expected.items():
         stats = persistency_stats(family_tableau(fam, 3))
-        assert stats.n_ave_exact == ave
+        assert stats.n_ave == ave
         assert stats.n_min == nmin
-        assert stats.delta_exact == delta
+        assert stats.delta == delta
 
 
 def test_persistency_product_input():
     stats = persistency_stats(z_tableau(3))
-    assert (stats.n_ave, stats.n_min, stats.delta) == (0.0, 0, 0.0)
+    assert (stats.n_ave, stats.n_min, stats.delta) == (Fraction(0), 0, Fraction(0))
 
 
 def test_outcome_independence_exhaustive_d3():
@@ -316,9 +316,9 @@ def test_p_has_no_vulnerable_first_basis():
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_p_every_basis_appears_vulnerable_to_second_measurements(d):
-    (tally,) = enumerate_paths([family_tableau("P", d)])
+    pure = per_line_second_level(family_tableau("P", d))
     bases = all_bases(d)
-    vulnerable = {bases[b] for b in np.flatnonzero(tally.pure.any(axis=(0, 1, 2)))}
+    vulnerable = {bases[b] for b in np.flatnonzero(pure.any(axis=(0, 1, 2)))}
     assert vulnerable == set(bases)
 
 
@@ -433,9 +433,21 @@ def reference_paths(s):
     return first, pure
 
 
+def rule_product_lines(first):
+    """Per residue site, how many of its d+1 second measurements leave a
+    product pair, by the module docstring's rule applied to a tally's
+    ``first`` (4 q1, d+1 b1, 3 sites): d+1 on every site of a residue with
+    three pure sites, d+1 on each mixed site and 0 on the pure one of a
+    residue with one, and exactly 1 on every site of a residue with none."""
+    n = first.shape[1]
+    n_pure = first.sum(-1, keepdims=True)
+    return np.where(n_pure == 3, n, np.where(n_pure == 1, n * ~first, 1))
+
+
 def matches_reference(tally, s):
     first, pure = reference_paths(s)
-    return np.array_equal(tally.first, first) and np.array_equal(tally.pure, pure)
+    return (np.array_equal(tally.first, first)
+            and np.array_equal(pure.sum(-1), rule_product_lines(tally.first)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -499,11 +511,13 @@ def per_line_second_level(t):
     return np.stack(pure).transpose(0, 2, 1, 3)
 
 
-def random_graph_tableau(rng, d):
-    """A random graph's tableau, one graph in three with a random subset of
-    its edges, in a frame with the Fourier gate on random sites, its rows
-    mixed by a random invertible matrix mod d."""
-    w = rng.integers(0, d, size=6) * (rng.integers(0, 2, size=6) if rng.random() < 1 / 3 else 1)
+def random_graph_tableau(rng, d, w=None):
+    """A graph's tableau in a frame with the Fourier gate on random sites, its
+    rows mixed by a random invertible matrix mod d. The edge weights ``w``
+    default to random ones, one graph in three keeping a random subset."""
+    if w is None:
+        w = rng.integers(0, d, size=6)
+        w = w * (rng.integers(0, 2, size=6) if rng.random() < 1 / 3 else 1)
     grid = np.zeros((4, 4), dtype=int)
     grid[np.triu_indices(4, 1)] = w
     g = AdjacencyMatrix.from_array(grid + grid.T, d)
@@ -523,7 +537,8 @@ def test_second_level_rule_matches_per_line_oracle(d):
     for _ in range(12 if d > 13 else 24):
         t = random_graph_tableau(rng, d)
         (tally,) = enumerate_paths([t])
-        assert np.array_equal(tally.pure, per_line_second_level(t))
+        pure = per_line_second_level(t)
+        assert np.array_equal(pure.sum(-1), rule_product_lines(tally.first))
         kinds |= {k for k, n in tally.first_counts().items() if n}
     assert kinds == {PRODUCT, SNB, GHZ3}
 
@@ -564,12 +579,13 @@ def test_two_pure_site_residue_raises():
     first = np.zeros((4, 4, 3), dtype=bool)
     first[2, 1, :2] = True
     with pytest.raises(ClassificationError):
-        PathTally(3, first, np.zeros((4, 4, 3), dtype=np.int64))
+        PathTally(3, first)
 
 
-def looped_readers(tally, qudit):
+def looped_readers(tally, pure, qudit):
     """first_counts, pair_counts, persistency_histogram and branch_tree of a
-    tally, by a plain loop over its arrays."""
+    tally, by a plain loop over its ``first`` array and the per-line oracle's
+    pairs ``pure``."""
     d = tally.d
     first, pairs, hist = {PRODUCT: 0, SNB: 0, GHZ3: 0}, {PRODUCT: 0, BELL: 0}, {1: 0, 2: 0, 3: 0}
     branches = {}
@@ -582,7 +598,7 @@ def looped_readers(tally, qudit):
             node["first_count"] += 1
             for q2 in range(3):
                 for b2 in range(d + 1):
-                    pair = PRODUCT if tally.pure[q1, b1, q2, b2] else BELL
+                    pair = PRODUCT if pure[q1, b1, q2, b2] else BELL
                     pairs[pair] += 1
                     node["pairs"][pair] += 1
                     hist[1 if kind == PRODUCT else 2 if pair == PRODUCT else 3] += 1
@@ -596,32 +612,60 @@ def test_tally_readers_match_loop_over_arrays(d):
     tableaux += [random_graph_tableau(rng, d) for _ in range(6)]
     for t in tableaux:
         (tally,) = enumerate_paths([t])
+        pure = per_line_second_level(t)
         for qudit in (None, 0, 1, 2, 3):
             readers = (tally.first_counts(qudit), tally.pair_counts(qudit),
                        tally.persistency_histogram(qudit), tally.branch_tree(qudit))
-            assert readers == looped_readers(tally, qudit)
+            assert readers == looped_readers(tally, pure, qudit)
             assert all(type(n) is int for reader in readers[:3] for n in reader.values())
 
 
 def test_path_tally_arrays_are_read_only_and_checked():
     (tally,) = enumerate_paths([family_tableau("C", 3)])
-    for array in (tally.first, tally.line, tally.pure):
-        with pytest.raises(ValueError):
-            array[(0,) * array.ndim] = 1
-    assert tally == PathTally(3, tally.first.copy(), tally.line.copy())
-    ghz = np.flatnonzero(~tally.first.any(-1).ravel())[0]  # a move with no pure site
-    moved = tally.line.copy()
-    moved.reshape(-1, 3)[ghz, 0] = (moved.reshape(-1, 3)[ghz, 0] + 1) % 4
-    assert tally != PathTally(3, tally.first, moved)
-    # a line off an all-mixed residue carries nothing, so it is not kept
-    snb = np.flatnonzero(tally.first.any(-1).ravel())[0]
-    ignored = tally.line.copy()
-    ignored.reshape(-1, 3)[snb] = 3
-    assert tally == PathTally(3, tally.first, ignored)
     with pytest.raises(ValueError):
-        PathTally(5, tally.first, tally.line)
+        tally.first[0, 0, 0] = True
+    assert tally == PathTally(3, tally.first.copy())
+    ghz = ~tally.first.any(-1)  # the moves that leave no pure site
+    assert tally != PathTally(3, tally.first | ghz[..., None])  # now leave a product
     with pytest.raises(ValueError):
-        PathTally(3, tally.first, tally.line + 4)
+        PathTally(5, tally.first)
+    with pytest.raises(ValueError):
+        PathTally(3, tally.first[:, :3])
+
+
+@pytest.mark.parametrize("qudit", [-1, 4, 7, 9])
+def test_tally_readers_reject_a_bad_qudit(qudit):
+    (tally,) = enumerate_paths([family_tableau("C", 3)])
+    for reader in (tally.first_counts, tally.pair_counts,
+                   tally.persistency_histogram, tally.branch_tree):
+        with pytest.raises(ValueError, match="qudit"):
+            reader(qudit)
+
+
+def test_enumerate_paths_eliminates_once_per_row_slice(monkeypatch):
+    # the 18 tableaux of the tables bundle at d = 2..13 fit one row slice
+    tableaux = [family_tableau(f, d) for d in (2, 3, 5, 7, 11, 13) for f in ("G", "C", "P")]
+    assert sum(4 * (t.d + 1) for t in tableaux) <= steering._GROUP_ROWS
+    calls, eliminate = [], steering.eliminate_mod
+    monkeypatch.setattr(steering, "eliminate_mod",
+                        lambda *args: calls.append(1) or eliminate(*args))
+    enumerate_paths(tableaux)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_all_pure_first_moves_mean_a_product_state(d):
+    # random graphs of random edge density, so many are products or hold a
+    # lone Bell pair, in random Fourier frames with their rows mixed
+    rng = np.random.default_rng(3500 + d)
+    weights = rng.integers(1, d, size=(300, 6)) * (rng.random((300, 6)) < rng.random((300, 1)))
+    tableaux = [random_graph_tableau(rng, d, w) for w in weights]
+    all_pure = np.array([tally.first.all() for tally in enumerate_paths(tableaux)])
+    entropy = tableau_entropy(np.stack([t.xz.reshape(4, 8) for t in tableaux]),
+                              [(i,) for i in range(4)], d)
+    product = (entropy == 0).all(-1)
+    assert np.array_equal(all_pure, product)
+    assert 0 < product.sum() < len(tableaux)
 
 
 def closed_form_persistency(family, d):
@@ -644,8 +688,8 @@ CLOSED_FORM_CASES = [
 def test_persistency_closed_forms(d, family):
     stats = persistency_stats(family_tableau(family, d))
     n_ave, delta = closed_form_persistency(_family_effective(family, d), d)
-    assert stats.n_ave_exact == n_ave
-    assert stats.delta_exact == delta
+    assert stats.n_ave == n_ave
+    assert stats.delta == delta
 
 
 @pytest.mark.parametrize("family,d", CLOSED_FORM_CASES)
