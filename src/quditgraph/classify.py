@@ -10,24 +10,28 @@ which is class C for gamma_tilde in {0, 1} and class P otherwise.
 
 A batch of graphs is held as six weight columns (w01, w02, w03, w12, w13,
 w23), one entry per graph, and every operation is a column operation mod d.
-The reduction program of a graph is fixed by its edge-support pattern (which
-weights are nonzero), apart from one branch of the six-edged program, so the
-reducer runs each pattern's rows as one group. A group records its trace as
-one operation list whose scale and star factors are columns, one entry per
-row. ``canonicalize`` is the one-graph call of the same reducer, and the
-public operations and ``replay`` run the same kernels. Columns are int64
-while d**3 < 2**63 and Python ints beyond; inverses are Fermat's, by
-``pauli.inv_mod_array``: a length-d table for d up to the chunk size, and
-per column beyond.
+A graph's edge-support pattern (which weights are nonzero) fixes a
+relabelling of its vertices, a few swaps, onto one of three programs: the
+unit star; the chain, shared by the open chains, 4-cycles, triangles with a
+pendant and five-edged graphs (a star at vertex 1, by 0 where there is no 0-2
+chord, then the chain's normalization); and the six-edged program, which
+splits its rows once more. The reducer relabels each row by its pattern's
+swaps and runs each program's rows as one group. A group records its trace,
+after the relabelling, as one operation list whose scale and star factors are
+columns, one entry per row. ``canonicalize`` is the one-graph call of the
+same reducer, and the public operations and ``replay`` run the same kernels.
+Columns are int64 while d**3 < 2**63 and Python ints beyond; inverses are
+Fermat's, by ``pauli.inv_mod_array``: a length-d table for d up to the chunk
+size, and per column beyond.
 
 Sweeps run the reducer over chunks of at most 4,096 rows, so its memory does
-not grow with the number of graphs. The exhaustive sweep enumerates the rows
-support pattern by support pattern, so each pattern's rows are contiguous
-and the reducer runs about one group per pattern, plus one per chunk
-boundary; a random census groups the rows it drew inside each chunk. Every
+not grow with the number of graphs, and runs at most six groups per chunk.
+The exhaustive sweep enumerates the rows support pattern by support pattern,
+so most of its chunks hold one pattern, relabelled by moving whole columns;
+a chunk of mixed patterns, as a random census draws, gathers per row. Every
 row is held to three checks: the reduced matrix must be a canonical form;
 its class must equal an exact oracle's; and each group's trace, replayed
-from the original rows, must give the reduced rows. The oracle uses that
+from the original rows after their relabelling, must give the reduced rows. The oracle uses that
 the purity of a subsystem A of a graph state is d**-rank, the rank taken
 over GF(d) of the cut block Gamma[A, complement of A] (Hein, Eisert,
 Briegel, PRA 69, 062311; Hostens, Dehaene, De Moor, PRA 71, 042315 for
@@ -265,11 +269,12 @@ def _inverter(d: int):
 
 class _Group:
     """Rows under reduction that share one program: their indices into the
-    chunk, their current weight columns, the trace so far, and, once
-    reduced, their class codes."""
+    chunk, their supports, their current weight columns, the trace so far
+    after each row's relabelling, and, once reduced, their class codes."""
 
-    def __init__(self, rows, w, d: int, inverse):
+    def __init__(self, rows, support, w, d: int, inverse):
         self.rows = rows
+        self.support = support
         self.w = w
         self.d = d
         self.inverse = inverse
@@ -292,14 +297,8 @@ class _Group:
     def star(self, vertex: int, factor) -> None:
         self._record(StarOp(vertex, factor % self.d))
 
-    def permute(self, axes) -> None:
-        """Relabel so that new vertex i is old vertex axes[i], as a sequence of swaps."""
-        cur = list(range(N_VERTICES))
-        for r in range(N_VERTICES):
-            if cur[r] != axes[r]:
-                s = cur.index(axes[r])
-                self._record(SwapOp(r, s))
-                cur[r], cur[s] = cur[s], cur[r]
+    def swap(self, a: int, b: int) -> None:
+        self._record(SwapOp(a, b))
 
     def normalize_edge(self, vertex: int, other: int) -> None:
         """Scale ``vertex`` so the edge to ``other`` gets unit weight."""
@@ -315,7 +314,8 @@ class _Group:
         return self._take(mask), self._take(~mask)
 
     def _take(self, mask) -> "_Group":
-        part = _Group(self.rows[mask], [c[mask] for c in self.w], self.d, self.inverse)
+        part = _Group(self.rows[mask], self.support[mask], [c[mask] for c in self.w],
+                      self.d, self.inverse)
         part.ops = [
             op if isinstance(op, SwapOp) else type(op)(op.vertex, op.factor[mask])
             for op in self.ops
@@ -337,9 +337,10 @@ class _Group:
 
     def result(self, i: int):
         """(class, gamma_tilde, trace, canonical entries) of row ``i``; the trace
-        leaves out the scales by 1 and stars by 0 the group applies."""
+        starts with the swaps of the row's relabelling and leaves out the scales
+        by 1 and stars by 0 the group applies."""
         code = int(self.codes[i])
-        trace = []
+        trace = list(_SWAPS[self.support[i]])
         for op in self.ops:
             if not isinstance(op, SwapOp):
                 op = type(op)(op.vertex, int(op.factor[i]))
@@ -350,37 +351,103 @@ class _Group:
         return _LABELS[code], gamma, tuple(trace), _entries(self.w, i)
 
 
-def _connected(edges) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        n = stack.pop()
-        for m in range(N_VERTICES):
-            if (n, m) in edges and m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return len(seen) == N_VERTICES
+# Program shapes: a disconnected support runs no program; every connected one
+# is relabelled onto the star, the chain or the six-edged program.
+_UNREDUCED, _STAR, _CHAIN, _SIX_EDGED = range(4)
+
+
+def _plan(support: int):
+    """(shape, axes) of a support: its program takes new vertex i to be old
+    vertex axes[i]."""
+    identity = tuple(range(N_VERTICES))
+    # both orientations of each edge
+    edges = {pair for pair, k in _PAIR_INDEX.items() if support >> k & 1}
+    gaps = [p for p in _PAIRS if p not in edges]
+    degrees = [sum((v, m) in edges for m in identity) for v in identity]
+    # Connected means three or more edges and no isolated vertex: an isolated
+    # vertex leaves at most three edges, on a triangle of the others.
+    if len(gaps) > 3 or 0 in degrees:
+        return _UNREDUCED, identity
+    if not gaps:
+        return _SIX_EDGED, identity
+    if len(gaps) == 1:
+        # five edges: the gap becomes 1-3, the 0-2 chord of the 4-cycle 0-1-2-3-0
+        (gap,) = gaps
+        others = [v for v in identity if v not in gap]
+        return _CHAIN, (others[0], gap[0], others[1], gap[1])
+    if len(gaps) == 2:
+        (z1, z2) = gaps
+        shared = set(z1) & set(z2)
+        if not shared:
+            # Diagonally placed gaps: the graph is already a 4-cycle.
+            return _CHAIN, (z1[0], z2[0], z1[1], z2[1])
+        v = shared.pop()
+        i, j = sorted((set(z1) | set(z2)) - {v})
+        (k,) = set(identity) - {v, i, j}
+        return _CHAIN, (i, j, k, v)  # triangle 0-1-2 with a pendant 3
+    if 3 in degrees:
+        center = degrees.index(3)
+        return _STAR, (*(v for v in identity if v != center), center)
+    # A connected 3-edged graph without a degree-3 vertex is an open chain.
+    order = [degrees.index(1)]
+    while len(order) < N_VERTICES:
+        order.append(next(m for m in identity if (order[-1], m) in edges and m not in order))
+    return _CHAIN, tuple(order)
+
+
+def _plan_table():
+    """Per support: its program shape, its relabelling as swaps, and the
+    weight column each relabelled column reads (the swaps run on indices)."""
+    shapes, swaps, columns = [], [], []
+    for support in range(2 ** len(_PAIRS)):
+        shape, axes = _plan(support)
+        cur, ops, cols = list(range(N_VERTICES)), [], list(range(len(_PAIRS)))
+        for r, v in enumerate(axes):
+            s = cur.index(v)
+            if s != r:
+                ops.append(SwapOp(r, s))
+                cols = _swap(cols, r, s)
+                cur[r], cur[s] = v, cur[r]
+        shapes.append(shape)
+        swaps.append(tuple(ops))
+        columns.append(cols)
+    return np.array(shapes), tuple(swaps), np.array(columns)
+
+
+_SHAPE, _SWAPS, _RELABEL = _plan_table()
+
+
+def _relabel(w, support):
+    """Six weight columns with each row relabelled by its support's swaps."""
+    if support.min() == support.max():  # one support: move whole columns
+        return [w[k] for k in _RELABEL[support[0]]]
+    return list(np.take_along_axis(np.stack(w), _RELABEL[support].T, axis=0))
 
 
 def _reduce(w, d: int, inverse):
     """Reduce the graphs of six weight columns to canonical forms.
 
-    Rows are grouped by edge-support pattern; each group runs its pattern's
-    program, and the six-edged program splits its group once more. Yields
-    the nonempty groups with their class codes set.
+    Rows are grouped by program shape; each group relabels every row by its
+    support's swaps and runs its shape's program, and the six-edged program
+    splits its group once more. Yields the nonempty groups with their class
+    codes set.
     """
-    pattern = sum((c != 0).astype(np.int64) << k for k, c in enumerate(w))
-    order = np.argsort(pattern, kind="stable")
-    patterns, starts = np.unique(pattern[order], return_index=True)
-    for support, rows in zip(patterns.tolist(), np.split(order, starts[1:])):
-        group = _Group(rows, [c[rows] for c in w], d, inverse)
-        # both orientations of each edge of the pattern
-        edges = {pair for pair, k in _PAIR_INDEX.items() if support >> k & 1}
-        if not _connected(edges):
+    support = sum((c != 0).astype(np.int64) << k for k, c in enumerate(w))
+    shape = _SHAPE[support]
+    for code, program in enumerate(_PROGRAMS):
+        rows = np.flatnonzero(shape == code)
+        if not rows.size:
+            continue
+        if rows.size == shape.size:  # the whole chunk: no copy
+            group = _Group(rows, support, w, d, inverse)
+        else:
+            group = _Group(rows, support[rows], [c[rows] for c in w], d, inverse)
+        if program is None:
             group.codes = np.full(len(rows), _DISCONNECTED)
             yield group
             continue
-        for part in _PROGRAMS[len(edges) // 2](group, edges):
+        group.w = _relabel(group.w, group.support)
+        for part in program(group):
             part.check_canonical()
             yield part
 
@@ -398,7 +465,24 @@ def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
     return CanonicalResult(cls, gamma, trace, AdjacencyMatrix(g.d, h))
 
 
-def _reduce_six_edged(r: _Group, edges):
+def _reduce_star(r: _Group):
+    for v in range(3):  # normalize the edges of the star at vertex 3
+        r.normalize_edge(v, 3)
+    return (r,)
+
+
+def _reduce_chain(r: _Group):
+    # Kill the 0-2 chord with a star at 1 (by 0 where there is none), leaving
+    # the chain 0-1-2-3 and the 0-3 edge; normalizing the chain edges turns
+    # the 0-3 edge into gamma_tilde.
+    r.star(1, -r.weight(0, 2) * r.inverse(r.weight(0, 1) * r.weight(1, 2) % r.d))
+    r.normalize_edge(1, 0)
+    r.normalize_edge(2, 1)
+    r.normalize_edge(3, 2)
+    return (r,)
+
+
+def _reduce_six_edged(r: _Group):
     d = r.d
     # Kill the 1-3 edge with a star at 2, then normalize the 1-2 and 2-3 edges.
     r.star(2, -r.weight(1, 3) * r.inverse(r.weight(1, 2) * r.weight(2, 3) % d))
@@ -409,10 +493,10 @@ def _reduce_six_edged(r: _Group, edges):
     # Operations run on the nonempty parts only; a single graph fills one part.
     if len(star):
         # Remaining graph is a star at vertex 2 with one non-unit edge.
-        star.permute((0, 1, 3, 2))
+        star.swap(2, 3)
         star.normalize_edge(0, 3)
     if len(flipped):
-        flipped.permute((0, 3, 2, 1))  # exchange the roles of the 0-1 and 0-3 edges
+        flipped.swap(1, 3)  # exchange the roles of the 0-1 and 0-3 edges
     for part in (flipped, kept):
         if len(part):
             # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
@@ -421,61 +505,8 @@ def _reduce_six_edged(r: _Group, edges):
     return [part for part in (star, flipped, kept) if len(part)]
 
 
-def _reduce_five_edged(r: _Group, edges):
-    (zero_pair,) = [p for p in _PAIRS if p not in edges]
-    others = [v for v in range(N_VERTICES) if v not in zero_pair]
-    r.permute((others[0], zero_pair[0], others[1], zero_pair[1]))
-    # Kill the 0-2 chord, leaving the 4-cycle 0-1-2-3-0; normalizing its chain
-    # edges turns the 0-3 edge into gamma_tilde.
-    r.star(1, -r.weight(0, 2) * r.inverse(r.weight(0, 1) * r.weight(1, 2) % r.d))
-    return _normalize_chain(r)
-
-
-def _reduce_four_edged(r: _Group, edges):
-    (z1, z2) = [p for p in _PAIRS if p not in edges]
-    shared = set(z1) & set(z2)
-    if not shared:
-        # Diagonally placed gaps: the graph is already a 4-cycle.
-        r.permute((z1[0], z2[0], z1[1], z2[1]))
-        return _normalize_chain(r)
-    v = shared.pop()
-    i, j = sorted((set(z1) | set(z2)) - {v})
-    (k,) = set(range(N_VERTICES)) - {v, i, j}
-    r.permute((i, j, k, v))
-    # Triangle 0-1-2 with a pendant 3; kill the 0-2 edge to leave the chain.
-    r.star(1, -r.weight(0, 2) * r.inverse(r.weight(0, 1) * r.weight(1, 2) % r.d))
-    return _normalize_chain(r)
-
-
-def _reduce_three_edged(r: _Group, edges):
-    degrees = [sum((v, m) in edges for m in range(N_VERTICES)) for v in range(N_VERTICES)]
-    if 3 in degrees:
-        center = degrees.index(3)
-        leaves = [v for v in range(N_VERTICES) if v != center]
-        r.permute((*leaves, center))
-        for v in range(3):
-            r.normalize_edge(v, 3)
-        return (r,)
-    # A connected 3-edged graph without a degree-3 vertex is an open chain.
-    first = min(v for v in range(N_VERTICES) if degrees[v] == 1)
-    order = [first]
-    while len(order) < N_VERTICES:
-        nxt = [m for m in range(N_VERTICES) if (order[-1], m) in edges and m not in order]
-        order.append(nxt[0])
-    r.permute(tuple(order))
-    return _normalize_chain(r)
-
-
-def _normalize_chain(r: _Group):
-    r.normalize_edge(1, 0)
-    r.normalize_edge(2, 1)
-    r.normalize_edge(3, 2)
-    return (r,)
-
-
-# Reduction program by edge count of a connected graph.
-_PROGRAMS = {3: _reduce_three_edged, 4: _reduce_four_edged, 5: _reduce_five_edged,
-             6: _reduce_six_edged}
+# Reduction program by shape; disconnected graphs run none.
+_PROGRAMS = (None, _reduce_star, _reduce_chain, _reduce_six_edged)
 
 
 def profile_class(profile: PurityProfile, tol: float = ORACLE_TOL) -> str:
@@ -578,7 +609,7 @@ def _sweep(d: int, chunks) -> ClassCensus:
                     _LABELS[group.codes[i]],
                     _LABELS[oracle[i]],
                 )
-            replayed = [c[group.rows] for c in w]
+            replayed = _relabel([c[group.rows] for c in w], group.support)
             for op in group.ops:
                 replayed = _apply(replayed, d, op)
             bad = np.flatnonzero(np.any([a != b for a, b in zip(replayed, group.w)], axis=0))

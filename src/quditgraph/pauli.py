@@ -80,16 +80,16 @@ def inv_mod(a: int, d: int) -> int:
     return pow(a, -1, d)
 
 
-def inv_mod_array(a: np.ndarray, d: int | np.ndarray) -> np.ndarray:
+def inv_mod_array(a: np.ndarray, d: int) -> np.ndarray:
     """Inverses mod the prime d of the nonzero entries, in [0, d), of ``a``:
-    Fermat's a^(d-2) by square and multiply, d an int or an integer array
-    broadcasting against ``a``. Exact for int64 entries while d^2 < 2^63, and
-    for Python-int (object) entries always."""
-    inv, base, e = np.ones_like(a), a, np.asarray(d) - 2
-    while np.any(e):
-        inv = np.where(e & 1, inv * base % d, inv)
+    Fermat's a^(d-2) by square and multiply. Exact for int64 entries while
+    d^2 < 2^63, and for Python-int (object) entries always."""
+    inv, base, e = np.ones_like(a), a, d - 2
+    while e:
+        if e & 1:
+            inv = inv * base % d
         base = base * base % d
-        e = e >> 1
+        e >>= 1
     return inv
 
 

@@ -365,10 +365,38 @@ def test_exhaustive_rows_run_in_support_pattern_order(monkeypatch, d):
     assert sorted(runs.tolist()) == list(range(64))
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
 def test_exhaustive_census_independent_of_row_order(d):
+    # index-order chunks mix every support pattern, so each shape's group
+    # relabels rows of many patterns at once
     reference = classify._sweep(d, _index_order_chunks(d))
     assert classify_exhaustive(d).to_json_dict() == reference.to_json_dict()
+
+
+def test_plan_table_shapes():
+    # 26 disconnected supports; the 38 connected ones (16, 15, 6 and 1 with
+    # 3, 4, 5 and 6 edges) split into 4 stars, 33 chain-program supports
+    # (12 open chains, 3 four-cycles, 12 triangles with a pendant, 6 five-edged)
+    # and the complete graph
+    counts = np.bincount(classify._SHAPE, minlength=4)
+    assert counts[classify._UNREDUCED] == 26
+    assert counts[classify._STAR] == 4
+    assert counts[classify._CHAIN] == 33
+    assert counts[classify._SIX_EDGED] == 1
+    # disconnected and six-edged rows are not relabelled
+    for support, shape in enumerate(classify._SHAPE):
+        if shape in (classify._UNREDUCED, classify._SIX_EDGED):
+            assert classify._SWAPS[support] == ()
+
+
+def test_reduce_runs_one_group_per_program_shape():
+    # all 729 matrices at d = 3 in one call: one disconnected, one star and one
+    # chain group, and at most three parts of the six-edged group's split
+    d = 3
+    w = list(np.array(list(product(range(d), repeat=6))).T)
+    groups = list(classify._reduce(w, d, classify._inverter(d)))
+    assert len(groups) <= 6
+    assert sorted(int(r) for g in groups for r in g.rows) == list(range(d**6))
 
 
 def _weights_graph(d, weights):

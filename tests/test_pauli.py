@@ -114,14 +114,10 @@ def test_inv_mod_zero_rejected():
 
 
 def test_inv_mod_array_matches_inv_mod():
-    # an int modulus, one prime per entry, and Python-int entries past int64
+    # int64 entries, and Python-int entries past int64
     for d in (2, 3, 7, 1009, 10007):
         a = np.arange(1, d)
         assert (inv_mod_array(a, d) == [inv_mod(int(x), d) for x in a]).all()
-    rng = np.random.default_rng(11)
-    d = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101, 1009], 8))
-    a = rng.integers(1, d)
-    assert (inv_mod_array(a, d) == [inv_mod(int(x), int(p)) for x, p in zip(a, d)]).all()
     d = 2**61 - 1  # d^2 overflows int64
     a = np.array([1, 2, d - 1, 12345], dtype=object)
     assert inv_mod_array(a, d).tolist() == [inv_mod(int(x), d) for x in a]
