@@ -27,8 +27,9 @@ size, and per column beyond.
 Sweeps run the reducer over chunks of at most 4,096 rows, so its memory does
 not grow with the number of graphs, and runs at most six groups per chunk.
 The exhaustive sweep enumerates the rows support pattern by support pattern,
-so most of its chunks hold one pattern, relabelled by moving whole columns;
-a chunk of mixed patterns, as a random census draws, gathers per row. Every
+so most of its chunks hold one pattern. A group whose rows share one
+relabelling, as every disconnected group does, moves whole columns; a group
+of mixed relabellings, as a random census draws, gathers per row. Every
 row is held to three checks: the reduced matrix must be a canonical form;
 its class must equal an exact oracle's; and each group's trace, replayed
 from the original rows after their relabelling, must give the reduced rows. The oracle uses that
@@ -415,11 +416,14 @@ def _plan_table():
 
 
 _SHAPE, _SWAPS, _RELABEL = _plan_table()
+# Per support, the index of its relabelling among the distinct ones.
+_RELABEL_ID = np.unique(_RELABEL, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def _relabel(w, support):
     """Six weight columns with each row relabelled by its support's swaps."""
-    if support.min() == support.max():  # one support: move whole columns
+    relabelling = _RELABEL_ID[support]
+    if relabelling.min() == relabelling.max():  # one relabelling: move whole columns
         return [w[k] for k in _RELABEL[support[0]]]
     return list(np.take_along_axis(np.stack(w), _RELABEL[support].T, axis=0))
 

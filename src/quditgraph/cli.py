@@ -50,7 +50,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INVALID = 3
 # only eigen holds a dense d^4 state (48 MB peak RSS at d = 23); build and reduce
-# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.3 s, 37 MB).
+# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.3 s, 38 MB).
 MAX_STATE_D = 23
 # classify --random runs about 1.2M matrices/s at d = 11 on 2 vCPUs: the cap takes 1.5 min.
 MAX_RANDOM_SAMPLES = 10**8
@@ -135,47 +135,64 @@ class _AmplitudeTable:
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """ASCII digits of non-negative ints right-aligned in ``width`` bytes, leading zeros NUL."""
+    """ASCII digits of non-negative ints right-aligned in ``width`` bytes, leading
+    zeros NUL, one ``width``-byte void item per value."""
     text = np.empty((len(values), width), np.uint8)
     for k in range(width - 1, -1, -1):
         high = values // 10
         text[:, k] = (values - 10 * high + ord("0")) * ((values > 0) | (k == width - 1))
         values = high
-    return text
+    return text.view(f"V{width}").ravel()
 
 
 def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
-    """The table's rows as the row template renders them, _SLAB_ROWS at a time.
+    """The table's rows as the row template renders them, in ASCII bytes,
+    _SLAB_ROWS at a time.
 
-    The separator and the template, formatted once with each numeric field k a
-    run of byte k + 1 as wide as its widest value, make one skeleton row. A slab
-    tiles it and overwrites each run with digits, leading zeros NUL (values
-    0..d-1 from one digit table, row numbers once per slab), then deletes every
-    NUL: the rendered text itself never holds one.
+    The separator and the template, formatted with each numeric field k a run
+    of byte k + 1, make one skeleton row: the row-number run is as wide as the
+    slab's widest row number, the others as wide as d - 1. The skeleton is
+    tiled once into a slab buffer, and again only when the row-number width
+    changes. The buffer is viewed as one record per row with a field per run,
+    so each run of a slab fills in one copy. Each slab overwrites the runs
+    with digits, leading zeros NUL (values 0..d-1 from one digit table, row
+    numbers once per slab), then deletes every NUL: the rendered bytes never
+    hold one.
     """
     n, d, separator = len(table.flat), table.d, _ROW_SEPARATORS[fmt]
     assert not re.search("[\x00-\x06]", separator + _ROW_TEMPLATES[fmt] + table.magnitude)
-    widths = [len(str(n - 1))] + [len(str(d - 1))] * 5
-    marks = (chr(k + 1) * width for k, width in enumerate(widths))
-    row = separator + _ROW_TEMPLATES[fmt].format(*marks, table.magnitude)
-    slots = [(ord(run[0][0]) - 1, slice(*run.span())) for run in re.finditer("[\x01-\x06]+", row)]
-    skeleton, values = np.frombuffer(row.encode(), np.uint8), _digits(np.arange(d), widths[1])
+    width = len(str(d - 1))
+    values = _digits(np.arange(d), width)
+    numbered = "{0}" in _ROW_TEMPLATES[fmt]
+    records = row_width = None
     for start in range(0, n, _SLAB_ROWS):
         stop = min(start + _SLAB_ROWS, n)
+        if records is None or (numbered and len(str(stop - 1)) != row_width):
+            row_width = len(str(stop - 1))
+            marks = (chr(k + 1) * w for k, w in enumerate([row_width] + [width] * 5))
+            row = separator + _ROW_TEMPLATES[fmt].format(*marks, table.magnitude)
+            runs = list(re.finditer("[\x01-\x06]+", row))
+            slots = [(ord(run[0][0]) - 1, f"run{i}") for i, run in enumerate(runs)]
+            layout = np.dtype({"names": [name for _, name in slots],
+                               "formats": [f"V{len(run[0])}" for run in runs],
+                               "offsets": [run.start() for run in runs], "itemsize": len(row)})
+            skeleton = np.frombuffer(row.encode(), np.uint8)
+            records = np.tile(skeleton, (stop - start, 1)).view(layout).ravel()
+        slab = records[:stop - start]
         columns = (*np.unravel_index(table.flat[start:stop], (d,) * 4), table.phase_exp[start:stop])
-        fields = dict(enumerate((values.take(c, axis=0) for c in columns), 1))
-        if "{0}" in _ROW_TEMPLATES[fmt]:
-            fields[0] = _digits(np.arange(start, stop), widths[0])
-        buf = np.tile(skeleton, (stop - start, 1))
-        for field, slot in slots:
-            buf[:, slot] = fields[field]
-        if start == 0:
-            buf[0, :len(separator)] = 0  # no separator before the first row
-        yield buf.tobytes().replace(b"\0", b"").decode("ascii")
+        fields = dict(enumerate((values.take(c) for c in columns), 1))
+        if numbered:
+            fields[0] = _digits(np.arange(start, stop), row_width)
+        for field, name in slots:
+            slab[name] = fields[field]
+        # no separator before the first row: sliced off, as later slabs reuse the buffer
+        skip = len(separator) if start == 0 else 0
+        yield slab.tobytes().replace(b"\0", b"")[skip:]
 
 
 def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
-    """Output text in pieces: payload, then the amplitude rows under "amplitudes"."""
+    """Output bytes in pieces: the payload, encoded once as UTF-8, then the
+    amplitude rows under "amplitudes"."""
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -186,28 +203,31 @@ def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
             writer.writerow([path, "" if value is None else value])
         text = buf.getvalue()
     if amplitudes is None:
-        yield text
+        yield text.encode()
         return
     if fmt == "json":  # reopen the payload's closing brace for the list
         text = text[: -len("\n}\n")] + ',\n  "amplitudes": ['
-    yield text
+    yield text.encode()
     yield from _amplitude_slabs(amplitudes, fmt)
-    yield "\n  ]\n}\n" if fmt == "json" else ""
+    yield b"\n  ]\n}\n" if fmt == "json" else b""
 
 
 def _emit(payload: dict, fmt: str, out: str | None,
           amplitudes: _AmplitudeTable | None = None) -> None:
     """Write payload to ``out`` or stdout, followed by the amplitude table if
-    given: its rows are rendered and written a slab at a time."""
+    given: its rows are rendered and written a slab at a time. Both sinks take
+    the rendered bytes as they are: a file opened in binary mode, or stdout's
+    binary buffer once any text already written to stdout is flushed."""
     pieces = _render(payload, fmt, amplitudes)
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            with open(out, "wb") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(pieces)
 
 
 def _parse_matrix(text: str) -> AdjacencyMatrix:

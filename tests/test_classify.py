@@ -399,6 +399,31 @@ def test_reduce_runs_one_group_per_program_shape():
     assert sorted(int(r) for g in groups for r in g.rows) == list(range(d**6))
 
 
+def test_sweep_gathers_only_groups_of_mixed_relabellings(monkeypatch):
+    # one chunk at d = 3 of every row whose support is not relabelled, which
+    # mixes supports within the disconnected, star, chain and six-edged
+    # groups, plus the stars at vertex 0, relabelled onto the star at 3: only
+    # the star group gathers, once to reduce and once to replay
+    d, star_at_0 = 3, 0b000111
+    rows = np.array(list(product(range(d), repeat=6)))
+    support = (rows != 0) @ (1 << np.arange(6))
+    keep = np.array([not classify._SWAPS[s] or s == star_at_0 for s in support])
+    shapes = classify._SHAPE[support[keep]]
+    for shape in (classify._UNREDUCED, classify._STAR, classify._CHAIN):
+        assert len(set(support[keep][shapes == shape].tolist())) > 1
+    calls = []
+    take_along_axis = np.take_along_axis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return take_along_axis(*args, **kwargs)
+
+    monkeypatch.setattr(np, "take_along_axis", counted)
+    census = classify._sweep(d, [list(rows[keep].T)])
+    assert census.total == keep.sum()
+    assert len(calls) == 2
+
+
 def _weights_graph(d, weights):
     return AdjacencyMatrix.from_edges(d, dict(zip(PAIRS, weights)))
 

@@ -117,13 +117,15 @@ CLASSIFY = _argv(
 
 
 def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
+    # stdout as the CLI meets it: text over a binary buffer, which the dumps write to
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=300)

@@ -172,6 +172,61 @@ def test_small_slabs_match_reference(capsys, monkeypatch, fmt, d):
         assert_same_text(text, expected, (action, args, fmt))
 
 
+@pytest.mark.parametrize("slab_rows", [10, 1000])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_row_number_width_changes_at_slab_starts(capsys, monkeypatch, fmt, slab_rows):
+    # 14,641 rows at d = 11: slabs start exactly at rows 10, 100, 1,000 and
+    # 10,000 (of those, 1,000 and 10,000 only at 1,000 rows a slab), so each
+    # slab's row numbers are one digit wider than the last slab's
+    monkeypatch.setattr(cli, "_SLAB_ROWS", slab_rows)
+    d, g = 11, family_graph("P", 11)
+    meta = metadata(d=d, family="P", gamma=None,
+                    matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
+    expected = reference_text({"metadata": meta, "amplitudes": reference_graph_amplitudes(g)}, fmt)
+    text = _dump(capsys, None, ["state", "build", "--family", "P", "--d", "11", "--format", fmt],
+                 out=False)
+    assert_same_text(text, expected, (fmt, slab_rows))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_yields_bytes_without_nul(monkeypatch, fmt):
+    # several slabs, one of them short, behind the payload; and a payload alone
+    monkeypatch.setattr(cli, "_SLAB_ROWS", 1000)
+    g = family_graph("P", 7)
+    payload = {"metadata": metadata(d=7, family="P")}
+    for table in (cli._graph_amplitudes(g), None):
+        pieces = list(cli._render(payload, fmt, table))
+        assert all(type(piece) is bytes for piece in pieces)
+        assert not any(b"\0" in piece for piece in pieces)
+        expected = payload
+        if table is not None:
+            expected = {**payload, "amplitudes": reference_graph_amplitudes(g)}
+        assert b"".join(pieces).decode("utf-8") == reference_text(expected, fmt)
+
+
+class _CountingText(io.TextIOWrapper):
+    """Text stdout over a byte buffer that keeps every string written to it."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO(), encoding="utf-8")
+        self.written = []
+
+    def write(self, text):
+        self.written.append(text)
+        return super().write(text)
+
+
+def test_dump_bypasses_the_text_layer(monkeypatch):
+    # the amplitude rows go to stdout's byte buffer as rendered, never through
+    # the text layer that would encode them again
+    stdout = _CountingText()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["state", "build", "--family", "P", "--d", "13", "--format", "csv"]) == EXIT_OK
+    stdout.flush()
+    assert hashlib.sha256(stdout.buffer.getvalue()).hexdigest() == P13_CSV_SHA256
+    assert sum(map(len, stdout.written)) == 0
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 17, 19, 23])
 def test_reduce_table_matches_dense_reference(d):
     # the exact table against the dense Fourier route for every family and
