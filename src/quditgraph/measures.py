@@ -180,14 +180,14 @@ def tableau_purity_profiles(tableaux: Sequence[Tableau]) -> list[PurityProfile]:
 
 
 def is_k_mm(profile: PurityProfile, k: int, tol: float = 1e-9) -> bool:
-    """True when every subsystem of size <= k has purity d^-size (maximal mixing)."""
+    """True when every subsystem of size <= k has purity d^-size (maximal
+    mixing): exactly for ``Fraction`` purities, within ``tol`` for floats."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2 for four-particle systems")
-    return all(
-        abs(v - profile.d ** (-len(keep))) <= tol
-        for keep, v in profile.values.items()
-        if len(keep) <= k
-    )
+    exact = [Fraction(1, profile.d**size) for size in range(k + 1)]
+    return all(v == exact[len(keep)] if isinstance(v, Fraction)
+               else abs(v - profile.d ** (-len(keep))) <= tol
+               for keep, v in profile.values.items() if len(keep) <= k)
 
 
 def concurrence(s: StateVector, keep) -> float:

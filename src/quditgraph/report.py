@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Sequence
 
 # purity_profile and family_reduced_state stay bound for perfbench/child.py's tracer.
-from .measures import is_k_mm, purity_profile, tableau_purity_profiles
+from .measures import is_k_mm, purity_profile, subsystem_label, tableau_purity_profiles
 from .pauli import check_prime
-from .serialize import BASIS_ORDER, exact_and_float, fmt_float, metadata, rational_str
-from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableau
+from .serialize import BASIS_ORDER, exact_and_float, metadata, rational_str
+from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableaux
 from .steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths, persistency_stats
 
 __all__ = [
@@ -118,13 +118,19 @@ class _Checklist:
 
 
 def _purity_section(d: int, profiles: dict, checks: _Checklist) -> tuple[dict, dict]:
-    """(purity profiles, k-MM flags) of the family profiles."""
+    """(purity profiles, k-MM flags) of the family profiles. Their exact
+    purities are 1, 1/d or 1/d^2, so those three are formatted once."""
+    forms = {(1, d**e): exact_and_float(Fraction(1, d**e)) for e in range(3)}
+
+    def form(v: Fraction) -> dict:
+        return forms.get((v.numerator, v.denominator)) or exact_and_float(v)
+
     section, mmes = {}, {}
     for family, profile in profiles.items():
-        section[family] = profile.to_json_dict()
+        section[family] = {subsystem_label(k): form(v) for k, v in profile.values.items()}
         for (name, keeps), exp in zip(PURITY_COLUMNS, expected_purity_columns(family, d)):
-            actual = tuple(fmt_float(profile[keep]) for keep in keeps)
-            checks.add(d, f"purity:{family}:{name}", (fmt_float(exp),) * len(keeps), actual)
+            actual = tuple(form(profile[keep])["float"] for keep in keeps)
+            checks.add(d, f"purity:{family}:{name}", (form(exp)["float"],) * len(keeps), actual)
         one_mm, two_mm = is_k_mm(profile, 1), is_k_mm(profile, 2)
         checks.add(d, f"mmes:{family}", expected_mmes(family, d), (one_mm, two_mm))
         mmes[family] = {"1mm": one_mm, "2mm": two_mm}
@@ -170,16 +176,16 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
 
     The dimensions must be distinct primes up to MAX_TABLES_D. Returns
     (bundle, all_pass); every comparison row also appears under ``checks``.
-    Every family tableau is built first; the purities then come from one
-    batched entropy call and the tallies from one ``enumerate_paths`` call.
+    The family tableaux are built and checked as one batch, the purities come
+    from one batched entropy call and the tallies from one ``enumerate_paths``.
     """
     d_values = [check_prime(d) for d in d_values]
     if any(d > MAX_TABLES_D for d in d_values):
         raise ValueError(f"tables supports prime dimensions up to {MAX_TABLES_D}")
     if len(set(d_values)) != len(d_values):
         raise ValueError(f"each dimension may be given once, got {d_values}")
-    tableaux = [stabilizer_tableau(family_graph(f, d), family_fourier_sites(f))
-                for d in d_values for f in FAMILIES]
+    tableaux = stabilizer_tableaux((family_graph(f, d), family_fourier_sites(f))
+                                   for d in d_values for f in FAMILIES)
     profiles = tableau_purity_profiles(tableaux)
     tallies = enumerate_paths(tableaux)
     checks = _Checklist()

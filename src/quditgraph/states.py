@@ -37,6 +37,8 @@ __all__ = [
     "psi_gamma",
     "stabilizer",
     "stabilizer_tableau",
+    "stabilizer_tableaux",
+    "tableau_batch",
     "tableau_entropy",
     "verify_eigen",
 ]
@@ -170,35 +172,59 @@ def stabilizer(g: AdjacencyMatrix, powers: Sequence[int]) -> PauliWord:
 class Tableau:
     """Stabilizer tableau of a pure four-qudit state over GF(d): ``xz[n, q]`` is
     the (x, z) pair of generator n on qudit q; rows commute and are independent.
-    Phases are left out, as no residue class or cut rank depends on them."""
+    Phases are left out, as no residue class or cut rank depends on them.
+    Checked as a ``tableau_batch`` of one."""
 
     d: int
     xz: np.ndarray
 
     def __post_init__(self) -> None:
-        d = check_prime(self.d)
-        xz = np.asarray(self.xz)
-        if xz.dtype.kind not in "iu" or xz.shape != (N_VERTICES, N_VERTICES, 2):
-            raise ValueError(f"expected a {N_VERTICES}x{N_VERTICES}x2 integer array")
-        xz = xz.astype(np.int64) % d
-        x, z = xz[..., 0], xz[..., 1]
-        if ((x @ z.T - z @ x.T) % d).any() or rank_mod(xz.reshape(N_VERTICES, -1), d) < N_VERTICES:
-            raise ValueError("tableau rows must commute pairwise and be independent")
-        xz.flags.writeable = False
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "xz", xz)
+        (t,) = tableau_batch([self.d], [self.xz])
+        vars(self).update(vars(t))  # the checked d and read-only rows
+
+
+def tableau_batch(d_values: Sequence[int], xz_values: Sequence) -> list[Tableau]:
+    """``Tableau(d, xz)`` of each d and xz, of any mix of primes, checked in one
+    batch: the rows (k, 4, 4, 2), reduced mod each d, pass one commutation
+    product and one ``rank_mod`` call with an array modulus, or ValueError."""
+    d_values = [check_prime(d) for d in d_values]
+    if any(np.asarray(xz).dtype.kind not in "iu" or np.shape(xz) != (N_VERTICES, N_VERTICES, 2)
+           for xz in xz_values):
+        raise ValueError(f"expected a {N_VERTICES}x{N_VERTICES}x2 integer array")
+    d = np.array(d_values, dtype=np.int64)
+    xz = np.array(xz_values, dtype=np.int64).reshape(-1, N_VERTICES, N_VERTICES, 2)
+    xz %= d[:, None, None, None]
+    x_z = xz[..., 0] @ np.swapaxes(xz[..., 1], -1, -2)  # x_n . z_m; rows commute iff symmetric
+    if (((x_z - np.swapaxes(x_z, -1, -2)) % d[:, None, None]).any()
+            or (rank_mod(xz.reshape(len(d), N_VERTICES, 2 * N_VERTICES), d) < N_VERTICES).any()):
+        raise ValueError("tableau rows must commute pairwise and be independent")
+    xz.flags.writeable = False
+    tableaux = [object.__new__(Tableau) for _ in d_values]  # checked, so no __post_init__
+    for t, d_t, rows in zip(tableaux, d_values, xz):
+        vars(t).update(d=d_t, xz=rows)
+    return tableaux
+
+
+def stabilizer_tableaux(graphs_and_sites: Iterable[tuple]) -> list[Tableau]:
+    """Tableau of the graph state of each g, rows X_n Z^Gamma_n, in the frame
+    where ``apply_local_fourier`` acted on its sites: there each pair (x, z)
+    becomes (z, -x), as in ``fourier_conjugate``. One ``tableau_batch``."""
+    pairs = list(graphs_and_sites)
+    fourier = np.zeros((len(pairs), 1, N_VERTICES), dtype=bool)  # by qudit
+    for mask, (_, sites) in zip(fourier, pairs):
+        if any(not 0 <= q < N_VERTICES for q in sites):
+            raise ValueError(f"Fourier sites {sorted(set(sites))} out of range")
+        mask[0, list(sites)] = True
+    eye = np.eye(N_VERTICES, dtype=np.int64)
+    gamma = np.array([g.entries for g, _ in pairs], dtype=np.int64).reshape((-1,) + eye.shape)
+    xz = np.stack([np.where(fourier, gamma, eye), np.where(fourier, -eye, gamma)], axis=-1)
+    return tableau_batch([g.d for g, _ in pairs], xz)
 
 
 def stabilizer_tableau(g: AdjacencyMatrix, fourier_sites: Sequence[int]) -> Tableau:
-    """Tableau of the graph state of g, rows X_n Z^Gamma_n, in the frame where
-    ``apply_local_fourier`` acted on ``fourier_sites``: there each pair (x, z)
-    becomes (z, -x), as in ``fourier_conjugate``."""
-    sites = sorted(set(fourier_sites))
-    if any(not 0 <= q < N_VERTICES for q in sites):
-        raise ValueError(f"Fourier sites {sites} out of range")
-    xz = np.stack([np.eye(N_VERTICES, dtype=np.int64), g.as_array()], axis=-1)
-    xz[:, sites] = xz[:, sites, ::-1] * (1, -1)
-    return Tableau(g.d, xz)
+    """``stabilizer_tableaux`` of the one graph g with ``fourier_sites``."""
+    (t,) = stabilizer_tableaux([(g, fourier_sites)])
+    return t
 
 
 def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]],

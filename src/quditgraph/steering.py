@@ -283,9 +283,11 @@ class PathTally:
 
     By the module docstring's rule the pattern decides every pair, so a first
     move leaves 3(d+1) product pairs if all three residue sites are pure,
-    2(d+1) if one is and 3 if none is. First-measurement classes total
-    4(d+1); ordered pairs total 12(d+1)^2. The readers take a first qudit
-    0..3, or None for all four.
+    2(d+1) if one is and 3 if none is. Every reader is thus a closed form of
+    the 4x3 tuple of ints ``moves``: per first qudit, the first moves leaving
+    0, 1 or 3 pure residue sites. First-measurement classes total 4(d+1); ordered
+    pairs total 12(d+1)^2. The readers take a first qudit 0..3, or None for
+    all four.
     """
 
     d: int
@@ -297,13 +299,12 @@ class PathTally:
         if first.shape != (4, n, 3):
             raise ValueError(f"expected an array of shape (4, {n}, 3)")
         n_pure = first.sum(-1)
-        if (n_pure == 2).any():
+        counts = np.bincount((4 * np.arange(4)[:, None] + n_pure).ravel(), minlength=16)
+        if counts[2::4].any():
             _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
         first.flags.writeable = False
-        object.__setattr__(self, "first", first)
-        # per first move (q1, b1): pure residue sites, second moves to a product
-        products = np.where(n_pure == 3, 3 * n, np.where(n_pure == 1, 2 * n, 3))
-        object.__setattr__(self, "_per_move", (n_pure, products))
+        moves = tuple(map(tuple, counts.reshape(4, 4)[:, [0, 1, 3]].tolist()))
+        vars(self).update(first=first, moves=moves)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathTally):
@@ -311,44 +312,38 @@ class PathTally:
         return self.d == other.d and np.array_equal(self.first, other.first)
 
     def first_counts(self, qudit: int | None = None) -> dict[str, int]:
-        counts = np.bincount(self._moves(qudit)[0], minlength=4)
-        return {PRODUCT: int(counts[3]), SNB: int(counts[1]), GHZ3: int(counts[0])}
+        ghz3, snb, product = self._moves(qudit)
+        return {PRODUCT: product, SNB: snb, GHZ3: ghz3}
 
     def pair_counts(self, qudit: int | None = None) -> dict[str, int]:
-        n_pure, products = self._moves(qudit)
-        return self._pairs(products, len(n_pure))
+        return self._pairs(*self._moves(qudit))
 
     def persistency_histogram(self, qudit: int | None = None) -> dict[int, int]:
         """Paths binned by the measurement count after which entanglement is gone."""
-        n_pure, products = self._moves(qudit)
-        entangled = n_pure != 3
-        pairs = self._pairs(products[entangled], int(entangled.sum()))
-        return {1: 3 * (self.d + 1) * (len(n_pure) - int(entangled.sum())),
-                2: pairs[PRODUCT], 3: pairs[BELL]}
+        ghz3, snb, product = self._moves(qudit)
+        pairs = self._pairs(ghz3, snb, 0)
+        return {1: 3 * (self.d + 1) * product, 2: pairs[PRODUCT], 3: pairs[BELL]}
 
     def branch_tree(self, qudit: int = 0) -> list[dict]:
         """Per-branch counts for one first-qudit choice: first-measurement class,
         how many bases lead to it, and where its measurement pairs end up."""
-        n_pure, products = self._moves(qudit)
-        tree = []
-        for kind, count in ((PRODUCT, 3), (SNB, 1), (GHZ3, 0)):
-            branch = n_pure == count
-            if branch.any():
-                tree.append({"first_class": kind, "first_count": int(branch.sum()),
-                             "pairs": self._pairs(products[branch], int(branch.sum()))})
-        return tree
+        ghz3, snb, product = self._moves(qudit)
+        return [{"first_class": kind, "first_count": sum(branch), "pairs": self._pairs(*branch)}
+                for kind, branch in ((PRODUCT, (0, 0, product)), (SNB, (0, snb, 0)),
+                                     (GHZ3, (ghz3, 0, 0)))
+                if sum(branch)]
 
-    def _moves(self, qudit: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Per first move (q1, b1) of one or every first qudit: how many residue
-        sites are pure, and how many second measurements leave a product."""
+    def _moves(self, qudit: int | None) -> tuple[int, int, int]:
+        """First moves of one or every first qudit that leave 0, 1 or 3 pure sites."""
         if qudit is not None and qudit not in range(4):
             raise ValueError(f"qudit must be 0..3 or None, got {qudit!r}")
-        sel = slice(None) if qudit is None else slice(qudit, qudit + 1)
-        return tuple(a[sel].ravel() for a in self._per_move)
+        return tuple(map(sum, zip(*self.moves))) if qudit is None else self.moves[qudit]
 
-    def _pairs(self, products: np.ndarray, moves: int) -> dict[str, int]:
-        product = int(products.sum())
-        return {PRODUCT: product, BELL: 3 * (self.d + 1) * moves - product}
+    def _pairs(self, ghz3: int, snb: int, product: int) -> dict[str, int]:
+        """Second-measurement classes after that many first moves of each class."""
+        n = self.d + 1
+        products = 3 * ghz3 + 2 * n * snb + 3 * n * product
+        return {PRODUCT: products, BELL: 3 * n * (ghz3 + snb + product) - products}
 
 
 # First-measurement rows that ``enumerate_paths`` eliminates together: it cuts
@@ -376,14 +371,6 @@ def _measure(g: np.ndarray, line: np.ndarray, d: int | np.ndarray) -> np.ndarray
     return eliminate_mod(np.broadcast_to(g[..., 2:], col.shape + (g.shape[-1] - 2,)), col, d)
 
 
-def _measure_each(t: np.ndarray, d: int) -> np.ndarray:
-    """Residual tableaux of measuring each qudit q of a batch ``t`` (..., rows,
-    2n) along every line, in ``all_bases`` order: shape (n, ..., d+1, rows,
-    2n-2), the other qudits' columns in order."""
-    lines = np.array([(0, 1)] + [(1, k) for k in range(d)])
-    return _measure(_qudit_first(t)[..., None, :, :], lines, d)
-
-
 def _classify_rows(g: np.ndarray, line: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Pure residue sites, shape (rows, 3), of measuring the first qudit of
     each tableau ``g`` (rows, 4, 8) along ``line`` (rows, 2) mod d (rows,)."""
@@ -402,15 +389,14 @@ def enumerate_paths(tableaux: Iterable[Tableau]) -> list[PathTally]:
     d_t = np.array([t.d for t in tableaux])
     n_rows = 4 * (d_t + 1)
     stops = np.cumsum(n_rows)
-    tab = np.repeat(np.arange(len(tableaux)), n_rows)
-    q1, b1 = np.divmod(np.arange(len(tab)) - (stops - n_rows)[tab], d_t[tab] + 1)
-    d = d_t[tab]  # the modulus of each row
-    lines = np.stack([b1 > 0, np.where(b1 > 0, b1 - 1, 1)], axis=-1)  # Z, then XZ^k
     xz = _qudit_first(np.stack([t.xz.reshape(4, 8) for t in tableaux]))
-    first = np.empty((len(tab), 3), bool)
-    for start in range(0, len(tab), _GROUP_ROWS):
-        rows = slice(start, start + _GROUP_ROWS)
-        first[rows] = _classify_rows(xz[q1[rows], tab[rows]], lines[rows], d[rows])
+    first = np.empty((stops[-1], 3), bool)
+    for start in range(0, len(first), _GROUP_ROWS):
+        row = np.arange(start, min(start + _GROUP_ROWS, len(first)))
+        tab = np.searchsorted(stops, row, side="right")  # each row's tableau
+        q1, b1 = np.divmod(row - (stops - n_rows)[tab], d_t[tab] + 1)
+        lines = np.stack([b1 > 0, np.where(b1 > 0, b1 - 1, 1)], axis=-1)  # Z, then XZ^k
+        first[row] = _classify_rows(xz[q1, tab], lines, d_t[tab])
     return [PathTally(t.d, f.reshape(4, t.d + 1, 3))
             for t, f in zip(tableaux, np.split(first, stops[:-1]))]
 
@@ -430,10 +416,10 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
 
     A path scores 1 if entanglement is gone after the first measurement, 2 if
     after the second, and 3 otherwise; the average runs over the 3(d+1)^2
-    paths with a fixed first qudit. The per-qudit statistics are checked to
-    agree before the common value is returned. A fully product input scores 0.
-    An already computed ``tally`` for the same state may be passed to avoid
-    re-enumeration.
+    paths with a fixed first qudit. The per-qudit statistics, closed forms of
+    the tally's ``moves`` table, are checked to agree before the common value
+    is returned. A fully product input scores 0. An already computed
+    ``tally`` for the same state may be passed to avoid re-enumeration.
     """
     d = t.d
     if tally is None:
@@ -443,7 +429,7 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
     # then for each line at b some stabilizer on {a, b} would be nonzero on a
     # and on that line; those span two dimensions, a Bell pair of a and b,
     # which measuring a third site leaves mixed.
-    if tally.first.all():
+    if tally.first_counts()[PRODUCT] == 4 * (d + 1):
         return PersistencyStats(Fraction(0), 0, Fraction(0))
     total = 3 * (d + 1) ** 2
     per_qudit = []

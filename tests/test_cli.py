@@ -158,6 +158,16 @@ def test_tables_large_d_sha256(capsys, d_values, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def test_tables_csv_sha256(capsys):
+    # the flatten_json CSV route of the tables-d2to13 bundle, as recorded
+    # before the tableaux were built and checked in one batch
+    d_args = (a for d in (2, 3, 5, 7, 11, 13) for a in ("--d", str(d)))
+    code, out, err = run_cli(capsys, "tables", *d_args, "--format", "csv")
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "56646ff8ccc9e0aea39619465605dce799a72ea9222bf2f2a5db73248193be8a")
+
+
 def test_tables_builds_no_dense_state(monkeypatch):
     def dense_route(*args, **kwargs):
         raise AssertionError("tables took a dense-state route")
@@ -233,8 +243,9 @@ def test_classify_rejects_flags_its_mode_ignores(capsys, extra):
 
 def test_tables_memory_is_flat_in_d():
     # a tally holds O(d) arrays and the first measurements run in fixed row
-    # slices, so a ten times larger d barely moves the peak; a (4, d+1, 3, d+1)
-    # pair array would take 1.2 GB at d = 10007
+    # slices, each building its own row index, so a ten times larger d barely
+    # moves the peak (about 5.9 and 6.2 MiB); a whole-bundle row index took
+    # 11.5 MiB at d = 10007, and a (4, d+1, 3, d+1) pair array would take 1.2 GB
     peaks = []
     for d in (1009, 10007):
         tracemalloc.start()
@@ -243,7 +254,7 @@ def test_tables_memory_is_flat_in_d():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] < 3 * peaks[0]
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("error", [ClassificationError, ZeroProbabilityError])

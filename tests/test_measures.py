@@ -27,7 +27,12 @@ from quditgraph import (
     tableau_purity_profile,
     wedge_measure,
 )
-from quditgraph.measures import all_subsystems, subsystem_label, tableau_purity_profiles
+from quditgraph.measures import (
+    PurityProfile,
+    all_subsystems,
+    subsystem_label,
+    tableau_purity_profiles,
+)
 from quditgraph.pauli import site_matrix
 from quditgraph.states import family_reduced_state
 
@@ -158,6 +163,20 @@ def test_is_k_mm_flags():
             for fam in ("G", "C", "P")
         }
         assert flags == {"G": (True, False), "C": (True, False), "P": (True, True)}
+
+
+@pytest.mark.parametrize("d", [3, 5, 1009])
+def test_is_k_mm_is_exact_on_fraction_purities(d):
+    # exact purities either equal d^-size or are not maximally mixed, however
+    # close; only dense float profiles get the tolerance
+    exact = tableau_purity_profile(family_tableau("P", d))
+    assert is_k_mm(exact, 1) and is_k_mm(exact, 2)
+    for keep in exact.values:
+        off = PurityProfile(d, 4, {**exact.values, keep: exact[keep] + Fraction(1, 10**12)})
+        assert not is_k_mm(off, 2)
+        assert is_k_mm(off, 1) == (len(keep) == 2)
+        near = PurityProfile(d, 4, {k: float(v) + 1e-12 for k, v in off.values.items()})
+        assert is_k_mm(near, 1) and is_k_mm(near, 2)
 
 
 def test_p_collapses_to_cluster_at_d2():

@@ -20,7 +20,9 @@ from quditgraph import (
     ghz3_state,
     mub_eigenstate,
     persistency_stats,
+    pauli,
     project,
+    report,
     steering,
     verify_eigen,
 )
@@ -28,14 +30,24 @@ from quditgraph.classify import DISCONNECTED, cut_rank_classes
 from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
 from quditgraph.pauli import PauliWord, omega_powers, rank_mod, site_matrix
 from quditgraph.report import _family_effective
-from quditgraph.states import Tableau, family_reduced_state, stabilizer_tableau, tableau_entropy
+from quditgraph.states import (
+    Tableau,
+    family_fourier_sites,
+    family_graph,
+    family_reduced_state,
+    stabilizer_tableau,
+    stabilizer_tableaux,
+    tableau_batch,
+    tableau_entropy,
+)
 from quditgraph.steering import (
     BELL,
     GHZ3,
     PRODUCT,
     SNB,
     PathTally,
-    _measure_each,
+    _measure,
+    _qudit_first,
     basis_eigenvalue,
     basis_operator,
 )
@@ -499,6 +511,14 @@ def test_batched_paths_reject_non_graph_state_like_reference(rng):
         reference_paths(s)
 
 
+def _measure_each(t, d):
+    """Residual tableaux of measuring each qudit q of a batch ``t`` (..., rows,
+    2n) along every line, in ``all_bases`` order: shape (n, ..., d+1, rows,
+    2n-2), the other qudits' columns in order."""
+    lines = np.array([(0, 1)] + [(1, k) for k in range(d)])
+    return _measure(_qudit_first(t)[..., None, :, :], lines, d)
+
+
 def per_line_second_level(t):
     """Per-line form of the second level of ``enumerate_paths``: every
     first-level residue measured along every line by one elimination per first
@@ -653,6 +673,49 @@ def test_enumerate_paths_eliminates_once_per_row_slice(monkeypatch):
     assert len(calls) == 1
 
 
+def test_build_report_eliminates_nine_times(monkeypatch):
+    # at d = 2..13 the 18 family tableaux are checked by one rank_mod call (4
+    # eliminations), their pair purities taken by one entropy call (4) and
+    # their first measurements eliminated as one row slice (1); checking each
+    # tableau on its own took 4 apiece, 77 in all
+    calls = []
+    for module in (pauli, steering):
+        monkeypatch.setattr(module, "eliminate_mod", lambda *args, eliminate=module.eliminate_mod:
+                            calls.append(1) or eliminate(*args))
+    report.build_report([2, 3, 5, 7, 11, 13])
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_tally_moves_table_matches_per_move_counts(d):
+    # the readers are closed forms of the per-qudit table of first moves by
+    # pure residue sites; check them against sums over the moves themselves
+    rng = np.random.default_rng(4100 + d)
+    n = d + 1
+    for tally in enumerate_paths([random_graph_tableau(rng, d) for _ in range(40)]):
+        n_pure = tally.first.sum(-1)  # (4 q1, d+1 b1)
+        counts = tuple(tuple(int((row == k).sum()) for k in (0, 1, 3)) for row in n_pure)
+        assert tally.moves == counts
+        assert all(type(c) is int for row in tally.moves for c in row)
+        products = np.where(n_pure == 3, 3 * n, np.where(n_pure == 1, 2 * n, 3))
+        for q in (None, 0, 1, 2, 3):
+            sel = slice(None) if q is None else slice(q, q + 1)
+            moves, prods, pure = n_pure[sel].size, int(products[sel].sum()), n_pure[sel] == 3
+            assert tally.pair_counts(q) == {PRODUCT: prods, BELL: 3 * n * moves - prods}
+            counts = {k: int((n_pure[sel] == k).sum()) for k in (0, 1, 3)}
+            assert tally.first_counts(q) == {PRODUCT: counts[3], SNB: counts[1], GHZ3: counts[0]}
+            entangled = int(products[sel][~pure].sum())
+            assert tally.persistency_histogram(q) == {
+                1: 3 * n * counts[3], 2: entangled, 3: 3 * n * (counts[0] + counts[1]) - entangled}
+        for q in range(4):
+            tree = {b["first_class"]: (b["first_count"], b["pairs"]) for b in tally.branch_tree(q)}
+            for kind, k in ((PRODUCT, 3), (SNB, 1), (GHZ3, 0)):
+                branch = n_pure[q] == k
+                prods = int(products[q][branch].sum())
+                expected = (int(branch.sum()), {PRODUCT: prods, BELL: 3 * n * branch.sum() - prods})
+                assert tree.get(kind) == (expected if branch.any() else None)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_all_pure_first_moves_mean_a_product_state(d):
     # random graphs of random edge density, so many are products or hold a
@@ -699,24 +762,81 @@ def test_tally_closed_forms(d, family):
     assert tally.pair_counts() == EXPECTED_PAIRS[_family_effective(family, d)](d)
 
 
-def test_tableau_rejects_bad_input():
+def bad_tableau_inputs():
+    """(d, xz) pairs that are no tableau, each with what is wrong with it."""
     good = family_tableau("C", 3).xz
     dependent = good.copy()
     dependent[3] = (dependent[0] + 2 * dependent[1]) % 3
     anticommuting = np.zeros((4, 4, 2), dtype=int)  # rows X_0, Z_0, X_2, X_3
     anticommuting[[0, 1, 2, 3], [0, 0, 2, 3]] = [(1, 0), (0, 1), (1, 0), (1, 0)]
-    for d, xz in [
-        (4, good),  # not prime
-        (3, good[:3]),  # wrong shape
-        (3, good.astype(float)),  # not integers
-        (3, np.zeros((4, 4, 2), dtype=int)),  # no state at all
-        (3, dependent),
-        (3, anticommuting),
-    ]:
+    return [
+        ("not prime", 4, good),
+        ("wrong shape", 3, good[:3]),
+        ("not integers", 3, good.astype(float)),
+        ("no state at all", 3, np.zeros((4, 4, 2), dtype=int)),
+        ("dependent rows", 3, dependent),
+        ("anticommuting rows", 3, anticommuting),
+    ]
+
+
+def test_tableau_rejects_bad_input():
+    for _, d, xz in bad_tableau_inputs():
         with pytest.raises(ValueError):
             Tableau(d, xz)
     with pytest.raises(ValueError):
         stabilizer_tableau(ghz_graph(3), (4,))
+
+
+MIXED_D_FAMILY_TABLEAUX = [(d, f) for d in (2, 3, 13, 1009) for f in ("G", "C", "P")]
+
+
+@pytest.mark.parametrize("case", [case for case, _, _ in bad_tableau_inputs()])
+@pytest.mark.parametrize("at", [0, 5, 12])
+def test_tableau_batch_rejects_bad_input_mid_batch(case, at):
+    # valid family tableaux of d = 2, 3, 13 and 1009 around one bad input
+    [(d_bad, xz_bad)] = [(d, xz) for name, d, xz in bad_tableau_inputs() if name == case]
+    valid = [family_tableau(f, d) for d, f in MIXED_D_FAMILY_TABLEAUX]
+    d_values, xz_values = [t.d for t in valid], [t.xz for t in valid]
+    d_values.insert(at, d_bad)
+    xz_values.insert(at, xz_bad)
+    with pytest.raises(ValueError):
+        tableau_batch(d_values, xz_values)
+    del d_values[at], xz_values[at]
+    assert len(tableau_batch(d_values, xz_values)) == len(valid)
+
+
+def test_stabilizer_tableaux_reject_bad_sites_mid_batch():
+    pairs = [(family_graph(f, d), family_fourier_sites(f)) for d, f in MIXED_D_FAMILY_TABLEAUX]
+    for sites in [(4,), (-1,), (0, 5)]:
+        with pytest.raises(ValueError, match="out of range"):
+            stabilizer_tableaux(pairs[:5] + [(ghz_graph(3), sites)] + pairs[5:])
+
+
+def test_tableau_batch_equals_per_tableau_construction():
+    rng = np.random.default_rng(4242)
+    graphs = [(family_graph(f, d), family_fourier_sites(f)) for d, f in MIXED_D_FAMILY_TABLEAUX]
+    for d in (2, 3, 13, 1009):
+        for _ in range(5):
+            w = np.zeros((4, 4), dtype=int)
+            w[np.triu_indices(4, 1)] = rng.integers(0, d, size=6)
+            graphs.append((AdjacencyMatrix.from_array(w + w.T, d),
+                           tuple(np.flatnonzero(rng.integers(0, 2, size=4)))))
+    batch = stabilizer_tableaux(graphs)
+    for t, (g, sites) in zip(batch, graphs, strict=True):
+        # the per-site Fourier swap (x, z) -> (z, -x), then the single constructor
+        xz = np.stack([np.eye(4, dtype=int), g.as_array()], axis=-1)
+        xz[:, list(sites)] = xz[:, list(sites), ::-1] * (1, -1)
+        for other in (Tableau(g.d, xz), stabilizer_tableau(g, sites)):
+            assert type(t.d) is int and t.d == other.d == g.d
+            assert np.array_equal(t.xz, other.xz) and t.xz.dtype == other.xz.dtype
+            assert not t.xz.flags.writeable and not other.xz.flags.writeable
+    # raw rows off by multiples of d are reduced as Tableau(d, xz) reduces them
+    shifted = [t.xz + t.d * rng.integers(-3, 4, size=t.xz.shape) for t in batch]
+    for t, u in zip(batch, tableau_batch([t.d for t in batch], shifted), strict=True):
+        assert u.d == t.d and np.array_equal(u.xz, t.xz) and not u.xz.flags.writeable
+        with pytest.raises(ValueError):
+            u.xz[0, 0, 0] = 1
+    assert tableau_batch([], []) == [] and stabilizer_tableaux([]) == []
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
