@@ -10,16 +10,17 @@ which is class C for gamma_tilde in {0, 1} and class P otherwise.
 
 A batch of graphs is held as six weight columns (w01, w02, w03, w12, w13,
 w23), one entry per graph, and every operation is a column operation mod d.
-A graph's edge-support pattern (which weights are nonzero) fixes a
-relabelling of its vertices, a few swaps, onto one of three programs: the
-unit star; the chain, shared by the open chains, 4-cycles, triangles with a
-pendant and five-edged graphs (a star at vertex 1, by 0 where there is no 0-2
-chord, then the chain's normalization); and the six-edged program, which
-splits its rows once more. The reducer relabels each row by its pattern's
-swaps and runs each program's rows as one group. A group records its trace,
-after the relabelling, as one operation list whose scale and star factors are
-columns, one entry per row. ``canonicalize`` is the one-graph call of the
-same reducer, and the public operations and ``replay`` run the same kernels.
+Three programs take these edge supports (which weights are nonzero): the
+star at vertex 3; the chain 0-1-2-3 with any chords but 1-3 (a star at vertex
+1, by 0 where there is no 0-2 chord, then the chain's normalization); and the
+complete graph, whose program splits its rows once more. A connected support
+is relabelled, by a few swaps, with the first of the 24 vertex orders that
+turns it into one of these; a disconnected one keeps its labels. The reducer
+relabels each row by its support's swaps and runs each program's rows as one
+group. A group records its trace, after the relabelling, as one operation
+list whose scale and star factors are columns, one entry per row.
+``canonicalize`` is the one-graph call of the same reducer, and the public
+operations and ``replay`` run the same kernels.
 Columns are int64 while d**3 < 2**63 and Python ints beyond; inverses are
 Fermat's, by ``pauli.inv_mod_array``: a length-d table for d up to the chunk
 size, and per column beyond.
@@ -47,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -357,62 +359,33 @@ class _Group:
 _UNREDUCED, _STAR, _CHAIN, _SIX_EDGED = range(4)
 
 
-def _plan(support: int):
-    """(shape, axes) of a support: its program takes new vertex i to be old
-    vertex axes[i]."""
-    identity = tuple(range(N_VERTICES))
-    # both orientations of each edge
-    edges = {pair for pair, k in _PAIR_INDEX.items() if support >> k & 1}
-    gaps = [p for p in _PAIRS if p not in edges]
-    degrees = [sum((v, m) in edges for m in identity) for v in identity]
-    # Connected means three or more edges and no isolated vertex: an isolated
-    # vertex leaves at most three edges, on a triangle of the others.
-    if len(gaps) > 3 or 0 in degrees:
-        return _UNREDUCED, identity
-    if not gaps:
-        return _SIX_EDGED, identity
-    if len(gaps) == 1:
-        # five edges: the gap becomes 1-3, the 0-2 chord of the 4-cycle 0-1-2-3-0
-        (gap,) = gaps
-        others = [v for v in identity if v not in gap]
-        return _CHAIN, (others[0], gap[0], others[1], gap[1])
-    if len(gaps) == 2:
-        (z1, z2) = gaps
-        shared = set(z1) & set(z2)
-        if not shared:
-            # Diagonally placed gaps: the graph is already a 4-cycle.
-            return _CHAIN, (z1[0], z2[0], z1[1], z2[1])
-        v = shared.pop()
-        i, j = sorted((set(z1) | set(z2)) - {v})
-        (k,) = set(identity) - {v, i, j}
-        return _CHAIN, (i, j, k, v)  # triangle 0-1-2 with a pendant 3
-    if 3 in degrees:
-        center = degrees.index(3)
-        return _STAR, (*(v for v in identity if v != center), center)
-    # A connected 3-edged graph without a degree-3 vertex is an open chain.
-    order = [degrees.index(1)]
-    while len(order) < N_VERTICES:
-        order.append(next(m for m in identity if (order[-1], m) in edges and m not in order))
-    return _CHAIN, tuple(order)
-
-
 def _plan_table():
     """Per support: its program shape, its relabelling as swaps, and the
-    weight column each relabelled column reads (the swaps run on indices)."""
-    shapes, swaps, columns = [], [], []
-    for support in range(2 ** len(_PAIRS)):
-        shape, axes = _plan(support)
-        cur, ops, cols = list(range(N_VERTICES)), [], list(range(len(_PAIRS)))
-        for r, v in enumerate(axes):
+    weight column each relabelled column reads, all from the first vertex order
+    (new vertex i is old vertex order[i]) that makes it a support a program
+    takes; a disconnected support keeps its labels."""
+    orders = list(permutations(range(N_VERTICES)))  # the identity first
+    columns = np.array([[_PAIR_INDEX[o[n], o[m]] for n, m in _PAIRS] for o in orders])
+    bit = {pair: 1 << k for pair, k in _PAIR_INDEX.items()}
+    star, chain = bit[0, 3] | bit[1, 3] | bit[2, 3], bit[0, 1] | bit[1, 2] | bit[2, 3]
+    support = np.arange(2 ** len(_PAIRS))
+    # (support, order): the support each order relabels it to
+    t = ((support[:, None, None] >> columns & 1) << np.arange(len(_PAIRS))).sum(axis=2)
+    shapes = np.select(
+        [t == star, t & (chain | bit[1, 3]) == chain, t == support[-1]],
+        [_STAR, _CHAIN, _SIX_EDGED], _UNREDUCED,
+    )
+    first = np.argmax(shapes != _UNREDUCED, axis=1)  # 0, the identity, if none
+    swaps = []
+    for order in orders:
+        cur, ops = list(range(N_VERTICES)), []
+        for r, v in enumerate(order):
             s = cur.index(v)
             if s != r:
                 ops.append(SwapOp(r, s))
-                cols = _swap(cols, r, s)
                 cur[r], cur[s] = v, cur[r]
-        shapes.append(shape)
         swaps.append(tuple(ops))
-        columns.append(cols)
-    return np.array(shapes), tuple(swaps), np.array(columns)
+    return shapes[support, first], tuple(swaps[i] for i in first), columns[first]
 
 
 _SHAPE, _SWAPS, _RELABEL = _plan_table()

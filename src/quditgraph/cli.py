@@ -12,8 +12,8 @@ Three command groups:
   replaying each trace.
 
 Exit codes: 0 success (also when the reader closes stdout early), 2
-verification mismatch, 3 invalid input. Output is deterministic: fixed key
-order, floats at 12 significant digits.
+verification mismatch, 3 invalid input, 130 interrupted (Ctrl-C). Output is
+deterministic: fixed key order, floats at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import io
 import json
 import os
 import re
+import signal
 import sys
 from dataclasses import dataclass
 
@@ -44,11 +45,12 @@ from .states import (
     phase_exponents,
     verify_eigen,
 )
-from .steering import ClassificationError, ZeroProbabilityError
+from .steering import ClassificationError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INVALID = 3
+EXIT_INTERRUPTED = 130  # the shell's code for death by SIGINT
 # only eigen holds a dense d^4 state (48 MB peak RSS at d = 23); build and reduce
 # stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.3 s, 38 MB).
 MAX_STATE_D = 23
@@ -351,13 +353,19 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (VerificationFailure, ClassificationError, ZeroProbabilityError) as exc:
-        # before ValueError: the steering errors subclass it but are failed checks
+    except (VerificationFailure, ClassificationError) as exc:
+        # before ValueError: ClassificationError subclasses it but is a failed check
         sys.stderr.write(f"quditgraph: verification failed: {exc}\n")
         return EXIT_MISMATCH
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"quditgraph: error: {exc}\n")
         return EXIT_INVALID
+    except KeyboardInterrupt:
+        # timeout(1) signals the child and then its process group, so a second
+        # SIGINT can follow the first: ignore it while reporting.
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        sys.stderr.write("quditgraph: interrupted\n")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

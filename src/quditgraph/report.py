@@ -198,7 +198,9 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
         sections[str(d)] = {"purities": purities, "mmes": mmes, **steering}
     if len(d_values) >= 2 and sorted(d_values) == d_values:
         for family in FAMILIES:
-            seq = [sections[str(d)]["persistency"][family]["n_ave"]["float"] for d in d_values]
+            # exact: adjacent primes near 3e6 share a 12-digit float
+            seq = [Fraction(sections[str(d)]["persistency"][family]["n_ave"]["exact"])
+                   for d in d_values]
             increasing = all(a < b for a, b in zip(seq, seq[1:]))
             checks.add(0, f"n_ave_monotone:{family}", True, increasing)
     bundle = {

@@ -387,6 +387,22 @@ def test_plan_table_shapes():
     for support, shape in enumerate(classify._SHAPE):
         if shape in (classify._UNREDUCED, classify._SIX_EDGED):
             assert classify._SWAPS[support] == ()
+    # every connected support, relabelled, is one its program takes: the star
+    # at vertex 3, the chain 0-1-2-3 with any chords but 1-3, or all six edges
+    star, chain = {(0, 3), (1, 3), (2, 3)}, {(0, 1), (1, 2), (2, 3)}
+    g = AdjacencyMatrix.from_edges(7, {pair: k + 1 for k, pair in enumerate(PAIRS)})
+    for support, shape in enumerate(classify._SHAPE):
+        relabel = classify._RELABEL[support]
+        edges = {pair for pair, k in zip(PAIRS, relabel) if support >> int(k) & 1}
+        if shape == classify._STAR:
+            assert edges == star
+        elif shape == classify._CHAIN:
+            assert chain <= edges <= chain | {(0, 2), (0, 3)}
+        elif shape == classify._SIX_EDGED:
+            assert len(edges) == 6
+        # the swaps move each weight to where the column map reads it from
+        h = replay(g, classify._SWAPS[support])
+        assert [h[pair] for pair in PAIRS] == [int(k) + 1 for k in relabel]
 
 
 def test_reduce_runs_one_group_per_program_shape():
