@@ -19,21 +19,26 @@ turns it into one of these; a disconnected one keeps its labels. The reducer
 relabels each row by its support's swaps and runs each program's rows as one
 group. A group records its trace, after the relabelling, as one operation
 list whose scale and star factors are columns, one entry per row.
-``canonicalize`` is the one-graph call of the same reducer, and the public
-operations and ``replay`` run the same kernels.
-Columns are int64 while d**3 < 2**63 and Python ints beyond; inverses are
-Fermat's, by ``pauli.inv_mod_array``: a length-d table for d up to the chunk
-size, and per column beyond.
+``canonicalize`` is the one-graph call of the same reducer and checks, and
+the public operations and ``replay`` run the same kernels.
+Columns take the narrowest signed integer type that holds d**3 (int8 to
+d = 5, int16 to 31, int32 to 1289, int64 while d**3 < 2**63) and Python ints
+beyond, and every reduction mod d is a floor division, ``x - x // d * d``,
+which numpy runs without a hardware divide for a scalar d. Inverses are
+Fermat's, by ``pauli.inv_mod_array``: a length-d table for d up to the rows
+of a chunk, and per column beyond.
 
-Sweeps run the reducer over chunks of at most 4,096 rows, so its memory does
-not grow with the number of graphs, and runs at most six groups per chunk.
+Sweeps run the reducer over chunks of 32 KiB per weight column (32,768 rows
+of int8 down to 4,096 of int64 or Python ints), so its memory does not grow
+with the number of graphs, and runs at most six groups per chunk.
 The exhaustive sweep enumerates the rows support pattern by support pattern,
-so most of its chunks hold one pattern. A group whose rows share one
-relabelling, as every disconnected group does, moves whole columns; a group
-of mixed relabellings, as a random census draws, gathers per row. Every
-row is held to three checks: the reduced matrix must be a canonical form;
-its class must equal an exact oracle's; and each group's trace, replayed
-from the original rows after their relabelling, must give the reduced rows. The oracle uses that
+so at d = 11 and 13 most of its chunks hold one pattern. A group whose rows
+share one relabelling, as every disconnected group does, moves whole
+columns; a group of mixed relabellings, as a random census draws, gathers
+per row. Every row is held to three checks: the reduced matrix must be a
+canonical form; its class must equal an exact oracle's; and each group's
+trace, replayed from the original rows after their relabelling, must give
+the reduced rows. The oracle uses that
 the purity of a subsystem A of a graph state is d**-rank, the rank taken
 over GF(d) of the cut block Gamma[A, complement of A] (Hein, Eisert,
 Briegel, PRA 69, 062311; Hostens, Dehaene, De Moor, PRA 71, 042315 for
@@ -86,8 +91,9 @@ CLASS_P = "P"
 DISCONNECTED = "disconnected"
 ORACLE_TOL = 1e-7
 MAX_EXHAUSTIVE_D = 13
-# Rows per sweep step: bounds the reducer's working set, not the output.
-_CHUNK = 4096
+# Bytes per weight column of a sweep step: bounds the reducer's working set,
+# not the output.
+_CHUNK = 32 * 1024
 
 # Vertex pairs in the order of the weight columns (w01, ..., w23).
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -150,19 +156,32 @@ LCOperation = ScaleOp | StarOp | SwapOp
 
 
 def _dtype(d: int):
-    # int64 holds a star term f * w * w + w exactly while d**3 < 2**63
-    return np.int64 if d**3 < 2**63 else object
+    # The narrowest signed type holding d**3 holds every value a kernel forms
+    # from reduced weights, the largest being a star term (d-1)**3 + (d-1).
+    return next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if d**3 <= np.iinfo(t).max), object)
+
+
+def _chunk_rows(d: int) -> int:
+    """Rows per sweep step at d: the column budget over the item size."""
+    return _CHUNK // np.dtype(_dtype(d)).itemsize
+
+
+def _mod(x, d: int):
+    """``x % d`` as a floor division, which numpy runs by multiplication for a
+    scalar d; the same values as ``%`` for negative x and Python-int columns."""
+    return x - x // d * d
 
 
 def _scale(w, d: int, vertex: int, factor):
-    return [c * factor % d if vertex in pair else c for c, pair in zip(w, _PAIRS)]
+    return [_mod(c * factor, d) if vertex in pair else c for c, pair in zip(w, _PAIRS)]
 
 
 def _star(w, d: int, vertex: int, factor):
     # Weights at the star vertex are unchanged: the added term carries Gamma_vv = 0.
     return [
         c if vertex in (n, m)
-        else (c + factor * w[_PAIR_INDEX[n, vertex]] * w[_PAIR_INDEX[vertex, m]]) % d
+        else _mod(c + factor * w[_PAIR_INDEX[n, vertex]] * w[_PAIR_INDEX[vertex, m]], d)
         for c, (n, m) in zip(w, _PAIRS)
     ]
 
@@ -182,7 +201,8 @@ def _apply(w, d: int, op: LCOperation):
 
 
 def _columns(g: AdjacencyMatrix):
-    return [np.array([g[pair]], dtype=_dtype(g.d)) for pair in _PAIRS]
+    dtype = _dtype(g.d)
+    return [np.array([g[pair]], dtype=dtype) for pair in _PAIRS]
 
 
 def _entries(w, i: int):
@@ -262,10 +282,10 @@ class CanonicalResult:
 @lru_cache(maxsize=None)
 def _inverter(d: int):
     """Column-wise inverse mod the prime d of nonzero entries, built once per d."""
-    if d > _CHUNK:
+    if d > _chunk_rows(d):
         # a length-d table would cost more to build than the lookups of a chunk
         return lambda col: inv_mod_array(col, d)
-    table = inv_mod_array(np.arange(d, dtype=np.int64), d)
+    table = inv_mod_array(np.arange(d, dtype=np.int64), d).astype(_dtype(d))
     table.flags.writeable = False
     return table.__getitem__
 
@@ -295,10 +315,10 @@ class _Group:
         self.ops.append(op)
 
     def scale(self, vertex: int, factor) -> None:
-        self._record(ScaleOp(vertex, factor % self.d))
+        self._record(ScaleOp(vertex, _mod(factor, self.d)))
 
     def star(self, vertex: int, factor) -> None:
-        self._record(StarOp(vertex, factor % self.d))
+        self._record(StarOp(vertex, _mod(factor, self.d)))
 
     def swap(self, a: int, b: int) -> None:
         self._record(SwapOp(a, b))
@@ -398,7 +418,10 @@ def _relabel(w, support):
     relabelling = _RELABEL_ID[support]
     if relabelling.min() == relabelling.max():  # one relabelling: move whole columns
         return [w[k] for k in _RELABEL[support[0]]]
-    return list(np.take_along_axis(np.stack(w), _RELABEL[support].T, axis=0))
+    # column k of row r reads entry r of column _RELABEL[support[r], k]: one
+    # flat take per column from the six columns laid end to end
+    flat, rows = np.concatenate(w), np.arange(len(support))
+    return [flat.take(col.take(support) * len(support) + rows) for col in _RELABEL.T]
 
 
 def _reduce(w, d: int, inverse):
@@ -436,8 +459,10 @@ def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
     return the class "disconnected" with an empty trace. Connected graphs
     reduce to the unit star (class G) or to the chain-plus-chord form whose
     chord weight gamma_tilde decides between C (0 or 1) and P (anything else).
+    The class is checked against the cut-rank oracle and the trace replayed,
+    as in the sweeps.
     """
-    (group,) = _reduce(_columns(g), g.d, _inverter(g.d))
+    (group,) = _checked(_columns(g), g.d, _inverter(g.d))
     cls, gamma, trace, h = group.result(0)
     return CanonicalResult(cls, gamma, trace, AdjacencyMatrix(g.d, h))
 
@@ -452,7 +477,7 @@ def _reduce_chain(r: _Group):
     # Kill the 0-2 chord with a star at 1 (by 0 where there is none), leaving
     # the chain 0-1-2-3 and the 0-3 edge; normalizing the chain edges turns
     # the 0-3 edge into gamma_tilde.
-    r.star(1, -r.weight(0, 2) * r.inverse(r.weight(0, 1) * r.weight(1, 2) % r.d))
+    r.star(1, -r.weight(0, 2) * r.inverse(_mod(r.weight(0, 1) * r.weight(1, 2), r.d)))
     r.normalize_edge(1, 0)
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
@@ -462,7 +487,7 @@ def _reduce_chain(r: _Group):
 def _reduce_six_edged(r: _Group):
     d = r.d
     # Kill the 1-3 edge with a star at 2, then normalize the 1-2 and 2-3 edges.
-    r.star(2, -r.weight(1, 3) * r.inverse(r.weight(1, 2) * r.weight(2, 3) % d))
+    r.star(2, -r.weight(1, 3) * r.inverse(_mod(r.weight(1, 2) * r.weight(2, 3), d)))
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
     star, rest = r.split((r.weight(0, 1) == 0) & (r.weight(0, 3) == 0))
@@ -524,7 +549,7 @@ def _cut_rank_codes(d: int, w):
     rank_one = np.zeros(len(w[0]), dtype=np.int64)
     for a, b, c, e in _CUT_BLOCKS:
         # every block of a connected graph is nonzero, so det = 0 means rank 1
-        rank_one += (w[a] * w[b] - w[c] * w[e]) % d == 0
+        rank_one += _mod(w[a] * w[b] - w[c] * w[e], d) == 0
     bad = np.flatnonzero(~disconnected & (rank_one == 2))
     if bad.size:
         weights = [int(c[bad[0]]) for c in w]
@@ -543,9 +568,13 @@ def cut_rank_classes(d: int, weights) -> list[str]:
     the graph is disconnected. Otherwise each 2|2 block has rank 1 (its
     determinant vanishes mod d) or 2, and the number of rank-1 cuts is 3, 1
     or 0 for classes G, C and P; complementary pairs share a cut, so this is
-    the purity pair pattern 6, 2, 0 halved.
+    the purity pair pattern 6, 2, 0 halved. A weight outside [0, d) raises
+    ValueError.
     """
-    w = np.asarray(weights, dtype=_dtype(d)).reshape(-1, len(_PAIRS))
+    w = np.asarray(weights)
+    if ((w < 0) | (w >= d)).any():
+        raise ValueError(f"weights must lie in [0, {d}) for d = {d}")
+    w = w.astype(_dtype(d)).reshape(-1, len(_PAIRS))
     return _LABELS[_cut_rank_codes(d, list(np.ascontiguousarray(w.T)))].tolist()
 
 
@@ -569,32 +598,40 @@ class ClassCensus:
         }
 
 
+def _checked(w, d: int, inverse):
+    """The reduced groups of six weight columns, each row's class checked
+    against the cut-rank oracle and each group's trace replayed from the
+    original rows; raises on the first disagreement."""
+    expected = _cut_rank_codes(d, w)
+    for group in _reduce(w, d, inverse):
+        oracle = expected[group.rows]
+        bad = np.flatnonzero(group.codes != oracle)
+        if bad.size:
+            i = bad[0]
+            raise ClassOracleMismatch(
+                AdjacencyMatrix(d, _entries(w, group.rows[i])),
+                _LABELS[group.codes[i]],
+                _LABELS[oracle[i]],
+            )
+        replayed = _relabel([c[group.rows] for c in w], group.support)
+        for op in group.ops:
+            replayed = _apply(replayed, d, op)
+        bad = np.flatnonzero(np.any([a != b for a, b in zip(replayed, group.w)], axis=0))
+        if bad.size:
+            raise VerificationFailure(
+                f"trace replay failed for matrix {_entries(w, group.rows[bad[0]])}"
+            )
+        yield group
+
+
 def _sweep(d: int, chunks) -> ClassCensus:
-    """Canonicalize every row of each chunk of six weight columns, check its
-    class against the cut-rank oracle, and replay each group's trace."""
+    """Canonicalize every row of each chunk of six weight columns, with the
+    checks of ``_checked``, and tally the classes."""
     inverse = _inverter(d)
     tally = np.zeros(len(_LABELS), dtype=np.int64)
     for w in chunks:
-        expected = _cut_rank_codes(d, w)
-        for group in _reduce(w, d, inverse):
-            oracle = expected[group.rows]
-            bad = np.flatnonzero(group.codes != oracle)
-            if bad.size:
-                i = bad[0]
-                raise ClassOracleMismatch(
-                    AdjacencyMatrix(d, _entries(w, group.rows[i])),
-                    _LABELS[group.codes[i]],
-                    _LABELS[oracle[i]],
-                )
-            replayed = _relabel([c[group.rows] for c in w], group.support)
-            for op in group.ops:
-                replayed = _apply(replayed, d, op)
-            bad = np.flatnonzero(np.any([a != b for a, b in zip(replayed, group.w)], axis=0))
-            if bad.size:
-                raise VerificationFailure(
-                    f"trace replay failed for matrix {_entries(w, group.rows[bad[0]])}"
-                )
-        tally += np.bincount(expected, minlength=len(_LABELS))
+        for group in _checked(w, d, inverse):
+            tally += np.bincount(group.codes, minlength=len(_LABELS))
     counts = {_LABELS[code]: int(tally[code]) for code in (_G, _C, _P, _DISCONNECTED)}
     return ClassCensus(d, int(tally.sum()), counts, 0)
 
@@ -622,16 +659,18 @@ def classify_exhaustive(d: int) -> ClassCensus:
         offset = [0]
         for cols in supports:
             offset.append(offset[-1] + (d - 1) ** len(cols))
-        n = offset[-1]  # d**6, by the binomial theorem
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
-            w = [np.zeros(stop - start, dtype=np.int64) for _ in _PAIRS]
+        n, rows = offset[-1], _chunk_rows(d)  # n = d**6, by the binomial theorem
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            w = [np.zeros(stop - start, dtype=_dtype(d)) for _ in _PAIRS]
             s = bisect_right(offset, start) - 1
             while offset[s] < stop:
                 lo, hi = max(start, offset[s]), min(stop, offset[s + 1])
                 i = np.arange(lo - offset[s], hi - offset[s])
-                for j, k in enumerate(supports[s]):
-                    w[k][lo - start:hi - start] = i // (d - 1) ** j % (d - 1) + 1
+                for k in supports[s]:
+                    rest = i // (d - 1)
+                    w[k][lo - start:hi - start] = i - rest * (d - 1) + 1
+                    i = rest
                 s += 1
             yield w
 
@@ -643,10 +682,10 @@ def census_random(d: int, samples: int, seed: int) -> ClassCensus:
     check_prime(d)
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng, rows = np.random.default_rng(seed), _chunk_rows(d)
     return _sweep(d, (  # drawn chunk by chunk: memory stays flat in samples
         list(np.ascontiguousarray(
-            rng.integers(0, d, size=(min(_CHUNK, samples - start), len(_PAIRS))).T,
+            rng.integers(0, d, size=(min(rows, samples - start), len(_PAIRS))).T,
             dtype=_dtype(d)))
-        for start in range(0, samples, _CHUNK)
+        for start in range(0, samples, rows)
     ))

@@ -54,7 +54,7 @@ EXIT_INTERRUPTED = 130  # the shell's code for death by SIGINT
 # only eigen holds a dense d^4 state (48 MB peak RSS at d = 23); build and reduce
 # stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.3 s, 38 MB).
 MAX_STATE_D = 23
-# classify --random runs about 1.2M matrices/s at d = 11 on 2 vCPUs: the cap takes 1.5 min.
+# classify --random runs about 5M matrices/s at d = 11 on 2 vCPUs: the cap takes 20 s.
 MAX_RANDOM_SAMPLES = 10**8
 # Amplitude rows rendered and written per write call: memory stays flat in d.
 _SLAB_ROWS = 4096

@@ -316,7 +316,7 @@ def test_exhaustive_rejects_large_d():
         classify_exhaustive(17)
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 def test_exhaustive_census_closed_forms(d):
     # G and P are closed forms in x = d - 1; the disconnected count follows
     # independently from the 38 labelled connected 4-vertex graphs (16, 15, 6
@@ -337,11 +337,11 @@ def test_exhaustive_census_closed_forms(d):
 
 def _index_order_chunks(d):
     """The sweep's former row order: row r holds the base-d digits of r, w01
-    the most significant, in chunks of the sweep's size."""
-    n = d**6
-    for start in range(0, n, classify._CHUNK):
-        index = np.arange(start, min(start + classify._CHUNK, n), dtype=np.int64)
-        yield [index // d**k % d for k in range(5, -1, -1)]
+    the most significant, in chunks of the sweep's size and column type."""
+    n, rows = d**6, classify._chunk_rows(d)
+    for start in range(0, n, rows):
+        index = np.arange(start, min(start + rows, n), dtype=np.int64)
+        yield [(index // d**k % d).astype(classify._dtype(d)) for k in range(5, -1, -1)]
 
 
 def _exhaustive_chunks(monkeypatch, d):
@@ -355,7 +355,8 @@ def _exhaustive_chunks(monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_exhaustive_rows_run_in_support_pattern_order(monkeypatch, d):
     chunks = _exhaustive_chunks(monkeypatch, d)
-    assert all(len(c) == len(w[0]) <= classify._CHUNK for w in chunks for c in w)
+    assert all(len(c) == len(w[0]) <= classify._chunk_rows(d) for w in chunks for c in w)
+    assert all(c.dtype == classify._dtype(d) for w in chunks for c in w)
     rows = np.concatenate([np.stack(w, axis=1) for w in chunks])
     # every matrix exactly once
     assert np.array_equal(np.sort(rows @ d ** np.arange(5, -1, -1)), np.arange(d**6))
@@ -428,13 +429,13 @@ def test_sweep_gathers_only_groups_of_mixed_relabellings(monkeypatch):
     for shape in (classify._UNREDUCED, classify._STAR, classify._CHAIN):
         assert len(set(support[keep][shapes == shape].tolist())) > 1
     calls = []
-    take_along_axis = np.take_along_axis
+    concatenate = np.concatenate
 
-    def counted(*args, **kwargs):
+    def counted(*args, **kwargs):  # a gather lays the six columns end to end once
         calls.append(args)
-        return take_along_axis(*args, **kwargs)
+        return concatenate(*args, **kwargs)
 
-    monkeypatch.setattr(np, "take_along_axis", counted)
+    monkeypatch.setattr(np, "concatenate", counted)
     census = classify._sweep(d, [list(rows[keep].T)])
     assert census.total == keep.sum()
     assert len(calls) == 2
@@ -486,10 +487,53 @@ def test_census_random_d7():
 
 def test_census_random_draws_per_chunk(monkeypatch):
     # a sweep that stops after the first chunk: only that chunk's weights
-    # may have been drawn, however many samples are asked for
+    # may have been drawn, however many samples are asked for; a chunk holds
+    # 32 KiB per column of its type (8 bytes per Python-int reference)
     monkeypatch.setattr(classify, "_sweep", lambda d, stream: next(iter(stream)))
-    first = census_random(3, 10**13, 0)
-    assert len(first) == len(PAIRS) and all(len(c) == classify._CHUNK for c in first)
+    for d, rows in [(3, 32768), (7, 16384), (37, 8192), (1291, 4096), (2097169, 4096)]:
+        first = census_random(d, 10**13, 0)
+        assert classify._chunk_rows(d) == rows
+        assert len(first) == len(PAIRS)
+        assert all(len(c) == rows and c.dtype == classify._dtype(d) for c in first)
+
+
+@pytest.mark.parametrize("d, dtype", [(2, np.int8), (5, np.int8), (7, np.int16),
+                                      (31, np.int16), (37, np.int32), (1289, np.int32),
+                                      (1291, np.int64), (2097143, np.int64),
+                                      (2097169, object)])
+def test_dtype_is_narrowest_holding_d_cubed(d, dtype):
+    assert classify._dtype(d) == dtype
+    # the largest value a kernel forms, a star term (d-1)**3 + (d-1), fits
+    if dtype is not object:
+        assert (d - 1) ** 3 + (d - 1) <= np.iinfo(dtype).max
+
+
+@pytest.mark.parametrize("d", [5, 31, 1289, 2097143, 2**61 - 1])
+def test_mod_matches_python_remainder(d):
+    # every value a kernel can reduce at d, negative ones included, in the
+    # column type of d: the extremes and a random sample between them
+    dtype = classify._dtype(d)
+    lo, hi = -2 * (d - 1) ** 2, (d - 1) ** 3 + (d - 1)
+    rng = np.random.default_rng(d % 1000)
+    values = [lo, lo + 1, -d, -d + 1, -1, 0, 1, d - 1, d, hi - 1, hi]
+    values += [lo + int(x) for x in rng.integers(0, min(hi - lo, 2**62), size=500)]
+    x = np.array(values, dtype=dtype)
+    reduced = classify._mod(x, d)
+    assert reduced.dtype == x.dtype
+    assert [int(v) for v in reduced] == [v % d for v in values]
+
+
+@pytest.mark.parametrize("d", [5, 7, 1291, 2**32 + 15])
+@pytest.mark.parametrize("bad", [lambda d: -1, lambda d: d, lambda d: 256 * d, lambda d: 2**64],
+                         ids=["-1", "d", "256d", "2**64"])
+def test_cut_rank_classes_rejects_weights_outside_the_field(d, bad):
+    # multiples of d would otherwise be read as zero weights, and a cast to a
+    # narrow column type would wrap 256 * d to 0
+    weight = bad(d)
+    with pytest.raises(ValueError):
+        cut_rank_classes(d, [[weight, weight, weight, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        cut_rank_classes(d, np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, weight]]))
 
 
 def test_three_and_four_sided_cluster_same_class():
@@ -710,9 +754,13 @@ def _normalize_chain(r: _Reducer) -> None:
 
 
 def _batched_results(d, weights):
-    """(row, result) of every row of an (N, 6) weight array, through the batched reducer."""
-    w = list(np.ascontiguousarray(np.asarray(weights).T, dtype=classify._dtype(d)))
+    """(row, result) of every row of an (N, 6) weight array, through the batched
+    reducer, whose columns and factors must all keep the sweep's column type."""
+    dtype = classify._dtype(d)
+    w = list(np.ascontiguousarray(np.asarray(weights).T, dtype=dtype))
     for group in classify._reduce(w, d, classify._inverter(d)):
+        assert all(c.dtype == dtype for c in group.w)
+        assert all(op.factor.dtype == dtype for op in group.ops if not isinstance(op, SwapOp))
         for i, row in enumerate(group.rows):
             yield int(row), group.result(i)
 
@@ -733,14 +781,20 @@ def test_batched_reducer_matches_reference_exhaustively(d):
     _assert_batched_matches_reference(d, np.array(list(product(range(d), repeat=6))))
 
 
-@pytest.mark.parametrize("d, n", [(11, 2000), (13, 2000), (1000003, 200), (2**61 - 1, 50)])
+@pytest.mark.parametrize("d, n", [(5, 2000), (7, 2000), (11, 2000), (13, 2000), (31, 2000),
+                                  (37, 2000), (1289, 1000), (1291, 1000), (1000003, 200),
+                                  (2**61 - 1, 50)])
 def test_batched_reducer_matches_reference_sampled(d, n):
-    # Inverse tables at d = 11 and 13; pow per entry on int64 columns at
-    # d = 1000003 and on Python-int columns at d = 2**61 - 1. A third of the
-    # weights are zero, so sparse patterns show up at every d.
+    # Each side of every column type's bound: int8 at d = 5, int16 at 7 and
+    # 31, int32 at 37 and 1289, int64 at 1291; inverse tables up to d = 1291,
+    # pow per entry on int64 columns at d = 1000003 and on Python-int columns
+    # at d = 2**61 - 1. A third of the weights are zero, so sparse patterns
+    # show up at every d, and 64 more rows put d - 1, which makes every
+    # product largest, on each support pattern.
     rng = np.random.default_rng(n + d % 1000)
     weights = rng.integers(1, d, size=(n, 6)) * (rng.random((n, 6)) > 1 / 3)
-    _assert_batched_matches_reference(d, weights)
+    largest = (d - 1) * (np.arange(64)[:, None] >> np.arange(6) & 1)
+    _assert_batched_matches_reference(d, np.concatenate([largest, weights]))
 
 
 def test_canonicalize_matches_reference_d3():

@@ -564,6 +564,44 @@ def test_classify_sweep_check_failure_is_mismatch(capsys, monkeypatch, fault):
     assert err.count("\n") == 1
 
 
+def _flip_g_to_p(cut_rank_codes):
+    """Have the cut-rank oracle call every class-G graph class P."""
+
+    def flipped(d, w):
+        codes = cut_rank_codes(d, w)
+        return np.where(codes == classify._G, classify._P, codes)
+
+    return flipped
+
+
+# At d = 3, with every weight 2, so that every program's last scale is not by 1:
+# the star is class G, and the square class C with gamma_tilde 1.
+STAR_2 = [[2 * w for w in row] for row in STAR]
+SQUARE_2 = [[0, 2, 0, 2], [2, 0, 2, 0], [0, 2, 0, 2], [2, 0, 2, 0]]
+
+
+@pytest.mark.parametrize(
+    "target, fault, gamma, check",
+    [("_cut_rank_codes", _flip_g_to_p, STAR_2, "class mismatch"),
+     ("_reduce", _mislabel_cluster, SQUARE_2, "class mismatch")]
+    + [("_reduce", fault, gamma, "trace replay failed")
+       for fault in (_drop_last_op, _corrupt_one_factor) for gamma in (STAR_2, SQUARE_2)],
+    ids=["oracle-star", "mislabel-square", "drop-star", "drop-square", "corrupt-star",
+         "corrupt-square"],
+)
+def test_classify_matrix_check_failure_is_mismatch(capsys, monkeypatch, target, fault, gamma,
+                                                   check):
+    # --matrix runs the sweep's checks: the cut-rank oracle and the replay
+    monkeypatch.setattr(classify, target, fault(getattr(classify, target)))
+    matrix = json.dumps({"d": 3, "gamma": gamma})
+    code, out, err = run_cli(capsys, "classify", "--matrix", matrix)
+    assert code == EXIT_MISMATCH
+    assert out == ""
+    assert err.startswith("quditgraph: verification failed:")
+    assert check in err
+    assert err.count("\n") == 1
+
+
 def test_classify_needs_exactly_one_mode(capsys):
     code, _, _ = run_cli(capsys, "classify", "--d", "3")
     assert code == EXIT_INVALID
