@@ -12,8 +12,9 @@ Three command groups:
   replaying each trace.
 
 Exit codes: 0 success (also when the reader closes stdout early), 2
-verification mismatch, 3 invalid input, 130 interrupted (Ctrl-C). Output is
-deterministic: fixed key order, floats at 12 significant digits.
+verification mismatch, 3 invalid input or unwritable output (a bad --out path,
+a failed write to stdout), 130 interrupted (Ctrl-C). Output is deterministic:
+fixed key order, floats at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -52,12 +53,18 @@ EXIT_MISMATCH = 2
 EXIT_INVALID = 3
 EXIT_INTERRUPTED = 130  # the shell's code for death by SIGINT
 # only eigen holds a dense d^4 state (48 MB peak RSS at d = 23); build and reduce
-# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.3 s, 38 MB).
+# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.17 s, 37 MB).
 MAX_STATE_D = 23
 # classify --random runs about 5M matrices/s at d = 11 on 2 vCPUs: the cap takes 20 s.
 MAX_RANDOM_SAMPLES = 10**8
-# Amplitude rows rendered and written per write call: memory stays flat in d.
+# Amplitude rows rendered per slab: memory stays flat in d, and each slab pays its
+# numpy fills once (512-row slabs made a cold d = 23 CSV dump 41 -> 55 ms).
 _SLAB_ROWS = 4096
+# Bytes of a slab copied out, stripped of NULs and written at a time. Pieces under
+# glibc's 128 KiB mmap threshold reuse freed heap memory; a whole ~780 KB slab
+# faulted in fresh pages twice (cold d = 13 CSV dump, 2 vCPUs: 3,044 -> 712 minor
+# faults, 11.1 -> 8.2 ms). 8 to 128 KiB time the same; 256 KiB faults again.
+_PIECE_BYTES = 64 * 1024
 # One amplitude row per format, filled from (row, j1, j2, j3, j4, phase_exp, magnitude):
 # the bytes csv.writer over flatten_json and json.dumps(indent=2) give the row.
 _ROW_TEMPLATES = {
@@ -148,8 +155,9 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
-    """The table's rows as the row template renders them, in ASCII bytes,
-    _SLAB_ROWS at a time.
+    """The table's rows as the row template renders them, in ASCII bytes:
+    rendered _SLAB_ROWS at a time, yielded at most _PIECE_BYTES (or one row)
+    at a time.
 
     The separator and the template, formatted with each numeric field k a run
     of byte k + 1, make one skeleton row: the row-number run is as wide as the
@@ -158,8 +166,8 @@ def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
     changes. The buffer is viewed as one record per row with a field per run,
     so each run of a slab fills in one copy. Each slab overwrites the runs
     with digits, leading zeros NUL (values 0..d-1 from one digit table, row
-    numbers once per slab), then deletes every NUL: the rendered bytes never
-    hold one.
+    numbers once per slab). Each piece of the slab is then copied out and its
+    NULs deleted: the rendered bytes never hold one.
     """
     n, d, separator = len(table.flat), table.d, _ROW_SEPARATORS[fmt]
     assert not re.search("[\x00-\x06]", separator + _ROW_TEMPLATES[fmt] + table.magnitude)
@@ -189,7 +197,10 @@ def _amplitude_slabs(table: _AmplitudeTable, fmt: str):
             slab[name] = fields[field]
         # no separator before the first row: sliced off, as later slabs reuse the buffer
         skip = len(separator) if start == 0 else 0
-        yield slab.tobytes().replace(b"\0", b"")[skip:]
+        step = max(1, _PIECE_BYTES // len(row))
+        for a in range(0, stop - start, step):
+            yield slab[a:a + step].tobytes().replace(b"\0", b"")[skip:]
+            skip = 0
 
 
 def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
@@ -217,16 +228,17 @@ def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
 def _emit(payload: dict, fmt: str, out: str | None,
           amplitudes: _AmplitudeTable | None = None) -> None:
     """Write payload to ``out`` or stdout, followed by the amplitude table if
-    given: its rows are rendered and written a slab at a time. Both sinks take
-    the rendered bytes as they are: a file opened in binary mode, or stdout's
-    binary buffer once any text already written to stdout is flushed."""
+    given: its rows are rendered a slab at a time and written in pieces of at
+    most _PIECE_BYTES. Both sinks take the rendered bytes as they are: a file
+    opened in binary mode, or stdout's binary buffer once any text already
+    written to stdout is flushed."""
     pieces = _render(payload, fmt, amplitudes)
-    if out:
+    if out is not None:  # an empty path is unwritable, not stdout
         try:
             with open(out, "wb") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
-            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.flush()
         sys.stdout.buffer.writelines(pieces)
@@ -344,15 +356,20 @@ def main(argv=None) -> int:
     handlers = {"state": _cmd_state, "tables": _cmd_tables, "classify": _cmd_classify}
     try:
         code = handlers[args.command](args)
-        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        sys.stdout.flush()  # a failed write shows here, not in the flush at exit
         return code
-    except BrokenPipeError:
-        # The reader closed stdout early (`quditgraph ... | head`): stop quietly,
-        # with stdout on devnull so the flush at exit cannot raise again.
+    except OSError as exc:
+        # Only stdout raises OSError here (_emit turns --out failures into
+        # ValueError). Point it at devnull so the flush at exit cannot raise
+        # again. A reader that closed it early (`quditgraph ... | head`) is no
+        # error; any other failure (`> /dev/full`) is the sink's, as with --out.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_OK
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_OK
+        sys.stderr.write(f"quditgraph: error: cannot write stdout: {exc.strerror or exc}\n")
+        return EXIT_INVALID
     except (VerificationFailure, ClassificationError) as exc:
         # before ValueError: ClassificationError subclasses it but is a failed check
         sys.stderr.write(f"quditgraph: verification failed: {exc}\n")

@@ -337,6 +337,37 @@ def test_tables_unwritable_out_is_invalid_input(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["state", "build", "--family", "P", "--d", "3"],
+    ["tables", "--d", "3"],
+    ["classify", "--matrix", json.dumps({"d": 3, "gamma": STAR})],
+])
+def test_empty_out_path_is_invalid_input(capsys, argv):
+    # an empty --out names no file: exit 3 as any unwritable path, not stdout
+    code, out, err = run_cli(capsys, *argv, "--out", "")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "quditgraph: error: cannot write '': No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["classify", "--exhaustive", "--d", "2"],  # one short write, met by main's flush
+    ["state", "build", "--family", "P", "--d", "13"],  # megabytes, met mid-dump
+])
+def test_full_stdout_is_invalid_output(argv):
+    # stdout on a full device: exit 3 with one stderr line, as --out on one,
+    # and no "Exception ignored" from the flush at exit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quditgraph.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "quditgraph.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stderr == b"quditgraph: error: cannot write stdout: No space left on device\n"
+
+
 def test_tables_deterministic_output(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

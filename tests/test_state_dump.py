@@ -147,6 +147,21 @@ def test_streamed_dump_matches_reference(capsys, tmp_path, action, d):
         assert_same_text(text, expected, (action, args, fmt, to_file))
 
 
+# Piece budgets in bytes, each dump rendered under every one: below one row
+# (a row a piece), a few rows (about three CSV or four JSON rows at d = 11
+# and 13, so pieces end inside a slab of 7 or 10 rows) and more than any
+# slab (a slab a piece).
+PIECE_BUDGETS = [1, 600, 2**30]
+
+
+def _dump_pieces(capsys, monkeypatch, argv, expected: str, label) -> None:
+    """Dump argv to stdout under each piece budget and compare with expected."""
+    for piece_bytes in PIECE_BUDGETS:
+        monkeypatch.setattr(cli, "_PIECE_BYTES", piece_bytes)
+        text = _dump(capsys, None, argv, out=False)
+        assert_same_text(text, expected, (*label, piece_bytes))
+
+
 @pytest.mark.parametrize("d", [11, 13])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_small_slabs_match_reference(capsys, monkeypatch, fmt, d):
@@ -168,8 +183,8 @@ def test_small_slabs_match_reference(capsys, monkeypatch, fmt, d):
             meta["fourier_sites"] = [s + 1 for s in family_fourier_sites(family)]
             amplitudes = reference_state_amplitudes(family_reduced_state(family, d, None))
         expected = reference_text({"metadata": meta, "amplitudes": amplitudes}, fmt)
-        text = _dump(capsys, None, ["state", action, *args, "--format", fmt], out=False)
-        assert_same_text(text, expected, (action, args, fmt))
+        _dump_pieces(capsys, monkeypatch, ["state", action, *args, "--format", fmt], expected,
+                     (action, args, fmt))
 
 
 @pytest.mark.parametrize("slab_rows", [10, 1000])
@@ -183,25 +198,34 @@ def test_row_number_width_changes_at_slab_starts(capsys, monkeypatch, fmt, slab_
     meta = metadata(d=d, family="P", gamma=None,
                     matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
     expected = reference_text({"metadata": meta, "amplitudes": reference_graph_amplitudes(g)}, fmt)
-    text = _dump(capsys, None, ["state", "build", "--family", "P", "--d", "11", "--format", fmt],
-                 out=False)
-    assert_same_text(text, expected, (fmt, slab_rows))
+    _dump_pieces(capsys, monkeypatch,
+                 ["state", "build", "--family", "P", "--d", "11", "--format", fmt], expected,
+                 (fmt, slab_rows))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_render_yields_bytes_without_nul(monkeypatch, fmt):
-    # several slabs, one of them short, behind the payload; and a payload alone
+    # several slabs of 184 KB (CSV) or 139 KB (JSON) rendered, one of them short,
+    # behind the payload; and a payload alone
     monkeypatch.setattr(cli, "_SLAB_ROWS", 1000)
     g = family_graph("P", 7)
     payload = {"metadata": metadata(d=7, family="P")}
+    dump = reference_text({**payload, "amplitudes": reference_graph_amplitudes(g)}, fmt)
     for table in (cli._graph_amplitudes(g), None):
         pieces = list(cli._render(payload, fmt, table))
         assert all(type(piece) is bytes for piece in pieces)
         assert not any(b"\0" in piece for piece in pieces)
-        expected = payload
+        expected = reference_text(payload, fmt)
         if table is not None:
-            expected = {**payload, "amplitudes": reference_graph_amplitudes(g)}
-        assert b"".join(pieces).decode("utf-8") == reference_text(expected, fmt)
+            expected = dump
+            # the amplitude pieces, between the payload and the closing bytes
+            assert max(map(len, pieces[1:-1])) <= cli._PIECE_BYTES
+        assert b"".join(pieces).decode("utf-8") == expected
+    # a budget below one row: each piece is one row
+    monkeypatch.setattr(cli, "_PIECE_BYTES", 1)
+    pieces = list(cli._render(payload, fmt, cli._graph_amplitudes(g)))
+    assert len(pieces) == 1 + 7**4 + 1
+    assert b"".join(pieces).decode("utf-8") == dump
 
 
 class _CountingText(io.TextIOWrapper):
