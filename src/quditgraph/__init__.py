@@ -60,16 +60,13 @@ from .pauli import (
     pauli_pow,
 )
 from .states import (
-    GeneratorSet,
     StateVector,
     Tableau,
     apply_local_fourier,
     apply_pauli,
     build_state,
     family_graph,
-    family_reduced_generators,
     family_reduced_state,
-    generators,
     ghz3_state,
     iter_stabilizers,
     psi_gamma,

@@ -4,7 +4,7 @@ Three command groups:
 
 * ``state build|reduce|eigen`` dumps the exact amplitudes of a family or
   inline graph (as basis-index / phase-exponent / magnitude triples) or
-  verifies the stabilizer eigenvalues of its generators on the dense state.
+  checks its generators' eigenvalues in integers on that exact phase table.
 * ``tables`` emits the full verified report bundle for one or more prime
   dimensions and fails (exit 2) if any value misses its expectation.
 * ``classify`` canonicalizes a single matrix, or sweeps all (or random)
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -34,26 +35,26 @@ import numpy as np
 from . import __version__
 from .classify import VerificationFailure, canonicalize, census_random, classify_exhaustive
 from .graphs import AdjacencyMatrix, graph_from_json_dict
+from .pauli import PauliWord
 from .report import build_report
 from .serialize import BASIS_ORDER, flatten_json, fmt_float, metadata
+# build_state and family_reduced_state stay bound for perfbench/child.py's tracer.
 from .states import (
     build_state,
     family_fourier_sites,
     family_graph,
-    family_reduced_generators,
     family_reduced_state,
-    generators,
     phase_exponents,
-    verify_eigen,
+    stabilizer_exponents,
+    stabilizer_tableau,
 )
-from .steering import ClassificationError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INVALID = 3
 EXIT_INTERRUPTED = 130  # the shell's code for death by SIGINT
-# only eigen holds a dense d^4 state (48 MB peak RSS at d = 23); build and reduce
-# stream rows off the exact phase table (build --d 23: 55 MB of CSV, 0.17 s, 37 MB).
+# No action holds a dense d^4 state: build and reduce stream rows off the exact phase table
+# (build --d 23: 55 MB of CSV, 0.17 s, 37 MB); eigen checks rows on it (0.12 s, 43 MB).
 MAX_STATE_D = 23
 # classify --random runs about 5M matrices/s at d = 11 on 2 vCPUs: the cap takes 20 s.
 MAX_RANDOM_SAMPLES = 10**8
@@ -239,9 +240,12 @@ def _emit(payload: dict, fmt: str, out: str | None,
                 fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
+    elif sys.stdout is None:  # fd 1 was closed before start-up (`>&-`)
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     else:
         sys.stdout.flush()
         sys.stdout.buffer.writelines(pieces)
+        sys.stdout.flush()  # a failed write shows here, not in the flush at exit
 
 
 def _parse_matrix(text: str) -> AdjacencyMatrix:
@@ -295,25 +299,20 @@ def _cmd_state(args) -> int:
             meta["fourier_sites"] = [s + 1 for s in sites]
         _emit({"metadata": meta}, args.format, args.out, _graph_amplitudes(g, sites))
         return EXIT_OK
-    # eigen
-    frame = args.generators or "graph"
-    if frame == "reduced":
+    # eigen: the generators X_n Z^Gamma_n as tableau rows, checked on the exact phase table
+    sites = ()
+    if args.generators == "reduced":
         if not args.family:
             raise ValueError("--generators reduced needs a named family")
-        state = family_reduced_state(args.family, g.d, args.gamma)
-        gens = family_reduced_generators(args.family, g.d, args.gamma)
-    else:
-        state = build_state(g)
-        gens = generators(g)
-    results = []
-    ok = True
-    for word, expected in zip(gens.words, gens.eigen_exps):
-        r = verify_eigen(state, word)
-        results.append({"generator": str(word), "eigen_exp": r, "expected": expected})
-        ok &= r == expected
-    meta["generators"] = frame
-    payload = {"metadata": meta, "results": results, "all_match": ok}
-    _emit(payload, args.format, args.out)
+        sites = family_fourier_sites(args.family)
+    t = stabilizer_tableau(g, sites)
+    # the Fourier frame adds no phase: -x_s z_s = -Gamma_nn [n = s] = 0
+    words = [str(PauliWord(g.d, 0, rows.tolist())) for rows in t.xz]
+    exponents = stabilizer_exponents(phase_exponents(g, sites), t)
+    results = [{"generator": w, "eigen_exp": r, "expected": 0} for w, r in zip(words, exponents)]
+    ok = all(r == 0 for r in exponents)
+    meta["generators"] = args.generators or "graph"
+    _emit({"metadata": meta, "results": results, "all_match": ok}, args.format, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -355,23 +354,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"state": _cmd_state, "tables": _cmd_tables, "classify": _cmd_classify}
     try:
-        code = handlers[args.command](args)
-        sys.stdout.flush()  # a failed write shows here, not in the flush at exit
-        return code
+        return handlers[args.command](args)
     except OSError as exc:
         # Only stdout raises OSError here (_emit turns --out failures into
         # ValueError). Point it at devnull so the flush at exit cannot raise
         # again. A reader that closed it early (`quditgraph ... | head`) is no
-        # error; any other failure (`> /dev/full`) is the sink's, as with --out.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # error; any other failure (`> /dev/full`, `>&-`) is the sink's, as with --out.
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_OK
         sys.stderr.write(f"quditgraph: error: cannot write stdout: {exc.strerror or exc}\n")
         return EXIT_INVALID
-    except (VerificationFailure, ClassificationError) as exc:
-        # before ValueError: ClassificationError subclasses it but is a failed check
+    except VerificationFailure as exc:
         sys.stderr.write(f"quditgraph: verification failed: {exc}\n")
         return EXIT_MISMATCH
     except ValueError as exc:

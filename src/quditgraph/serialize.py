@@ -26,12 +26,12 @@ def fmt_float(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def rational_str(x, max_den: int = 10**6) -> str | None:
+def rational_str(x) -> str | None:
     """Exact-rational rendering of a numerically rational value, or None."""
     if isinstance(x, Fraction):
         frac = x
     else:
-        frac = Fraction(float(x)).limit_denominator(max_den)
+        frac = Fraction(float(x)).limit_denominator(10**6)
         if abs(float(frac) - float(x)) > 1e-9:
             return None
     if frac.denominator == 1:
@@ -43,7 +43,7 @@ def exact_and_float(x) -> dict:
     return {"exact": rational_str(x), "float": fmt_float(x)}
 
 
-def flatten_json(obj, prefix: str = "") -> list[tuple[str, object]]:
+def flatten_json(obj) -> list[tuple[str, object]]:
     """Depth-first (path, leaf-value) pairs of a JSON-like structure."""
     rows: list[tuple[str, object]] = []
 
@@ -57,5 +57,5 @@ def flatten_json(obj, prefix: str = "") -> list[tuple[str, object]]:
         else:
             rows.append((path, node))
 
-    walk(obj, prefix)
+    walk(obj, "")
     return rows

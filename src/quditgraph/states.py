@@ -1,11 +1,12 @@
-"""Graph-state construction, stabilizer generators, and reduced forms.
+"""Graph-state construction, stabilizer tableaux, and reduced forms.
 
 States are dense complex vectors over the standard product basis
 |j1, j2, j3, j4>, stored row-major with the first qudit slowest. A graph
 state carries the amplitude omega^(sum over edges of w_nm * j_n * j_m) / d^2,
 each edge counted once, and is the simultaneous +1 eigenstate of the four
 generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``;
-``tableau_entropy`` reads the exact entanglement of any sites off the rows.
+``tableau_entropy`` reads the exact entanglement of any sites off the rows,
+and ``stabilizer_exponents`` checks the rows on the exact ``phase_exponents``.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix, cluster_graph, gamma_graph, ghz_graph, p_graph
-from .pauli import PauliWord, check_prime, fourier_conjugate, omega_powers, rank_mod
+from .pauli import PauliWord, check_prime, omega_powers, rank_mod
 
 __all__ = [
-    "GeneratorSet",
     "StateVector",
     "Tableau",
     "apply_local_fourier",
@@ -28,14 +28,13 @@ __all__ = [
     "build_state",
     "family_fourier_sites",
     "family_graph",
-    "family_reduced_generators",
     "family_reduced_state",
-    "generators",
     "ghz3_state",
     "iter_stabilizers",
     "phase_exponents",
     "psi_gamma",
     "stabilizer",
+    "stabilizer_exponents",
     "stabilizer_tableau",
     "stabilizer_tableaux",
     "tableau_batch",
@@ -126,29 +125,6 @@ def build_state(g: AdjacencyMatrix) -> StateVector:
     return StateVector(g.d, N_VERTICES, amps.reshape(-1))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Four commuting, independent stabilizer generators with eigenvalue
-    exponents r_k (eigenvalue omega^r_k on the associated state)."""
-
-    words: tuple[PauliWord, ...]
-    eigen_exps: tuple[int, ...]
-
-
-def generators(g: AdjacencyMatrix) -> GeneratorSet:
-    """Generators X_n (x) Z_m^w_nm of the graph state, eigenvalues all +1."""
-    d = g.d
-    words = tuple(
-        PauliWord.from_powers(
-            d,
-            [1 if m == n else 0 for m in range(N_VERTICES)],
-            list(g.entries[n]),
-        )
-        for n in range(N_VERTICES)
-    )
-    return GeneratorSet(words, (0,) * N_VERTICES)
-
-
 def stabilizer(g: AdjacencyMatrix, powers: Sequence[int]) -> PauliWord:
     """Stabilizer g_1^p1 g_2^p2 g_3^p3 g_4^p4 in normal-ordered form.
 
@@ -225,6 +201,23 @@ def stabilizer_tableau(g: AdjacencyMatrix, fourier_sites: Sequence[int]) -> Tabl
     """``stabilizer_tableaux`` of the one graph g with ``fourier_sites``."""
     (t,) = stabilizer_tableaux([(g, fourier_sites)])
     return t
+
+
+def stabilizer_exponents(e: np.ndarray, t: Tableau) -> list[int | None]:
+    """Exponent r of each row (x, z) of t with X^x Z^z |psi> = omega^r |psi>, or
+    None where the row does not fix psi, for psi = omega^e(j) on the support
+    e >= 0 of a ``phase_exponents`` table e (one magnitude throughout). Exact:
+    (X^x Z^z psi)(j) = omega^(z.(j - x)) psi(j - x), so the row fixes psi iff
+    it keeps the support and (e(j - x) + z.(j - x) - e(j)) mod d is one r on it."""
+    idx = np.indices(e.shape, sparse=True)
+    support = e >= 0
+    exponents = []
+    for x, z in (rows.T.tolist() for rows in t.xz):
+        moved = np.roll(e, x, axis=tuple(range(N_VERTICES)))
+        r = (moved + sum(zq * (j - xq) for zq, j, xq in zip(z, idx, x)) - e)[support] % t.d
+        same = np.array_equal(moved >= 0, support) and (r == r[0]).all()
+        exponents.append(int(r[0]) if same else None)
+    return exponents
 
 
 def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]],
@@ -355,12 +348,3 @@ def family_reduced_state(name: str, d: int, gamma: int | None = None) -> StateVe
     g = family_graph(name, d, gamma)
     return apply_local_fourier(build_state(g), family_fourier_sites(name))
 
-
-def family_reduced_generators(name: str, d: int, gamma: int | None = None) -> GeneratorSet:
-    """Generator set conjugated into the frame of the reduced family state."""
-    g = family_graph(name, d, gamma)
-    sites = family_fourier_sites(name)
-    gens = generators(g)
-    return GeneratorSet(
-        tuple(fourier_conjugate(w, sites) for w in gens.words), gens.eigen_exps
-    )

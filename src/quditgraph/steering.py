@@ -60,6 +60,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .classify import VerificationFailure
 from .measures import all_subsystems, partial_trace, purity
 from .pauli import check_prime, eliminate_mod, omega_powers, site_matrix
 from .states import StateVector, Tableau, tableau_entropy
@@ -98,7 +99,7 @@ class ZeroProbabilityError(ValueError):
     """Raised when projecting onto an outcome of (numerically) zero probability."""
 
 
-class ClassificationError(ValueError):
+class ClassificationError(VerificationFailure):
     """Raised when a purity pattern matches no graph-state residue class."""
 
 

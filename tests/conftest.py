@@ -42,6 +42,11 @@ def family_tableau(family: str, d: int) -> Tableau:
     return stabilizer_tableau(family_graph(family, d), family_fourier_sites(family))
 
 
+def tableau_words(t: Tableau) -> tuple[PauliWord, ...]:
+    """The rows of t as phase-free Pauli words, one per generator."""
+    return tuple(PauliWord(t.d, 0, rows.tolist()) for rows in t.xz)
+
+
 def z_tableau(d: int) -> Tableau:
     """Tableau of a computational basis state: the rows Z_n."""
     return Tableau(d, np.stack([np.zeros((4, 4), dtype=int), np.eye(4, dtype=int)], axis=-1))

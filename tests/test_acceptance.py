@@ -39,10 +39,10 @@ from quditgraph import (
     wedge_measure,
 )
 from quditgraph.measures import all_subsystems
-from quditgraph.states import family_reduced_state, generators
+from quditgraph.states import family_reduced_state, stabilizer_tableau
 from quditgraph.steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths
 
-from conftest import family_tableau, random_state_amps, random_word
+from conftest import family_tableau, random_state_amps, random_word, tableau_words
 
 
 def report(num: int, text: str, elapsed: float | None = None) -> None:
@@ -233,7 +233,7 @@ def test_criterion_10_property_suite():
     for d in (3, 5):
         for g in (ghz_graph(d), cluster_graph(d), p_graph(d)):
             s = build_state(g)
-            for w in generators(g).words:
+            for w in tableau_words(stabilizer_tableau(g, ())):
                 assert verify_eigen(s, w) == 0
             for _ in range(50):
                 powers = tuple(int(v) for v in rng.integers(0, d, size=4))

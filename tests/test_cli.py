@@ -41,6 +41,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_env():
+    """Environment for a CLI subprocess: this package's source on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quditgraph.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK, err
@@ -212,7 +220,7 @@ def test_tables_builds_no_dense_state(monkeypatch):
     assert all_pass is True and bundle["all_pass"] is True
 
 
-def test_only_eigen_builds_a_state_vector(capsys, monkeypatch):
+def test_no_command_builds_a_state_vector(capsys, monkeypatch):
     def dense_route(self):
         raise AssertionError("a dense StateVector was built")
 
@@ -223,6 +231,10 @@ def test_only_eigen_builds_a_state_vector(capsys, monkeypatch):
         ["state", "build", "--matrix", matrix],
         *(["state", "reduce", "--family", f, "--d", "5"] for f in ("G", "C", "P")),
         ["state", "reduce", "--family", "psi", "--gamma", "2", "--d", "5"],
+        *(["state", "eigen", "--family", f, "--d", "5", "--generators", frame]
+          for f in ("G", "C", "P") for frame in ("graph", "reduced")),
+        ["state", "eigen", "--family", "psi", "--gamma", "2", "--d", "5"],
+        ["state", "eigen", "--matrix", matrix],
         ["tables", "--d", "3", "--d", "5"],
         ["classify", "--matrix", matrix],
         ["classify", "--exhaustive", "--d", "3"],
@@ -230,8 +242,43 @@ def test_only_eigen_builds_a_state_vector(capsys, monkeypatch):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_OK, (argv, err)
-    with pytest.raises(AssertionError, match="dense StateVector"):
-        main(["state", "eigen", "--family", "P", "--d", "5"])
+
+
+@pytest.mark.parametrize("frame", ["graph", "reduced"])
+def test_state_eigen_detects_a_tampered_phase_table(capsys, monkeypatch, frame):
+    # eigen checks the table build and reduce print: with one support entry off
+    # by one, every generator with an X factor moves it and fixes nothing (a Z
+    # row of the reduced frame sees only the support, which stays whole)
+    exact = cli.phase_exponents
+
+    def tampered(g, fourier_sites=()):
+        e = exact(g, fourier_sites)
+        j = tuple(np.argwhere(e >= 0)[-1])
+        e[j] = (e[j] + 1) % g.d
+        return e
+
+    monkeypatch.setattr(cli, "phase_exponents", tampered)
+    code, out, err = run_cli(capsys, "state", "eigen", "--family", "P", "--d", "5",
+                             "--generators", frame)
+    assert code == EXIT_MISMATCH and err == ""
+    payload = json.loads(out)
+    assert payload["all_match"] is False
+    results = payload["results"]
+    assert [r["eigen_exp"] is None for r in results] == ["X" in r["generator"] for r in results]
+
+
+def test_state_eigen_sha256(capsys):
+    # G, C and P in both generator frames at d = 3 and 23, then psi at gamma 2,
+    # concatenated: recorded while eigen still checked a dense state vector
+    runs = [["--family", f, "--d", d, "--generators", frame]
+            for d in ("3", "23") for f in ("G", "C", "P") for frame in ("graph", "reduced")]
+    out = ""
+    for argv in [*runs, ["--family", "psi", "--gamma", "2", "--d", "5"]]:
+        code, text, err = run_cli(capsys, "state", "eigen", *argv)
+        assert code == EXIT_OK, err
+        out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a67f06de71b8816690300b82a8d53b3000dab5f8a66188eb9c6af1561ee8b30c")
 
 
 @pytest.mark.parametrize("action", ["build", "reduce", "eigen"])
@@ -306,13 +353,10 @@ def test_interrupt_exits_quietly():
     # SIGINT into a long sweep: the shell's interrupt code and one stderr line.
     # The child restores the default SIGINT handler, which a background job
     # of a non-interactive shell would otherwise inherit as ignored.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quditgraph.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "quditgraph.cli", "classify",
          "--random", str(MAX_RANDOM_SAMPLES), "--d", "11"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
         preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
@@ -358,14 +402,34 @@ def test_empty_out_path_is_invalid_input(capsys, argv):
 def test_full_stdout_is_invalid_output(argv):
     # stdout on a full device: exit 3 with one stderr line, as --out on one,
     # and no "Exception ignored" from the flush at exit
-    src = os.path.dirname(os.path.dirname(os.path.abspath(quditgraph.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([sys.executable, "-m", "quditgraph.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, env=env, timeout=60)
+                              stderr=subprocess.PIPE, env=cli_env(), timeout=60)
     assert proc.returncode == EXIT_INVALID, proc.stderr
     assert proc.stderr == b"quditgraph: error: cannot write stdout: No space left on device\n"
+
+
+def test_closed_stdout_is_invalid_output():
+    # fd 1 closed before start-up (`>&-`) leaves sys.stdout None: exit 3 with
+    # one stderr line, as on a full device, not a traceback
+    proc = subprocess.run([sys.executable, "-m", "quditgraph.cli", "classify", "--exhaustive",
+                           "--d", "2"], stderr=subprocess.PIPE, env=cli_env(), timeout=60,
+                          preexec_fn=lambda: os.close(1))
+    assert proc.returncode == EXIT_INVALID, proc.stderr
+    assert proc.stderr == b"quditgraph: error: cannot write stdout: Bad file descriptor\n"
+
+
+def test_closed_stdout_leaves_out_runs_alone(tmp_path, capsys):
+    # a run that writes --out never needs stdout: exit 0 and the same bytes
+    target = tmp_path / "tables.json"
+    proc = subprocess.run([sys.executable, "-m", "quditgraph.cli", "tables", "--d", "3",
+                           "--out", str(target)], stderr=subprocess.PIPE, env=cli_env(),
+                          timeout=60, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr == b""
+    code, out, err = run_cli(capsys, "tables", "--d", "3")
+    assert code == EXIT_OK, err
+    assert target.read_bytes() == out.encode()
 
 
 def test_tables_deterministic_output(tmp_path, capsys):

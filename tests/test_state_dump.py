@@ -348,8 +348,8 @@ def test_closed_stdout_pipe_exits_quietly():
 
 
 def test_pipe_closed_before_output_exits_quietly(monkeypatch):
-    # a short output sits in stdout's buffer: main flushes it, meets the
-    # closed pipe, and leaves stdout on devnull for the flush at exit
+    # a short output sits in stdout's buffer: _emit flushes it and meets the
+    # closed pipe, and main leaves stdout on devnull for the flush at exit
     read_end, write_end = os.pipe()
     os.close(read_end)
     with open(write_end, "w", encoding="utf-8") as pipe:

@@ -1,4 +1,4 @@
-"""Graph-state construction, generators, stabilizers, and reduced forms."""
+"""Graph-state construction, tableau generators, stabilizers, and reduced forms."""
 
 from itertools import combinations, permutations, product
 
@@ -9,13 +9,14 @@ from quditgraph import (
     AdjacencyMatrix,
     PauliWord,
     StateVector,
+    Tableau,
     apply_local_fourier,
     apply_pauli,
     build_state,
     cluster_graph,
     dense_matrix,
+    fourier_conjugate,
     gamma_graph,
-    generators,
     ghz_graph,
     iter_stabilizers,
     p_graph,
@@ -29,14 +30,22 @@ from quditgraph import (
 from quditgraph.measures import all_subsystems
 from quditgraph.pauli import eliminate_mod, omega_powers, rank_mod
 from quditgraph.states import (
-    family_reduced_generators,
+    family_fourier_sites,
+    family_graph,
     family_reduced_state,
     phase_exponents,
+    stabilizer_exponents,
     stabilizer_tableau,
     tableau_entropy,
 )
 
-from conftest import random_graph, reference_phase_exponents
+from conftest import (
+    family_tableau,
+    random_graph,
+    reference_phase_exponents,
+    tableau_words,
+    z_tableau,
+)
 
 
 def state_from_phase_fn(d, phase_fn):
@@ -89,11 +98,16 @@ def word(d, x_powers, z_powers):
     return PauliWord.from_powers(d, x_powers, z_powers)
 
 
+def generators(g):
+    """The graph-frame generators X_n Z^Gamma_n of g: its tableau rows as words."""
+    return tableau_words(stabilizer_tableau(g, ()))
+
+
 def test_generators_ghz():
     d = 3
-    gens = generators(ghz_graph(d))
-    assert gens.eigen_exps == (0, 0, 0, 0)
-    assert gens.words == (
+    g = ghz_graph(d)
+    assert stabilizer_exponents(phase_exponents(g), stabilizer_tableau(g, ())) == [0, 0, 0, 0]
+    assert generators(g) == (
         word(d, [1, 0, 0, 0], [0, 1, 1, 1]),  # X Z Z Z
         word(d, [0, 1, 0, 0], [1, 0, 0, 0]),  # Z X I I
         word(d, [0, 0, 1, 0], [1, 0, 0, 0]),  # Z I X I
@@ -103,8 +117,7 @@ def test_generators_ghz():
 
 def test_generators_p():
     d = 3
-    gens = generators(p_graph(d))
-    assert gens.words == (
+    assert generators(p_graph(d)) == (
         word(d, [1, 0, 0, 0], [0, 1, 0, 1]),       # X Z I Z
         word(d, [0, 1, 0, 0], [1, 0, d - 1, 0]),   # Z X Z^-1 I
         word(d, [0, 0, 1, 0], [0, d - 1, 0, 1]),   # I Z^-1 X Z
@@ -114,8 +127,7 @@ def test_generators_p():
 
 @pytest.mark.parametrize("d,gm", [(3, 2), (5, 3)])
 def test_generators_gamma_family(d, gm):
-    gens = generators(gamma_graph(gm, d))
-    assert gens.words == (
+    assert generators(gamma_graph(gm, d)) == (
         word(d, [1, 0, 0, 0], [0, 1, 0, gm]),  # X Z I Z^gamma
         word(d, [0, 1, 0, 0], [1, 0, 1, 0]),   # Z X Z I
         word(d, [0, 0, 1, 0], [0, 1, 0, 1]),   # I Z X Z
@@ -136,8 +148,6 @@ def test_stabilizer_cluster_two_identity_factor_words():
     s2 = stabilizer(g, (0, 1, 0, -1))
     assert s2.x_powers == (0, 1, 0, d - 1) and s2.z_powers == (0, 0, 0, 0)
     # in the Fourier frame of the reduced state the second becomes I Z^-1 I Z
-    from quditgraph import fourier_conjugate
-
     conj = fourier_conjugate(s2, (1, 3))
     assert conj.x_powers == (0, 0, 0, 0) and conj.z_powers == (0, d - 1, 0, 1)
 
@@ -150,7 +160,7 @@ def test_stabilizer_equals_generator_product():
             for _ in range(25):
                 p = [int(v) for v in rng.integers(0, d, size=4)]
                 prod_word = PauliWord.identity(d, 4)
-                for w, k in zip(gens.words, p):
+                for w, k in zip(gens, p):
                     for _ in range(k):
                         prod_word = pauli_mul(prod_word, w)
                 assert prod_word == stabilizer(g, p)
@@ -172,7 +182,7 @@ def test_graph_states_stabilized(d):
     rng = np.random.default_rng(d)
     for g in (ghz_graph(d), cluster_graph(d), p_graph(d), gamma_graph(2, d)):
         s = build_state(g)
-        for w in generators(g).words:
+        for w in generators(g):
             assert verify_eigen(s, w) == 0
         for _ in range(50):
             p = tuple(int(v) for v in rng.integers(0, d, size=4))
@@ -182,7 +192,7 @@ def test_graph_states_stabilized(d):
 def test_generators_commute_and_are_independent():
     for d in (3, 5):
         for g in (ghz_graph(d), p_graph(d)):
-            words = generators(g).words
+            words = generators(g)
             for a in words:
                 for b in words:
                     assert pauli_mul(a, b) == pauli_mul(b, a)
@@ -284,18 +294,23 @@ def test_local_fourier_reduces_cluster_and_p():
 
 
 def test_reduced_generators_match_fourier_frame():
-    # reduced generator sets stabilize the reduced states with unit eigenvalue
+    # reduced-frame tableau rows stabilize the reduced states with unit eigenvalue,
+    # and are the graph-frame words conjugated by the Fourier gate at no phase
     for d in (3, 5):
         for family in ("G", "C", "P"):
             state = family_reduced_state(family, d)
-            for w in family_reduced_generators(family, d).words:
+            words = tableau_words(family_tableau(family, d))
+            for w in words:
                 assert verify_eigen(state, w) == 0
+            sites = family_fourier_sites(family)
+            assert words == tuple(fourier_conjugate(w, sites)
+                                  for w in generators(family_graph(family, d)))
 
 
 def test_reduced_generator_words_ghz():
     # X X X X, Z Z^-1 I I, Z I Z^-1 I, Z I I Z^-1
     d = 3
-    words = family_reduced_generators("G", d).words
+    words = tableau_words(family_tableau("G", d))
     assert words == (
         word(d, [1, 1, 1, 1], [0, 0, 0, 0]),
         word(d, [0, 0, 0, 0], [1, d - 1, 0, 0]),
@@ -307,7 +322,7 @@ def test_reduced_generator_words_ghz():
 def test_reduced_generator_words_p():
     # X X I X, Z Z^-1 Z^-1 I, I X^-1 X X, Z I Z Z^-1
     d = 3
-    words = family_reduced_generators("P", d).words
+    words = tableau_words(family_tableau("P", d))
     assert words == (
         word(d, [1, 1, 0, 1], [0, 0, 0, 0]),
         word(d, [0, 0, 0, 0], [1, d - 1, d - 1, 0]),
@@ -392,6 +407,41 @@ def test_fourier_phase_exponents_match_dense_route(d):
             dense = apply_local_fourier(build_state(g), sites).reshaped()
             np.testing.assert_allclose(amps, dense, atol=1e-12, err_msg=str((g.entries, sites)))
     assert sizes == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_stabilizer_exponents_match_dense_route(d):
+    # the exact check against verify_eigen on the dense state, row by row, on
+    # random graphs in the graph frame and in a random unjoined Fourier frame,
+    # and on G, C and P in their reduced frames: every tableau row, each X and
+    # each Z row on one qudit (an X row can move a reduced support off itself
+    # at one phase throughout), and a product of two joined generators, whose
+    # phase-free row has the exponent -w_nm in the graph frame
+    rng = np.random.default_rng(3000 + d)
+    cases = [(family_graph(f, d), family_fourier_sites(f)) for f in ("G", "C", "P")]
+    for _ in range(8):
+        w = random_graph(rng, d).as_array() * np.triu(rng.random((4, 4)) < 0.6, 1)
+        g = AdjacencyMatrix.from_array(w + w.T, d)
+        frames = [s for r in range(1, 5) for s in combinations(range(4), r) if _unjoined(g, s)]
+        cases += [(g, ()), (g, frames[rng.integers(len(frames))])]
+    x_rows = Tableau(d, np.stack([np.eye(4, dtype=int), np.zeros((4, 4), dtype=int)], axis=-1))
+    for g, sites in cases:
+        t = stabilizer_tableau(g, sites)
+        tableaux = [t, x_rows, z_tableau(d)]
+        edges = np.argwhere(np.triu(g.as_array()))
+        if len(edges):
+            n, m = edges[rng.integers(len(edges))]
+            xz = t.xz.copy()
+            xz[n] += t.xz[m]
+            tableaux.append(Tableau(d, xz))
+        e = phase_exponents(g, sites)
+        state = apply_local_fourier(build_state(g), sites)
+        for tab in tableaux:
+            exact = stabilizer_exponents(e, tab)
+            dense = [verify_eigen(state, word) for word in tableau_words(tab)]
+            assert exact == dense, (g.entries, sites, tab.xz)
+        if len(edges) and not sites:
+            assert exact[n] == -g.entries[n][m] % d != 0
 
 
 def test_fourier_phase_exponents_reject_joined_sites():
