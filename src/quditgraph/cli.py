@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .classify import VerificationFailure, canonicalize, census_random, classify_exhaustive
 from .graphs import AdjacencyMatrix, graph_from_json_dict
-from .pauli import PauliWord
+from .pauli import pauli_str
 from .report import build_report
 from .serialize import BASIS_ORDER, flatten_json, fmt_float, metadata
 # build_state and family_reduced_state stay bound for perfbench/child.py's tracer.
@@ -83,6 +83,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):  # noqa: A002 - argparse API
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write: --help and --version on stdout fail as any output does
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        _stdout().write(message)
+        sys.stdout.flush()
 
 
 def _build_parser() -> _Parser:
@@ -240,19 +247,25 @@ def _emit(payload: dict, fmt: str, out: str | None,
                 fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
-    elif sys.stdout is None:  # fd 1 was closed before start-up (`>&-`)
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     else:
-        sys.stdout.flush()
-        sys.stdout.buffer.writelines(pieces)
-        sys.stdout.flush()  # a failed write shows here, not in the flush at exit
+        stdout = _stdout()
+        stdout.flush()
+        stdout.buffer.writelines(pieces)
+        stdout.flush()  # a failed write shows here, not in the flush at exit
+
+
+def _stdout():
+    """sys.stdout, or an OSError if fd 1 was closed before start-up (`>&-`)."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
 
 
 def _parse_matrix(text: str) -> AdjacencyMatrix:
     """Graph of a --matrix argument in the wire format."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise ValueError(f"invalid matrix JSON: {exc}") from exc
     return graph_from_json_dict(obj)
 
@@ -307,7 +320,7 @@ def _cmd_state(args) -> int:
         sites = family_fourier_sites(args.family)
     t = stabilizer_tableau(g, sites)
     # the Fourier frame adds no phase: -x_s z_s = -Gamma_nn [n = s] = 0
-    words = [str(PauliWord(g.d, 0, rows.tolist())) for rows in t.xz]
+    words = [pauli_str(rows.tolist()) for rows in t.xz]
     exponents = stabilizer_exponents(phase_exponents(g, sites), t)
     results = [{"generator": w, "eigen_exp": r, "expected": 0} for w, r in zip(words, exponents)]
     ok = all(r == 0 for r in exponents)
@@ -350,16 +363,16 @@ def _cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"state": _cmd_state, "tables": _cmd_tables, "classify": _cmd_classify}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except OSError as exc:
-        # Only stdout raises OSError here (_emit turns --out failures into
-        # ValueError). Point it at devnull so the flush at exit cannot raise
-        # again. A reader that closed it early (`quditgraph ... | head`) is no
-        # error; any other failure (`> /dev/full`, `>&-`) is the sink's, as with --out.
+        # Only stdout raises OSError here: _emit turns --out failures into
+        # ValueError, and --help and --version write through _stdout too. Point
+        # it at devnull so the flush at exit cannot raise again. A reader that
+        # closed it early (`quditgraph ... | head`) is no error; any other
+        # failure (`> /dev/full`, `>&-`) is the sink's, as with --out.
         if sys.stdout is not None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

@@ -31,6 +31,7 @@ __all__ = [
     "omega_powers",
     "pauli_mul",
     "pauli_pow",
+    "pauli_str",
     "rank_mod",
     "site_matrix",
 ]
@@ -201,10 +202,13 @@ class PauliWord:
         return pauli_pow(self, k)
 
     def __str__(self) -> str:
-        return "w^%d %s" % (
-            self.phase,
-            " ".join(_site_str(x, z) for x, z in self.xz),
-        )
+        return pauli_str(self.xz, self.phase)
+
+
+def pauli_str(xz: Iterable[Sequence[int]], phase: int = 0) -> str:
+    """Text of the word omega^phase * prod_site X^x Z^z, the powers as given:
+    any d renders, d = 2 included."""
+    return "w^%d %s" % (phase, " ".join(_site_str(x, z) for x, z in xz))
 
 
 def _site_str(x: int, z: int) -> str:

@@ -12,6 +12,7 @@ from quditgraph.pauli import (
     eliminate_mod,
     inv_mod_array,
     omega_powers,
+    pauli_str,
     rank_mod,
     site_matrix,
 )
@@ -121,6 +122,14 @@ def test_inv_mod_array_matches_inv_mod():
     d = 2**61 - 1  # d^2 overflows int64
     a = np.array([1, 2, d - 1, 12345], dtype=object)
     assert inv_mod_array(a, d).tolist() == [inv_mod(int(x), d) for x in a]
+
+
+def test_word_text():
+    # one renderer: a word prints as pauli_str of its powers, which takes the
+    # powers as given at any d (a d = 2 tableau row here)
+    word = PauliWord(3, 2, ((1, 0), (0, 2), (1, 1), (0, 0)))
+    assert str(word) == pauli_str(word.xz, word.phase) == "w^2 X Z^2 XZ I"
+    assert pauli_str([[1, 0], [0, 1], [1, 1], [0, 0]]) == "w^0 X Z XZ I"
 
 
 def test_word_requires_odd_prime():

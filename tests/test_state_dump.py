@@ -29,17 +29,9 @@ from quditgraph.states import (
 )
 
 from conftest import random_graph
+from pins import PINS
 
 FAMILY_ARGS = [("G", None), ("C", None), ("P", None), ("psi", 2)]
-P13_CSV_SHA256 = "6996e5e1031b35fc3e2f63ad9c90bf283fbb2f1a4e0102304ae0b316751d49cc"
-P13_JSON_SHA256 = "7a76f426f172b33c08633e0ef35583e9524729752c131413a1e0d6a7b5c0cd0d"
-# state reduce --d 23 --format csv (psi at gamma 2), as the dense Fourier route printed it
-REDUCE23_CSV_SHA256 = {
-    "G": "dc57f7ae1613ae02cb7e02824d51159071d3b66727e3e4efdfe0d384c76ddbc2",
-    "C": "b76a2ddf01c85954bb98397357331c66605ef256064cae6c6da013425a12ca9d",
-    "P": "054f93499965bb6d3da428218cc1f38d51ea2ccd4467941bfb5959584d63bf20",
-    "psi": "80b767055cd93dcaaa7644c5f5637b8b34e0914cb9bc550114f8b1dfce896046",
-}
 
 
 def reference_graph_amplitudes(g) -> list[dict]:
@@ -247,7 +239,8 @@ def test_dump_bypasses_the_text_layer(monkeypatch):
     monkeypatch.setattr(sys, "stdout", stdout)
     assert main(["state", "build", "--family", "P", "--d", "13", "--format", "csv"]) == EXIT_OK
     stdout.flush()
-    assert hashlib.sha256(stdout.buffer.getvalue()).hexdigest() == P13_CSV_SHA256
+    sha256 = hashlib.sha256(stdout.buffer.getvalue()).hexdigest()
+    assert sha256 == PINS["state-build-p13-csv"].sha256
     assert sum(map(len, stdout.written)) == 0
 
 
@@ -266,27 +259,6 @@ def test_reduce_table_matches_dense_reference(d):
         reference = reference_state_amplitudes(family_reduced_state(family, d, gamma))
         assert rows == reference, (family, gamma)
         assert {repr(r["magnitude"]) for r in reference} == {table.magnitude}
-
-
-@pytest.mark.parametrize("family, gamma", FAMILY_ARGS)
-def test_state_reduce_d23_sha256(capsys, family, gamma):
-    argv = ["state", "reduce", "--family", family, "--d", "23", "--format", "csv"]
-    if gamma is not None:
-        argv += ["--gamma", str(gamma)]
-    out = _dump(capsys, None, argv, out=False)
-    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE23_CSV_SHA256[family]
-
-
-def test_state_dump_d13_sha256(capsys):
-    argv = ["state", "build", "--family", "P", "--d", "13", "--format", "csv"]
-    out = _dump(capsys, None, argv, out=False)
-    assert hashlib.sha256(out.encode()).hexdigest() == P13_CSV_SHA256
-
-
-def test_state_dump_d13_json_sha256(capsys):
-    argv = ["state", "build", "--family", "P", "--d", "13", "--format", "json"]
-    out = _dump(capsys, None, argv, out=False)
-    assert hashlib.sha256(out.encode()).hexdigest() == P13_JSON_SHA256
 
 
 def test_state_build_memory_stays_flat(tmp_path):
