@@ -1,10 +1,11 @@
 """Four-qudit graph states over prime dimensions.
 
-Construction of weighted-graph states and their stabilizer groups, exact
-generalized Pauli arithmetic, entanglement measures by dense and exact
-tableau routes, exhaustive enumeration of projective-measurement steering
-paths, and canonicalization of arbitrary 4-vertex graphs into the three
-entanglement classes.
+Construction of weighted-graph states and their stabilizer groups, with
+every Pauli word held as integer (x, z) rows and a phase exponent over GF(d)
+at any prime d; entanglement measures by dense and exact tableau routes,
+exhaustive enumeration of projective-measurement steering paths, and
+canonicalization of arbitrary 4-vertex graphs into the three entanglement
+classes.
 """
 
 __version__ = "0.1.0"
@@ -50,15 +51,7 @@ from .measures import (
     tableau_purity_profiles,
     wedge_measure,
 )
-from .pauli import (
-    PauliWord,
-    dense_matrix,
-    fourier_conjugate,
-    inv_mod,
-    is_prime,
-    pauli_mul,
-    pauli_pow,
-)
+from .pauli import dense_matrix, inv_mod, is_prime, pauli_mul
 from .states import (
     StateVector,
     Tableau,
@@ -68,9 +61,8 @@ from .states import (
     family_graph,
     family_reduced_state,
     ghz3_state,
-    iter_stabilizers,
     psi_gamma,
-    stabilizer,
+    stabilizer_group,
     stabilizer_tableau,
     verify_eigen,
 )

@@ -682,6 +682,8 @@ def census_random(d: int, samples: int, seed: int) -> ClassCensus:
     check_prime(d)
     if samples < 0:
         raise ValueError(f"sample count must be non-negative, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng, rows = np.random.default_rng(seed), _chunk_rows(d)
     return _sweep(d, (  # drawn chunk by chunk: memory stays flat in samples
         list(np.ascontiguousarray(

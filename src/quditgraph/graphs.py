@@ -86,12 +86,17 @@ class AdjacencyMatrix:
 
 
 def graph_from_json_dict(obj: Mapping) -> AdjacencyMatrix:
-    """Parse the wire format {"d": int, "gamma": [[int x4] x4]}."""
+    """Parse the wire format {"d": int, "gamma": [[int x4] x4]}; any other key
+    is an error, not silently dropped."""
     try:
         d = obj["d"]
         gamma = obj["gamma"]
     except (KeyError, TypeError) as exc:
         raise ValueError('graph JSON must carry keys "d" and "gamma"') from exc
+    extra = [key for key in obj if key not in ("d", "gamma")]
+    if extra:
+        raise ValueError(f'graph JSON takes only the keys "d" and "gamma", not '
+                         f'{", ".join(map(repr, extra))}')
     if not (
         isinstance(gamma, list)
         and len(gamma) == N_VERTICES

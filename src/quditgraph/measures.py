@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
-from .pauli import omega_powers, site_matrix
+from .pauli import dense_matrix
 from .serialize import exact_and_float
-from .states import StateVector, Tableau, stabilizer, tableau_entropy
+from .states import StateVector, Tableau, stabilizer_group, tableau_entropy
 
 __all__ = [
     "PurityProfile",
@@ -213,15 +213,6 @@ def wedge_measure(s: StateVector, keep) -> float:
     return float(total)
 
 
-def _stabilizer_power_table(g: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(powers, x, z) arrays over all d^4 stabilizers, exponents mod d."""
-    d = g.d
-    powers = np.indices((d,) * N_VERTICES).reshape(N_VERTICES, -1).T
-    x = powers
-    z = powers @ g.as_array() % d
-    return powers, x, z
-
-
 def reduced_from_stabilizers(g: AdjacencyMatrix, keep) -> ReducedState:
     """Reduced density matrix via the stabilizer expansion.
 
@@ -233,19 +224,11 @@ def reduced_from_stabilizers(g: AdjacencyMatrix, keep) -> ReducedState:
     if not 1 <= len(keep) <= 2:
         raise ValueError("stabilizer-trace route supports subsystems of size 1 or 2")
     d = g.d
-    traced = tuple(i for i in range(N_VERTICES) if i not in keep)
-    powers, x, z = _stabilizer_power_table(g)
-    survives = np.ones(len(powers), dtype=bool)
-    for site in traced:
-        survives &= (x[:, site] == 0) & (z[:, site] == 0)
-    dim = d ** len(keep)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for p in powers[survives]:
-        w = stabilizer(g, tuple(p))
-        term = np.array([[omega_powers(d)[w.phase]]])
-        for site in keep:
-            term = np.kron(term, site_matrix(d, *w.xz[site]))
-        acc += term
+    traced = [i for i in range(N_VERTICES) if i not in keep]
+    _, rows, phases = stabilizer_group(g)
+    survives = ~rows[:, traced].any(axis=(1, 2))
+    acc = sum(dense_matrix(d, r[list(keep)], phase)
+              for r, phase in zip(rows[survives], phases[survives]))
     acc *= float(d) ** (len(traced) - N_VERTICES)
     return ReducedState(acc, keep, d)
 
@@ -256,7 +239,6 @@ def max_identity_factors(g: AdjacencyMatrix) -> int:
     At most 1 exactly when every two-site subsystem of the graph state is
     maximally mixed.
     """
-    powers, x, z = _stabilizer_power_table(g)
-    nontrivial = np.any(powers != 0, axis=1)
-    id_counts = np.sum((x == 0) & (z == 0), axis=1)
-    return int(id_counts[nontrivial].max())
+    powers, rows, _ = stabilizer_group(g)
+    id_counts = (~rows.any(axis=2)).sum(axis=1)
+    return int(id_counts[powers.any(axis=1)].max())

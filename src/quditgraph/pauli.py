@@ -1,36 +1,29 @@
 """Exact generalized Pauli arithmetic for prime-dimensional qudits.
 
-Operators are words ``omega^phase * prod_site X^x Z^z`` with every exponent
-kept as an integer mod d, so products and powers are computed without any
-floating point. Complex matrices appear only through :func:`dense_matrix`,
-which exists mainly as an oracle for tests and for small state-vector work.
-
-The exact engine requires an odd prime d: for d = 2 the operator XZ has
-order 4 and its phases live outside Z_d. Binary systems are still handled by
-the state-vector layer, just not by :class:`PauliWord`.
+A word ``omega^phase * prod_site X^x Z^z`` is an integer (sites, 2) array of
+its (x, z) rows and an integer phase exponent, all kept mod d. Since
+Z X = omega X Z, products stay words and are computed without any floating
+point at every prime d, d = 2 included. Complex matrices appear only through
+:func:`site_matrix` and :func:`dense_matrix`, oracles for tests and for small
+state-vector work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "PauliWord",
-    "check_odd_prime",
     "check_prime",
     "dense_matrix",
     "eliminate_mod",
-    "fourier_conjugate",
     "inv_mod",
     "inv_mod_array",
     "is_prime",
     "omega_powers",
     "pauli_mul",
-    "pauli_pow",
     "pauli_str",
     "rank_mod",
     "site_matrix",
@@ -64,13 +57,6 @@ def check_prime(d: int) -> int:
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not is_prime(int(d)):
         raise ValueError(f"qudit dimension must be a prime integer, got {d!r}")
     return int(d)
-
-
-def check_odd_prime(d: int) -> int:
-    d = check_prime(d)
-    if d == 2:
-        raise ValueError("exact Pauli arithmetic requires an odd prime dimension")
-    return d
 
 
 def inv_mod(a: int, d: int) -> int:
@@ -128,83 +114,6 @@ def omega_powers(d: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class PauliWord:
-    """``omega^phase * (X^x Z^z) x (X^x Z^z) x ...`` over n qudits.
-
-    ``xz`` holds one (x_power, z_power) pair per site, each reduced mod d.
-    The normal ordering puts X powers to the left of Z powers at every site;
-    reordering during multiplication is what accumulates phase.
-    """
-
-    d: int
-    phase: int
-    xz: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        d = check_odd_prime(self.d)
-        if not self.xz:
-            raise ValueError("a Pauli word needs at least one site")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "phase", int(self.phase) % d)
-        object.__setattr__(
-            self, "xz", tuple((int(x) % d, int(z) % d) for x, z in self.xz)
-        )
-
-    @classmethod
-    def identity(cls, d: int, n_qudits: int) -> "PauliWord":
-        return cls(d, 0, ((0, 0),) * n_qudits)
-
-    @classmethod
-    def from_powers(
-        cls,
-        d: int,
-        x_powers: Sequence[int],
-        z_powers: Sequence[int],
-        phase: int = 0,
-    ) -> "PauliWord":
-        if len(x_powers) != len(z_powers):
-            raise ValueError("x_powers and z_powers must have equal length")
-        return cls(d, phase, tuple(zip(x_powers, z_powers)))
-
-    @classmethod
-    def single(
-        cls, d: int, n_qudits: int, site: int, x: int = 0, z: int = 0, phase: int = 0
-    ) -> "PauliWord":
-        """Word acting as X^x Z^z on one site and as identity elsewhere."""
-        xz = [(0, 0)] * n_qudits
-        xz[site] = (x, z)
-        return cls(d, phase, tuple(xz))
-
-    @property
-    def n_qudits(self) -> int:
-        return len(self.xz)
-
-    @property
-    def x_powers(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.xz)
-
-    @property
-    def z_powers(self) -> tuple[int, ...]:
-        return tuple(z for _, z in self.xz)
-
-    def is_identity(self) -> bool:
-        return self.phase == 0 and all(x == 0 and z == 0 for x, z in self.xz)
-
-    def identity_sites(self) -> tuple[int, ...]:
-        """Sites where this word acts as the identity factor."""
-        return tuple(i for i, (x, z) in enumerate(self.xz) if x == 0 and z == 0)
-
-    def __mul__(self, other: "PauliWord") -> "PauliWord":
-        return pauli_mul(self, other)
-
-    def __pow__(self, k: int) -> "PauliWord":
-        return pauli_pow(self, k)
-
-    def __str__(self) -> str:
-        return pauli_str(self.xz, self.phase)
-
-
 def pauli_str(xz: Iterable[Sequence[int]], phase: int = 0) -> str:
     """Text of the word omega^phase * prod_site X^x Z^z, the powers as given:
     any d renders, d = 2 included."""
@@ -222,35 +131,16 @@ def _site_str(x: int, z: int) -> str:
     return "".join(parts)
 
 
-def pauli_mul(p: PauliWord, q: PauliWord) -> PauliWord:
-    """Normal-ordered product of two words.
-
-    Commuting Z^b past X^a on the same site costs a factor omega^(a*b),
-    so the product phase is p.phase + q.phase + sum_site p.z * q.x.
-    """
-    if p.d != q.d or p.n_qudits != q.n_qudits:
+def pauli_mul(d: int, p: tuple, q: tuple) -> tuple[np.ndarray, int]:
+    """Normal-ordered product of two words (rows, phase), rows an integer
+    (sites, 2) array of (x, z) powers: commuting Z^b past X^a on one site costs
+    omega^(a*b), so the phase is p.phase + q.phase + sum_site p.z * q.x, mod d.
+    Exact at every prime d, d = 2 included."""
+    (p_rows, p_phase), (q_rows, q_phase) = p, q
+    p_rows, q_rows = np.asarray(p_rows), np.asarray(q_rows)
+    if p_rows.shape != q_rows.shape:
         raise ValueError("Pauli words act on different spaces")
-    d = p.d
-    phase = p.phase + q.phase
-    xz = []
-    for (px, pz), (qx, qz) in zip(p.xz, q.xz):
-        phase += pz * qx
-        xz.append(((px + qx) % d, (pz + qz) % d))
-    return PauliWord(d, phase % d, tuple(xz))
-
-
-def pauli_pow(p: PauliWord, k: int) -> PauliWord:
-    """k-th power (k >= 0) by square and multiply; p**d is the identity."""
-    if k < 0:
-        raise ValueError("negative powers not supported; use p**(d-1) as inverse")
-    result = PauliWord.identity(p.d, p.n_qudits)
-    base = p
-    while k:
-        if k & 1:
-            result = pauli_mul(result, base)
-        base = pauli_mul(base, base)
-        k >>= 1
-    return result
+    return (p_rows + q_rows) % d, int(p_phase + q_phase + p_rows[:, 1] @ q_rows[:, 0]) % d
 
 
 def site_matrix(d: int, x: int, z: int) -> np.ndarray:
@@ -262,31 +152,14 @@ def site_matrix(d: int, x: int, z: int) -> np.ndarray:
     return m
 
 
-def dense_matrix(p: PauliWord) -> np.ndarray:
-    """Dense matrix of a word; intended as a test oracle for small systems."""
-    dim = p.d**p.n_qudits
+def dense_matrix(d: int, rows, phase: int = 0) -> np.ndarray:
+    """Dense matrix of the word omega^phase * prod_site X^x Z^z, rows its (x, z)
+    pairs; intended as a test oracle for small systems."""
+    rows = np.asarray(rows)
+    dim = d ** len(rows)
     if dim > MAX_DENSE_DIM:
         raise ValueError(f"dense matrix of dimension {dim} exceeds {MAX_DENSE_DIM}")
-    m = np.array([[omega_powers(p.d)[p.phase]]])
-    for x, z in p.xz:
-        m = np.kron(m, site_matrix(p.d, x, z))
+    m = np.array([[omega_powers(d)[phase % d]]])
+    for x, z in rows:
+        m = np.kron(m, site_matrix(d, x, z))
     return m
-
-
-def fourier_conjugate(p: PauliWord, sites: Iterable[int]) -> PauliWord:
-    """Conjugate a word by the inverse Fourier gate on the given sites.
-
-    Under that gate Z maps to X and X maps to Z^-1, so the site pair (x, z)
-    becomes (z, -x) at a phase cost of omega^(-x*z).
-    """
-    site_set = set(sites)
-    d = p.d
-    phase = p.phase
-    xz = []
-    for i, (x, z) in enumerate(p.xz):
-        if i in site_set:
-            phase -= x * z
-            xz.append((z, (-x) % d))
-        else:
-            xz.append((x, z))
-    return PauliWord(d, phase % d, tuple(xz))

@@ -4,7 +4,8 @@ States are dense complex vectors over the standard product basis
 |j1, j2, j3, j4>, stored row-major with the first qudit slowest. A graph
 state carries the amplitude omega^(sum over edges of w_nm * j_n * j_m) / d^2,
 each edge counted once, and is the simultaneous +1 eigenstate of the four
-generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``;
+generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``
+(``stabilizer_group`` lists all d^4 of their products, phases included);
 ``tableau_entropy`` reads the exact entanglement of any sites off the rows,
 and ``stabilizer_exponents`` checks the rows on the exact ``phase_exponents``.
 """
@@ -12,13 +13,13 @@ and ``stabilizer_exponents`` checks the rows on the exact ``phase_exponents``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix, cluster_graph, gamma_graph, ghz_graph, p_graph
-from .pauli import PauliWord, check_prime, omega_powers, rank_mod
+from .pauli import check_prime, omega_powers, rank_mod
 
 __all__ = [
     "StateVector",
@@ -30,11 +31,10 @@ __all__ = [
     "family_graph",
     "family_reduced_state",
     "ghz3_state",
-    "iter_stabilizers",
     "phase_exponents",
     "psi_gamma",
-    "stabilizer",
     "stabilizer_exponents",
+    "stabilizer_group",
     "stabilizer_tableau",
     "stabilizer_tableaux",
     "tableau_batch",
@@ -125,23 +125,17 @@ def build_state(g: AdjacencyMatrix) -> StateVector:
     return StateVector(g.d, N_VERTICES, amps.reshape(-1))
 
 
-def stabilizer(g: AdjacencyMatrix, powers: Sequence[int]) -> PauliWord:
-    """Stabilizer g_1^p1 g_2^p2 g_3^p3 g_4^p4 in normal-ordered form.
-
-    Collecting the per-site factors yields the phase exponent
-    sum_{n>m} w_nm p_n p_m and site powers (p_n, sum_m w_nm p_m).
-    """
-    d = g.d
-    p = [int(v) % d for v in powers]
-    if len(p) != N_VERTICES:
-        raise ValueError("need one power per vertex")
-    phase = sum(
-        g.entries[n][m] * p[n] * p[m]
-        for n in range(N_VERTICES)
-        for m in range(n)
-    )
-    z = [sum(g.entries[n][m] * p[m] for m in range(N_VERTICES)) % d for n in range(N_VERTICES)]
-    return PauliWord.from_powers(d, p, z, phase)
+def stabilizer_group(g: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All d^4 stabilizers g_1^p1 g_2^p2 g_3^p3 g_4^p4 of the graph state of g,
+    first power slowest: the powers p (d^4, 4), the normal-ordered rows
+    (d^4, 4, 2), site n carrying (p_n, sum_m w_nm p_m) mod d, and the phase
+    exponents sum_{n>m} w_nm p_n p_m mod d (d^4,) that collecting the per-site
+    factors leaves."""
+    d, gamma = g.d, g.as_array()
+    powers = np.indices((d,) * N_VERTICES).reshape(N_VERTICES, -1).T
+    rows = np.stack([powers, powers @ gamma % d], axis=-1)
+    phases = ((powers @ np.triu(gamma, 1)) * powers).sum(axis=1) % d
+    return powers, rows, phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +178,9 @@ def tableau_batch(d_values: Sequence[int], xz_values: Sequence) -> list[Tableau]
 def stabilizer_tableaux(graphs_and_sites: Iterable[tuple]) -> list[Tableau]:
     """Tableau of the graph state of each g, rows X_n Z^Gamma_n, in the frame
     where ``apply_local_fourier`` acted on its sites: there each pair (x, z)
-    becomes (z, -x), as in ``fourier_conjugate``. One ``tableau_batch``."""
+    becomes (z, -x), as the gate takes Z to X and X to Z^-1; the phase
+    omega^(-x z) this leaves is 1, as no generator has both on one site.
+    One ``tableau_batch``."""
     pairs = list(graphs_and_sites)
     fourier = np.zeros((len(pairs), 1, N_VERTICES), dtype=bool)  # by qudit
     for mask, (_, sites) in zip(fourier, pairs):
@@ -243,33 +239,29 @@ def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]],
     return rank - np.array(sizes)
 
 
-def iter_stabilizers(g: AdjacencyMatrix) -> Iterator[tuple[tuple[int, ...], PauliWord]]:
-    """All d^4 stabilizers, keyed by their generator powers."""
-    for p in product(range(g.d), repeat=N_VERTICES):
-        yield p, stabilizer(g, p)
-
-
-def apply_pauli(s: StateVector, w: PauliWord) -> StateVector:
-    """Apply a Pauli word to a state without building its dense matrix."""
-    if w.d != s.d or w.n_qudits != s.n_qudits:
+def apply_pauli(s: StateVector, rows, phase: int = 0) -> StateVector:
+    """Apply the word omega^phase * prod_site X^x Z^z, rows its (x, z) pairs,
+    to a state without building its dense matrix."""
+    if np.shape(rows) != (s.n_qudits, 2):
         raise ValueError("word and state dimensions do not match")
     d = s.d
     omega = omega_powers(d)
     arr = s.reshaped().copy()
-    for site, (x, z) in enumerate(w.xz):
+    for site, (x, z) in enumerate(rows):
         if z:
             shape = [1] * s.n_qudits
             shape[site] = d
             arr = arr * omega[(z * np.arange(d)) % d].reshape(shape)
         if x:
             arr = np.roll(arr, x, axis=site)
-    arr = arr * omega[w.phase]
+    arr = arr * omega[phase % d]
     return StateVector(d, s.n_qudits, arr.reshape(-1))
 
 
-def verify_eigen(s: StateVector, w: PauliWord, tol: float = 1e-9) -> int | None:
-    """Eigenvalue exponent r with w|s> = omega^r |s>, or None if not an eigenstate."""
-    ws = apply_pauli(s, w)
+def verify_eigen(s: StateVector, rows, phase: int = 0, tol: float = 1e-9) -> int | None:
+    """Eigenvalue exponent r with w|s> = omega^r |s> for the word w of ``rows``
+    and ``phase`` (as in ``apply_pauli``), or None if s is not an eigenstate."""
+    ws = apply_pauli(s, rows, phase)
     val = np.vdot(s.amps, ws.amps)
     d = s.d
     r = int(np.round(d * np.angle(val) / (2 * np.pi))) % d

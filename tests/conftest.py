@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from quditgraph import AdjacencyMatrix, PauliWord
+from quditgraph import AdjacencyMatrix
+from quditgraph.pauli import omega_powers
 from quditgraph.states import Tableau, family_fourier_sites, family_graph, stabilizer_tableau
 
 
@@ -19,11 +20,24 @@ def pytest_configure(config):
         set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
 
 
-def random_word(rng: np.random.Generator, d: int, n: int) -> PauliWord:
-    xz = tuple(
-        (int(rng.integers(0, d)), int(rng.integers(0, d))) for _ in range(n)
-    )
-    return PauliWord(d, int(rng.integers(0, d)), xz)
+def random_word(rng: np.random.Generator, d: int, n: int) -> tuple[np.ndarray, int]:
+    """A random word on n sites: its (x, z) rows (n, 2) and phase exponent."""
+    return rng.integers(0, d, size=(n, 2)), int(rng.integers(0, d))
+
+
+def same_word(p: tuple, q: tuple) -> bool:
+    """Whether two words (rows, phase) are equal."""
+    return np.array_equal(p[0], q[0]) and p[1] == q[1]
+
+
+def fourier_gate(d: int, sites, n_sites: int = 4) -> np.ndarray:
+    """Dense gate |k> -> d^(-1/2) sum_j omega^(-jk) |j> of ``apply_local_fourier``
+    on the given sites, and the identity elsewhere."""
+    f1 = omega_powers(d)[-np.outer(np.arange(d), np.arange(d)) % d] / np.sqrt(d)
+    f = np.array([[1.0]])
+    for i in range(n_sites):
+        f = np.kron(f, f1 if i in sites else np.eye(d))
+    return f
 
 
 def random_state_amps(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -40,11 +54,6 @@ def random_graph(rng: np.random.Generator, d: int) -> AdjacencyMatrix:
 def family_tableau(family: str, d: int) -> Tableau:
     """Tableau of a family state in the frame of ``family_reduced_state``."""
     return stabilizer_tableau(family_graph(family, d), family_fourier_sites(family))
-
-
-def tableau_words(t: Tableau) -> tuple[PauliWord, ...]:
-    """The rows of t as phase-free Pauli words, one per generator."""
-    return tuple(PauliWord(t.d, 0, rows.tolist()) for rows in t.xz)
 
 
 def z_tableau(d: int) -> Tableau:

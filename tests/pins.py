@@ -143,7 +143,7 @@ PINS = {
             "recorded while eigen still checked a dense state vector"),
         Pin("state-eigen-d2", _eigen_runs((2,), ((2, 0), (2, 1))),
             "ccfc957d91d6f500640fcad169ce8c07c04037a1603a1d6a3057f15f573ac437",
-            "eigen at d = 2, where PauliWord arithmetic does not reach"),
+            "eigen at d = 2, the one even prime, where omega = -1"),
     )
 }
 

@@ -34,7 +34,7 @@ from quditgraph import (
     purity_profile,
     reduced_from_stabilizers,
     schmidt_bounds,
-    stabilizer,
+    stabilizer_group,
     verify_eigen,
     wedge_measure,
 )
@@ -42,7 +42,7 @@ from quditgraph.measures import all_subsystems
 from quditgraph.states import family_reduced_state, stabilizer_tableau
 from quditgraph.steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths
 
-from conftest import family_tableau, random_state_amps, random_word, tableau_words
+from conftest import family_tableau, random_state_amps, random_word
 
 
 def report(num: int, text: str, elapsed: float | None = None) -> None:
@@ -153,7 +153,7 @@ def test_criterion_06_mmes_gate():
 
 
 def test_criterion_07_stabilizer_trace_cross_check():
-    for d in (3, 5):
+    for d in (2, 3, 5):
         graphs = [ghz_graph(d), cluster_graph(d), p_graph(d)]
         graphs += [gamma_graph(gm, d) for gm in range(d)]
         for g in graphs:
@@ -203,8 +203,8 @@ def test_criterion_10_property_suite():
         for _ in range(100):
             p = random_word(rng, d, 2)
             q = random_word(rng, d, 2)
-            left = dense_matrix(pauli_mul(p, q))
-            right = dense_matrix(p) @ dense_matrix(q)
+            left = dense_matrix(d, *pauli_mul(d, p, q))
+            right = dense_matrix(d, *p) @ dense_matrix(d, *q)
             assert np.max(np.abs(left - right)) <= 1e-10
     # mutual unbiasedness of every basis pair
     for d in (3, 5, 7):
@@ -229,13 +229,13 @@ def test_criterion_10_property_suite():
                     for o in range(d)
                 }
                 assert len(classes) == 1
-    # unit-eigenvalue stabilizer checks: generators plus 50 random words
+    # unit-eigenvalue stabilizer checks: generators plus 50 random group elements
     for d in (3, 5):
         for g in (ghz_graph(d), cluster_graph(d), p_graph(d)):
             s = build_state(g)
-            for w in tableau_words(stabilizer_tableau(g, ())):
-                assert verify_eigen(s, w) == 0
-            for _ in range(50):
-                powers = tuple(int(v) for v in rng.integers(0, d, size=4))
-                assert verify_eigen(s, stabilizer(g, powers)) == 0
+            for rows in stabilizer_tableau(g, ()).xz:
+                assert verify_eigen(s, rows) == 0
+            _, rows, phases = stabilizer_group(g)
+            for k in rng.integers(0, d**4, size=50):
+                assert verify_eigen(s, rows[k], phases[k]) == 0
     report(10, "oracle agreement, MUB unbiasedness, outcome independence, eigenchecks")

@@ -76,6 +76,13 @@ def test_state_build_inline_matrix(capsys):
     assert len(payload["amplitudes"]) == 81
 
 
+def test_state_build_rejects_unknown_matrix_key(capsys):
+    matrix = json.dumps({"d": 3, "gamma": STAR, "fourier_sites": [1]})
+    code, out, err = run_cli(capsys, "state", "build", "--matrix", matrix)
+    assert code == EXIT_INVALID and out == ""
+    assert err.count("\n") == 1 and "'fourier_sites'" in err
+
+
 def test_state_reduce_ghz(capsys):
     payload = run_json(capsys, "state", "reduce", "--family", "G", "--d", "3")
     amps = payload["amplitudes"]
@@ -249,8 +256,7 @@ def test_state_eigen_detects_a_tampered_phase_table(capsys, monkeypatch, frame):
                                            ("psi", 0), ("psi", 1)])
 @pytest.mark.parametrize("frame", ["graph", "reduced"])
 def test_state_eigen_at_d2_matches_dense_route(capsys, family, gamma, frame):
-    # PauliWord arithmetic needs an odd prime, eigen does not: each generator,
-    # as the Kronecker product of its site matrices on the dense state, has
+    # at d = 2 as at odd d: each generator, as the Kronecker product of its site matrices on the dense state, has
     # the eigenvalue omega^eigen_exp the report gives it
     argv = ["state", "eigen", "--family", family, "--d", "2", "--generators", frame]
     payload = run_json(capsys, *argv, *(["--gamma", str(gamma)] if gamma is not None else []))
@@ -516,6 +522,12 @@ def test_classify_random_rejects_negative_count(capsys):
     assert "non-negative" in err
 
 
+def test_classify_random_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "classify", "--random", "5", "--seed", "-1", "--d", "3")
+    assert code == EXIT_INVALID and out == ""
+    assert err == "quditgraph: error: seed must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_classify_random_count_cap(capsys, monkeypatch, extra):
     # the sweep itself is stubbed: at the cap the CLI must hand N over untouched,
@@ -584,6 +596,14 @@ def test_classify_rejects_asymmetric_matrix(capsys):
     code, _, err = run_cli(capsys, "classify", "--matrix", matrix)
     assert code == EXIT_INVALID
     assert "symmetric" in err
+
+
+def test_classify_rejects_unknown_matrix_key(capsys):
+    matrix = json.dumps({"d": 3, "gamma": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+                         "extra": 1})
+    code, out, err = run_cli(capsys, "classify", "--matrix", matrix)
+    assert code == EXIT_INVALID and out == ""
+    assert err.count("\n") == 1 and "'extra'" in err
 
 
 def test_classify_rejects_bad_json(capsys):

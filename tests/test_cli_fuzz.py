@@ -44,8 +44,12 @@ _graph = st.sampled_from([2, 3, 5, 11, 13, 37, 2**61 - 1]).flatmap(
         lambda w: {"d": d, "gamma": _symmetric(w)}
     )
 )
+# a well-formed graph with one more key, which every command must refuse
+_extra_key = st.text(max_size=4).filter(lambda key: key not in ("d", "gamma"))
+_graph_extra = st.tuples(_graph, _extra_key, _leaf).map(lambda t: {**t[0], t[1]: t[2]})
 _matrix_obj = st.one_of(
     _graph,
+    _graph_extra,
     st.fixed_dictionaries(
         {"d": st.one_of(st.sampled_from(D_VALUES), _leaf), "gamma": _gamma}
     ),
@@ -137,3 +141,13 @@ def test_main_exit_codes_hold_for_any_argv(argv):
     if code != EXIT_OK:
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from([["classify"], ["state", "build"], ["state", "reduce"], ["state", "eigen"]]),
+       _graph_extra)
+def test_unknown_matrix_key_is_invalid_input(command, obj):
+    (key,) = set(obj) - {"d", "gamma"}
+    code, out, err = _run([*command, "--matrix", json.dumps(obj)])
+    assert code == EXIT_INVALID and out == ""
+    assert err.count("\n") == 1 and repr(key) in err, err

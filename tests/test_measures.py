@@ -278,7 +278,7 @@ def test_stabilizer_trace_gamma1_diagonal_pair_not_mixed():
     assert np.max(np.abs(r.matrix - np.eye(d * d) / d**2)) > 0.01
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_stabilizer_trace_equals_partial_trace(d):
     graphs = [fn(d) for fn in CANONICAL_GRAPHS.values()]
     graphs += [gamma_graph(gm, d) for gm in range(d)]
@@ -297,7 +297,7 @@ def test_max_identity_factors_values():
     assert max_identity_factors(ghz_graph(3)) == 2
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_two_mm_iff_single_identity_factors(d):
     for gm in range(d):
         g = gamma_graph(gm, d)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quditgraph import PauliWord, dense_matrix, fourier_conjugate, inv_mod, is_prime, pauli_mul, pauli_pow
+from quditgraph import AdjacencyMatrix, dense_matrix, inv_mod, is_prime, pauli_mul
 from quditgraph.pauli import (
     PRIME_TEST_LIMIT,
     check_prime,
@@ -16,8 +16,9 @@ from quditgraph.pauli import (
     rank_mod,
     site_matrix,
 )
+from quditgraph.states import stabilizer_tableau
 
-from conftest import random_word
+from conftest import fourier_gate, random_graph, random_word, same_word
 
 
 def reference_rank(m, d):
@@ -124,99 +125,99 @@ def test_inv_mod_array_matches_inv_mod():
     assert inv_mod_array(a, d).tolist() == [inv_mod(int(x), d) for x in a]
 
 
+def word(x_powers, z_powers, phase=0):
+    """The word omega^phase * prod_site X^x Z^z as its (rows, phase) pair."""
+    return np.stack([x_powers, z_powers], axis=-1), phase
+
+
+def word_power(d, p, k):
+    """p^k as k - 1 products of p, each through pauli_mul."""
+    result = p
+    for _ in range(k - 1):
+        result = pauli_mul(d, result, p)
+    return result
+
+
 def test_word_text():
     # one renderer: a word prints as pauli_str of its powers, which takes the
     # powers as given at any d (a d = 2 tableau row here)
-    word = PauliWord(3, 2, ((1, 0), (0, 2), (1, 1), (0, 0)))
-    assert str(word) == pauli_str(word.xz, word.phase) == "w^2 X Z^2 XZ I"
+    rows, phase = word([1, 0, 1, 0], [0, 2, 1, 0], 2)
+    assert pauli_str(rows, phase) == "w^2 X Z^2 XZ I"
     assert pauli_str([[1, 0], [0, 1], [1, 1], [0, 0]]) == "w^0 X Z XZ I"
-
-
-def test_word_requires_odd_prime():
-    with pytest.raises(ValueError):
-        PauliWord(2, 0, ((1, 0),))
-    with pytest.raises(ValueError):
-        PauliWord(4, 0, ((1, 0),))
 
 
 def test_zx_commutation_phase():
     # Z X = omega * X Z on a single qutrit
     d = 3
-    x = PauliWord.from_powers(d, [1], [0])
-    z = PauliWord.from_powers(d, [0], [1])
-    zx = pauli_mul(z, x)
-    xz = pauli_mul(x, z)
-    assert zx.xz == xz.xz
-    assert (zx.phase - xz.phase) % d == 1
+    x = word([1], [0])
+    z = word([0], [1])
+    zx = pauli_mul(d, z, x)
+    xz = pauli_mul(d, x, z)
+    assert np.array_equal(zx[0], xz[0])
+    assert (zx[1] - xz[1]) % d == 1
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_commutation_phase_exhaustive(d):
     # Z^b X^a = omega^(a*b) X^a Z^b for all exponents
     for a in range(d):
         for b in range(d):
-            za = pauli_mul(
-                PauliWord.from_powers(d, [0], [b]), PauliWord.from_powers(d, [a], [0])
-            )
-            assert za.phase == a * b % d
-            assert za.xz == ((a, b),)
+            za = pauli_mul(d, word([0], [b]), word([a], [0]))
+            assert same_word(za, word([a], [b], a * b % d))
 
 
 def test_mul_identity(rng):
-    for d in (3, 5, 7):
-        ident = PauliWord.identity(d, 4)
+    for d in (2, 3, 5, 7):
+        ident = word([0] * 4, [0] * 4)
         for _ in range(10):
             p = random_word(rng, d, 4)
-            assert pauli_mul(p, ident) == p
-            assert pauli_mul(ident, p) == p
+            assert same_word(pauli_mul(d, p, ident), p)
+            assert same_word(pauli_mul(d, ident, p), p)
 
 
 def test_xz_squared_matches_matrix_oracle():
     d = 3
-    xz = PauliWord.from_powers(d, [1], [1])
-    prod = pauli_mul(xz, xz)
-    assert prod.x_powers == (2,)
-    assert prod.z_powers == (2,)
-    oracle = dense_matrix(xz) @ dense_matrix(xz)
-    np.testing.assert_allclose(dense_matrix(prod), oracle, atol=1e-12)
+    xz = word([1], [1])
+    prod = pauli_mul(d, xz, xz)
+    assert prod[0].tolist() == [[2, 2]]
+    oracle = dense_matrix(d, *xz) @ dense_matrix(d, *xz)
+    np.testing.assert_allclose(dense_matrix(d, *prod), oracle, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_mul_matches_matrix_oracle_randomized(d, rng):
     for _ in range(80):
         n = int(rng.integers(1, 3))
         p = random_word(rng, d, n)
         q = random_word(rng, d, n)
-        left = dense_matrix(pauli_mul(p, q))
-        right = dense_matrix(p) @ dense_matrix(q)
+        left = dense_matrix(d, *pauli_mul(d, p, q))
+        right = dense_matrix(d, *p) @ dense_matrix(d, *q)
         np.testing.assert_allclose(left, right, atol=1e-10)
+
+
+def test_mul_rejects_words_on_different_sites():
+    with pytest.raises(ValueError, match="different spaces"):
+        pauli_mul(3, word([0, 1], [1, 0]), word([1], [1]))
 
 
 def test_mul_associative_via_oracle(rng):
     d = 5
     for _ in range(20):
         p, q, r = (random_word(rng, d, 2) for _ in range(3))
-        assert pauli_mul(pauli_mul(p, q), r) == pauli_mul(p, pauli_mul(q, r))
-
-
-def test_pow_zero_is_identity(rng):
-    p = random_word(rng, 5, 3)
-    assert pauli_pow(p, 0) == PauliWord.identity(5, 3)
+        assert same_word(pauli_mul(d, pauli_mul(d, p, q), r), pauli_mul(d, p, pauli_mul(d, q, r)))
 
 
 def test_pow_x_cubed_identity():
     d = 3
-    x = PauliWord.from_powers(d, [1], [0])
-    assert pauli_pow(x, d) == PauliWord.identity(d, 1)
+    assert same_word(word_power(d, word([1], [0]), d), word([0], [0]))
 
 
 def test_pow_xz2_order_five():
     # (X Z^2)^5 is the identity, phase included, confirmed by the 5x5 oracle
     d = 5
-    w = PauliWord.from_powers(d, [1], [2])
-    p5 = pauli_pow(w, 5)
-    assert p5 == PauliWord.identity(d, 1)
-    oracle = np.linalg.matrix_power(dense_matrix(w), 5)
+    w = word([1], [2])
+    assert same_word(word_power(d, w, 5), word([0], [0]))
+    oracle = np.linalg.matrix_power(dense_matrix(d, *w), 5)
     np.testing.assert_allclose(oracle, np.eye(d), atol=1e-12)
 
 
@@ -224,66 +225,71 @@ def test_pow_xz2_order_five():
 def test_every_word_has_order_d(d, rng):
     for _ in range(25):
         p = random_word(rng, d, 4)
-        assert pauli_pow(p, d) == PauliWord.identity(d, 4)
+        assert same_word(word_power(d, p, d), word([0] * 4, [0] * 4))
+
+
+def test_xz_has_order_four_at_d2():
+    # at d = 2 the phase-free X Z squares to -I: order 4, not d, with every
+    # product still a word omega^phase X^x Z^z, omega = -1
+    xz = word([1], [1])
+    assert same_word(word_power(2, xz, 2), word([0], [0], 1))
+    assert same_word(word_power(2, xz, 4), word([0], [0]))
+    np.testing.assert_allclose(np.linalg.matrix_power(dense_matrix(2, *xz), 2), -np.eye(2))
 
 
 def test_dense_z_is_omega_diagonal():
     d = 3
-    z = PauliWord.from_powers(d, [0], [1])
-    np.testing.assert_allclose(dense_matrix(z), np.diag(omega_powers(d)), atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(d, *word([0], [1])), np.diag(omega_powers(d)), atol=1e-14)
 
 
 def test_dense_x_is_cyclic_shift():
     d = 3
-    x = PauliWord.from_powers(d, [1], [0])
     expected = np.zeros((d, d))
     for k in range(d):
         expected[(k + 1) % d, k] = 1.0
-    np.testing.assert_allclose(dense_matrix(x), expected, atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(d, *word([1], [0])), expected, atol=1e-14)
 
 
 def test_dense_identity():
-    np.testing.assert_allclose(
-        dense_matrix(PauliWord.identity(3, 2)), np.eye(9), atol=1e-14
-    )
+    np.testing.assert_allclose(dense_matrix(3, *word([0, 0], [0, 0])), np.eye(9), atol=1e-14)
 
 
 def test_dense_refuses_oversized():
     with pytest.raises(ValueError):
-        dense_matrix(PauliWord.identity(13, 4))
+        dense_matrix(13, *word([0] * 4, [0] * 4))
 
 
 def test_phase_and_power_normalized_mod_d():
-    w = PauliWord(3, 7, ((4, -1),))
-    assert w.phase == 1
-    assert w.xz == ((1, 2),)
+    # a product reduces the powers and the phase mod d, whatever they were given as
+    rows, phase = pauli_mul(3, word([4], [-1], 7), word([0], [0]))
+    assert phase == 1
+    assert rows.tolist() == [[1, 2]]
 
 
-def test_identity_sites():
-    w = PauliWord.from_powers(5, [1, 0, 0, 2], [0, 0, 3, 0])
-    assert w.identity_sites() == (1,)
-
-
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_fourier_conjugate_matches_gate_conjugation(d, rng):
-    # oracle: F^dagger U F with the Fourier matrix F_jk = omega^(jk)/sqrt(d)
-    f1 = omega_powers(d)[np.outer(np.arange(d), np.arange(d)) % d] / np.sqrt(d)
-    for _ in range(20):
-        p = random_word(rng, d, 2)
-        sites = tuple(int(s) for s in rng.choice(2, size=int(rng.integers(0, 3)), replace=False))
-        f = np.array([[1.0]])
-        for i in range(2):
-            f = np.kron(f, f1 if i in sites else np.eye(d))
-        oracle = f.conj().T @ dense_matrix(p) @ f
-        np.testing.assert_allclose(dense_matrix(fourier_conjugate(p, sites)), oracle, atol=1e-10)
+    # the Fourier frame of stabilizer_tableau, row by row against the dense
+    # conjugation F g F^dagger of the graph-frame generator g, F the gate of
+    # apply_local_fourier on a random site set: X^x Z^z becomes X^z Z^-x
+    # times omega^(-x*z), which is 1 on every generator's sites
+    for _ in range(6):
+        g = random_graph(rng, d)
+        sites = tuple(np.flatnonzero(rng.integers(0, 2, size=4)).tolist())
+        f = fourier_gate(d, sites)
+        graph_frame, fourier_frame = stabilizer_tableau(g, ()).xz, stabilizer_tableau(g, sites).xz
+        for graph_rows, rows in zip(graph_frame, fourier_frame):
+            oracle = f @ dense_matrix(d, graph_rows) @ f.conj().T
+            np.testing.assert_allclose(dense_matrix(d, rows), oracle, atol=1e-10)
 
 
 def test_fourier_conjugate_z_to_x_and_x_to_zinv():
+    # the rule on the tableau of the one-edge graph 0 - 1 with the gate on
+    # qudit 1: X_0 Z_1 becomes X_0 X_1, Z_0 X_1 becomes Z_0 Z_1^-1
     d = 5
-    z = PauliWord.from_powers(d, [0], [1])
-    x = PauliWord.from_powers(d, [1], [0])
-    assert fourier_conjugate(z, (0,)) == x
-    assert fourier_conjugate(x, (0,)) == PauliWord.from_powers(d, [0], [d - 1])
+    g = AdjacencyMatrix.from_edges(d, {(0, 1): 1})
+    xz = stabilizer_tableau(g, (1,)).xz
+    assert xz[0].tolist() == [[1, 0], [1, 0], [0, 0], [0, 0]]
+    assert xz[1].tolist() == [[0, 1], [0, d - 1], [0, 0], [0, 0]]
 
 
 def test_site_matrix_unitary():

@@ -7,7 +7,6 @@ import pytest
 
 from quditgraph import (
     AdjacencyMatrix,
-    PauliWord,
     StateVector,
     Tableau,
     apply_local_fourier,
@@ -15,16 +14,14 @@ from quditgraph import (
     build_state,
     cluster_graph,
     dense_matrix,
-    fourier_conjugate,
     gamma_graph,
     ghz_graph,
-    iter_stabilizers,
     p_graph,
     path_graph,
     pauli_mul,
     psi_gamma,
     purity_profile,
-    stabilizer,
+    stabilizer_group,
     verify_eigen,
 )
 from quditgraph.measures import all_subsystems
@@ -41,9 +38,12 @@ from quditgraph.states import (
 
 from conftest import (
     family_tableau,
+    fourier_gate,
     random_graph,
+    random_state_amps,
+    random_word,
     reference_phase_exponents,
-    tableau_words,
+    same_word,
     z_tableau,
 )
 
@@ -94,145 +94,159 @@ def test_build_state_p_phases():
     np.testing.assert_allclose(build_state(p_graph(d)).amps, expected.amps, atol=1e-12)
 
 
-def word(d, x_powers, z_powers):
-    return PauliWord.from_powers(d, x_powers, z_powers)
+def word(x_powers, z_powers):
+    """The (x, z) rows of the word prod_site X^x Z^z, as lists."""
+    return [list(xz) for xz in zip(x_powers, z_powers)]
 
 
 def generators(g):
-    """The graph-frame generators X_n Z^Gamma_n of g: its tableau rows as words."""
-    return tableau_words(stabilizer_tableau(g, ()))
+    """The graph-frame generators X_n Z^Gamma_n of g: its tableau rows."""
+    return stabilizer_tableau(g, ()).xz
+
+
+def group_element(g, powers):
+    """The stabilizer g_1^p1 g_2^p2 g_3^p3 g_4^p4 of ``stabilizer_group``: (rows, phase)."""
+    _, rows, phases = stabilizer_group(g)
+    k = np.ravel_multi_index(tuple(np.mod(powers, g.d)), (g.d,) * 4)
+    return rows[k], int(phases[k])
+
+
 
 
 def test_generators_ghz():
     d = 3
     g = ghz_graph(d)
     assert stabilizer_exponents(phase_exponents(g), stabilizer_tableau(g, ())) == [0, 0, 0, 0]
-    assert generators(g) == (
-        word(d, [1, 0, 0, 0], [0, 1, 1, 1]),  # X Z Z Z
-        word(d, [0, 1, 0, 0], [1, 0, 0, 0]),  # Z X I I
-        word(d, [0, 0, 1, 0], [1, 0, 0, 0]),  # Z I X I
-        word(d, [0, 0, 0, 1], [1, 0, 0, 0]),  # Z I I X
-    )
+    assert generators(g).tolist() == [
+        word([1, 0, 0, 0], [0, 1, 1, 1]),  # X Z Z Z
+        word([0, 1, 0, 0], [1, 0, 0, 0]),  # Z X I I
+        word([0, 0, 1, 0], [1, 0, 0, 0]),  # Z I X I
+        word([0, 0, 0, 1], [1, 0, 0, 0]),  # Z I I X
+    ]
 
 
 def test_generators_p():
     d = 3
-    assert generators(p_graph(d)) == (
-        word(d, [1, 0, 0, 0], [0, 1, 0, 1]),       # X Z I Z
-        word(d, [0, 1, 0, 0], [1, 0, d - 1, 0]),   # Z X Z^-1 I
-        word(d, [0, 0, 1, 0], [0, d - 1, 0, 1]),   # I Z^-1 X Z
-        word(d, [0, 0, 0, 1], [1, 0, 1, 0]),       # Z I Z X
-    )
+    assert generators(p_graph(d)).tolist() == [
+        word([1, 0, 0, 0], [0, 1, 0, 1]),       # X Z I Z
+        word([0, 1, 0, 0], [1, 0, d - 1, 0]),   # Z X Z^-1 I
+        word([0, 0, 1, 0], [0, d - 1, 0, 1]),   # I Z^-1 X Z
+        word([0, 0, 0, 1], [1, 0, 1, 0]),       # Z I Z X
+    ]
 
 
 @pytest.mark.parametrize("d,gm", [(3, 2), (5, 3)])
 def test_generators_gamma_family(d, gm):
-    assert generators(gamma_graph(gm, d)) == (
-        word(d, [1, 0, 0, 0], [0, 1, 0, gm]),  # X Z I Z^gamma
-        word(d, [0, 1, 0, 0], [1, 0, 1, 0]),   # Z X Z I
-        word(d, [0, 0, 1, 0], [0, 1, 0, 1]),   # I Z X Z
-        word(d, [0, 0, 0, 1], [gm, 0, 1, 0]),  # Z^gamma I Z X
-    )
+    assert generators(gamma_graph(gm, d)).tolist() == [
+        word([1, 0, 0, 0], [0, 1, 0, gm]),  # X Z I Z^gamma
+        word([0, 1, 0, 0], [1, 0, 1, 0]),   # Z X Z I
+        word([0, 0, 1, 0], [0, 1, 0, 1]),   # I Z X Z
+        word([0, 0, 0, 1], [gm, 0, 1, 0]),  # Z^gamma I Z X
+    ]
 
 
 def test_stabilizer_zero_powers_is_identity():
-    assert stabilizer(cluster_graph(3), (0, 0, 0, 0)) == PauliWord.identity(3, 4)
+    # only the first element, p = 0, of the group is the identity word
+    g = cluster_graph(3)
+    powers, rows, phases = stabilizer_group(g)
+    assert powers.shape == (3**4, 4) and rows.shape == (3**4, 4, 2) and phases.shape == (3**4,)
+    assert same_word(group_element(g, (0, 0, 0, 0)), (np.zeros((4, 2), dtype=int), 0))
+    assert np.flatnonzero(~rows.any(axis=(1, 2)) & (phases == 0)).tolist() == [0]
 
 
 def test_stabilizer_cluster_two_identity_factor_words():
     # the square graph hides stabilizers acting on only two sites
     d = 3
     g = cluster_graph(d)
-    s1 = stabilizer(g, (1, 0, -1, 0))
-    assert s1.x_powers == (1, 0, d - 1, 0) and s1.z_powers == (0, 0, 0, 0)
-    s2 = stabilizer(g, (0, 1, 0, -1))
-    assert s2.x_powers == (0, 1, 0, d - 1) and s2.z_powers == (0, 0, 0, 0)
-    # in the Fourier frame of the reduced state the second becomes I Z^-1 I Z
-    conj = fourier_conjugate(s2, (1, 3))
-    assert conj.x_powers == (0, 0, 0, 0) and conj.z_powers == (0, d - 1, 0, 1)
+    s1, _ = group_element(g, (1, 0, -1, 0))
+    assert s1.tolist() == word([1, 0, d - 1, 0], [0, 0, 0, 0])
+    s2, _ = group_element(g, (0, 1, 0, -1))
+    assert s2.tolist() == word([0, 1, 0, d - 1], [0, 0, 0, 0])
+    # in the Fourier frame of the reduced state the second becomes I Z^-1 I Z,
+    # which fixes the reduced state
+    assert verify_eigen(family_reduced_state("C", d), word([0, 0, 0, 0], [0, d - 1, 0, 1])) == 0
 
 
 def test_stabilizer_equals_generator_product():
     rng = np.random.default_rng(5)
-    for d in (3, 5):
+    for d in (2, 3, 5):
         for g in (ghz_graph(d), p_graph(d), gamma_graph(2, d)):
             gens = generators(g)
             for _ in range(25):
                 p = [int(v) for v in rng.integers(0, d, size=4)]
-                prod_word = PauliWord.identity(d, 4)
+                prod_word = (np.zeros((4, 2), dtype=int), 0)
                 for w, k in zip(gens, p):
                     for _ in range(k):
-                        prod_word = pauli_mul(prod_word, w)
-                assert prod_word == stabilizer(g, p)
+                        prod_word = pauli_mul(d, prod_word, (w, 0))
+                assert same_word(prod_word, group_element(g, p))
 
 
 def test_stabilizer_power_map_is_homomorphism():
     rng = np.random.default_rng(6)
-    for d in (3, 5):
+    for d in (2, 3, 5):
         g = p_graph(d)
         for _ in range(40):
             p = rng.integers(0, d, size=4)
             q = rng.integers(0, d, size=4)
-            combined = stabilizer(g, tuple((p + q) % d))
-            assert combined == pauli_mul(stabilizer(g, tuple(p)), stabilizer(g, tuple(q)))
+            combined = group_element(g, p + q)
+            assert same_word(combined, pauli_mul(d, group_element(g, p), group_element(g, q)))
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_graph_states_stabilized(d):
     rng = np.random.default_rng(d)
     for g in (ghz_graph(d), cluster_graph(d), p_graph(d), gamma_graph(2, d)):
         s = build_state(g)
-        for w in generators(g):
-            assert verify_eigen(s, w) == 0
-        for _ in range(50):
-            p = tuple(int(v) for v in rng.integers(0, d, size=4))
-            assert verify_eigen(s, stabilizer(g, p)) == 0
+        for rows in generators(g):
+            assert verify_eigen(s, rows) == 0
+        _, rows, phases = stabilizer_group(g)
+        for k in rng.integers(0, d**4, size=50):
+            assert verify_eigen(s, rows[k], phases[k]) == 0
 
 
 def test_generators_commute_and_are_independent():
-    for d in (3, 5):
+    for d in (2, 3, 5):
         for g in (ghz_graph(d), p_graph(d)):
-            words = generators(g)
+            words = [(rows, 0) for rows in generators(g)]
             for a in words:
                 for b in words:
-                    assert pauli_mul(a, b) == pauli_mul(b, a)
+                    assert same_word(pauli_mul(d, a, b), pauli_mul(d, b, a))
             # x powers of S(p) equal p, so only p = 0 gives the identity
-            for p, w in iter_stabilizers(g):
-                if any(p):
-                    assert not w.is_identity()
+            powers, rows, _ = stabilizer_group(g)
+            assert np.array_equal(rows[..., 0], powers)
+            assert np.array_equal(rows.any(axis=(1, 2)), powers.any(axis=1))
 
 
 def test_verify_eigen_non_eigenstate():
     d = 3
     gp = family_reduced_state("G", d)
-    z1 = PauliWord.single(d, 4, 0, z=1)
+    z1 = word([0, 0, 0, 0], [1, 0, 0, 0])
     assert verify_eigen(gp, z1) is None
 
 
 def test_verify_eigen_identity_word():
     s = build_state(p_graph(3))
-    assert verify_eigen(s, PauliWord.identity(3, 4)) == 0
+    assert verify_eigen(s, np.zeros((4, 2), dtype=int)) == 0
 
 
 def test_verify_eigen_nonzero_exponent():
     # omega^r scalar multiples are detected with the right exponent
     d = 3
     s = build_state(ghz_graph(d))
-    w = stabilizer(ghz_graph(d), (1, 0, 0, 0))
-    shifted = PauliWord(d, (w.phase + 2) % d, w.xz)
-    assert verify_eigen(s, shifted) == 2
+    rows, phase = group_element(ghz_graph(d), (1, 0, 0, 0))
+    assert verify_eigen(s, rows, phase + 2) == 2
 
 
 def test_apply_pauli_matches_dense(rng):
-    d = 3
-    from conftest import random_state_amps, random_word
-
-    for _ in range(20):
-        s = StateVector(d, 2, random_state_amps(rng, d**2))
-        w = random_word(rng, d, 2)
-        np.testing.assert_allclose(
-            apply_pauli(s, w).amps, dense_matrix(w) @ s.amps, atol=1e-12
-        )
+    for d in (2, 3):
+        for _ in range(20):
+            s = StateVector(d, 2, random_state_amps(rng, d**2))
+            rows, phase = random_word(rng, d, 2)
+            np.testing.assert_allclose(
+                apply_pauli(s, rows, phase).amps, dense_matrix(d, rows, phase) @ s.amps, atol=1e-12
+            )
+    with pytest.raises(ValueError, match="dimensions"):
+        apply_pauli(s, np.zeros((3, 2), dtype=int))
 
 
 def psi_state(d, label_fn):
@@ -295,40 +309,42 @@ def test_local_fourier_reduces_cluster_and_p():
 
 def test_reduced_generators_match_fourier_frame():
     # reduced-frame tableau rows stabilize the reduced states with unit eigenvalue,
-    # and are the graph-frame words conjugated by the Fourier gate at no phase
-    for d in (3, 5):
+    # and are the graph-frame rows conjugated by the dense Fourier gate at no phase
+    for d in (2, 3, 5):
         for family in ("G", "C", "P"):
             state = family_reduced_state(family, d)
-            words = tableau_words(family_tableau(family, d))
-            for w in words:
-                assert verify_eigen(state, w) == 0
-            sites = family_fourier_sites(family)
-            assert words == tuple(fourier_conjugate(w, sites)
-                                  for w in generators(family_graph(family, d)))
+            reduced = family_tableau(family, d).xz
+            for rows in reduced:
+                assert verify_eigen(state, rows) == 0
+            f = fourier_gate(d, family_fourier_sites(family))
+            for graph_rows, rows in zip(generators(family_graph(family, d)), reduced):
+                np.testing.assert_allclose(
+                    f @ dense_matrix(d, graph_rows) @ f.conj().T, dense_matrix(d, rows),
+                    atol=1e-10)
 
 
 def test_reduced_generator_words_ghz():
     # X X X X, Z Z^-1 I I, Z I Z^-1 I, Z I I Z^-1
     d = 3
-    words = tableau_words(family_tableau("G", d))
-    assert words == (
-        word(d, [1, 1, 1, 1], [0, 0, 0, 0]),
-        word(d, [0, 0, 0, 0], [1, d - 1, 0, 0]),
-        word(d, [0, 0, 0, 0], [1, 0, d - 1, 0]),
-        word(d, [0, 0, 0, 0], [1, 0, 0, d - 1]),
-    )
+    words = family_tableau("G", d).xz.tolist()
+    assert words == [
+        word([1, 1, 1, 1], [0, 0, 0, 0]),
+        word([0, 0, 0, 0], [1, d - 1, 0, 0]),
+        word([0, 0, 0, 0], [1, 0, d - 1, 0]),
+        word([0, 0, 0, 0], [1, 0, 0, d - 1]),
+    ]
 
 
 def test_reduced_generator_words_p():
     # X X I X, Z Z^-1 Z^-1 I, I X^-1 X X, Z I Z Z^-1
     d = 3
-    words = tableau_words(family_tableau("P", d))
-    assert words == (
-        word(d, [1, 1, 0, 1], [0, 0, 0, 0]),
-        word(d, [0, 0, 0, 0], [1, d - 1, d - 1, 0]),
-        word(d, [0, d - 1, 1, 1], [0, 0, 0, 0]),
-        word(d, [0, 0, 0, 0], [1, 0, 1, d - 1]),
-    )
+    words = family_tableau("P", d).xz.tolist()
+    assert words == [
+        word([1, 1, 0, 1], [0, 0, 0, 0]),
+        word([0, 0, 0, 0], [1, d - 1, d - 1, 0]),
+        word([0, d - 1, 1, 1], [0, 0, 0, 0]),
+        word([0, 0, 0, 0], [1, 0, 1, d - 1]),
+    ]
 
 
 def test_cluster_equals_p_at_d2():
@@ -438,7 +454,7 @@ def test_stabilizer_exponents_match_dense_route(d):
         state = apply_local_fourier(build_state(g), sites)
         for tab in tableaux:
             exact = stabilizer_exponents(e, tab)
-            dense = [verify_eigen(state, word) for word in tableau_words(tab)]
+            dense = [verify_eigen(state, rows) for rows in tab.xz]
             assert exact == dense, (g.entries, sites, tab.xz)
         if len(edges) and not sites:
             assert exact[n] == -g.entries[n][m] % d != 0
