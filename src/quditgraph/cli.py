@@ -14,7 +14,9 @@ Three command groups:
 Exit codes: 0 success (also when the reader closes stdout early), 2
 verification mismatch, 3 invalid input or unwritable output (a bad --out path,
 a failed write to stdout), 130 interrupted (Ctrl-C). Output is deterministic:
-fixed key order, floats at 12 significant digits.
+fixed key order, floats at 12 significant digits. JSON output is rendered by
+serialize.json_text, byte-identical to the standard library's encoder with
+indent=2; CSV output is csv.writer over serialize.flatten_json.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .classify import VerificationFailure, canonicalize, census_random, classify
 from .graphs import AdjacencyMatrix, graph_from_json_dict
 from .pauli import pauli_str
 from .report import build_report
-from .serialize import BASIS_ORDER, flatten_json, fmt_float, metadata
+from .serialize import BASIS_ORDER, flatten_json, fmt_float, json_text, metadata
 # build_state and family_reduced_state stay bound for perfbench/child.py's tracer.
 from .states import (
     build_state,
@@ -67,7 +69,7 @@ _SLAB_ROWS = 4096
 # faults, 11.1 -> 8.2 ms). 8 to 128 KiB time the same; 256 KiB faults again.
 _PIECE_BYTES = 64 * 1024
 # One amplitude row per format, filled from (row, j1, j2, j3, j4, phase_exp, magnitude):
-# the bytes csv.writer over flatten_json and json.dumps(indent=2) give the row.
+# the bytes csv.writer over flatten_json and json_text give the row.
 _ROW_TEMPLATES = {
     "csv": ("amplitudes[{0}].basis[0],{1}\namplitudes[{0}].basis[1],{2}\n"
             "amplitudes[{0}].basis[2],{3}\namplitudes[{0}].basis[3],{4}\n"
@@ -215,7 +217,7 @@ def _render(payload: dict, fmt: str, amplitudes: _AmplitudeTable | None):
     """Output bytes in pieces: the payload, encoded once as UTF-8, then the
     amplitude rows under "amplitudes"."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text(payload)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -261,10 +263,21 @@ def _stdout():
     return sys.stdout
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error, not a
+    silent overwrite by the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"invalid matrix JSON: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _parse_matrix(text: str) -> AdjacencyMatrix:
     """Graph of a --matrix argument in the wire format."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise ValueError(f"invalid matrix JSON: {exc}") from exc
     return graph_from_json_dict(obj)

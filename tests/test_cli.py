@@ -83,6 +83,14 @@ def test_state_build_rejects_unknown_matrix_key(capsys):
     assert err.count("\n") == 1 and "'fourier_sites'" in err
 
 
+def test_state_build_rejects_repeated_matrix_key(capsys):
+    # the later "d" would otherwise win silently and dump the d = 5 state
+    matrix = json.dumps({"d": 3, "gamma": STAR})[:-1] + ', "d": 5}'
+    code, out, err = run_cli(capsys, "state", "build", "--matrix", matrix)
+    assert code == EXIT_INVALID and out == ""
+    assert err == "quditgraph: error: invalid matrix JSON: repeated key 'd'\n"
+
+
 def test_state_reduce_ghz(capsys):
     payload = run_json(capsys, "state", "reduce", "--family", "G", "--d", "3")
     amps = payload["amplitudes"]
@@ -604,6 +612,27 @@ def test_classify_rejects_unknown_matrix_key(capsys):
     code, out, err = run_cli(capsys, "classify", "--matrix", matrix)
     assert code == EXIT_INVALID and out == ""
     assert err.count("\n") == 1 and "'extra'" in err
+
+
+@pytest.mark.parametrize("tail, key", [
+    (', "gamma": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]}', "gamma"),
+    (', "note": {"x": 1, "x": 2}}', "x"),  # inside a nested object, before the unknown key
+])
+def test_classify_rejects_repeated_matrix_key(capsys, tail, key):
+    matrix = json.dumps({"d": 3, "gamma": STAR})[:-1] + tail
+    code, out, err = run_cli(capsys, "classify", "--matrix", matrix)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"quditgraph: error: invalid matrix JSON: repeated key {key!r}\n"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs milliseconds to import; only census_random needs it,
+    # so a module-level use would slow every command's start-up unseen
+    code = "import sys, quditgraph.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_classify_rejects_bad_json(capsys):

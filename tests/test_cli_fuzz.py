@@ -47,6 +47,20 @@ _graph = st.sampled_from([2, 3, 5, 11, 13, 37, 2**61 - 1]).flatmap(
 # a well-formed graph with one more key, which every command must refuse
 _extra_key = st.text(max_size=4).filter(lambda key: key not in ("d", "gamma"))
 _graph_extra = st.tuples(_graph, _extra_key, _leaf).map(lambda t: {**t[0], t[1]: t[2]})
+
+
+def _repeat_key(graph, key, value):
+    """(key, JSON text of the graph, with the key added if new, then given
+    again with the value)."""
+    text = json.dumps(graph if key in graph else {**graph, key: value})
+    return key, f"{text[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}"
+
+
+# a well-formed graph's JSON text with one key given twice, which every
+# command must refuse
+_graph_repeated = st.builds(
+    _repeat_key, _graph, st.one_of(st.sampled_from(["d", "gamma"]), _extra_key), _leaf
+)
 _matrix_obj = st.one_of(
     _graph,
     _graph_extra,
@@ -56,10 +70,10 @@ _matrix_obj = st.one_of(
     _leaf,
     st.lists(_leaf, max_size=5),
 )
-# raw text as well as JSON, so malformed JSON reaches the parser too
-_matrix = st.one_of(_matrix_obj.map(json.dumps), st.text(max_size=8)).map(
-    lambda text: ["--matrix", text]
-)
+# raw text as well as JSON, so malformed JSON and repeated keys reach the parser too
+_matrix = st.one_of(
+    _matrix_obj.map(json.dumps), _graph_repeated.map(lambda kt: kt[1]), st.text(max_size=8)
+).map(lambda text: ["--matrix", text])
 
 
 def _flag(flag, values):
@@ -151,3 +165,13 @@ def test_unknown_matrix_key_is_invalid_input(command, obj):
     code, out, err = _run([*command, "--matrix", json.dumps(obj)])
     assert code == EXIT_INVALID and out == ""
     assert err.count("\n") == 1 and repr(key) in err, err
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from([["classify"], ["state", "build"], ["state", "reduce"], ["state", "eigen"]]),
+       _graph_repeated)
+def test_repeated_matrix_key_is_invalid_input(command, keyed):
+    key, text = keyed
+    code, out, err = _run([*command, "--matrix", text])
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"quditgraph: error: invalid matrix JSON: repeated key {key!r}\n", err

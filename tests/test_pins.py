@@ -1,9 +1,12 @@
-"""Every byte pin of tests/pins.py, run in-process, and the benchmark's
-copies of four of them held to the table."""
+"""Every byte pin of tests/pins.py, run in-process, each JSON pin's text held
+to the standard library's encoder, and the benchmark's copies of four of the
+pins held to the table."""
 
 import hashlib
 import importlib.util
 import io
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -40,6 +43,26 @@ def test_pin(capsys, monkeypatch, name):
     stdout.flush()
     assert capsys.readouterr().err == ""
     assert sink.digest.hexdigest() == PINS[name].sha256
+
+
+# every pin printed as JSON, but for the largest dump (about 40 MB)
+JSON_PINS = [name for name, pin in PINS.items()
+             if name != "state-build-p23-json" and not any("csv" in argv for argv in pin.runs)]
+
+
+@pytest.mark.parametrize("name", JSON_PINS)
+def test_json_pin_matches_stdlib_encoder(capsys, name):
+    # holds json_text, the JSON amplitude row template and the brace splice
+    # in cli._render to the encoder's indent=2 text on real output, so that
+    # re-recorded hashes cannot pin a drifted format
+    for argv in PINS[name].runs:
+        assert main(list(argv)) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        expected = json.dumps(json.loads(out), indent=2) + "\n"
+        if out != expected:  # report the first difference: a diff of megabytes takes minutes
+            at = len(os.path.commonprefix([out, expected]))
+            lo = max(at - 40, 0)
+            pytest.fail(f"{argv}: offset {at}: {out[lo:at + 40]!r} != {expected[lo:at + 40]!r}")
 
 
 def test_benchmark_references_match_the_table(monkeypatch):

@@ -29,7 +29,7 @@ from quditgraph import (
 from quditgraph.classify import DISCONNECTED, cut_rank_classes
 from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
 from quditgraph.pauli import omega_powers, rank_mod, site_matrix
-from quditgraph.report import _family_effective
+from quditgraph.report import _family_effective, build_report
 from quditgraph.states import (
     Tableau,
     family_fourier_sites,
@@ -753,6 +753,22 @@ def test_persistency_closed_forms(d, family):
     n_ave, delta = closed_form_persistency(_family_effective(family, d), d)
     assert stats.n_ave == n_ave
     assert stats.delta == delta
+
+
+def test_report_persistency_matches_closed_forms():
+    # the tables bundle's own exact n_ave and delta, which its checklist holds
+    # to an expectation at d = 3 only; at d = 2, P collapses to C
+    d_values = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 101, 1009, 10007]
+    bundle, _ = build_report(d_values)
+    mismatches = []
+    for d in d_values:
+        for family in ("G", "C", "P"):
+            row = bundle["sections"][str(d)]["persistency"][family]
+            actual = Fraction(row["n_ave"]["exact"]), Fraction(row["delta"]["exact"])
+            expected = closed_form_persistency("C" if (family, d) == ("P", 2) else family, d)
+            if actual != expected:
+                mismatches.append((family, d, actual, expected))
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("family,d", CLOSED_FORM_CASES)
