@@ -17,9 +17,6 @@ from .classify import (
     ScaleOp,
     StarOp,
     SwapOp,
-    apply_scale,
-    apply_star,
-    apply_swap,
     canonicalize,
     census_random,
     classify_exhaustive,
@@ -47,7 +44,6 @@ from .measures import (
     purity,
     purity_profile,
     reduced_from_stabilizers,
-    tableau_purity_profile,
     tableau_purity_profiles,
     wedge_measure,
 )
@@ -68,7 +64,6 @@ from .states import (
 )
 from .steering import (
     ClassificationError,
-    MeasurementBasis,
     MeasurementEvent,
     PathTally,
     PersistencyStats,

@@ -20,7 +20,7 @@ relabels each row by its support's swaps and runs each program's rows as one
 group. A group records its trace, after the relabelling, as one operation
 list whose scale and star factors are columns, one entry per row.
 ``canonicalize`` is the one-graph call of the same reducer and checks, and
-the public operations and ``replay`` run the same kernels.
+``replay`` runs a trace of operations through the same kernels.
 Columns take the narrowest signed integer type that holds d**3 (int8 to
 d = 5, int16 to 31, int32 to 1289, int64 while d**3 < 2**63) and Python ints
 beyond, and every reduction mod d is a floor division, ``x - x // d * d``,
@@ -72,9 +72,6 @@ __all__ = [
     "StarOp",
     "SwapOp",
     "VerificationFailure",
-    "apply_scale",
-    "apply_star",
-    "apply_swap",
     "canonicalize",
     "census_random",
     "classify_exhaustive",
@@ -209,23 +206,6 @@ def _entries(w, i: int):
     """4x4 entries of row ``i`` of six weight columns."""
     a, b, c, x, y, z = (int(col[i]) for col in w)
     return ((0, a, b, c), (a, 0, x, y), (b, x, 0, z), (c, y, z, 0))
-
-
-def apply_scale(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
-    return replay(g, (ScaleOp(vertex, factor),))
-
-
-def apply_star(g: AdjacencyMatrix, vertex: int, factor: int) -> AdjacencyMatrix:
-    """Off-diagonal update Gamma_lm += f * Gamma_l,vertex * Gamma_vertex,m.
-
-    The diagonal is pinned to zero; entries in the row and column of
-    ``vertex`` are unchanged because the added term carries Gamma_vv = 0.
-    """
-    return replay(g, (StarOp(vertex, factor),))
-
-
-def apply_swap(g: AdjacencyMatrix, a: int, b: int) -> AdjacencyMatrix:
-    return replay(g, (SwapOp(a, b),))
 
 
 def replay(g: AdjacencyMatrix, trace) -> AdjacencyMatrix:
@@ -511,15 +491,15 @@ def _reduce_six_edged(r: _Group):
 _PROGRAMS = (None, _reduce_star, _reduce_chain, _reduce_six_edged)
 
 
-def profile_class(profile: PurityProfile, tol: float = ORACLE_TOL) -> str:
+def profile_class(profile: PurityProfile) -> str:
     """Class fingerprint from purities alone.
 
     A pure subsystem flags a product cut (disconnected graph); otherwise the
     number of pairs at purity 1/d is 6, 2, or 0 for classes G, C, and P.
     """
-    if any(v >= 1.0 - tol for v in profile.values.values()):
+    if any(v >= 1.0 - ORACLE_TOL for v in profile.values.values()):
         return DISCONNECTED
-    n_loose = profile.pair_pattern(tol)
+    n_loose = profile.pair_pattern()
     mapping = {6: CLASS_G, 2: CLASS_C, 0: CLASS_P}
     if n_loose not in mapping:
         raise ClassificationPatternError(

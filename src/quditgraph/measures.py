@@ -20,7 +20,6 @@ import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
 from .pauli import dense_matrix
-from .serialize import exact_and_float
 from .states import StateVector, Tableau, stabilizer_group, tableau_entropy
 
 __all__ = [
@@ -35,13 +34,15 @@ __all__ = [
     "purity_profile",
     "reduced_from_stabilizers",
     "subsystem_label",
-    "tableau_purity_profile",
     "tableau_purity_profiles",
     "wedge_measure",
 ]
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
+# Float purities within these of 1/d (pairs) or of d^-size (k-MM) count as equal.
+PAIR_TOL = 1e-7
+MM_TOL = 1e-9
 
 
 def subsystem_label(keep: tuple[int, ...]) -> str:
@@ -143,12 +144,9 @@ class PurityProfile:
     def pairs(self) -> dict:
         return {k: v for k, v in self.values.items() if len(k) == 2}
 
-    def pair_pattern(self, tol: float = 1e-7) -> int:
+    def pair_pattern(self) -> int:
         """Number of pairs at purity 1/d: 6 for G-type, 2 for C-type, 0 for P-type."""
-        return sum(1 for v in self.pairs().values() if abs(v - 1.0 / self.d) <= tol)
-
-    def to_json_dict(self) -> dict:
-        return {subsystem_label(k): exact_and_float(v) for k, v in self.values.items()}
+        return sum(1 for v in self.pairs().values() if abs(v - 1.0 / self.d) <= PAIR_TOL)
 
 
 def purity_profile(s: StateVector) -> PurityProfile:
@@ -162,15 +160,10 @@ def purity_profile(s: StateVector) -> PurityProfile:
     return PurityProfile(s.d, s.n_qudits, values)
 
 
-def tableau_purity_profile(t: Tableau) -> PurityProfile:
-    """Exact purities Fraction(1, d**entropy) of all one- and two-site subsystems."""
-    (profile,) = tableau_purity_profiles([t])
-    return profile
-
-
 def tableau_purity_profiles(tableaux: Sequence[Tableau]) -> list[PurityProfile]:
-    """``tableau_purity_profile`` of each tableau, of any mix of primes d, from
-    one batched ``tableau_entropy`` call."""
+    """Exact purities Fraction(1, d**entropy) of all one- and two-site
+    subsystems of each tableau, of any mix of primes d, from one batched
+    ``tableau_entropy`` call."""
     keeps = all_subsystems(N_VERTICES, 2)
     d = np.array([t.d for t in tableaux], dtype=np.int64)
     xz = np.array([t.xz for t in tableaux], dtype=np.int64)
@@ -179,14 +172,14 @@ def tableau_purity_profiles(tableaux: Sequence[Tableau]) -> list[PurityProfile]:
             for t, row in zip(tableaux, entropy)]
 
 
-def is_k_mm(profile: PurityProfile, k: int, tol: float = 1e-9) -> bool:
+def is_k_mm(profile: PurityProfile, k: int) -> bool:
     """True when every subsystem of size <= k has purity d^-size (maximal
-    mixing): exactly for ``Fraction`` purities, within ``tol`` for floats."""
+    mixing): exactly for ``Fraction`` purities, within MM_TOL for floats."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2 for four-particle systems")
     exact = [Fraction(1, profile.d**size) for size in range(k + 1)]
     return all(v == exact[len(keep)] if isinstance(v, Fraction)
-               else abs(v - profile.d ** (-len(keep))) <= tol
+               else abs(v - profile.d ** (-len(keep))) <= MM_TOL
                for keep, v in profile.values.items() if len(keep) <= k)
 
 

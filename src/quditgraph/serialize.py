@@ -29,20 +29,15 @@ def fmt_float(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def rational_str(x) -> str | None:
-    """Exact-rational rendering of a numerically rational value, or None."""
-    if isinstance(x, Fraction):
-        frac = x
-    else:
-        frac = Fraction(float(x)).limit_denominator(10**6)
-        if abs(float(frac) - float(x)) > 1e-9:
-            return None
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+def rational_str(x: Fraction | int) -> str:
+    """Exact text of a rational, "n" or "n/m"; anything but a Fraction or an
+    int raises TypeError."""
+    if type(x) is not int and not isinstance(x, Fraction):
+        raise TypeError(f"exact rendering takes a Fraction or an int, not {type(x).__name__}")
+    return str(Fraction(x))
 
 
-def exact_and_float(x) -> dict:
+def exact_and_float(x: Fraction | int) -> dict:
     return {"exact": rational_str(x), "float": fmt_float(x)}
 
 

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
+# Overlap deficit of equals_up_to_phase and residual norm of verify_eigen.
+EIGEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,10 @@ class StateVector:
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape((self.d,) * self.n_qudits)
 
-    def equals_up_to_phase(self, other: "StateVector", tol: float = 1e-9) -> bool:
-        """True when |<self|other>| >= 1 - tol, i.e. equal up to a global phase."""
+    def equals_up_to_phase(self, other: "StateVector") -> bool:
+        """True when |<self|other>| >= 1 - EIGEN_TOL, i.e. equal up to a global phase."""
         self._check_compatible(other)
-        return abs(np.vdot(self.amps, other.amps)) >= 1.0 - tol
+        return abs(np.vdot(self.amps, other.amps)) >= 1.0 - EIGEN_TOL
 
     def permute_qudits(self, axes: Sequence[int]) -> "StateVector":
         """Reorder qudits so that new position i carries old qudit axes[i]."""
@@ -258,14 +260,15 @@ def apply_pauli(s: StateVector, rows, phase: int = 0) -> StateVector:
     return StateVector(d, s.n_qudits, arr.reshape(-1))
 
 
-def verify_eigen(s: StateVector, rows, phase: int = 0, tol: float = 1e-9) -> int | None:
+def verify_eigen(s: StateVector, rows, phase: int = 0) -> int | None:
     """Eigenvalue exponent r with w|s> = omega^r |s> for the word w of ``rows``
-    and ``phase`` (as in ``apply_pauli``), or None if s is not an eigenstate."""
+    and ``phase`` (as in ``apply_pauli``), within EIGEN_TOL, or None if s is
+    not an eigenstate."""
     ws = apply_pauli(s, rows, phase)
     val = np.vdot(s.amps, ws.amps)
     d = s.d
     r = int(np.round(d * np.angle(val) / (2 * np.pi))) % d
-    if np.linalg.norm(ws.amps - omega_powers(d)[r] * s.amps) <= tol:
+    if np.linalg.norm(ws.amps - omega_powers(d)[r] * s.amps) <= EIGEN_TOL:
         return r
     return None
 

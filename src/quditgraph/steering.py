@@ -47,13 +47,17 @@ level, the pure sites of each residue, and every pair count is a closed
 form of it. The first measurements of all tableaux, 4(d+1) per tableau,
 are cut into batches of 4,096, whatever their d, and each batch costs one
 elimination: d = 2..13 runs as one, and a tableau at large d spans many,
-so no batch's temporaries grow with d. ``project``, ``classify3`` and
-``classify2`` are the single-event form on dense vectors, with PROB_TOL and
-PURITY_TOL.
+so no batch's temporaries grow with d.
+
+The single-event form on dense vectors speaks the engine's terms, within
+PROB_TOL and PURITY_TOL: ``project`` measures along a line of
+``all_bases``, ``classify3`` returns a residue's pure-site pattern, a row of
+``PathTally.first``, and ``classify2`` whether a pair is a product.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -62,21 +66,17 @@ import numpy as np
 
 from .classify import VerificationFailure
 from .measures import all_subsystems, partial_trace, purity
-from .pauli import check_prime, eliminate_mod, omega_powers, site_matrix
+from .pauli import check_prime, eliminate_mod, omega_powers, pauli_str
 from .states import StateVector, Tableau, tableau_entropy
 
 __all__ = [
     "ClassificationError",
-    "MeasurementBasis",
     "MeasurementEvent",
     "PathTally",
     "PersistencyStats",
-    "StateClass2",
-    "StateClass3",
     "ZeroProbabilityError",
     "all_bases",
     "basis_eigenvalue",
-    "basis_operator",
     "classify2",
     "classify3",
     "enumerate_paths",
@@ -103,65 +103,35 @@ class ClassificationError(VerificationFailure):
     """Raised when a purity pattern matches no graph-state residue class."""
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """One of the d+1 single-qudit bases: Z, or the eigenbasis of XZ^k."""
-
-    kind: str  # "Z" or "XZ"
-    power: int = 0  # the k in XZ^k; ignored for kind "Z"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("Z", "XZ"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.kind == "Z":
-            object.__setattr__(self, "power", 0)
-
-    @classmethod
-    def z(cls) -> "MeasurementBasis":
-        return cls("Z")
-
-    @classmethod
-    def xz(cls, k: int) -> "MeasurementBasis":
-        return cls("XZ", k)
-
-    @property
-    def name(self) -> str:
-        if self.kind == "Z":
-            return "Z"
-        if self.power == 0:
-            return "X"
-        if self.power == 1:
-            return "XZ"
-        return f"XZ^{self.power}"
+def _line(basis) -> tuple[int, int]:
+    """``basis`` as a line of GF(d)^2: (0, 1) for Z or (1, k) for XZ^k, k
+    taken mod d where d is known; any other pair raises ValueError."""
+    line = tuple(map(operator.index, basis))
+    if line != (0, 1) and (len(line) != 2 or line[0] != 1):
+        raise ValueError(f"basis {basis!r} is neither the line (0, 1) nor a line (1, k)")
+    return line
 
 
-def all_bases(d: int) -> tuple[MeasurementBasis, ...]:
-    """The d+1 distinct measurement bases on one qudit."""
+def all_bases(d: int) -> tuple[tuple[int, int], ...]:
+    """The d+1 distinct measurement bases on one qudit, as lines: Z, then XZ^k."""
     check_prime(d)
-    return (MeasurementBasis.z(),) + tuple(MeasurementBasis.xz(k) for k in range(d))
+    return ((0, 1),) + tuple((1, k) for k in range(d))
 
 
-def basis_operator(basis: MeasurementBasis, d: int) -> np.ndarray:
-    """Dense single-qudit operator whose eigenbasis is measured."""
-    if basis.kind == "Z":
-        return site_matrix(d, 0, 1)
-    return site_matrix(d, 1, basis.power % d)
-
-
-def basis_eigenvalue(basis: MeasurementBasis, outcome: int, d: int) -> complex:
+def basis_eigenvalue(basis: tuple[int, int], outcome: int, d: int) -> complex:
     """Eigenvalue attached to an outcome index under this module's convention."""
+    x, k = _line(basis)
     omega = omega_powers(d)
-    if basis.kind == "Z":
+    if x == 0:
         return complex(omega[outcome % d])
-    k = basis.power % d
-    if k == 0:
+    if k % d == 0:
         return complex(omega[(-outcome) % d])
     if d == 2:
         return complex(1j * (-1) ** (outcome % 2))
     return complex(omega[outcome % d])
 
 
-def mub_eigenstate(basis: MeasurementBasis, outcome: int, d: int) -> StateVector:
+def mub_eigenstate(basis: tuple[int, int], outcome: int, d: int) -> StateVector:
     """Normalized eigenvector of the basis operator for a given outcome index.
 
     Conventions: Z outcome i is the computational vector e_i (eigenvalue
@@ -169,14 +139,15 @@ def mub_eigenstate(basis: MeasurementBasis, outcome: int, d: int) -> StateVector
     (eigenvalue omega^-j); for XZ^k with k >= 1 outcomes are indexed by
     eigenvalue phase from omega^0 upward.
     """
+    x, k = _line(basis)
     d = check_prime(d)
     outcome %= d
     omega = omega_powers(d)
-    if basis.kind == "Z":
+    if x == 0:
         amps = np.zeros(d, dtype=complex)
         amps[outcome] = 1.0
         return StateVector(d, 1, amps)
-    k = basis.power % d
+    k %= d
     m = np.arange(d)
     if k == 0:
         amps = omega[(outcome * m) % d] / np.sqrt(d)
@@ -192,11 +163,14 @@ def mub_eigenstate(basis: MeasurementBasis, outcome: int, d: int) -> StateVector
 
 @dataclass(frozen=True)
 class MeasurementEvent:
-    """A projective measurement: which qudit, which basis, which outcome."""
+    """A projective measurement: which qudit, which basis line, which outcome."""
 
     qudit: int
-    basis: MeasurementBasis
+    basis: tuple[int, int]
     outcome: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "basis", _line(self.basis))
 
 
 def project(s: StateVector, event: MeasurementEvent) -> tuple[StateVector, float]:
@@ -208,28 +182,10 @@ def project(s: StateVector, event: MeasurementEvent) -> tuple[StateVector, float
     res = np.tensordot(v.conj(), s.reshaped(), axes=(0, event.qudit))
     prob = float(np.vdot(res, res).real)
     if prob < PROB_TOL:
-        raise ZeroProbabilityError(
-            f"outcome {event.outcome} in basis {event.basis.name} has probability {prob:.3e}"
-        )
+        raise ZeroProbabilityError(f"outcome {event.outcome} in basis "
+                                   f"{pauli_str([event.basis])} has probability {prob:.3e}")
     residual = StateVector(s.d, s.n_qudits - 1, res.reshape(-1) / np.sqrt(prob))
     return residual, prob
-
-
-@dataclass(frozen=True)
-class StateClass3:
-    """Residue class after one measurement: product, S_nB, or a 3-particle
-    maximally entangled state. ``separated`` is the 0-based position of the
-    lone pure qudit for the S_nB case."""
-
-    kind: str
-    separated: int | None = None
-
-
-@dataclass(frozen=True)
-class StateClass2:
-    """Residue class after two measurements: product or a generalized Bell pair."""
-
-    kind: str
 
 
 def _pure_sites(purities: np.ndarray, d: int) -> np.ndarray:
@@ -244,33 +200,32 @@ def _pure_sites(purities: np.ndarray, d: int) -> np.ndarray:
     return pure
 
 
-def classify3(s: StateVector) -> StateClass3:
-    """Classify a 3-qudit projection residue by its single-site purities."""
+def _refuse_two_pure_sites(patterns: np.ndarray) -> None:
+    """Raise ClassificationError at the first residue pattern of ``patterns``
+    (..., 3 sites) with exactly two pure sites, which no stabilizer state has."""
+    two = patterns[patterns.sum(-1) == 2]
+    if len(two):
+        kinds = ["pure" if p else "mixed" for p in two[0]]
+        raise ClassificationError(f"purity pattern {kinds} is not a graph-state residue")
+
+
+def classify3(s: StateVector) -> tuple[bool, bool, bool]:
+    """Pure-site pattern of a 3-qudit projection residue, a row of
+    ``PathTally.first``: three pure sites make a product, one an S_nB state
+    and none a GHZ3 state."""
     if s.n_qudits != 3:
         raise ValueError("classify3 expects a 3-qudit state")
     purities = [purity(partial_trace(s, (i,), validate=False)) for i in range(3)]
-    return _class3(_pure_sites(np.array(purities), s.d).tolist())
+    pure = _pure_sites(np.array(purities), s.d)
+    _refuse_two_pure_sites(pure)
+    return tuple(pure.tolist())
 
 
-def _class3(pure_sites: list[bool]) -> StateClass3:
-    """Residue class of a 3-qudit purity pattern (True marks a pure site)."""
-    count = sum(pure_sites)
-    if count == 0:
-        return StateClass3(GHZ3)
-    if count == 3:
-        return StateClass3(PRODUCT)
-    if count == 1:
-        return StateClass3(SNB, pure_sites.index(True))
-    kinds = ["pure" if p else "mixed" for p in pure_sites]
-    raise ClassificationError(f"purity pattern {kinds} is not a graph-state residue")
-
-
-def classify2(s: StateVector) -> StateClass2:
-    """Classify a 2-qudit projection residue: Bell-type or product."""
+def classify2(s: StateVector) -> bool:
+    """True when a 2-qudit projection residue is a product, False for a Bell pair."""
     if s.n_qudits != 2:
         raise ValueError("classify2 expects a 2-qudit state")
-    pure = _pure_sites(np.array([purity(partial_trace(s, (0,), validate=False))]), s.d)
-    return StateClass2(PRODUCT if pure[0] else BELL)
+    return bool(_pure_sites(np.array([purity(partial_trace(s, (0,), validate=False))]), s.d)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,10 +254,9 @@ class PathTally:
         first = np.asarray(self.first, dtype=bool).view()
         if first.shape != (4, n, 3):
             raise ValueError(f"expected an array of shape (4, {n}, 3)")
+        _refuse_two_pure_sites(first)
         n_pure = first.sum(-1)
         counts = np.bincount((4 * np.arange(4)[:, None] + n_pure).ravel(), minlength=16)
-        if counts[2::4].any():
-            _class3(first[n_pure == 2][0].tolist())  # raises ClassificationError
         first.flags.writeable = False
         moves = tuple(map(tuple, counts.reshape(4, 4)[:, [0, 1, 3]].tolist()))
         vars(self).update(first=first, moves=moves)
@@ -449,14 +403,15 @@ def persistency_stats(t: Tableau, tally: PathTally | None = None) -> Persistency
     return PersistencyStats(Fraction(n_sum, total), n_min, Fraction(bell - prod, total))
 
 
-def schmidt_bounds(t: Tableau) -> tuple[float, int]:
-    """(lower, upper) bounds on the Schmidt measure log_d N_min.
+def schmidt_bounds(t: Tableau) -> tuple[int, int]:
+    """(lower, upper) bounds on the Schmidt measure log_d N_min, exact ints.
 
-    Lower: the largest entropy of a bipartition, log_d of its Schmidt rank.
+    Lower: the largest entropy of a bipartition, log_d of its Schmidt rank,
+    a rank over GF(d).
     Upper: the minimum number of single-site measurements that removes all
     entanglement, ``persistency_stats(t).n_min``. For the canonical graph
     states the two coincide and equal the Schmidt measure.
     """
     cuts = [keep for keep in all_subsystems(4, 2) if len(keep) == 1 or 0 in keep]
     lower = int(tableau_entropy(t.xz.reshape(4, 8), cuts, t.d).max())
-    return float(lower), persistency_stats(t).n_min
+    return lower, persistency_stats(t).n_min

@@ -12,9 +12,6 @@ from quditgraph import (
     ScaleOp,
     StarOp,
     SwapOp,
-    apply_scale,
-    apply_star,
-    apply_swap,
     build_state,
     canonicalize,
     census_random,
@@ -60,14 +57,14 @@ def random_graph(rng, d):
 
 def test_scale_identity_factor():
     g = p_graph(5)
-    assert apply_scale(g, 2, 1) == g
+    assert replay(g, (ScaleOp(2, 1),)) == g
 
 
 def test_scale_star_vertex():
     # scaling the hub of the unit star multiplies every edge
     d = 3
     g = ghz_canonical_graph(d)
-    scaled = apply_scale(g, 3, 2)
+    scaled = replay(g, (ScaleOp(3, 2),))
     assert scaled == AdjacencyMatrix.from_edges(d, {(0, 3): 2, (1, 3): 2, (2, 3): 2})
 
 
@@ -77,13 +74,13 @@ def test_scale_inverse_restores(rng):
         g = random_graph(rng, d)
         f = int(rng.integers(1, d))
         v = int(rng.integers(0, 4))
-        assert apply_scale(apply_scale(g, v, f), v, inv_mod(f, d)) == g
+        assert replay(g, (ScaleOp(v, f), ScaleOp(v, inv_mod(f, d)))) == g
 
 
 def test_scale_rejects_zero_factor():
     for factor in (0, 3, -6):  # zero mod d = 3
         with pytest.raises(ValueError):
-            apply_scale(p_graph(3), 0, factor)
+            replay(p_graph(3), (ScaleOp(0, factor),))
 
 
 @pytest.mark.parametrize(
@@ -101,7 +98,7 @@ def test_replay_rejects_unknown_operation():
 
 def test_star_zero_factor_is_identity():
     g = all_ones_graph(3)
-    assert apply_star(g, 1, 0) == g
+    assert replay(g, (StarOp(1, 0),)) == g
 
 
 def test_star_removes_targeted_edge():
@@ -109,7 +106,7 @@ def test_star_removes_targeted_edge():
     # the 1-3 edge while keeping the matrix symmetric and zero-diagonal
     d = 3
     g = all_ones_graph(d)
-    h = apply_star(g, 2, (-1) % d)
+    h = replay(g, (StarOp(2, (-1) % d),))
     assert h[1, 3] == 0
     assert h[3, 1] == 0
     assert all(h[i, i] == 0 for i in range(4))
@@ -123,7 +120,7 @@ def test_star_preserves_purity_profile(rng):
             v = int(rng.integers(0, 4))
             f = int(rng.integers(0, d))
             before = purity_profile(build_state(g)).values
-            after = purity_profile(build_state(apply_star(g, v, f))).values
+            after = purity_profile(build_state(replay(g, (StarOp(v, f),)))).values
             for keep in before:
                 assert after[keep] == pytest.approx(before[keep], abs=1e-9)
 
@@ -135,7 +132,7 @@ def test_scale_preserves_purity_profile(rng):
             v = int(rng.integers(0, 4))
             f = int(rng.integers(1, d))
             before = purity_profile(build_state(g)).values
-            after = purity_profile(build_state(apply_scale(g, v, f))).values
+            after = purity_profile(build_state(replay(g, (ScaleOp(v, f),)))).values
             for keep in before:
                 assert after[keep] == pytest.approx(before[keep], abs=1e-9)
 
@@ -146,7 +143,7 @@ def test_swap_consistent_with_profile_relabel(rng):
         g = random_graph(rng, d)
         a, b = 1, 3
         before = sorted(purity_profile(build_state(g)).values.values())
-        after = sorted(purity_profile(build_state(apply_swap(g, a, b))).values.values())
+        after = sorted(purity_profile(build_state(replay(g, (SwapOp(a, b),)))).values.values())
         np.testing.assert_allclose(after, before, atol=1e-9)
 
 
@@ -283,13 +280,12 @@ def test_class_invariance_under_random_operations(rng):
             kind = int(rng.integers(0, 3))
             if kind == 0:
                 op = ScaleOp(int(rng.integers(0, 4)), int(rng.integers(1, d)))
-                h = apply_scale(g, op.vertex, op.factor)
             elif kind == 1:
                 op = StarOp(int(rng.integers(0, 4)), int(rng.integers(0, d)))
-                h = apply_star(g, op.vertex, op.factor)
             else:
                 a, b = rng.choice(4, size=2, replace=False)
-                h = apply_swap(g, int(a), int(b))
+                op = SwapOp(int(a), int(b))
+            h = replay(g, (op,))
             cls_before = profile_class(purity_profile(build_state(g)))
             cls_after = profile_class(purity_profile(build_state(h)))
             assert cls_before == cls_after
@@ -469,8 +465,8 @@ def test_cut_rank_oracle_exact_beyond_int64_products(rng):
         for _ in range(10):
             g = base
             for v in range(4):
-                g = apply_scale(g, v, int(rng.integers(1, d)))
-            graphs.append(apply_star(g, int(rng.integers(0, 4)), int(rng.integers(0, d))))
+                g = replay(g, (ScaleOp(v, int(rng.integers(1, d))),))
+            graphs.append(replay(g, (StarOp(int(rng.integers(0, 4)), int(rng.integers(0, d))),)))
     graphs.append(AdjacencyMatrix.from_edges(d, {(0, 1): d - 1, (2, 3): d - 2}))
     weights = np.array([[g[n, m] for n, m in PAIRS] for g in graphs])
     expected = [canonicalize(g).cls for g in graphs]
@@ -814,8 +810,8 @@ def test_public_operations_match_tuple_kernels(rng, d):
         g = _weights_graph(d, map(int, rng.integers(0, d, size=6)))
         v, f = int(rng.integers(0, 4)), int(rng.integers(1, d))
         a, b = map(int, rng.choice(4, size=2, replace=False))
-        assert apply_scale(g, v, f).entries == _scale(g.entries, d, v, f)
-        assert apply_star(g, v, f).entries == _star(g.entries, d, v, f)
-        assert apply_swap(g, a, b).entries == _swap(g.entries, a, b)
+        assert replay(g, (ScaleOp(v, f),)).entries == _scale(g.entries, d, v, f)
+        assert replay(g, (StarOp(v, f),)).entries == _star(g.entries, d, v, f)
+        assert replay(g, (SwapOp(a, b),)).entries == _swap(g.entries, a, b)
         trace = (StarOp(v, -f), SwapOp(a, b), ScaleOp(b, f + d), StarOp(a, f << 70))
         assert replay(g, trace).entries == _replay(g.entries, d, trace)

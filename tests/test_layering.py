@@ -1,5 +1,6 @@
 """Module layering: imports sit at module level, form no cycle, and reach
-no private name of another module; the benchmark tracer's bindings exist."""
+no private name of another module; every exported name exists; the benchmark
+tracer's bindings exist."""
 
 import ast
 import importlib
@@ -78,6 +79,20 @@ def test_no_private_name_imported_from_another_module():
         if alias.name.startswith("_") and alias.name != "__version__"
     ]
     assert private == []
+
+
+def test_exports_resolve_and_package_reexports_are_listed():
+    """Every name in a module's ``__all__`` exists, and every name the package
+    re-exports from a module is in that module's ``__all__``."""
+    trees, stale, unlisted = _trees(), [], []
+    for name in trees:
+        module = importlib.import_module("quditgraph" if name == "__init__" else f"quditgraph.{name}")
+        stale += [f"{name}.{attr}" for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            listed = importlib.import_module(f"quditgraph.{node.module}").__all__
+            unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    assert stale == [] and unlisted == []
 
 
 def test_benchmark_tracer_bindings_resolve():

@@ -24,14 +24,13 @@ from quditgraph import (
     reduced_from_stabilizers,
     schmidt_bounds,
     stabilizer_tableau,
-    tableau_purity_profile,
+    tableau_purity_profiles,
     wedge_measure,
 )
 from quditgraph.measures import (
     PurityProfile,
     all_subsystems,
     subsystem_label,
-    tableau_purity_profiles,
 )
 from quditgraph.pauli import site_matrix
 from quditgraph.states import family_reduced_state
@@ -169,7 +168,7 @@ def test_is_k_mm_flags():
 def test_is_k_mm_is_exact_on_fraction_purities(d):
     # exact purities either equal d^-size or are not maximally mixed, however
     # close; only dense float profiles get the tolerance
-    exact = tableau_purity_profile(family_tableau("P", d))
+    (exact,) = tableau_purity_profiles([family_tableau("P", d)])
     assert is_k_mm(exact, 1) and is_k_mm(exact, 2)
     for keep in exact.values:
         off = PurityProfile(d, 4, {**exact.values, keep: exact[keep] + Fraction(1, 10**12)})
@@ -307,27 +306,21 @@ def test_two_mm_iff_single_identity_factors(d):
 
 
 def test_schmidt_bounds_canonical():
-    assert schmidt_bounds(family_tableau("G", 3)) == (1.0, 1)
-    assert schmidt_bounds(family_tableau("P", 3)) == (2.0, 2)
-    assert schmidt_bounds(family_tableau("C", 3)) == (2.0, 2)
+    # the lower bound is a GF(d) rank: both bounds are exact ints
+    for family, bounds in (("G", (1, 1)), ("P", (2, 2)), ("C", (2, 2))):
+        lower, upper = schmidt_bounds(family_tableau(family, 3))
+        assert (lower, upper) == bounds and type(lower) is int and type(upper) is int
 
 
 def test_schmidt_bounds_product():
-    assert schmidt_bounds(z_tableau(3)) == (0.0, 0)
-
-
-def test_profile_json_exact_rationals():
-    prof = purity_profile(family_reduced_state("P", 3))
-    as_json = prof.to_json_dict()
-    assert as_json["13"] == {"exact": "1/9", "float": pytest.approx(1 / 9, abs=1e-9)}
-    assert as_json["1"]["exact"] == "1/3"
+    lower, upper = schmidt_bounds(z_tableau(3))
+    assert (lower, upper) == (0, 0) and type(lower) is int and type(upper) is int
 
 
 def _assert_profiles_agree(exact, dense):
     assert exact.d == dense.d and exact.values.keys() == dense.values.keys()
     for keep, value in exact.values.items():
         assert abs(float(value) - dense[keep]) <= 1e-12, keep
-    assert exact.to_json_dict() == dense.to_json_dict()
     assert is_k_mm(exact, 1) == is_k_mm(dense, 1)
     assert is_k_mm(exact, 2) == is_k_mm(dense, 2)
 
@@ -336,7 +329,7 @@ def _assert_profiles_agree(exact, dense):
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_tableau_profile_matches_dense_on_families(family, d):
     _assert_profiles_agree(
-        tableau_purity_profile(family_tableau(family, d)),
+        tableau_purity_profiles([family_tableau(family, d)])[0],
         purity_profile(family_reduced_state(family, d)),
     )
 
@@ -348,7 +341,7 @@ def test_tableau_profile_matches_dense_on_random_graphs(d):
         g = random_graph(rng, d)
         sites = tuple(int(q) for q in np.flatnonzero(rng.integers(0, 2, size=4)))
         _assert_profiles_agree(
-            tableau_purity_profile(stabilizer_tableau(g, sites)),
+            tableau_purity_profiles([stabilizer_tableau(g, sites)])[0],
             purity_profile(apply_local_fourier(build_state(g), sites)),
         )
 
@@ -362,10 +355,10 @@ def test_tableau_profiles_mixed_d_match_one_call_per_tableau():
                 for d in d_values]
     batch = tableau_purity_profiles(tableaux)
     assert [p.d for p in batch] == d_values
-    assert [p.values for p in batch] == [tableau_purity_profile(t).values for t in tableaux]
+    assert [p.values for p in batch] == [tableau_purity_profiles([t])[0].values for t in tableaux]
 
 
 def test_tableau_profile_is_exact():
-    prof = tableau_purity_profile(family_tableau("C", 5))
+    (prof,) = tableau_purity_profiles([family_tableau("C", 5)])
     assert prof[(0,)] == Fraction(1, 5) and prof[(0, 1)] == Fraction(1, 25)
     assert prof[(0, 2)] == Fraction(1, 5)

@@ -1,6 +1,7 @@
 """serialize.json_text against the standard library's encoder, which stays
 the reference here: the same text on any JSON tree, and a refusal where the
-encoder would write a non-standard token or fall back to a base type."""
+encoder would write a non-standard token or fall back to a base type; exact
+numbers render from a Fraction or an int only."""
 
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraph.serialize import json_text
+from quditgraph.serialize import exact_and_float, json_text, rational_str
 
 _leaves = st.one_of(
     st.none(),
@@ -74,3 +75,20 @@ def test_json_text_refuses_other_value_types(bad):
 def test_json_text_refuses_keys_other_than_str_and_int(key):
     with pytest.raises(TypeError, match="keys must be str or int"):
         json_text({key: 1})
+
+
+def test_rational_str_is_exact():
+    cases = {Fraction(1, 9): "1/9", Fraction(-7, 24): "-7/24", Fraction(6, 3): "2", 0: "0",
+             -5: "-5", 10**30: str(10**30)}
+    for value, text in cases.items():
+        assert rational_str(value) == text
+        assert exact_and_float(value) == {"exact": text, "float": float(f"{float(value):.12g}")}
+
+
+@pytest.mark.parametrize("bad", [1 / 9, 0.5, np.float64(0.25), np.int64(3), True, "1/9", None],
+                         ids=["float-1/9", "float", "float64", "int64", "bool", "str", "None"])
+def test_rational_str_refuses_anything_but_fraction_or_int(bad):
+    with pytest.raises(TypeError, match="Fraction or an int"):
+        rational_str(bad)
+    with pytest.raises(TypeError, match="Fraction or an int"):
+        exact_and_float(bad)

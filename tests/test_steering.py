@@ -7,7 +7,6 @@ import pytest
 
 from quditgraph import (
     ClassificationError,
-    MeasurementBasis,
     MeasurementEvent,
     StateVector,
     ZeroProbabilityError,
@@ -28,7 +27,7 @@ from quditgraph import (
 )
 from quditgraph.classify import DISCONNECTED, cut_rank_classes
 from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
-from quditgraph.pauli import omega_powers, rank_mod, site_matrix
+from quditgraph.pauli import dense_matrix, omega_powers, pauli_str, rank_mod, site_matrix
 from quditgraph.report import _family_effective, build_report
 from quditgraph.states import (
     Tableau,
@@ -49,10 +48,11 @@ from quditgraph.steering import (
     _measure,
     _qudit_first,
     basis_eigenvalue,
-    basis_operator,
 )
 
 from conftest import family_tableau, random_state_amps, z_tableau
+
+Z, X = (0, 1), (1, 0)  # the lines of the Z and X bases
 
 
 def bell_state(d):
@@ -64,18 +64,28 @@ def bell_state(d):
 
 def test_basis_count_and_names():
     bases = all_bases(3)
-    assert len(bases) == 4
-    assert [b.name for b in bases] == ["Z", "X", "XZ", "XZ^2"]
+    assert bases == ((0, 1), (1, 0), (1, 1), (1, 2))
+    assert [pauli_str([b]) for b in bases] == ["w^0 Z", "w^0 X", "w^0 XZ", "w^0 XZ^2"]
+
+
+@pytest.mark.parametrize("line", [(0, 0), (0, 2), (2, 1), (3, 0), (0, 1, 0)])
+def test_bases_other_than_z_or_xz_lines_are_refused(line):
+    with pytest.raises(ValueError, match="basis"):
+        mub_eigenstate(line, 0, 3)
+    with pytest.raises(ValueError, match="basis"):
+        basis_eigenvalue(line, 0, 3)
+    with pytest.raises(ValueError, match="basis"):
+        MeasurementEvent(0, line, 0)
 
 
 def test_z_basis_eigenstate():
     d = 5
     for i in range(d):
-        v = mub_eigenstate(MeasurementBasis.z(), i, d).amps
+        v = mub_eigenstate(Z, i, d).amps
         expected = np.zeros(d)
         expected[i] = 1.0
         np.testing.assert_allclose(v, expected, atol=1e-12)
-        assert basis_eigenvalue(MeasurementBasis.z(), i, d) == pytest.approx(
+        assert basis_eigenvalue(Z, i, d) == pytest.approx(
             omega_powers(d)[i]
         )
 
@@ -85,10 +95,10 @@ def test_x_basis_eigenstate_convention():
     # X eigenvalue omega^(-j)
     d = 3
     for j in range(d):
-        v = mub_eigenstate(MeasurementBasis.xz(0), j, d).amps
+        v = mub_eigenstate(X, j, d).amps
         expected = omega_powers(d)[(j * np.arange(d)) % d] / np.sqrt(d)
         np.testing.assert_allclose(v, expected, atol=1e-12)
-        assert basis_eigenvalue(MeasurementBasis.xz(0), j, d) == pytest.approx(
+        assert basis_eigenvalue(X, j, d) == pytest.approx(
             omega_powers(d)[(-j) % d]
         )
 
@@ -96,7 +106,7 @@ def test_x_basis_eigenstate_convention():
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_all_basis_vectors_satisfy_eigen_equation(d):
     for b in all_bases(d):
-        u = basis_operator(b, d)
+        u = dense_matrix(d, [b])
         for outcome in range(d):
             v = mub_eigenstate(b, outcome, d).amps
             lam = basis_eigenvalue(b, outcome, d)
@@ -114,8 +124,8 @@ def test_x_vs_xz_overlaps_d3():
     d = 3
     for o1 in range(d):
         for o2 in range(d):
-            v1 = mub_eigenstate(MeasurementBasis.xz(0), o1, d).amps
-            v2 = mub_eigenstate(MeasurementBasis.xz(1), o2, d).amps
+            v1 = mub_eigenstate(X, o1, d).amps
+            v2 = mub_eigenstate((1, 1), o2, d).amps
             assert abs(np.vdot(v1, v2)) ** 2 == pytest.approx(1 / d, abs=1e-9)
 
 
@@ -135,7 +145,7 @@ def test_mutual_unbiasedness_all_basis_pairs(d):
 def test_project_ghz_z_measurement():
     d = 3
     gp = family_reduced_state("G", d)
-    res, prob = project(gp, MeasurementEvent(0, MeasurementBasis.z(), 0))
+    res, prob = project(gp, MeasurementEvent(0, Z, 0))
     assert prob == pytest.approx(1 / d, abs=1e-9)
     np.testing.assert_allclose(res.amps, StateVector.basis_state(d, (0, 0, 0)).amps, atol=1e-9)
 
@@ -144,19 +154,18 @@ def test_project_ghz_x_measurement_leaves_ghz3():
     d = 3
     gp = family_reduced_state("G", d)
     for outcome in range(d):
-        res, prob = project(gp, MeasurementEvent(3, MeasurementBasis.xz(0), outcome))
+        res, prob = project(gp, MeasurementEvent(3, X, outcome))
         assert prob == pytest.approx(1 / d, abs=1e-9)
-        assert classify3(res).kind == GHZ3
+        assert classify3(res) == (False, False, False)  # no pure site: GHZ3
 
 
 def test_project_cluster_z2_separates_diagonal_partner():
     d = 3
     cp = family_reduced_state("C", d)
     for outcome in range(d):
-        res, _ = project(cp, MeasurementEvent(1, MeasurementBasis.z(), outcome))
-        c = classify3(res)
-        assert c.kind == SNB
-        assert c.separated == 2  # original qudit 3, diagonally opposite qudit 1
+        res, _ = project(cp, MeasurementEvent(1, Z, outcome))
+        # S_nB: the one pure site is original qudit 3, diagonally opposite qudit 1
+        assert classify3(res) == (False, False, True)
 
 
 def test_cluster_snb_cases_follow_diagonals():
@@ -164,39 +173,36 @@ def test_cluster_snb_cases_follow_diagonals():
     d = 3
     cp = family_reduced_state("C", d)
     cases = {
-        0: (MeasurementBasis.xz(0), 2),
-        1: (MeasurementBasis.z(), 3),
-        2: (MeasurementBasis.xz(0), 0),
-        3: (MeasurementBasis.z(), 1),
+        0: (X, 2),
+        1: (Z, 3),
+        2: (X, 0),
+        3: (Z, 1),
     }
     for qudit, (basis, sep_orig) in cases.items():
         res, _ = project(cp, MeasurementEvent(qudit, basis, 0))
-        c = classify3(res)
-        assert c.kind == SNB
         expected_residual = sep_orig if sep_orig < qudit else sep_orig - 1
-        assert c.separated == expected_residual
+        assert classify3(res) == tuple(site == expected_residual for site in range(3))
 
 
 def test_project_zero_probability_flagged():
     d = 3
     s = StateVector.basis_state(d, (1, 0))
-    with pytest.raises(ZeroProbabilityError):
-        project(s, MeasurementEvent(0, MeasurementBasis.z(), 0))
+    with pytest.raises(ZeroProbabilityError, match=r"outcome 0 in basis w\^0 Z "):
+        project(s, MeasurementEvent(0, Z, 0))
 
 
 def test_classify3_examples():
     d = 3
-    assert classify3(ghz3_state(d)).kind == GHZ3
+    assert classify3(ghz3_state(d)) == (False, False, False)
     sep = np.kron(StateVector.basis_state(d, (0,)).amps, bell_state(d).amps)
-    c = classify3(StateVector(d, 3, sep))
-    assert (c.kind, c.separated) == (SNB, 0)
-    assert classify3(StateVector.basis_state(d, (0, 0, 0))).kind == PRODUCT
+    assert classify3(StateVector(d, 3, sep)) == (True, False, False)
+    assert classify3(StateVector.basis_state(d, (0, 0, 0))) == (True, True, True)
 
 
 def test_classify2_examples():
     d = 3
-    assert classify2(bell_state(d)).kind == BELL
-    assert classify2(StateVector.basis_state(d, (0, 0))).kind == PRODUCT
+    assert classify2(bell_state(d)) is False
+    assert classify2(StateVector.basis_state(d, (0, 0))) is True
 
 
 def test_classify2_rejects_partial_entanglement():
@@ -274,7 +280,7 @@ def test_outcome_independence_exhaustive_d3():
 def test_outcome_independence_sampled(d):
     s = family_reduced_state("C", d)
     for qudit in (0, 1):
-        for basis in (MeasurementBasis.z(), MeasurementBasis.xz(0), MeasurementBasis.xz(2)):
+        for basis in (Z, X, (1, 2)):
             classes = [
                 classify3(project(s, MeasurementEvent(qudit, basis, o))[0])
                 for o in range(d)
@@ -285,7 +291,7 @@ def test_outcome_independence_sampled(d):
 def test_second_level_outcome_independence_d3():
     d = 3
     s = family_reduced_state("C", d)
-    res3, _ = project(s, MeasurementEvent(0, MeasurementBasis.xz(1), 0))
+    res3, _ = project(s, MeasurementEvent(0, (1, 1), 0))
     for q2 in range(3):
         for basis in all_bases(d):
             kinds = set()
@@ -294,7 +300,7 @@ def test_second_level_outcome_independence_d3():
                     res2, _ = project(res3, MeasurementEvent(q2, basis, o))
                 except ZeroProbabilityError:
                     continue
-                kinds.add(classify2(res2).kind)
+                kinds.add(classify2(res2))
             assert len(kinds) == 1
 
 
@@ -316,7 +322,7 @@ def test_ghz_vulnerable_basis_is_z_on_every_qudit():
     bases = all_bases(d)
     for q in range(4):
         product_bases = [bases[b] for b in np.flatnonzero(tally.first[q].all(axis=-1))]
-        assert product_bases == [MeasurementBasis.z()]
+        assert product_bases == [Z]
 
 
 def test_p_has_no_vulnerable_first_basis():
@@ -394,7 +400,7 @@ def test_ghz_residual_generators_after_x4():
     # three-qudit state stabilized by XXX, Z Z^-1 I, Z I Z^-1
     d = 3
     gp = family_reduced_state("G", d)
-    res, _ = project(gp, MeasurementEvent(3, MeasurementBasis.xz(0), 0))
+    res, _ = project(gp, MeasurementEvent(3, X, 0))
     for xp, zp in [
         ((1, 1, 1), (0, 0, 0)),
         ((0, 0, 0), (1, d - 1, 0)),
@@ -410,7 +416,7 @@ def test_cluster_residual_generators_after_z2():
     d = 3
     cp = family_reduced_state("C", d)
     for outcome in range(d):
-        res, _ = project(cp, MeasurementEvent(1, MeasurementBasis.z(), outcome))
+        res, _ = project(cp, MeasurementEvent(1, Z, outcome))
         assert verify_eigen(res, [[0, 1], [0, 1], [0, 0]]) == outcome
         assert verify_eigen(res, [[1, 0], [d - 1, 0], [0, 0]]) == 0
         assert verify_eigen(res, [[0, 0], [0, 0], [0, 1]]) == outcome
@@ -437,11 +443,10 @@ def reference_paths(s):
     for q1 in range(4):
         for i1, b1 in enumerate(bases):
             res3 = first_valid(s, q1, b1)
-            c3 = classify3(res3)
-            first[q1, i1] = [c3.kind == PRODUCT or c3.separated == site for site in range(3)]
+            first[q1, i1] = classify3(res3)
             for q2 in range(3):
                 for i2, b2 in enumerate(bases):
-                    pure[q1, i1, q2, i2] = classify2(first_valid(res3, q2, b2)).kind == PRODUCT
+                    pure[q1, i1, q2, i2] = classify2(first_valid(res3, q2, b2))
     return first, pure
 
 
