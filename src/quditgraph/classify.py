@@ -58,7 +58,7 @@ from itertools import permutations
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
-from .measures import PurityProfile, purity_profile
+from .measures import PAIR_TOL, PurityProfile, purity_profile
 from .pauli import check_prime, inv_mod_array
 from .states import build_state
 
@@ -86,7 +86,6 @@ CLASS_G = "G"
 CLASS_C = "C"
 CLASS_P = "P"
 DISCONNECTED = "disconnected"
-ORACLE_TOL = 1e-7
 MAX_EXHAUSTIVE_D = 13
 # Bytes per weight column of a sweep step: bounds the reducer's working set,
 # not the output.
@@ -497,7 +496,7 @@ def profile_class(profile: PurityProfile) -> str:
     A pure subsystem flags a product cut (disconnected graph); otherwise the
     number of pairs at purity 1/d is 6, 2, or 0 for classes G, C, and P.
     """
-    if any(v >= 1.0 - ORACLE_TOL for v in profile.values.values()):
+    if any(v >= 1.0 - PAIR_TOL for v in profile.values.values()):
         return DISCONNECTED
     n_loose = profile.pair_pattern()
     mapping = {6: CLASS_G, 2: CLASS_C, 0: CLASS_P}

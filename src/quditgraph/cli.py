@@ -21,7 +21,6 @@ indent=2; CSV output is csv.writer over serialize.flatten_json.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import errno
 import io
@@ -31,6 +30,7 @@ import re
 import signal
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,15 +41,8 @@ from .pauli import pauli_str
 from .report import build_report
 from .serialize import BASIS_ORDER, flatten_json, fmt_float, json_text, metadata
 # build_state and family_reduced_state stay bound for perfbench/child.py's tracer.
-from .states import (
-    build_state,
-    family_fourier_sites,
-    family_graph,
-    family_reduced_state,
-    phase_exponents,
-    stabilizer_exponents,
-    stabilizer_tableau,
-)
+from .states import (build_state, family_fourier_sites, family_graph, family_reduced_state,
+                     phase_exponents, stabilizer_exponents, stabilizer_tableau)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -58,7 +51,7 @@ EXIT_INTERRUPTED = 130  # the shell's code for death by SIGINT
 # No action holds a dense d^4 state: build and reduce stream rows off the exact phase table
 # (build --d 23: 55 MB of CSV, 0.17 s, 37 MB); eigen checks rows on it (0.12 s, 43 MB).
 MAX_STATE_D = 23
-# classify --random runs about 5M matrices/s at d = 11 on 2 vCPUs: the cap takes 20 s.
+# census_random(11, N) runs about 9M matrices/s in-process on 2 AMD EPYC vCPUs: the cap takes 11 s.
 MAX_RANDOM_SAMPLES = 10**8
 # Amplitude rows rendered per slab: memory stays flat in d, and each slab pays its
 # numpy fills once (512-row slabs made a cold d = 23 CSV dump 41 -> 55 ms).
@@ -80,66 +73,99 @@ _ROW_TEMPLATES = {
 _ROW_SEPARATORS = {"csv": "", "json": ","}
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems with the invalid-input code."""
-
-    def error(self, message):  # noqa: A002 - argparse API
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
-
-    def _print_message(self, message, file=None):
-        # argparse drops a failed write: --help and --version on stdout fail as any output does
-        if file is not sys.stdout:
-            return super()._print_message(message, file)
-        _stdout().write(message)
-        sys.stdout.flush()
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="quditgraph", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"quditgraph {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    state = sub.add_parser("state", help="amplitude dumps and eigenvalue reports")
-    state.add_argument("action", choices=("build", "reduce", "eigen"))
-    _add_graph_args(state)
-    state.add_argument(
-        "--generators",
-        choices=("graph", "reduced"),
-        help="generator frame for the eigen action (default graph)",
-    )
-    _add_output_args(state)
-
-    tables = sub.add_parser("tables", help="verified report bundle")
-    tables.add_argument(
-        "--d",
-        dest="d_values",
-        type=int,
-        action="append",
-        required=True,
-        help="prime dimension (repeatable)",
-    )
-    _add_output_args(tables)
-
-    classify = sub.add_parser("classify", help="canonicalize graphs into classes")
-    classify.add_argument("--d", type=int, help="dimension (for sweep modes)")
-    classify.add_argument("--matrix", help='inline JSON {"d": int, "gamma": [[..]x4]}')
-    classify.add_argument("--exhaustive", action="store_true", help="sweep all d^6 matrices")
-    classify.add_argument("--random", type=int, metavar="N", help="check N random matrices")
-    classify.add_argument("--seed", type=int, help="seed for --random (default 0)")
-    _add_output_args(classify)
-    return parser
+# Per command: its help line, its actions (state's one positional) and its options,
+# flag -> (kind, help). A kind is int, str, a tuple of choices, bool (a flag that
+# takes no value) or list (an int, repeatable, kept in order, at least one).
+_OUTPUT = {"--format": (("json", "csv"), "output format (default json)"),
+           "--out": (str, "write to this path instead of stdout")}
+_MATRIX = (str, 'inline JSON {"d": int, "gamma": [[..]x4]}')
+_COMMANDS = {
+    "state": ("amplitude dumps and eigenvalue reports", ("build", "reduce", "eigen"), {
+        "--family": (("G", "C", "P", "psi"), "named state family"),
+        "--gamma": (int, "chord weight for the psi family"),
+        "--d": (int, "prime qudit dimension"), "--matrix": _MATRIX,
+        "--generators": (("graph", "reduced"), "generator frame for eigen (default graph)"),
+        **_OUTPUT}),
+    "tables": ("verified report bundle", (), {
+        "--d": (list, "prime dimension (repeatable)"), **_OUTPUT}),
+    "classify": ("canonicalize graphs into classes", (), {
+        "--d": (int, "dimension (for sweep modes)"), "--matrix": _MATRIX,
+        "--exhaustive": (bool, "sweep all d^6 matrices"),
+        "--random": (int, "check this many random matrices"),
+        "--seed": (int, "seed for --random (default 0)"), **_OUTPUT}),
+}
 
 
-def _add_graph_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", choices=("G", "C", "P", "psi"), help="named state family")
-    p.add_argument("--gamma", type=int, help="chord weight for the psi family")
-    p.add_argument("--d", type=int, help="prime qudit dimension")
-    p.add_argument("--matrix", help='inline JSON {"d": int, "gamma": [[..]x4]}')
+def _is_value(token: str) -> bool:
+    """Whether a token is a value, not an option: "-" and negative numbers are."""
+    return not token.startswith("-") or re.fullmatch(r"-|-\d+|-\d*\.\d+", token) is not None
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="write to this path instead of stdout")
+def _parse(argv=None):
+    """The handlers' namespace, or the text of --help or --version. Options are "--opt value"
+    or "--opt=value", never abbreviated; the last one wins. A usage error raises ValueError."""
+    command, *tokens = (sys.argv[1:] if argv is None else argv) or [None]
+    if command in ("-h", "--help", "--version"):
+        return f"quditgraph {__version__}\n" if command == "--version" else _help(None)
+    if command not in _COMMANDS:
+        raise ValueError(f"choose a command from {', '.join(_COMMANDS)}"
+                         + (f", not {command!r}" if command else ""))
+    _, actions, options = _COMMANDS[command]
+    args = {flag[2:]: [] if kind is list else False if kind is bool else None
+            for flag, (kind, _) in options.items()}
+    args.update(command=command, action=None, format="json")
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(command)
+        if _is_value(token):
+            if token not in actions or args["action"]:
+                raise ValueError(f"unexpected argument {token!r}" + (
+                    f"; {command} takes one action of {', '.join(actions)}" if actions else ""))
+            args["action"] = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            raise ValueError(f"unknown option {flag} for {command}")
+        kind = options[flag][0]
+        if kind is bool and eq:
+            raise ValueError(f"{flag} takes no value")
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                raise ValueError(f"{flag} expects a value")
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{flag} must be one of {', '.join(kind)}, not {value!r}")
+        try:
+            value = True if kind is bool else int(value) if kind in (int, list) else value
+        except ValueError:
+            raise ValueError(f"{flag} expects an int, not {value!r}") from None
+        args[flag[2:]] = args[flag[2:]] + [value] if kind is list else value
+    if actions and not args["action"]:
+        raise ValueError(f"{command} needs an action: {', '.join(actions)}")
+    if args.get("d") == []:
+        raise ValueError(f"{command} needs --d")
+    return SimpleNamespace(**args)
+
+
+def _help(command) -> str:
+    """Help text from the option table: at top level the module docstring and the
+    commands, else the command's options with their choices."""
+    if command is None:
+        usage, about = f"{{{','.join(_COMMANDS)}}} ...", __doc__.strip()
+        rows = [(name, text) for name, (text, _, _) in _COMMANDS.items()] + [
+            ("--version", "show the version and exit")]
+    else:
+        about, actions, options = _COMMANDS[command]
+        usage = f"{command} " + (f"{{{','.join(actions)}}} " if actions else "") + "[options]"
+        rows = []
+        for flag, (kind, text) in options.items():
+            value = f"{{{','.join(kind)}}}" if isinstance(kind, tuple) else flag[2:].upper()
+            rows.append((flag if kind is bool else f"{flag} {value}", text))
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    return f"usage: quditgraph {usage}\n\n{about}\n\n" + "".join(
+        f"  {name:<{width}}{text}\n" for name, text in rows)
 
 
 @dataclass(frozen=True)
@@ -316,21 +342,17 @@ def _cmd_state(args) -> int:
         raise ValueError(f"state commands support d <= {MAX_STATE_D}")
     meta = metadata(d=g.d, family=args.family, gamma=args.gamma,
                     matrix=[list(row) for row in g.entries], basis_order=BASIS_ORDER)
+    reduced = args.action == "reduce" or args.generators == "reduced"
+    if reduced and not args.family:
+        raise ValueError(f"{'reduce' if args.action == 'reduce' else '--generators reduced'} "
+                         "needs a named family (the reduction frame)")
+    sites = family_fourier_sites(args.family) if reduced else ()
     if args.action in ("build", "reduce"):
-        sites = ()
-        if args.action == "reduce":
-            if not args.family:
-                raise ValueError("reduce needs a named family (the reduction frame)")
-            sites = family_fourier_sites(args.family)
+        if reduced:
             meta["fourier_sites"] = [s + 1 for s in sites]
         _emit({"metadata": meta}, args.format, args.out, _graph_amplitudes(g, sites))
         return EXIT_OK
     # eigen: the generators X_n Z^Gamma_n as tableau rows, checked on the exact phase table
-    sites = ()
-    if args.generators == "reduced":
-        if not args.family:
-            raise ValueError("--generators reduced needs a named family")
-        sites = family_fourier_sites(args.family)
     t = stabilizer_tableau(g, sites)
     # the Fourier frame adds no phase: -x_s z_s = -Gamma_nn [n = s] = 0
     words = [pauli_str(rows.tolist()) for rows in t.xz]
@@ -343,7 +365,7 @@ def _cmd_state(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    bundle, ok = build_report(args.d_values)
+    bundle, ok = build_report(args.d)
     _emit(bundle, args.format, args.out)
     return EXIT_OK if ok else EXIT_MISMATCH
 
@@ -367,18 +389,17 @@ def _cmd_classify(args) -> int:
         raise ValueError(f"--random supports N <= {MAX_RANDOM_SAMPLES}")
     else:
         d, result = args.d, census_random(args.d, args.random, args.seed or 0)
-    payload = {
-        "metadata": metadata(d=d),
-        **result.to_json_dict(),
-    }
-    _emit(payload, args.format, args.out)
+    _emit({"metadata": metadata(d=d), **result.to_json_dict()}, args.format, args.out)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     handlers = {"state": _cmd_state, "tables": _cmd_tables, "classify": _cmd_classify}
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
+        if isinstance(args, str):  # the text of --help or --version
+            print(args, end="", file=_stdout(), flush=True)
+            return EXIT_OK
         return handlers[args.command](args)
     except OSError as exc:
         # Only stdout raises OSError here: _emit turns --out failures into

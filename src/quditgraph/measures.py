@@ -40,7 +40,7 @@ __all__ = [
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-9
-# Float purities within these of 1/d (pairs) or of d^-size (k-MM) count as equal.
+# Float purities within these of 1/d (pairs), 1 (profile_class) or d^-size (k-MM) count as equal.
 PAIR_TOL = 1e-7
 MM_TOL = 1e-9
 

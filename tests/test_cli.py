@@ -445,13 +445,137 @@ def test_help_and_version_to_a_closed_pipe_exit_quietly(argv):
 
 def test_help_and_version_print_to_stdout(capsys):
     for argv in (["--version"], ["--help"], ["state", "--help"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_OK
-        captured = capsys.readouterr()
-        assert captured.err == ""
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK and err == ""
         version = f"quditgraph {quditgraph.__version__}\n"
-        assert captured.out.startswith(version if argv == ["--version"] else "usage:")
+        assert (out == version) if argv == ["--version"] else out.startswith("usage:")
+    # the top-level help names every command
+    assert all(name in run_cli(capsys, "--help")[1] for name in cli._COMMANDS)
+
+
+MATRIX_D3 = json.dumps({"d": 3, "gamma": STAR})
+# One run per option that takes a value: (command line, option, value). The
+# option goes last, as "--opt value" or as "--opt=value".
+OPTION_RUNS = [
+    (["state", "build", "--d", "3"], "--family", "P"),
+    (["state", "reduce", "--family", "psi", "--d", "3"], "--gamma", "2"),
+    (["state", "reduce", "--family", "C"], "--d", "3"),
+    (["state", "eigen"], "--matrix", MATRIX_D3),
+    (["state", "eigen", "--family", "C", "--d", "3"], "--generators", "reduced"),
+    (["state", "build", "--family", "G", "--d", "3"], "--format", "csv"),
+    (["state", "build", "--family", "G", "--d", "3"], "--out", "OUT"),
+    (["tables", "--d", "2"], "--d", "3"),
+    (["tables", "--d", "3"], "--format", "csv"),
+    (["tables", "--d", "3"], "--out", "OUT"),
+    (["classify", "--exhaustive"], "--d", "3"),
+    (["classify"], "--matrix", MATRIX_D3),
+    (["classify", "--d", "3"], "--random", "20"),
+    (["classify", "--random", "20", "--d", "3"], "--seed", "4"),
+    (["classify", "--exhaustive", "--d", "2"], "--format", "csv"),
+    (["classify", "--exhaustive", "--d", "2"], "--out", "OUT"),
+]
+
+
+def test_option_runs_cover_every_option_that_takes_a_value():
+    covered = {(argv[0], flag) for argv, flag, _ in OPTION_RUNS}
+    assert covered == {(command, flag) for command, (_, _, options) in cli._COMMANDS.items()
+                       for flag, (kind, _) in options.items() if kind is not bool}
+
+
+@pytest.mark.parametrize("argv, flag, value", OPTION_RUNS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in OPTION_RUNS])
+def test_option_value_forms_agree(capsys, tmp_path, argv, flag, value):
+    outputs = []
+    for k, form in enumerate(([flag, "{}"], [flag + "={}"])):
+        path = tmp_path / f"out{k}"
+        words = [word.format(str(path) if value == "OUT" else value) for word in form]
+        code, out, err = run_cli(capsys, *argv, *words)
+        assert code == EXIT_OK, err
+        outputs.append(path.read_bytes() if value == "OUT" else out)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
+def test_last_single_valued_option_wins_and_d_repeats_in_order(capsys):
+    assert (run_cli(capsys, "classify", "--exhaustive", "--d", "5", "--d=3")
+            == run_cli(capsys, "classify", "--exhaustive", "--d", "3"))
+    payload = run_json(capsys, "tables", "--d", "5", "--d=3", "--format", "csv", "--format=json")
+    assert payload["metadata"]["d_values"] == [5, 3]
+
+
+@pytest.mark.parametrize("argv", [
+    [],  # no command
+    ["bogus"],
+    ["--exhaustive"],
+    ["state", "--family", "G", "--d", "3"],  # no action
+    ["state", "frob", "--family", "G", "--d", "3"],
+    ["state", "build", "reduce", "--family", "G", "--d", "3"],
+    ["classify", "--exh", "--d", "3"],  # abbreviated
+    ["state", "build", "--fam", "G", "--d", "3"],
+    ["classify", "--exhaustive", "--d", "3", "--family", "G"],  # another command's option
+    ["tables", "--d", "3", "--version"],
+    ["tables", "--d", "3", "-x"],
+    ["tables", "--d", "3", "extra"],
+    ["classify", "--exhaustive", "--d"],  # missing value
+    ["classify", "--d", "--exhaustive"],
+    ["state", "build", "--family", "G", "--d", "3", "--out", "-o"],
+    ["classify", "--exhaustive", "--d", "x"],  # bad int
+    ["tables", "--d=3.0"],
+    ["classify", "--random", "1e3", "--d", "3"],
+    ["state", "build", "--family", "Q", "--d", "3"],  # bad choice
+    ["state", "build", "--family", "G", "--d", "3", "--format=xml"],
+    ["state", "eigen", "--family", "G", "--d", "3", "--generators", "dense"],
+    ["classify", "--exhaustive=yes", "--d", "3"],  # a flag given a value
+    ["tables"],  # tables without --d
+    ["tables", "--format", "csv"],
+])
+def test_usage_errors_are_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err.count("\n") == 1 and err.startswith("quditgraph: error: "), err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--random", "5", "--d", "3", "--seed", "-1"],
+     "seed must be non-negative, got -1"),
+    (["classify", "--random", "5", "--d", "3", "--seed=-1"], "seed must be non-negative, got -1"),
+    (["state", "build", "--family", "G", "--d", "3", "--gamma", "-1"],
+     "--gamma applies to family psi, not G"),
+])
+def test_negative_values_reach_the_command(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"quditgraph: error: {message}\n"
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_command_help_names_every_flag_and_choice(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert code == EXIT_OK and err == "" and out.startswith(f"usage: quditgraph {command} ")
+    _, actions, options = cli._COMMANDS[command]
+    for flag, (kind, text) in options.items():
+        assert flag in out and text in out
+        assert all(choice in out for choice in (kind if isinstance(kind, tuple) else ()))
+    assert all(action in out for action in actions)
+
+
+def test_cli_leaves_argparse_gettext_and_locale_unloaded():
+    # pytest imports argparse itself, so the check runs in a fresh interpreter:
+    # parsing the command line must not pull in argparse, nor gettext and locale,
+    # which argparse's first message loads (about 1 ms of every run)
+    code = f"""
+import contextlib, os, sys
+from quditgraph.cli import main
+argvs = [["state", action, "--family", "P", "--d", "3"] for action in ("build", "reduce", "eigen")]
+argvs += [["tables", "--d", "3"], ["classify", "--matrix", {MATRIX_D3!r}],
+          ["classify", "--exhaustive", "--d", "3"], ["classify", "--random", "9", "--d", "3"]]
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    codes = [main(argv) for argv in argvs]
+print(codes, [name for name in ("argparse", "gettext", "locale") if name in sys.modules])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[EXIT_OK] * 7} []\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -776,9 +900,9 @@ def test_out_writes_file(tmp_path, capsys):
 
 
 def test_unknown_family_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["state", "build", "--family", "Q", "--d", "3"])
-    assert exc.value.code == EXIT_INVALID
+    code, out, err = run_cli(capsys, "state", "build", "--family", "Q", "--d", "3")
+    assert code == EXIT_INVALID and out == ""
+    assert err == "quditgraph: error: --family must be one of G, C, P, psi, not 'Q'\n"
 
 
 def test_state_build_reports_phase_exponents(capsys):

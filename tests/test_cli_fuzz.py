@@ -138,10 +138,7 @@ def _run(argv):
     # stdout as the CLI meets it: text over a binary buffer, which the dumps write to
     out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(argv)
     out.flush()
     return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
