@@ -1,11 +1,12 @@
 """Four-qudit graph states over prime dimensions.
 
-Construction of weighted-graph states and their stabilizer groups, with
-every Pauli word held as integer (x, z) rows and a phase exponent over GF(d)
-at any prime d; entanglement measures by dense and exact tableau routes,
+Construction of weighted-graph states as stabilizer tableaux and exact phase
+tables, with every Pauli word held as integer (x, z) rows and a phase
+exponent over GF(d) at any prime d; exact purities as GF(d) cut ranks,
 exhaustive enumeration of projective-measurement steering paths, and
 canonicalization of arbitrary 4-vertex graphs into the three entanglement
-classes.
+classes. Every name re-exported here is exact: a few dense complex routes
+stay in their modules only as spans the benchmark tracer names.
 """
 
 __version__ = "0.1.0"
@@ -21,8 +22,6 @@ from .classify import (
     census_random,
     classify_exhaustive,
     cut_rank_classes,
-    profile_class,
-    purity_class,
     replay,
 )
 from .graphs import (
@@ -34,46 +33,15 @@ from .graphs import (
     p_graph,
     path_graph,
 )
-from .measures import (
-    PurityProfile,
-    ReducedState,
-    concurrence,
-    is_k_mm,
-    max_identity_factors,
-    partial_trace,
-    purity,
-    purity_profile,
-    reduced_from_stabilizers,
-    tableau_purity_profiles,
-    wedge_measure,
-)
-from .pauli import dense_matrix, inv_mod, is_prime, pauli_mul
-from .states import (
-    StateVector,
-    Tableau,
-    apply_local_fourier,
-    apply_pauli,
-    build_state,
-    family_graph,
-    family_reduced_state,
-    ghz3_state,
-    psi_gamma,
-    stabilizer_group,
-    stabilizer_tableau,
-    verify_eigen,
-)
+from .measures import PurityProfile, is_k_mm, max_identity_factors, tableau_purity_profiles
+from .pauli import inv_mod, is_prime, pauli_mul
+from .states import Tableau, family_graph, stabilizer_group, stabilizer_tableau
 from .steering import (
     ClassificationError,
-    MeasurementEvent,
     PathTally,
     PersistencyStats,
-    ZeroProbabilityError,
     all_bases,
-    classify2,
-    classify3,
     enumerate_paths,
-    mub_eigenstate,
     persistency_stats,
-    project,
     schmidt_bounds,
 )

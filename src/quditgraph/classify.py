@@ -44,8 +44,9 @@ over GF(d) of the cut block Gamma[A, complement of A] (Hein, Eisert,
 Briegel, PRA 69, 062311; Hostens, Dehaene, De Moor, PRA 71, 042315 for
 qudits). A zero vertex row or a zero 2|2 block marks a disconnected graph;
 otherwise the number of 2|2 cuts of rank 1 is 3, 1 or 0 for classes G, C
-and P. The dense purity-profile route (``purity_class``)
-is the reference the tests hold the cut-rank oracle to.
+and P. ``profile_class``, the same fingerprint read off a purity profile,
+stays only as a span the benchmark tracer names (``SPANS`` in
+``perfbench/child.py``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from itertools import permutations
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
+# purity_profile and build_state stay bound for perfbench/child.py's tracer.
 from .measures import PAIR_TOL, PurityProfile, purity_profile
 from .pauli import check_prime, inv_mod_array
 from .states import build_state
@@ -78,7 +80,6 @@ __all__ = [
     "cut_rank_classes",
     "ghz_canonical_graph",
     "profile_class",
-    "purity_class",
     "replay",
 ]
 
@@ -505,11 +506,6 @@ def profile_class(profile: PurityProfile) -> str:
             f"pair-purity pattern {sorted(profile.pairs().values())} matches no class"
         )
     return mapping[n_loose]
-
-
-def purity_class(g: AdjacencyMatrix) -> str:
-    """Class of a graph by the dense route: build its state, take every purity."""
-    return profile_class(purity_profile(build_state(g)))
 
 
 # Weight columns of the cut block of each one- and two-site subsystem: the

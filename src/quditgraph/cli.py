@@ -311,7 +311,8 @@ def _parse_matrix(text: str) -> AdjacencyMatrix:
 
 def _resolve_graph(args) -> AdjacencyMatrix:
     """The graph the flags name: --matrix alone, or --family and --d (and
-    --gamma for psi only); any other flag is an error, not silently dropped."""
+    --gamma in [0, d) for psi only); any other flag, or a --gamma that would
+    be reduced mod d, is an error, not silently dropped or coerced."""
     if args.matrix is not None:
         if args.family or args.d is not None or args.gamma is not None:
             raise ValueError("--matrix excludes --family, --d and --gamma")
@@ -322,7 +323,10 @@ def _resolve_graph(args) -> AdjacencyMatrix:
         raise ValueError("provide --d with --family")
     if args.gamma is not None and args.family != "psi":
         raise ValueError(f"--gamma applies to family psi, not {args.family}")
-    return family_graph(args.family, args.d, args.gamma)
+    g = family_graph(args.family, args.d, args.gamma)
+    if args.gamma is not None and not 0 <= args.gamma < g.d:
+        raise ValueError(f"--gamma must be in [0, {g.d}), got {args.gamma}")
+    return g
 
 
 def _graph_amplitudes(g: AdjacencyMatrix, fourier_sites=()) -> _AmplitudeTable:

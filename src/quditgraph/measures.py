@@ -1,12 +1,11 @@
-"""Reduced states, purities, and derived entanglement measures.
+"""Purities and the maximal-mixing test of four-qudit states.
 
-Two independent routes produce reduced density matrices: contracting the
-state vector (the Gram matrix of associated states) and summing the dense
-matrices of the stabilizers that survive the partial trace. Purity-based
-quantities (k-MM tests, concurrence, the summed wedge product) all live on
-top of the first route; the second exists so the two can be cross-checked.
-A third route is exact and builds no state: ``tableau_purity_profiles``
-reads each purity d^-entropy off stabilizer ``Tableau``s, all in one batch.
+The exact route builds no state: ``tableau_purity_profiles`` reads each
+purity d^-entropy off stabilizer ``Tableau``s, all in one batch, as exact
+``Fraction``s, and ``is_k_mm`` and ``max_identity_factors`` are exact too.
+``partial_trace``, ``purity`` and ``purity_profile`` are the dense route on
+a ``StateVector``: no command runs them, and they stay in the package only
+as spans the benchmark tracer names (``SPANS`` in ``perfbench/child.py``).
 """
 
 from __future__ import annotations
@@ -19,30 +18,22 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import N_VERTICES, AdjacencyMatrix
-from .pauli import dense_matrix
 from .states import StateVector, Tableau, stabilizer_group, tableau_entropy
 
 __all__ = [
     "PurityProfile",
-    "ReducedState",
     "all_subsystems",
-    "concurrence",
     "is_k_mm",
     "max_identity_factors",
     "partial_trace",
     "purity",
     "purity_profile",
-    "reduced_from_stabilizers",
     "subsystem_label",
     "tableau_purity_profiles",
-    "wedge_measure",
 ]
 
-HERM_TOL = 1e-10
-PSD_TOL = 1e-9
-# Float purities within these of 1/d (pairs), 1 (profile_class) or d^-size (k-MM) count as equal.
+# Float purities within this of 1/d (pairs) or 1 (profile_class) count as equal.
 PAIR_TOL = 1e-7
-MM_TOL = 1e-9
 
 
 def subsystem_label(keep: tuple[int, ...]) -> str:
@@ -58,35 +49,6 @@ def all_subsystems(n_qudits: int = N_VERTICES, max_size: int = 2) -> tuple[tuple
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Hermitian, unit-trace, positive semidefinite density matrix of a subsystem."""
-
-    matrix: np.ndarray
-    keep: tuple[int, ...]
-    d: int
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = self.d ** len(self.keep)
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise ValueError("reduced state is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > HERM_TOL:
-            raise ValueError("reduced state does not have unit trace")
-        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
-            raise ValueError("reduced state is not positive semidefinite")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "keep", tuple(self.keep))
-
-    @property
-    def dim(self) -> int:
-        return self.d ** len(self.keep)
-
-
 def _check_keep(s: StateVector, keep: tuple[int, ...]) -> tuple[int, ...]:
     keep = tuple(keep)
     if not keep or len(keep) >= s.n_qudits:
@@ -96,34 +58,19 @@ def _check_keep(s: StateVector, keep: tuple[int, ...]) -> tuple[int, ...]:
     return keep
 
 
-def _associated_matrix(s: StateVector, keep: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes regrouped so row a is the state of the complement associated
-    with kept-basis state a."""
-    rest = tuple(i for i in range(s.n_qudits) if i not in keep)
-    return s.reshaped().transpose(keep + rest).reshape(
-        s.d ** len(keep), s.d ** len(rest)
-    )
-
-
-def partial_trace(s: StateVector, keep, *, validate: bool = True):
-    """Reduced density matrix on the kept sites.
-
-    Equals the Gram matrix of the associated complement states, which is the
-    same thing as the usual index-contraction partial trace. With
-    ``validate=False`` returns the raw matrix without the ReducedState checks
-    (used by hot classification loops).
-    """
+def partial_trace(s: StateVector, keep) -> np.ndarray:
+    """Reduced density matrix on the kept sites: the Gram matrix of the
+    complement states associated with each kept-basis state, which is the
+    usual index-contraction partial trace."""
     keep = _check_keep(s, tuple(keep))
-    m = _associated_matrix(s, keep)
-    rho = m @ m.conj().T
-    if not validate:
-        return rho
-    return ReducedState(rho, keep, s.d)
+    rest = tuple(i for i in range(s.n_qudits) if i not in keep)
+    m = s.reshaped().transpose(keep + rest).reshape(s.d ** len(keep), -1)
+    return m @ m.conj().T
 
 
-def purity(r) -> float:
-    """Tr(rho^2); plain arrays are accepted alongside ReducedState."""
-    m = r.matrix if isinstance(r, ReducedState) else np.asarray(r)
+def purity(rho) -> float:
+    """Tr(rho^2) of a density matrix."""
+    m = np.asarray(rho)
     return float(np.vdot(m, m).real)
 
 
@@ -154,7 +101,7 @@ def purity_profile(s: StateVector) -> PurityProfile:
     if s.n_qudits != N_VERTICES:
         raise ValueError("purity profiles are defined for four-qudit states")
     values = {
-        keep: purity(partial_trace(s, keep, validate=False))
+        keep: purity(partial_trace(s, keep))
         for keep in all_subsystems(s.n_qudits, 2)
     }
     return PurityProfile(s.d, s.n_qudits, values)
@@ -173,57 +120,15 @@ def tableau_purity_profiles(tableaux: Sequence[Tableau]) -> list[PurityProfile]:
 
 
 def is_k_mm(profile: PurityProfile, k: int) -> bool:
-    """True when every subsystem of size <= k has purity d^-size (maximal
-    mixing): exactly for ``Fraction`` purities, within MM_TOL for floats."""
+    """True when every subsystem of size <= k has purity exactly d^-size
+    (maximal mixing). The purities must be ``Fraction``s, as
+    ``tableau_purity_profiles`` gives them; floats raise TypeError."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2 for four-particle systems")
+    if not all(isinstance(v, Fraction) for v in profile.values.values()):
+        raise TypeError("is_k_mm needs exact Fraction purities")
     exact = [Fraction(1, profile.d**size) for size in range(k + 1)]
-    return all(v == exact[len(keep)] if isinstance(v, Fraction)
-               else abs(v - profile.d ** (-len(keep))) <= MM_TOL
-               for keep, v in profile.values.items() if len(keep) <= k)
-
-
-def concurrence(s: StateVector, keep) -> float:
-    """Bipartite concurrence of a pure state: sqrt(1 - purity)."""
-    pi_a = purity(partial_trace(s, tuple(keep), validate=False))
-    return float(np.sqrt(max(0.0, 1.0 - pi_a)))
-
-
-def wedge_measure(s: StateVector, keep) -> float:
-    """Sum over unordered pairs of associated states of the squared wedge product.
-
-    W^2(a, a') = <a|a><a'|a'> - |<a|a'>|^2, summed over a < a'. Twice this
-    equals 1 - purity for any bipartition of a pure state.
-    """
-    keep = _check_keep(s, tuple(keep))
-    m = _associated_matrix(s, keep)
-    gram = m @ m.conj().T
-    norms = np.diag(gram).real
-    total = 0.0
-    for a in range(len(norms)):
-        for b in range(a + 1, len(norms)):
-            total += norms[a] * norms[b] - abs(gram[a, b]) ** 2
-    return float(total)
-
-
-def reduced_from_stabilizers(g: AdjacencyMatrix, keep) -> ReducedState:
-    """Reduced density matrix via the stabilizer expansion.
-
-    Tracing a site kills every stabilizer that is not the identity there, so
-    the reduced state is d^(traced - 4) times the sum of the surviving words
-    restricted to the kept sites, phases included.
-    """
-    keep = tuple(keep)
-    if not 1 <= len(keep) <= 2:
-        raise ValueError("stabilizer-trace route supports subsystems of size 1 or 2")
-    d = g.d
-    traced = [i for i in range(N_VERTICES) if i not in keep]
-    _, rows, phases = stabilizer_group(g)
-    survives = ~rows[:, traced].any(axis=(1, 2))
-    acc = sum(dense_matrix(d, r[list(keep)], phase)
-              for r, phase in zip(rows[survives], phases[survives]))
-    acc *= float(d) ** (len(traced) - N_VERTICES)
-    return ReducedState(acc, keep, d)
+    return all(v == exact[len(keep)] for keep, v in profile.values.items() if len(keep) <= k)
 
 
 def max_identity_factors(g: AdjacencyMatrix) -> int:

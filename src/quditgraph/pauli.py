@@ -3,9 +3,8 @@
 A word ``omega^phase * prod_site X^x Z^z`` is an integer (sites, 2) array of
 its (x, z) rows and an integer phase exponent, all kept mod d. Since
 Z X = omega X Z, products stay words and are computed without any floating
-point at every prime d, d = 2 included. Complex matrices appear only through
-:func:`site_matrix` and :func:`dense_matrix`, oracles for tests and for small
-state-vector work.
+point at every prime d, d = 2 included. The one complex table here,
+:func:`omega_powers`, serves the dense states of ``states`` and ``steering``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "check_prime",
-    "dense_matrix",
     "eliminate_mod",
     "inv_mod",
     "inv_mod_array",
@@ -26,11 +24,7 @@ __all__ = [
     "pauli_mul",
     "pauli_str",
     "rank_mod",
-    "site_matrix",
 ]
-
-MAX_DENSE_DIM = 4096
-
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound
 # (Sorenson and Webster, Math. Comp. 86 (2017) 985).
@@ -142,24 +136,3 @@ def pauli_mul(d: int, p: tuple, q: tuple) -> tuple[np.ndarray, int]:
         raise ValueError("Pauli words act on different spaces")
     return (p_rows + q_rows) % d, int(p_phase + q_phase + p_rows[:, 1] @ q_rows[:, 0]) % d
 
-
-def site_matrix(d: int, x: int, z: int) -> np.ndarray:
-    """Dense d x d matrix of X^x Z^z, acting as |k> -> omega^(z*k) |k+x>."""
-    omega = omega_powers(d)
-    m = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        m[(k + x) % d, k] = omega[(z * k) % d]
-    return m
-
-
-def dense_matrix(d: int, rows, phase: int = 0) -> np.ndarray:
-    """Dense matrix of the word omega^phase * prod_site X^x Z^z, rows its (x, z)
-    pairs; intended as a test oracle for small systems."""
-    rows = np.asarray(rows)
-    dim = d ** len(rows)
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(f"dense matrix of dimension {dim} exceeds {MAX_DENSE_DIM}")
-    m = np.array([[omega_powers(d)[phase % d]]])
-    for x, z in rows:
-        m = np.kron(m, site_matrix(d, x, z))
-    return m

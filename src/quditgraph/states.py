@@ -1,13 +1,16 @@
-"""Graph-state construction, stabilizer tableaux, and reduced forms.
+"""Graph-state stabilizer tableaux, exact phase tables, and dense states.
 
-States are dense complex vectors over the standard product basis
-|j1, j2, j3, j4>, stored row-major with the first qudit slowest. A graph
-state carries the amplitude omega^(sum over edges of w_nm * j_n * j_m) / d^2,
+A graph state over the standard product basis |j1, j2, j3, j4> (first qudit
+slowest) carries the amplitude omega^(sum over edges of w_nm * j_n * j_m) / d^2,
 each edge counted once, and is the simultaneous +1 eigenstate of the four
 generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``
 (``stabilizer_group`` lists all d^4 of their products, phases included);
 ``tableau_entropy`` reads the exact entanglement of any sites off the rows,
 and ``stabilizer_exponents`` checks the rows on the exact ``phase_exponents``.
+``StateVector``, ``build_state``, ``apply_local_fourier`` and
+``family_reduced_state`` are the dense complex form: no command runs them,
+and they stay only as spans the benchmark tracer names (``SPANS`` in
+``perfbench/child.py``).
 """
 
 from __future__ import annotations
@@ -25,26 +28,20 @@ __all__ = [
     "StateVector",
     "Tableau",
     "apply_local_fourier",
-    "apply_pauli",
     "build_state",
     "family_fourier_sites",
     "family_graph",
     "family_reduced_state",
-    "ghz3_state",
     "phase_exponents",
-    "psi_gamma",
     "stabilizer_exponents",
     "stabilizer_group",
     "stabilizer_tableau",
     "stabilizer_tableaux",
     "tableau_batch",
     "tableau_entropy",
-    "verify_eigen",
 ]
 
 NORM_TOL = 1e-10
-# Overlap deficit of equals_up_to_phase and residual norm of verify_eigen.
-EIGEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,31 +67,8 @@ class StateVector:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "amps", amps)
 
-    @classmethod
-    def basis_state(cls, d: int, indices: Sequence[int]) -> "StateVector":
-        n = len(indices)
-        amps = np.zeros(d**n, dtype=complex)
-        amps[int(np.ravel_multi_index(tuple(indices), (d,) * n))] = 1.0
-        return cls(d, n, amps)
-
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape((self.d,) * self.n_qudits)
-
-    def equals_up_to_phase(self, other: "StateVector") -> bool:
-        """True when |<self|other>| >= 1 - EIGEN_TOL, i.e. equal up to a global phase."""
-        self._check_compatible(other)
-        return abs(np.vdot(self.amps, other.amps)) >= 1.0 - EIGEN_TOL
-
-    def permute_qudits(self, axes: Sequence[int]) -> "StateVector":
-        """Reorder qudits so that new position i carries old qudit axes[i]."""
-        if sorted(axes) != list(range(self.n_qudits)):
-            raise ValueError("axes must be a permutation of the qudit positions")
-        arr = self.reshaped().transpose(tuple(axes)).reshape(-1)
-        return StateVector(self.d, self.n_qudits, arr)
-
-    def _check_compatible(self, other: "StateVector") -> None:
-        if self.d != other.d or self.n_qudits != other.n_qudits:
-            raise ValueError("states live in different Hilbert spaces")
 
 
 def phase_exponents(g: AdjacencyMatrix, fourier_sites: Iterable[int] = ()) -> np.ndarray:
@@ -239,61 +213,6 @@ def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]],
     else:
         rank = rank_mod(m * (np.arange(2 * width) < 2 * np.array(sizes)[:, None])[:, None], d)
     return rank - np.array(sizes)
-
-
-def apply_pauli(s: StateVector, rows, phase: int = 0) -> StateVector:
-    """Apply the word omega^phase * prod_site X^x Z^z, rows its (x, z) pairs,
-    to a state without building its dense matrix."""
-    if np.shape(rows) != (s.n_qudits, 2):
-        raise ValueError("word and state dimensions do not match")
-    d = s.d
-    omega = omega_powers(d)
-    arr = s.reshaped().copy()
-    for site, (x, z) in enumerate(rows):
-        if z:
-            shape = [1] * s.n_qudits
-            shape[site] = d
-            arr = arr * omega[(z * np.arange(d)) % d].reshape(shape)
-        if x:
-            arr = np.roll(arr, x, axis=site)
-    arr = arr * omega[phase % d]
-    return StateVector(d, s.n_qudits, arr.reshape(-1))
-
-
-def verify_eigen(s: StateVector, rows, phase: int = 0) -> int | None:
-    """Eigenvalue exponent r with w|s> = omega^r |s> for the word w of ``rows``
-    and ``phase`` (as in ``apply_pauli``), within EIGEN_TOL, or None if s is
-    not an eigenstate."""
-    ws = apply_pauli(s, rows, phase)
-    val = np.vdot(s.amps, ws.amps)
-    d = s.d
-    r = int(np.round(d * np.angle(val) / (2 * np.pi))) % d
-    if np.linalg.norm(ws.amps - omega_powers(d)[r] * s.amps) <= EIGEN_TOL:
-        return r
-    return None
-
-
-def psi_gamma(gamma: int, d: int) -> StateVector:
-    """The two-index family (1/d) sum_{i,k} |i, i+gamma*k, k, i+k>.
-
-    gamma = 1 is the reduced square-graph state, gamma = -1 the reduced state
-    of the third class, gamma = 0 the reduced open-chain state.
-    """
-    d = check_prime(d)
-    gamma %= d
-    arr = np.zeros((d,) * N_VERTICES, dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            arr[i, (i + gamma * k) % d, k, (i + k) % d] = 1.0 / d
-    return StateVector(d, N_VERTICES, arr.reshape(-1))
-
-
-def ghz3_state(d: int) -> StateVector:
-    """Three-qudit maximally entangled reference state sum |i,i,i> / sqrt(d)."""
-    arr = np.zeros((d,) * 3, dtype=complex)
-    for i in range(d):
-        arr[i, i, i] = 1.0
-    return StateVector(d, 3, arr.reshape(-1) / np.sqrt(d))
 
 
 def apply_local_fourier(s: StateVector, sites: Iterable[int]) -> StateVector:

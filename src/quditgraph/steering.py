@@ -49,10 +49,11 @@ are cut into batches of 4,096, whatever their d, and each batch costs one
 elimination: d = 2..13 runs as one, and a tableau at large d spans many,
 so no batch's temporaries grow with d.
 
-The single-event form on dense vectors speaks the engine's terms, within
-PROB_TOL and PURITY_TOL: ``project`` measures along a line of
-``all_bases``, ``classify3`` returns a residue's pure-site pattern, a row of
-``PathTally.first``, and ``classify2`` whether a pair is a product.
+``project`` is the single-event form on a dense ``StateVector``: it
+measures one qudit along a line of ``all_bases``, with the eigenvectors of
+``mub_eigenstate``, and refuses an outcome below PROB_TOL. No command runs
+it; it stays only as a span the benchmark tracer names (``SPANS`` in
+``perfbench/child.py``).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import Iterable
 import numpy as np
 
 from .classify import VerificationFailure
-from .measures import all_subsystems, partial_trace, purity
+from .measures import all_subsystems
 from .pauli import check_prime, eliminate_mod, omega_powers, pauli_str
 from .states import StateVector, Tableau, tableau_entropy
 
@@ -77,8 +78,6 @@ __all__ = [
     "ZeroProbabilityError",
     "all_bases",
     "basis_eigenvalue",
-    "classify2",
-    "classify3",
     "enumerate_paths",
     "mub_eigenstate",
     "persistency_stats",
@@ -86,7 +85,6 @@ __all__ = [
     "schmidt_bounds",
 ]
 
-PURITY_TOL = 1e-7
 PROB_TOL = 1e-9
 
 GHZ3 = "ghz3"
@@ -188,18 +186,6 @@ def project(s: StateVector, event: MeasurementEvent) -> tuple[StateVector, float
     return residual, prob
 
 
-def _pure_sites(purities: np.ndarray, d: int) -> np.ndarray:
-    """True where a single-site purity is 1, False where it is 1/d; any other
-    value is no graph-state residue and raises ClassificationError."""
-    pure = np.abs(purities - 1.0) <= PURITY_TOL
-    odd = ~pure & (np.abs(purities - 1.0 / d) > PURITY_TOL)
-    if odd.any():
-        raise ClassificationError(
-            f"single-site purity {purities[odd][0]} is neither 1 nor 1/{d}"
-        )
-    return pure
-
-
 def _refuse_two_pure_sites(patterns: np.ndarray) -> None:
     """Raise ClassificationError at the first residue pattern of ``patterns``
     (..., 3 sites) with exactly two pure sites, which no stabilizer state has."""
@@ -207,25 +193,6 @@ def _refuse_two_pure_sites(patterns: np.ndarray) -> None:
     if len(two):
         kinds = ["pure" if p else "mixed" for p in two[0]]
         raise ClassificationError(f"purity pattern {kinds} is not a graph-state residue")
-
-
-def classify3(s: StateVector) -> tuple[bool, bool, bool]:
-    """Pure-site pattern of a 3-qudit projection residue, a row of
-    ``PathTally.first``: three pure sites make a product, one an S_nB state
-    and none a GHZ3 state."""
-    if s.n_qudits != 3:
-        raise ValueError("classify3 expects a 3-qudit state")
-    purities = [purity(partial_trace(s, (i,), validate=False)) for i in range(3)]
-    pure = _pure_sites(np.array(purities), s.d)
-    _refuse_two_pure_sites(pure)
-    return tuple(pure.tolist())
-
-
-def classify2(s: StateVector) -> bool:
-    """True when a 2-qudit projection residue is a product, False for a Bell pair."""
-    if s.n_qudits != 2:
-        raise ValueError("classify2 expects a 2-qudit state")
-    return bool(_pure_sites(np.array([purity(partial_trace(s, (0,), validate=False))]), s.d)[0])
 
 
 @dataclass(frozen=True, eq=False)

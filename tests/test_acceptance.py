@@ -10,39 +10,43 @@ import numpy as np
 import pytest
 
 from quditgraph import (
-    MeasurementEvent,
-    StateVector,
     all_bases,
-    build_state,
     classify_exhaustive,
     canonicalize,
-    classify3,
     cluster_graph,
-    concurrence,
-    dense_matrix,
     gamma_graph,
     ghz_graph,
-    is_k_mm,
     max_identity_factors,
-    mub_eigenstate,
     p_graph,
-    partial_trace,
     pauli_mul,
     persistency_stats,
-    project,
-    purity,
-    purity_profile,
-    reduced_from_stabilizers,
     schmidt_bounds,
     stabilizer_group,
+)
+from quditgraph.measures import all_subsystems, purity, purity_profile
+from quditgraph.states import StateVector, build_state, family_reduced_state, stabilizer_tableau
+from quditgraph.steering import (
+    BELL,
+    GHZ3,
+    PRODUCT,
+    SNB,
+    MeasurementEvent,
+    enumerate_paths,
+    mub_eigenstate,
+    project,
+)
+
+from conftest import family_tableau, random_state_amps, random_word
+from dense import (
+    classify3,
+    concurrence,
+    dense_matrix,
+    is_k_mm_float,
+    reduced_from_stabilizers,
+    reduced_state,
     verify_eigen,
     wedge_measure,
 )
-from quditgraph.measures import all_subsystems
-from quditgraph.states import family_reduced_state, stabilizer_tableau
-from quditgraph.steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths
-
-from conftest import family_tableau, random_state_amps, random_word
 
 
 def report(num: int, text: str, elapsed: float | None = None) -> None:
@@ -141,14 +145,14 @@ def test_criterion_06_mmes_gate():
         flags = {}
         for fam in ("G", "C", "P"):
             prof = purity_profile(family_reduced_state(fam, d))
-            flags[fam] = (is_k_mm(prof, 1), is_k_mm(prof, 2))
+            flags[fam] = (is_k_mm_float(prof, 1), is_k_mm_float(prof, 2))
         assert flags == {"G": (True, False), "C": (True, False), "P": (True, True)}
     # at d = 2 the third family collapses onto the square-graph state
     np.testing.assert_allclose(
         build_state(p_graph(2)).amps, build_state(cluster_graph(2)).amps, atol=1e-12
     )
     prof2 = purity_profile(family_reduced_state("P", 2))
-    assert is_k_mm(prof2, 1) and not is_k_mm(prof2, 2)
+    assert is_k_mm_float(prof2, 1) and not is_k_mm_float(prof2, 2)
     report(6, "k-MM flags (T,F),(T,F),(T,T) for d in {3,5,7}; P = C at d = 2")
 
 
@@ -159,8 +163,8 @@ def test_criterion_07_stabilizer_trace_cross_check():
         for g in graphs:
             s = build_state(g)
             for keep in all_subsystems(4, 2):
-                left = reduced_from_stabilizers(g, keep).matrix
-                right = partial_trace(s, keep).matrix
+                left = reduced_from_stabilizers(g, keep)
+                right = reduced_state(s, keep)
                 assert np.max(np.abs(left - right)) <= 1e-9
         for gm in range(d):
             expected = 1 if gm not in (0, 1) else 2
@@ -190,7 +194,7 @@ def test_criterion_09_wedge_identities():
     for _ in range(100):
         s = StateVector(d, 4, random_state_amps(rng, d**4))
         for keep in keeps:
-            pi_a = purity(partial_trace(s, keep))
+            pi_a = purity(reduced_state(s, keep))
             assert abs(2 * wedge_measure(s, keep) - (1 - pi_a)) <= 1e-9
             assert abs(concurrence(s, keep) ** 2 - (1 - pi_a)) <= 1e-9
     report(9, "2 E_A = 1 - purity = concurrence^2 on 100 random states")

@@ -12,7 +12,6 @@ from quditgraph import (
     ScaleOp,
     StarOp,
     SwapOp,
-    build_state,
     canonicalize,
     census_random,
     classify_exhaustive,
@@ -23,9 +22,6 @@ from quditgraph import (
     inv_mod,
     p_graph,
     path_graph,
-    profile_class,
-    purity_class,
-    purity_profile,
     replay,
 )
 from quditgraph import classify
@@ -36,8 +32,13 @@ from quditgraph.classify import (
     DISCONNECTED,
     VerificationFailure,
     ghz_canonical_graph,
+    profile_class,
 )
 from quditgraph.graphs import N_VERTICES
+from quditgraph.measures import purity_profile
+from quditgraph.states import build_state
+
+from dense import purity_class
 
 # Vertex pairs in the order of the weight columns cut_rank_classes takes.
 PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]

@@ -26,11 +26,12 @@ from quditgraph.cli import (
     MAX_STATE_D,
     main,
 )
-from quditgraph.pauli import omega_powers, pauli_str, site_matrix
+from quditgraph.pauli import omega_powers, pauli_str
 from quditgraph.serialize import fmt_float
 from quditgraph.steering import ClassificationError
 
 from conftest import random_graph, reference_phase_exponents
+from dense import site_matrix
 
 
 STAR = [[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]
@@ -527,6 +528,8 @@ def test_last_single_valued_option_wins_and_d_repeats_in_order(capsys):
     ["classify", "--exhaustive=yes", "--d", "3"],  # a flag given a value
     ["tables"],  # tables without --d
     ["tables", "--format", "csv"],
+    ["state", "build", "--family", "psi", "--d", "5", "--gamma", "7"],  # gamma outside [0, d)
+    ["state", "build", "--family", "psi", "--d", "5", "--gamma", "-1"],
 ])
 def test_usage_errors_are_invalid_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -540,6 +543,10 @@ def test_usage_errors_are_invalid_input(capsys, argv):
     (["classify", "--random", "5", "--d", "3", "--seed=-1"], "seed must be non-negative, got -1"),
     (["state", "build", "--family", "G", "--d", "3", "--gamma", "-1"],
      "--gamma applies to family psi, not G"),
+    (["state", "build", "--family", "psi", "--d", "5", "--gamma", "-1"],
+     "--gamma must be in [0, 5), got -1"),
+    (["state", "build", "--family", "psi", "--d", "5", "--gamma", "7"],
+     "--gamma must be in [0, 5), got 7"),
 ])
 def test_negative_values_reach_the_command(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -109,3 +109,59 @@ def test_benchmark_tracer_bindings_resolve():
         if not callable(getattr(importlib.import_module(f"quditgraph.{mod}"), attr, None))
     ]
     assert child.SPANS and unresolved == []
+
+
+# The dense residue of the package: the functions perfbench/child.py's SPANS
+# wraps by name (steering.project, states.build_state and
+# family_reduced_state, measures.purity_profile, classify.profile_class) and
+# what they call, by module. No command reaches any of it; it shrinks as
+# those spans leave SPANS. Every other float route lives in tests/dense.py.
+DENSE_RESIDUE = {
+    "pauli": {"omega_powers"},
+    "states": {"NORM_TOL", "StateVector", "build_state", "apply_local_fourier",
+               "family_reduced_state"},
+    "measures": {"PAIR_TOL", "PurityProfile", "partial_trace", "purity", "purity_profile"},
+    "steering": {"PROB_TOL", "ZeroProbabilityError", "MeasurementEvent", "_line",
+                 "basis_eigenvalue", "mub_eigenstate", "project"},
+    "classify": {"profile_class"},
+}
+_FLOAT_ATTRIBUTES = {("np", "exp"), ("np", "sqrt"), ("np", "linalg")}
+
+
+def _top_level_name(node) -> str | None:
+    """The name a module-level statement defines, or None."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return getattr(node.targets[0], "id", None)
+    return None
+
+
+def _is_float_use(node) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id.endswith("_TOL") or node.id == "complex"
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in _FLOAT_ATTRIBUTES)
+
+
+def test_float_routes_lie_in_the_named_dense_residue():
+    """Every *_TOL name, ``complex`` and ``np.exp``, ``np.sqrt`` or
+    ``np.linalg`` in the package sits in a definition of DENSE_RESIDUE, a
+    *_TOL import names a residue constant of its source module, and every
+    residue name still exists."""
+    outside = []
+    for name, tree in _trees().items():
+        for statement in tree.body:
+            if isinstance(statement, ast.ImportFrom):
+                source = (statement.module or "").split(".")[-1]
+                outside += [f"{name}.py:{statement.lineno} imports {source}.{alias.name}"
+                            for alias in statement.names if alias.name.endswith("_TOL")
+                            and alias.name not in DENSE_RESIDUE.get(source, ())]
+                continue
+            if _top_level_name(statement) in DENSE_RESIDUE.get(name, ()):
+                continue
+            outside += [f"{name}.py:{node.lineno}" for node in ast.walk(statement)
+                        if _is_float_use(node)]
+    missing = [f"{module}.{attr}" for module, attrs in DENSE_RESIDUE.items() for attr in attrs
+               if not hasattr(importlib.import_module(f"quditgraph.{module}"), attr)]
+    assert outside == [] and missing == []

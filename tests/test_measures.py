@@ -7,35 +7,37 @@ import numpy as np
 import pytest
 
 from quditgraph import (
-    ReducedState,
-    StateVector,
-    apply_local_fourier,
-    build_state,
     cluster_graph,
-    concurrence,
     gamma_graph,
     ghz_graph,
     is_k_mm,
     max_identity_factors,
     p_graph,
-    partial_trace,
-    purity,
-    purity_profile,
-    reduced_from_stabilizers,
     schmidt_bounds,
     stabilizer_tableau,
     tableau_purity_profiles,
-    wedge_measure,
 )
 from quditgraph.measures import (
     PurityProfile,
     all_subsystems,
+    partial_trace,
+    purity,
+    purity_profile,
     subsystem_label,
 )
-from quditgraph.pauli import site_matrix
-from quditgraph.states import family_reduced_state
+from quditgraph.states import StateVector, apply_local_fourier, build_state, family_reduced_state
 
 from conftest import family_tableau, random_graph, random_state_amps, z_tableau
+from dense import (
+    basis_state,
+    checked_density,
+    concurrence,
+    is_k_mm_float,
+    reduced_from_stabilizers,
+    reduced_state,
+    site_matrix,
+    wedge_measure,
+)
 
 CANONICAL_GRAPHS = {
     "G": ghz_graph,
@@ -56,15 +58,15 @@ def test_subsystem_labels():
 def test_partial_trace_ghz_single_site_maximally_mixed():
     for d in (3, 5):
         gp = family_reduced_state("G", d)
-        r = partial_trace(gp, (0,))
-        np.testing.assert_allclose(r.matrix, np.eye(d) / d, atol=1e-10)
+        r = reduced_state(gp, (0,))
+        np.testing.assert_allclose(r, np.eye(d) / d, atol=1e-10)
 
 
 def test_partial_trace_p_pair_maximally_mixed():
     d = 3
     pp = family_reduced_state("P", d)
-    r = partial_trace(pp, (0, 2))
-    np.testing.assert_allclose(r.matrix, np.eye(d * d) / d**2, atol=1e-10)
+    r = reduced_state(pp, (0, 2))
+    np.testing.assert_allclose(r, np.eye(d * d) / d**2, atol=1e-10)
 
 
 def test_partial_trace_cluster_diagonal_pair_structure():
@@ -72,11 +74,11 @@ def test_partial_trace_cluster_diagonal_pair_structure():
     # subspace: <jj|rho|j'j'> = delta/d, all other entries zero
     d = 3
     cp = family_reduced_state("C", d)
-    r = partial_trace(cp, (1, 3))
+    r = reduced_state(cp, (1, 3))
     expected = np.zeros((d * d, d * d), dtype=complex)
     for j in range(d):
         expected[j * d + j, j * d + j] = 1.0 / d
-    np.testing.assert_allclose(r.matrix, expected, atol=1e-10)
+    np.testing.assert_allclose(r, expected, atol=1e-10)
 
 
 def test_partial_trace_matches_contraction_oracle(rng):
@@ -101,36 +103,38 @@ def test_partial_trace_matches_contraction_oracle(rng):
         )
         dim = d ** len(keep)
         oracle = np.einsum(f"{spec_in}{spec_out}->{target}", rho4).reshape(dim, dim)
-        np.testing.assert_allclose(partial_trace(s, keep).matrix, oracle, atol=1e-10)
+        np.testing.assert_allclose(reduced_state(s, keep), oracle, atol=1e-10)
 
 
 def test_reduced_state_validation():
     with pytest.raises(ValueError):
-        ReducedState(np.array([[1.0, 0.5], [0.1, 0.0]]), (0,), 2)  # not hermitian
+        checked_density(np.array([[1.0, 0.5], [0.1, 0.0]]), 2, 1)  # not hermitian
     with pytest.raises(ValueError):
-        ReducedState(np.eye(2), (0,), 2)  # trace 2
+        checked_density(np.eye(2), 2, 1)  # trace 2
     with pytest.raises(ValueError):
-        ReducedState(np.diag([1.5, -0.5]), (0,), 2)  # negative eigenvalue
+        checked_density(np.diag([1.5, -0.5]), 2, 1)  # negative eigenvalue
+    with pytest.raises(ValueError):
+        checked_density(np.eye(3) / 3, 3, 2)  # wrong shape
 
 
 def test_purity_of_maximally_mixed():
     for d in (3, 7):
-        r = ReducedState(np.eye(d) / d, (0,), d)
+        r = checked_density(np.eye(d) / d, d, 1)
         assert purity(r) == pytest.approx(1.0 / d, abs=1e-12)
 
 
 def test_purity_values_cluster():
     d = 3
     cp = family_reduced_state("C", d)
-    assert purity(partial_trace(cp, (0, 1))) == pytest.approx(1 / 9, abs=1e-9)
-    assert purity(partial_trace(cp, (1, 3))) == pytest.approx(1 / 3, abs=1e-9)
+    assert purity(reduced_state(cp, (0, 1))) == pytest.approx(1 / 9, abs=1e-9)
+    assert purity(reduced_state(cp, (1, 3))) == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_purity_values_ghz_pairs():
     d = 3
     gp = family_reduced_state("G", d)
     for pair in combinations(range(4), 2):
-        assert purity(partial_trace(gp, pair)) == pytest.approx(1 / 3, abs=1e-9)
+        assert purity(reduced_state(gp, pair)) == pytest.approx(1 / 3, abs=1e-9)
 
 
 def test_profile_ghz_d5():
@@ -147,17 +151,17 @@ def test_profile_p_d3():
 
 
 def test_profile_product_state():
-    prof = purity_profile(StateVector.basis_state(3, (0, 0, 0, 0)))
+    prof = purity_profile(basis_state(3, (0, 0, 0, 0)))
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in prof.values.values())
-    assert not is_k_mm(prof, 1)
+    assert not is_k_mm_float(prof, 1)
 
 
 def test_is_k_mm_flags():
     for d in (3, 5, 7):
         flags = {
             fam: (
-                is_k_mm(purity_profile(family_reduced_state(fam, d)), 1),
-                is_k_mm(purity_profile(family_reduced_state(fam, d)), 2),
+                is_k_mm_float(purity_profile(family_reduced_state(fam, d)), 1),
+                is_k_mm_float(purity_profile(family_reduced_state(fam, d)), 2),
             )
             for fam in ("G", "C", "P")
         }
@@ -167,7 +171,8 @@ def test_is_k_mm_flags():
 @pytest.mark.parametrize("d", [3, 5, 1009])
 def test_is_k_mm_is_exact_on_fraction_purities(d):
     # exact purities either equal d^-size or are not maximally mixed, however
-    # close; only dense float profiles get the tolerance
+    # close; float profiles are refused, and only the dense test route gives
+    # them a tolerance
     (exact,) = tableau_purity_profiles([family_tableau("P", d)])
     assert is_k_mm(exact, 1) and is_k_mm(exact, 2)
     for keep in exact.values:
@@ -175,13 +180,15 @@ def test_is_k_mm_is_exact_on_fraction_purities(d):
         assert not is_k_mm(off, 2)
         assert is_k_mm(off, 1) == (len(keep) == 2)
         near = PurityProfile(d, 4, {k: float(v) + 1e-12 for k, v in off.values.items()})
-        assert is_k_mm(near, 1) and is_k_mm(near, 2)
+        assert is_k_mm_float(near, 1) and is_k_mm_float(near, 2)
+        with pytest.raises(TypeError, match="Fraction"):
+            is_k_mm(near, 1)
 
 
 def test_p_collapses_to_cluster_at_d2():
     prof = purity_profile(family_reduced_state("P", 2))
-    assert is_k_mm(prof, 1)
-    assert not is_k_mm(prof, 2)
+    assert is_k_mm_float(prof, 1)
+    assert not is_k_mm_float(prof, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -210,13 +217,13 @@ def test_complementary_bipartition_purities_agree(d):
         s = family_reduced_state(fam, d)
         for keep in [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (0, 3)]:
             comp = tuple(i for i in range(4) if i not in keep)
-            pa = purity(partial_trace(s, keep))
-            pb = purity(partial_trace(s, comp))
+            pa = purity(reduced_state(s, keep))
+            pb = purity(reduced_state(s, comp))
             assert pa == pytest.approx(pb, abs=1e-9)
 
 
 def test_concurrence_product_state():
-    s = StateVector.basis_state(3, (0, 0, 0, 0))
+    s = basis_state(3, (0, 0, 0, 0))
     assert concurrence(s, (0,)) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -229,7 +236,7 @@ def test_concurrence_values():
 
 
 def test_wedge_product_state_vanishes():
-    s = StateVector.basis_state(3, (0, 1, 2, 0))
+    s = basis_state(3, (0, 1, 2, 0))
     for keep in [(0,), (0, 1)]:
         assert wedge_measure(s, keep) == pytest.approx(0.0, abs=1e-12)
 
@@ -246,7 +253,7 @@ def test_wedge_identity_random_states(rng):
     for _ in range(30):
         s = StateVector(d, 4, random_state_amps(rng, d**4))
         for keep in keeps:
-            pi_a = purity(partial_trace(s, keep))
+            pi_a = purity(reduced_state(s, keep))
             two_e = 2 * wedge_measure(s, keep)
             assert two_e == pytest.approx(1 - pi_a, abs=1e-9)
             assert concurrence(s, keep) ** 2 == pytest.approx(1 - pi_a, abs=1e-9)
@@ -262,19 +269,19 @@ def test_stabilizer_trace_ghz_pair_form():
         expected += np.kron(site_matrix(d, a, 0), site_matrix(d, (-a) % d, 0))
     expected /= d**2
     r = reduced_from_stabilizers(ghz_canonical_graph(d), (0, 1))
-    np.testing.assert_allclose(r.matrix, expected, atol=1e-10)
+    np.testing.assert_allclose(r, expected, atol=1e-10)
 
 
 def test_stabilizer_trace_gamma2_pair_maximally_mixed():
     d = 5
     r = reduced_from_stabilizers(gamma_graph(2, d), (1, 2))
-    np.testing.assert_allclose(r.matrix, np.eye(d * d) / d**2, atol=1e-10)
+    np.testing.assert_allclose(r, np.eye(d * d) / d**2, atol=1e-10)
 
 
 def test_stabilizer_trace_gamma1_diagonal_pair_not_mixed():
     d = 3
     r = reduced_from_stabilizers(gamma_graph(1, d), (0, 2))
-    assert np.max(np.abs(r.matrix - np.eye(d * d) / d**2)) > 0.01
+    assert np.max(np.abs(r - np.eye(d * d) / d**2)) > 0.01
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -284,8 +291,8 @@ def test_stabilizer_trace_equals_partial_trace(d):
     for g in graphs:
         s = build_state(g)
         for keep in all_subsystems(4, 2):
-            left = reduced_from_stabilizers(g, keep).matrix
-            right = partial_trace(s, keep).matrix
+            left = reduced_from_stabilizers(g, keep)
+            right = reduced_state(s, keep)
             np.testing.assert_allclose(left, right, atol=1e-9)
 
 
@@ -300,7 +307,7 @@ def test_max_identity_factors_values():
 def test_two_mm_iff_single_identity_factors(d):
     for gm in range(d):
         g = gamma_graph(gm, d)
-        two_mm = is_k_mm(purity_profile(build_state(g)), 2)
+        two_mm = is_k_mm_float(purity_profile(build_state(g)), 2)
         assert two_mm == (max_identity_factors(g) <= 1)
         assert two_mm == (gm not in (0, 1))
 
@@ -321,8 +328,8 @@ def _assert_profiles_agree(exact, dense):
     assert exact.d == dense.d and exact.values.keys() == dense.values.keys()
     for keep, value in exact.values.items():
         assert abs(float(value) - dense[keep]) <= 1e-12, keep
-    assert is_k_mm(exact, 1) == is_k_mm(dense, 1)
-    assert is_k_mm(exact, 2) == is_k_mm(dense, 2)
+    assert is_k_mm(exact, 1) == is_k_mm_float(dense, 1)
+    assert is_k_mm(exact, 2) == is_k_mm_float(dense, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])

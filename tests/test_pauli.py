@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from quditgraph import AdjacencyMatrix, dense_matrix, inv_mod, is_prime, pauli_mul
+from quditgraph import AdjacencyMatrix, inv_mod, is_prime, pauli_mul
 from quditgraph.pauli import (
     PRIME_TEST_LIMIT,
     check_prime,
@@ -14,11 +14,11 @@ from quditgraph.pauli import (
     omega_powers,
     pauli_str,
     rank_mod,
-    site_matrix,
 )
 from quditgraph.states import stabilizer_tableau
 
 from conftest import fourier_gate, random_graph, random_word, same_word
+from dense import dense_matrix, site_matrix
 
 
 def reference_rank(m, d):

@@ -91,6 +91,7 @@ def _graph_cases(d: int):
     """(CLI graph arguments, graph, family, gamma) for the four families and
     two seeded inline matrices."""
     for family, gamma in FAMILY_ARGS:
+        gamma = None if gamma is None else gamma % d  # the CLI refuses a gamma outside [0, d)
         args = ["--family", family, "--d", str(d)]
         if gamma is not None:
             args += ["--gamma", str(gamma)]

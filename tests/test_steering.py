@@ -7,30 +7,22 @@ import pytest
 
 from quditgraph import (
     ClassificationError,
-    MeasurementEvent,
-    StateVector,
-    ZeroProbabilityError,
     all_bases,
-    apply_local_fourier,
-    build_state,
-    classify2,
-    classify3,
     enumerate_paths,
-    ghz3_state,
-    mub_eigenstate,
-    persistency_stats,
     pauli,
-    project,
+    persistency_stats,
     report,
     steering,
-    verify_eigen,
 )
 from quditgraph.classify import DISCONNECTED, cut_rank_classes
 from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
-from quditgraph.pauli import dense_matrix, omega_powers, pauli_str, rank_mod, site_matrix
+from quditgraph.pauli import omega_powers, pauli_str, rank_mod
 from quditgraph.report import _family_effective, build_report
 from quditgraph.states import (
+    StateVector,
     Tableau,
+    apply_local_fourier,
+    build_state,
     family_fourier_sites,
     family_graph,
     family_reduced_state,
@@ -44,13 +36,18 @@ from quditgraph.steering import (
     GHZ3,
     PRODUCT,
     SNB,
+    MeasurementEvent,
     PathTally,
+    ZeroProbabilityError,
     _measure,
     _qudit_first,
     basis_eigenvalue,
+    mub_eigenstate,
+    project,
 )
 
 from conftest import family_tableau, random_state_amps, z_tableau
+from dense import basis_state, classify2, classify3, dense_matrix, ghz3_state, site_matrix, verify_eigen
 
 Z, X = (0, 1), (1, 0)  # the lines of the Z and X bases
 
@@ -147,7 +144,7 @@ def test_project_ghz_z_measurement():
     gp = family_reduced_state("G", d)
     res, prob = project(gp, MeasurementEvent(0, Z, 0))
     assert prob == pytest.approx(1 / d, abs=1e-9)
-    np.testing.assert_allclose(res.amps, StateVector.basis_state(d, (0, 0, 0)).amps, atol=1e-9)
+    np.testing.assert_allclose(res.amps, basis_state(d, (0, 0, 0)).amps, atol=1e-9)
 
 
 def test_project_ghz_x_measurement_leaves_ghz3():
@@ -186,7 +183,7 @@ def test_cluster_snb_cases_follow_diagonals():
 
 def test_project_zero_probability_flagged():
     d = 3
-    s = StateVector.basis_state(d, (1, 0))
+    s = basis_state(d, (1, 0))
     with pytest.raises(ZeroProbabilityError, match=r"outcome 0 in basis w\^0 Z "):
         project(s, MeasurementEvent(0, Z, 0))
 
@@ -194,15 +191,15 @@ def test_project_zero_probability_flagged():
 def test_classify3_examples():
     d = 3
     assert classify3(ghz3_state(d)) == (False, False, False)
-    sep = np.kron(StateVector.basis_state(d, (0,)).amps, bell_state(d).amps)
+    sep = np.kron(basis_state(d, (0,)).amps, bell_state(d).amps)
     assert classify3(StateVector(d, 3, sep)) == (True, False, False)
-    assert classify3(StateVector.basis_state(d, (0, 0, 0))) == (True, True, True)
+    assert classify3(basis_state(d, (0, 0, 0))) == (True, True, True)
 
 
 def test_classify2_examples():
     d = 3
     assert classify2(bell_state(d)) is False
-    assert classify2(StateVector.basis_state(d, (0, 0))) is True
+    assert classify2(basis_state(d, (0, 0))) is True
 
 
 def test_classify2_rejects_partial_entanglement():
@@ -502,7 +499,7 @@ def test_batched_paths_match_reference_basis_state():
     # outcome 0 has zero probability for most Z measurements here, so the
     # reference tries later outcomes at both levels; the tableau holds the
     # same state as the rows Z_n
-    s = StateVector.basis_state(3, (1, 2, 0, 1))
+    s = basis_state(3, (1, 2, 0, 1))
     (tally,) = enumerate_paths([z_tableau(3)])
     assert matches_reference(tally, s)
     assert tally.first_counts() == {PRODUCT: 16, SNB: 0, GHZ3: 0}
