@@ -2,7 +2,7 @@
 
 Construction of weighted-graph states as stabilizer tableaux and exact phase
 tables, with every Pauli word held as integer (x, z) rows and a phase
-exponent over GF(d) at any prime d; exact purities as GF(d) cut ranks,
+exponent over GF(d) at any prime d; exact entropies as GF(d) cut ranks,
 exhaustive enumeration of projective-measurement steering paths, and
 canonicalization of arbitrary 4-vertex graphs into the three entanglement
 classes. Every name re-exported here is exact: a few dense complex routes
@@ -33,7 +33,7 @@ from .graphs import (
     p_graph,
     path_graph,
 )
-from .measures import PurityProfile, is_k_mm, max_identity_factors, tableau_purity_profiles
+from .measures import is_k_mm, max_identity_factors, tableau_entropies
 from .pauli import inv_mod, is_prime, pauli_mul
 from .states import Tableau, family_graph, stabilizer_group, stabilizer_tableau
 from .steering import (

@@ -67,8 +67,6 @@ from .states import build_state
 __all__ = [
     "CanonicalResult",
     "ClassCensus",
-    "ClassOracleMismatch",
-    "ClassificationPatternError",
     "LCOperation",
     "ScaleOp",
     "StarOp",
@@ -102,23 +100,6 @@ _LABELS = np.array([CLASS_P, CLASS_C, DISCONNECTED, CLASS_G], dtype=object)
 
 class VerificationFailure(RuntimeError):
     """A computed result failed one of its independent cross-checks."""
-
-
-class ClassificationPatternError(VerificationFailure):
-    """Purity or cut-rank pattern matches none of the known class fingerprints."""
-
-
-class ClassOracleMismatch(VerificationFailure):
-    """Canonical class disagrees with the cut-rank oracle."""
-
-    def __init__(self, g: AdjacencyMatrix, canonical_cls: str, oracle_cls: str):
-        super().__init__(
-            f"class mismatch for matrix {g.entries}: "
-            f"canonicalization says {canonical_cls}, cut-rank oracle says {oracle_cls}"
-        )
-        self.matrix = g
-        self.canonical_cls = canonical_cls
-        self.oracle_cls = oracle_cls
 
 
 @dataclass(frozen=True)
@@ -502,7 +483,7 @@ def profile_class(profile: PurityProfile) -> str:
     n_loose = profile.pair_pattern()
     mapping = {6: CLASS_G, 2: CLASS_C, 0: CLASS_P}
     if n_loose not in mapping:
-        raise ClassificationPatternError(
+        raise VerificationFailure(
             f"pair-purity pattern {sorted(profile.pairs().values())} matches no class"
         )
     return mapping[n_loose]
@@ -528,7 +509,7 @@ def _cut_rank_codes(d: int, w):
     bad = np.flatnonzero(~disconnected & (rank_one == 2))
     if bad.size:
         weights = [int(c[bad[0]]) for c in w]
-        raise ClassificationPatternError(
+        raise VerificationFailure(
             f"cut-rank pattern of weights {weights} matches no class"
         )
     # The rank-1 cut count is the class code; count 2 is excluded above, so
@@ -544,8 +525,9 @@ def cut_rank_classes(d: int, weights) -> list[str]:
     determinant vanishes mod d) or 2, and the number of rank-1 cuts is 3, 1
     or 0 for classes G, C and P; complementary pairs share a cut, so this is
     the purity pair pattern 6, 2, 0 halved. A weight outside [0, d) raises
-    ValueError.
+    ValueError, as does a d that is not prime.
     """
+    d = check_prime(d)
     w = np.asarray(weights)
     if ((w < 0) | (w >= d)).any():
         raise ValueError(f"weights must lie in [0, {d}) for d = {d}")
@@ -583,10 +565,10 @@ def _checked(w, d: int, inverse):
         bad = np.flatnonzero(group.codes != oracle)
         if bad.size:
             i = bad[0]
-            raise ClassOracleMismatch(
-                AdjacencyMatrix(d, _entries(w, group.rows[i])),
-                _LABELS[group.codes[i]],
-                _LABELS[oracle[i]],
+            raise VerificationFailure(
+                f"class mismatch for matrix {_entries(w, group.rows[i])}: "
+                f"canonicalization says {_LABELS[group.codes[i]]}, "
+                f"cut-rank oracle says {_LABELS[oracle[i]]}"
             )
         replayed = _relabel([c[group.rows] for c in w], group.support)
         for op in group.ops:

@@ -103,7 +103,8 @@ def _is_value(token: str) -> bool:
 
 def _parse(argv=None):
     """The handlers' namespace, or the text of --help or --version. Options are "--opt value"
-    or "--opt=value", never abbreviated; the last one wins. A usage error raises ValueError."""
+    or "--opt=value", never abbreviated; the last one wins; an int is ASCII digits, with an
+    optional leading "-". A usage error raises ValueError."""
     command, *tokens = (sys.argv[1:] if argv is None else argv) or [None]
     if command in ("-h", "--help", "--version"):
         return f"quditgraph {__version__}\n" if command == "--version" else _help(None)
@@ -136,10 +137,9 @@ def _parse(argv=None):
                 raise ValueError(f"{flag} expects a value")
         if isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"{flag} must be one of {', '.join(kind)}, not {value!r}")
-        try:
-            value = True if kind is bool else int(value) if kind in (int, list) else value
-        except ValueError:
-            raise ValueError(f"{flag} expects an int, not {value!r}") from None
+        if kind in (int, list) and not re.fullmatch(r"-?[0-9]+", value):
+            raise ValueError(f"{flag} expects an int, not {value!r}")
+        value = True if kind is bool else int(value) if kind in (int, list) else value
         args[flag[2:]] = args[flag[2:]] + [value] if kind is list else value
     if actions and not args["action"]:
         raise ValueError(f"{command} needs an action: {', '.join(actions)}")

@@ -1,24 +1,26 @@
-"""Purities and the maximal-mixing test of four-qudit states.
+"""Entropies, purities and the maximal-mixing test of four-qudit states.
 
-The exact route builds no state: ``tableau_purity_profiles`` reads each
-purity d^-entropy off stabilizer ``Tableau``s, all in one batch, as exact
-``Fraction``s, and ``is_k_mm`` and ``max_identity_factors`` are exact too.
-``partial_trace``, ``purity`` and ``purity_profile`` are the dense route on
-a ``StateVector``: no command runs them, and they stay in the package only
-as spans the benchmark tracer names (``SPANS`` in ``perfbench/child.py``).
+The exact route builds no state: ``tableau_entropies`` reads the entropy
+S(A) of every one- and two-site set A, in units of log d, off stabilizer
+``Tableau``s, all in one batch, as ints; the purity of A is d^-S(A), and
+exactly d^(|A| - S(A)) stabilizers act as the identity outside A (Fattal
+et al., quant-ph/0406168). ``is_k_mm`` and ``max_identity_factors`` read
+that profile. ``partial_trace``, ``purity`` and ``purity_profile`` are the
+dense route on a ``StateVector``: no command runs them, and they stay in
+the package only as spans the benchmark tracer names (``SPANS`` in
+``perfbench/child.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import N_VERTICES, AdjacencyMatrix
-from .states import StateVector, Tableau, stabilizer_group, tableau_entropy
+from .graphs import N_VERTICES
+from .states import StateVector, Tableau, tableau_entropy
 
 __all__ = [
     "PurityProfile",
@@ -29,7 +31,7 @@ __all__ = [
     "purity",
     "purity_profile",
     "subsystem_label",
-    "tableau_purity_profiles",
+    "tableau_entropies",
 ]
 
 # Float purities within this of 1/d (pairs) or 1 (profile_class) count as equal.
@@ -76,7 +78,7 @@ def purity(rho) -> float:
 
 @dataclass(frozen=True)
 class PurityProfile:
-    """Map from subsystem to Tr(rho^2) (a float, or an exact Fraction) for all sites and pairs."""
+    """Map from subsystem to the float Tr(rho^2) for all sites and pairs."""
 
     d: int
     n_qudits: int
@@ -84,9 +86,6 @@ class PurityProfile:
 
     def __getitem__(self, keep) -> float:
         return self.values[tuple(keep)]
-
-    def singles(self) -> tuple[float, ...]:
-        return tuple(self.values[(i,)] for i in range(self.n_qudits))
 
     def pairs(self) -> dict:
         return {k: v for k, v in self.values.items() if len(k) == 2}
@@ -107,36 +106,32 @@ def purity_profile(s: StateVector) -> PurityProfile:
     return PurityProfile(s.d, s.n_qudits, values)
 
 
-def tableau_purity_profiles(tableaux: Sequence[Tableau]) -> list[PurityProfile]:
-    """Exact purities Fraction(1, d**entropy) of all one- and two-site
-    subsystems of each tableau, of any mix of primes d, from one batched
-    ``tableau_entropy`` call."""
+def tableau_entropies(tableaux: Sequence[Tableau]) -> list[dict[tuple[int, ...], int]]:
+    """Entropy S, in units of log d, of every one- and two-site subsystem of
+    each tableau, of any mix of primes d, in ``all_subsystems`` order, from
+    one batched ``tableau_entropy`` call."""
     keeps = all_subsystems(N_VERTICES, 2)
     d = np.array([t.d for t in tableaux], dtype=np.int64)
     xz = np.array([t.xz for t in tableaux], dtype=np.int64)
     entropy = tableau_entropy(xz.reshape(len(d), N_VERTICES, 2 * N_VERTICES), keeps, d).tolist()
-    return [PurityProfile(t.d, N_VERTICES, {k: Fraction(1, t.d**e) for k, e in zip(keeps, row)})
-            for t, row in zip(tableaux, entropy)]
+    return [dict(zip(keeps, row)) for row in entropy]
 
 
-def is_k_mm(profile: PurityProfile, k: int) -> bool:
-    """True when every subsystem of size <= k has purity exactly d^-size
-    (maximal mixing). The purities must be ``Fraction``s, as
-    ``tableau_purity_profiles`` gives them; floats raise TypeError."""
+def is_k_mm(entropy: dict, k: int) -> bool:
+    """True when every subsystem of size <= k has entropy S(A) = |A|, its
+    purity d^-|A| (maximal mixing), in a ``tableau_entropies`` profile."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2 for four-particle systems")
-    if not all(isinstance(v, Fraction) for v in profile.values.values()):
-        raise TypeError("is_k_mm needs exact Fraction purities")
-    exact = [Fraction(1, profile.d**size) for size in range(k + 1)]
-    return all(v == exact[len(keep)] for keep, v in profile.values.items() if len(keep) <= k)
+    return all(s == len(keep) for keep, s in entropy.items() if len(keep) <= k)
 
 
-def max_identity_factors(g: AdjacencyMatrix) -> int:
+def max_identity_factors(t: Tableau) -> int:
     """Largest number of identity site factors over all non-identity stabilizers.
 
-    At most 1 exactly when every two-site subsystem of the graph state is
-    maximally mixed.
+    Exactly d^(|A| - S(A)) stabilizers are the identity outside a site set A,
+    so one besides the identity exists iff S(A) < |A|; every triple has one,
+    as its S is its complement's, at most 1. At most 1 exactly when every
+    two-site subsystem is maximally mixed.
     """
-    powers, rows, _ = stabilizer_group(g)
-    id_counts = (~rows.any(axis=2)).sum(axis=1)
-    return int(id_counts[powers.any(axis=1)].max())
+    (entropy,) = tableau_entropies([t])
+    return max((N_VERTICES - len(keep) for keep, s in entropy.items() if s < len(keep)), default=1)

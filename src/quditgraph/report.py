@@ -5,7 +5,8 @@ second-measurement tallies, the per-branch path tree, the persistency
 statistics, and the maximal-mixing flags of the three reduced family states,
 together with a checklist comparing every value against its closed-form
 expectation. Every number comes from one stabilizer ``Tableau`` per family
-and d, and no dense state is built: purities are exact cut ranks, d^-entropy.
+and d, and no dense state is built: each purity is d^-S, S an exact cut rank
+read off the tableau's entropy profile (``measures.tableau_entropies``).
 Numeric entries carry both an exact-rational string and a float rounded to
 12 significant digits, so repeated runs are byte-identical.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 # purity_profile and family_reduced_state stay bound for perfbench/child.py's tracer.
-from .measures import is_k_mm, purity_profile, subsystem_label, tableau_purity_profiles
+from .measures import is_k_mm, purity_profile, subsystem_label, tableau_entropies
 from .pauli import check_prime
 from .serialize import BASIS_ORDER, exact_and_float, metadata, rational_str
 from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableaux
@@ -52,16 +53,10 @@ def _family_effective(family: str, d: int) -> str:
     return family
 
 
-def expected_purity_columns(family: str, d: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(single, diagonal pair, adjacent pair) purity pattern of a family."""
-    family = _family_effective(family, d)
-    one_d = Fraction(1, d)
-    one_d2 = Fraction(1, d * d)
-    if family == "G":
-        return (one_d, one_d, one_d)
-    if family == "C":
-        return (one_d, one_d, one_d2)
-    return (one_d, one_d2, one_d2)
+def expected_purity_columns(family: str, d: int) -> tuple[int, int, int]:
+    """(single, diagonal pair, adjacent pair) entropy pattern of a family, in
+    units of log d: each column's purity is d^-entropy."""
+    return {"G": (1, 1, 1), "C": (1, 1, 2), "P": (1, 2, 2)}[_family_effective(family, d)]
 
 
 def expected_first_counts(family: str, d: int) -> dict[str, int]:
@@ -119,20 +114,17 @@ class _Checklist:
 
 
 def _purity_section(d: int, profiles: dict, checks: _Checklist) -> tuple[dict, dict]:
-    """(purity profiles, k-MM flags) of the family profiles. Their exact
-    purities are 1, 1/d or 1/d^2, so those three are formatted once."""
-    forms = {(1, d**e): exact_and_float(Fraction(1, d**e)) for e in range(3)}
-
-    def form(v: Fraction) -> dict:
-        return forms.get((v.numerator, v.denominator)) or exact_and_float(v)
-
+    """(purity profiles, k-MM flags) of the family entropy profiles. Each
+    entropy is 0, 1 or 2, so the three purities 1, 1/d and 1/d^2 are
+    formatted once and indexed by it."""
+    forms = [exact_and_float(Fraction(1, d**e)) for e in range(3)]
     section, mmes = {}, {}
-    for family, profile in profiles.items():
-        section[family] = {subsystem_label(k): form(v) for k, v in profile.values.items()}
+    for family, entropy in profiles.items():
+        section[family] = {subsystem_label(k): forms[e] for k, e in entropy.items()}
         for (name, keeps), exp in zip(PURITY_COLUMNS, expected_purity_columns(family, d)):
-            actual = tuple(form(profile[keep])["float"] for keep in keeps)
-            checks.add(d, f"purity:{family}:{name}", (form(exp)["float"],) * len(keeps), actual)
-        one_mm, two_mm = is_k_mm(profile, 1), is_k_mm(profile, 2)
+            actual = tuple(forms[entropy[keep]]["float"] for keep in keeps)
+            checks.add(d, f"purity:{family}:{name}", (forms[exp]["float"],) * len(keeps), actual)
+        one_mm, two_mm = is_k_mm(entropy, 1), is_k_mm(entropy, 2)
         checks.add(d, f"mmes:{family}", expected_mmes(family, d), (one_mm, two_mm))
         mmes[family] = {"1mm": one_mm, "2mm": two_mm}
     return section, mmes
@@ -187,7 +179,7 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
         raise ValueError(f"each dimension may be given once, got {d_values}")
     tableaux = stabilizer_tableaux((family_graph(f, d), family_fourier_sites(f))
                                    for d in d_values for f in FAMILIES)
-    profiles = tableau_purity_profiles(tableaux)
+    profiles = tableau_entropies(tableaux)
     tallies = enumerate_paths(tableaux)
     checks = _Checklist()
     sections = {}

@@ -66,7 +66,7 @@ from typing import Iterable
 import numpy as np
 
 from .classify import VerificationFailure
-from .measures import all_subsystems
+from .measures import tableau_entropies
 from .pauli import check_prime, eliminate_mod, omega_powers, pauli_str
 from .states import StateVector, Tableau, tableau_entropy
 
@@ -374,11 +374,11 @@ def schmidt_bounds(t: Tableau) -> tuple[int, int]:
     """(lower, upper) bounds on the Schmidt measure log_d N_min, exact ints.
 
     Lower: the largest entropy of a bipartition, log_d of its Schmidt rank,
-    a rank over GF(d).
+    a rank over GF(d): the largest of ``tableau_entropies``, as complementary
+    site sets have equal entropy.
     Upper: the minimum number of single-site measurements that removes all
     entanglement, ``persistency_stats(t).n_min``. For the canonical graph
     states the two coincide and equal the Schmidt measure.
     """
-    cuts = [keep for keep in all_subsystems(4, 2) if len(keep) == 1 or 0 in keep]
-    lower = int(tableau_entropy(t.xz.reshape(4, 8), cuts, t.d).max())
-    return lower, persistency_stats(t).n_min
+    (entropy,) = tableau_entropies([t])
+    return max(entropy.values()), persistency_stats(t).n_min

@@ -168,8 +168,8 @@ def test_criterion_07_stabilizer_trace_cross_check():
                 assert np.max(np.abs(left - right)) <= 1e-9
         for gm in range(d):
             expected = 1 if gm not in (0, 1) else 2
-            assert max_identity_factors(gamma_graph(gm, d)) == expected
-        assert max_identity_factors(ghz_graph(d)) == 2
+            assert max_identity_factors(stabilizer_tableau(gamma_graph(gm, d), ())) == expected
+        assert max_identity_factors(stabilizer_tableau(ghz_graph(d), ())) == 2
     report(7, "stabilizer-trace route equals partial trace; identity-factor counts")
 
 

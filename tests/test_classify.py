@@ -533,6 +533,26 @@ def test_cut_rank_classes_rejects_weights_outside_the_field(d, bad):
         cut_rank_classes(d, np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, weight]]))
 
 
+@pytest.mark.parametrize("d", [4, 9, 1, 0, True, 3.0])
+def test_cut_rank_classes_rejects_a_d_that_is_not_prime(d):
+    # over Z_4 the weights below have no class, yet would be labelled G
+    with pytest.raises(ValueError, match="prime"):
+        cut_rank_classes(d, [[2, 0, 2, 2, 2, 0]])
+
+
+def test_oracle_mismatch_is_a_verification_failure(monkeypatch):
+    # a canonical class that disagrees with the cut-rank oracle stops the sweep
+    # with a message naming the matrix and both classes
+    monkeypatch.setattr(classify, "_cut_rank_codes",
+                        lambda d, w: np.full(len(w[0]), classify._P, dtype=np.int64))
+    zero = ((0, 0, 0, 0),) * 4
+    message = (f"class mismatch for matrix {zero}: "
+               "canonicalization says disconnected, cut-rank oracle says P")
+    with pytest.raises(VerificationFailure) as info:
+        classify_exhaustive(2)
+    assert str(info.value) == message and type(info.value) is VerificationFailure
+
+
 def test_three_and_four_sided_cluster_same_class():
     # the open chain and the square share the class fingerprint; their reduced
     # states are not related by a qudit permutation alone for d >= 3

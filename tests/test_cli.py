@@ -198,8 +198,9 @@ def test_tables_large_d_up_to_cap(capsys):
         purities = payload["sections"][str(d)]["purities"]
         for family in ("G", "C", "P"):
             expected = report.expected_purity_columns(family, d)
-            for column, value in zip(labels, expected):
-                assert {purities[family][label]["exact"] for label in column} == {str(value)}
+            for column, entropy in zip(labels, expected):
+                exact = {purities[family][label]["exact"] for label in column}
+                assert exact == {f"1/{d**entropy}"}
 
 
 def test_tables_builds_no_dense_state(monkeypatch):
@@ -520,6 +521,11 @@ def test_last_single_valued_option_wins_and_d_repeats_in_order(capsys):
     ["classify", "--d", "--exhaustive"],
     ["state", "build", "--family", "G", "--d", "3", "--out", "-o"],
     ["classify", "--exhaustive", "--d", "x"],  # bad int
+    ["classify", "--exhaustive", "--d", " 3"],  # an int is -?[0-9]+, nothing int() takes besides
+    ["classify", "--exhaustive", "--d", "0_3"],
+    ["classify", "--exhaustive", "--d", "+3"],
+    ["classify", "--exhaustive", "--d", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+    ["classify", "--exhaustive", "--d=3 "],
     ["tables", "--d=3.0"],
     ["classify", "--random", "1e3", "--d", "3"],
     ["state", "build", "--family", "Q", "--d", "3"],  # bad choice

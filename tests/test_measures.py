@@ -1,12 +1,13 @@
 """Reduced states, purities, k-MM, concurrence, wedge product, and bounds."""
 
-from fractions import Fraction
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from quditgraph import (
+    AdjacencyMatrix,
     cluster_graph,
     gamma_graph,
     ghz_graph,
@@ -14,8 +15,9 @@ from quditgraph import (
     max_identity_factors,
     p_graph,
     schmidt_bounds,
+    stabilizer_group,
     stabilizer_tableau,
-    tableau_purity_profiles,
+    tableau_entropies,
 )
 from quditgraph.measures import (
     PurityProfile,
@@ -169,20 +171,20 @@ def test_is_k_mm_flags():
 
 
 @pytest.mark.parametrize("d", [3, 5, 1009])
-def test_is_k_mm_is_exact_on_fraction_purities(d):
-    # exact purities either equal d^-size or are not maximally mixed, however
-    # close; float profiles are refused, and only the dense test route gives
-    # them a tolerance
-    (exact,) = tableau_purity_profiles([family_tableau("P", d)])
+def test_is_k_mm_is_exact_on_entropies(d):
+    # an exact profile is maximally mixed or not, however close its purities:
+    # one entropy off by one breaks 2-MM, and breaks 1-MM too when it is a
+    # site's; only the dense test route compares purities within a tolerance
+    (exact,) = tableau_entropies([family_tableau("P", d)])
     assert is_k_mm(exact, 1) and is_k_mm(exact, 2)
-    for keep in exact.values:
-        off = PurityProfile(d, 4, {**exact.values, keep: exact[keep] + Fraction(1, 10**12)})
+    for keep in exact:
+        off = {**exact, keep: exact[keep] - 1}
         assert not is_k_mm(off, 2)
         assert is_k_mm(off, 1) == (len(keep) == 2)
-        near = PurityProfile(d, 4, {k: float(v) + 1e-12 for k, v in off.values.items()})
-        assert is_k_mm_float(near, 1) and is_k_mm_float(near, 2)
-        with pytest.raises(TypeError, match="Fraction"):
-            is_k_mm(near, 1)
+    near = PurityProfile(d, 4, {k: d ** -float(s) + 1e-12 for k, s in exact.items()})
+    assert is_k_mm_float(near, 1) and is_k_mm_float(near, 2)
+    with pytest.raises(ValueError, match="k must be 1 or 2"):
+        is_k_mm(exact, 3)
 
 
 def test_p_collapses_to_cluster_at_d2():
@@ -296,11 +298,59 @@ def test_stabilizer_trace_equals_partial_trace(d):
             np.testing.assert_allclose(left, right, atol=1e-9)
 
 
+def _graph_tableau(g):
+    return stabilizer_tableau(g, ())
+
+
 def test_max_identity_factors_values():
-    assert max_identity_factors(gamma_graph(2, 3)) == 1
-    assert max_identity_factors(gamma_graph(1, 3)) == 2
-    assert max_identity_factors(gamma_graph(0, 3)) == 2
-    assert max_identity_factors(ghz_graph(3)) == 2
+    assert max_identity_factors(_graph_tableau(gamma_graph(2, 3))) == 1
+    assert max_identity_factors(_graph_tableau(gamma_graph(1, 3))) == 2
+    assert max_identity_factors(_graph_tableau(gamma_graph(0, 3))) == 2
+    assert max_identity_factors(_graph_tableau(ghz_graph(3))) == 2
+
+
+def _enumerated_identity_factors(g) -> int:
+    """Most identity site factors of a non-identity stabilizer of the graph
+    state of g, over all d^4 of ``stabilizer_group``: the oracle."""
+    powers, rows, _ = stabilizer_group(g)
+    id_counts = (~rows.any(axis=2)).sum(axis=1)
+    return int(id_counts[powers.any(axis=1)].max())
+
+
+def _edges(d, *edges):
+    weights = np.zeros((4, 4), dtype=int)
+    for n, m in edges:
+        weights[n, m] = weights[m, n] = 1
+    return AdjacencyMatrix.from_array(weights, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_max_identity_factors_matches_stabilizer_group(d):
+    # the entropy rule against the enumeration of all d^4 stabilizers, on
+    # random graphs in random local Fourier frames and on the product,
+    # Bell x Bell and GHZ3 x 1 states
+    rng = np.random.default_rng(3300 + d)
+    cases = [(_edges(d), 3), (_edges(d, (0, 1), (2, 3)), 2), (_edges(d, (0, 1), (0, 2)), 3)]
+    cases += [(random_graph(rng, d), None) for _ in range(40)]
+    for g, expected in cases:
+        sites = tuple(int(q) for q in np.flatnonzero(rng.integers(0, 2, size=4)))
+        rule = max_identity_factors(stabilizer_tableau(g, sites))
+        assert rule == _enumerated_identity_factors(g), g.entries
+        if expected is not None:
+            assert rule == expected, g.entries
+    assert max_identity_factors(z_tableau(d)) == 3
+
+
+def test_max_identity_factors_at_d1009_stays_small():
+    # the d^4 enumeration would hold 1e12 stabilizers; the rule reads ten ranks
+    tableaux = [family_tableau(family, 1009) for family in ("G", "C", "P")]
+    tracemalloc.start()
+    try:
+        counts = [max_identity_factors(t) for t in tableaux]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [2, 2, 1] and peak < 256 * 1024
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -308,7 +358,7 @@ def test_two_mm_iff_single_identity_factors(d):
     for gm in range(d):
         g = gamma_graph(gm, d)
         two_mm = is_k_mm_float(purity_profile(build_state(g)), 2)
-        assert two_mm == (max_identity_factors(g) <= 1)
+        assert two_mm == (max_identity_factors(_graph_tableau(g)) <= 1)
         assert two_mm == (gm not in (0, 1))
 
 
@@ -324,19 +374,19 @@ def test_schmidt_bounds_product():
     assert (lower, upper) == (0, 0) and type(lower) is int and type(upper) is int
 
 
-def _assert_profiles_agree(exact, dense):
-    assert exact.d == dense.d and exact.values.keys() == dense.values.keys()
-    for keep, value in exact.values.items():
-        assert abs(float(value) - dense[keep]) <= 1e-12, keep
-    assert is_k_mm(exact, 1) == is_k_mm_float(dense, 1)
-    assert is_k_mm(exact, 2) == is_k_mm_float(dense, 2)
+def _assert_profiles_agree(entropy, dense):
+    assert entropy.keys() == dense.values.keys()
+    for keep, s in entropy.items():
+        assert type(s) is int and abs(dense.d ** -float(s) - dense[keep]) <= 1e-12, keep
+    assert is_k_mm(entropy, 1) == is_k_mm_float(dense, 1)
+    assert is_k_mm(entropy, 2) == is_k_mm_float(dense, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_tableau_profile_matches_dense_on_families(family, d):
     _assert_profiles_agree(
-        tableau_purity_profiles([family_tableau(family, d)])[0],
+        tableau_entropies([family_tableau(family, d)])[0],
         purity_profile(family_reduced_state(family, d)),
     )
 
@@ -348,7 +398,7 @@ def test_tableau_profile_matches_dense_on_random_graphs(d):
         g = random_graph(rng, d)
         sites = tuple(int(q) for q in np.flatnonzero(rng.integers(0, 2, size=4)))
         _assert_profiles_agree(
-            tableau_purity_profiles([stabilizer_tableau(g, sites)])[0],
+            tableau_entropies([stabilizer_tableau(g, sites)])[0],
             purity_profile(apply_local_fourier(build_state(g), sites)),
         )
 
@@ -360,12 +410,13 @@ def test_tableau_profiles_mixed_d_match_one_call_per_tableau():
     d_values = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101], 3)).tolist()
     tableaux = [stabilizer_tableau(random_graph(rng, d), np.flatnonzero(rng.integers(0, 2, size=4)))
                 for d in d_values]
-    batch = tableau_purity_profiles(tableaux)
-    assert [p.d for p in batch] == d_values
-    assert [p.values for p in batch] == [tableau_purity_profiles([t])[0].values for t in tableaux]
+    batch = tableau_entropies(tableaux)
+    assert batch == [tableau_entropies([t])[0] for t in tableaux]
+    assert [list(e) for e in batch] == [list(all_subsystems())] * len(tableaux)
 
 
 def test_tableau_profile_is_exact():
-    (prof,) = tableau_purity_profiles([family_tableau("C", 5)])
-    assert prof[(0,)] == Fraction(1, 5) and prof[(0, 1)] == Fraction(1, 25)
-    assert prof[(0, 2)] == Fraction(1, 5)
+    # the entropies are ints in units of log d: the purities 1/5, 1/25, 1/5
+    (entropy,) = tableau_entropies([family_tableau("C", 5)])
+    assert (entropy[(0,)], entropy[(0, 1)], entropy[(0, 2)]) == (1, 2, 1)
+    assert all(type(s) is int for s in entropy.values())
