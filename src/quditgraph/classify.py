@@ -13,12 +13,14 @@ w23), one entry per graph, and every operation is a column operation mod d.
 Three programs take these edge supports (which weights are nonzero): the
 star at vertex 3; the chain 0-1-2-3 with any chords but 1-3 (a star at vertex
 1, by 0 where there is no 0-2 chord, then the chain's normalization); and the
-complete graph, whose program splits its rows once more. A connected support
-is relabelled, by a few swaps, with the first of the 24 vertex orders that
-turns it into one of these; a disconnected one keeps its labels. The reducer
-relabels each row by its support's swaps and runs each program's rows as one
-group. A group records its trace, after the relabelling, as one operation
-list whose scale and star factors are columns, one entry per row.
+complete graph. Each is one straight-line list of operations over its whole
+group; the complete graph's swaps act only on the rows a mask names. A
+connected support is relabelled, by a few swaps, with the first of the 24
+vertex orders that turns it into one of these; a disconnected one keeps its
+labels. The reducer relabels each row by its support's swaps and runs each
+program's rows as one group. A group records its trace, after the
+relabelling, as one operation list whose scale and star factors are
+columns, one entry per row.
 ``canonicalize`` is the one-graph call of the same reducer and checks, and
 ``replay`` runs a trace of operations through the same kernels.
 Columns take the narrowest signed integer type that holds d**3 (int8 to
@@ -30,7 +32,7 @@ of a chunk, and per column beyond.
 
 Sweeps run the reducer over chunks of 32 KiB per weight column (32,768 rows
 of int8 down to 4,096 of int64 or Python ints), so its memory does not grow
-with the number of graphs, and runs at most six groups per chunk.
+with the number of graphs, and runs at most four groups per chunk.
 The exhaustive sweep enumerates the rows support pattern by support pattern,
 so at d = 11 and 13 most of its chunks hold one pattern. A group whose rows
 share one relabelling, as every disconnected group does, moves whole
@@ -169,13 +171,16 @@ def _swap(w, a: int, b: int):
     return [w[_PAIR_INDEX[t.get(n, n), t.get(m, m)]] for n, m in _PAIRS]
 
 
-def _apply(w, d: int, op: LCOperation):
-    """One operation on six weight columns; factors are already reduced mod d."""
+def _apply(w, d: int, op: LCOperation, where=None):
+    """One operation on six weight columns, on the rows where ``where`` holds
+    (every row if it is None); factors are already reduced mod d."""
     if isinstance(op, ScaleOp):
-        return _scale(w, d, op.vertex, op.factor)
-    if isinstance(op, StarOp):
-        return _star(w, d, op.vertex, op.factor)
-    return _swap(w, op.a, op.b)
+        out = _scale(w, d, op.vertex, op.factor)
+    elif isinstance(op, StarOp):
+        out = _star(w, d, op.vertex, op.factor)
+    else:
+        out = _swap(w, op.a, op.b)
+    return out if where is None else [np.where(where, a, b) for a, b in zip(out, w)]
 
 
 def _columns(g: AdjacencyMatrix):
@@ -254,7 +259,8 @@ def _inverter(d: int):
 class _Group:
     """Rows under reduction that share one program: their indices into the
     chunk, their supports, their current weight columns, the trace so far
-    after each row's relabelling, and, once reduced, their class codes."""
+    after each row's relabelling as (operation, mask of the rows it acts on or
+    None for all) pairs, and, once reduced, their class codes."""
 
     def __init__(self, rows, support, w, d: int, inverse):
         self.rows = rows
@@ -262,18 +268,15 @@ class _Group:
         self.w = w
         self.d = d
         self.inverse = inverse
-        self.ops: list[LCOperation] = []
+        self.ops: list[tuple[LCOperation, np.ndarray | None]] = []
         self.codes = None
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
     def weight(self, n: int, m: int):
         return self.w[_PAIR_INDEX[n, m]]
 
-    def _record(self, op: LCOperation) -> None:
-        self.w = _apply(self.w, self.d, op)
-        self.ops.append(op)
+    def _record(self, op: LCOperation, where=None) -> None:
+        self.w = _apply(self.w, self.d, op, where)
+        self.ops.append((op, where))
 
     def scale(self, vertex: int, factor) -> None:
         self._record(ScaleOp(vertex, _mod(factor, self.d)))
@@ -281,30 +284,12 @@ class _Group:
     def star(self, vertex: int, factor) -> None:
         self._record(StarOp(vertex, _mod(factor, self.d)))
 
-    def swap(self, a: int, b: int) -> None:
-        self._record(SwapOp(a, b))
+    def swap(self, a: int, b: int, where=None) -> None:
+        self._record(SwapOp(a, b), where)
 
     def normalize_edge(self, vertex: int, other: int) -> None:
         """Scale ``vertex`` so the edge to ``other`` gets unit weight."""
         self.scale(vertex, self.inverse(self.weight(vertex, other)))
-
-    def split(self, mask):
-        """(the rows where ``mask`` holds, the others), each with its part of the
-        trace; a part holding every row is this group itself, uncopied."""
-        if mask.all():
-            return self, self._take(slice(0, 0))
-        if not mask.any():
-            return self._take(slice(0, 0)), self
-        return self._take(mask), self._take(~mask)
-
-    def _take(self, mask) -> "_Group":
-        part = _Group(self.rows[mask], self.support[mask], [c[mask] for c in self.w],
-                      self.d, self.inverse)
-        part.ops = [
-            op if isinstance(op, SwapOp) else type(op)(op.vertex, op.factor[mask])
-            for op in self.ops
-        ]
-        return part
 
     def check_canonical(self) -> None:
         """Set the class codes of reduced rows; raise if a row is in no canonical form."""
@@ -321,11 +306,13 @@ class _Group:
 
     def result(self, i: int):
         """(class, gamma_tilde, trace, canonical entries) of row ``i``; the trace
-        starts with the swaps of the row's relabelling and leaves out the scales
-        by 1 and stars by 0 the group applies."""
+        starts with the swaps of the row's relabelling and leaves out the
+        operations masked off the row, the scales by 1 and the stars by 0."""
         code = int(self.codes[i])
         trace = list(_SWAPS[self.support[i]])
-        for op in self.ops:
+        for op, where in self.ops:
+            if where is not None and not where[i]:
+                continue
             if not isinstance(op, SwapOp):
                 op = type(op)(op.vertex, int(op.factor[i]))
                 if op.factor == (1 if isinstance(op, ScaleOp) else 0):
@@ -389,9 +376,8 @@ def _reduce(w, d: int, inverse):
     """Reduce the graphs of six weight columns to canonical forms.
 
     Rows are grouped by program shape; each group relabels every row by its
-    support's swaps and runs its shape's program, and the six-edged program
-    splits its group once more. Yields the nonempty groups with their class
-    codes set.
+    support's swaps and runs its shape's program. Yields the nonempty groups,
+    one per shape, with their class codes set.
     """
     support = sum((c != 0).astype(np.int64) << k for k, c in enumerate(w))
     shape = _SHAPE[support]
@@ -405,12 +391,11 @@ def _reduce(w, d: int, inverse):
             group = _Group(rows, support[rows], [c[rows] for c in w], d, inverse)
         if program is None:
             group.codes = np.full(len(rows), _DISCONNECTED)
-            yield group
-            continue
-        group.w = _relabel(group.w, group.support)
-        for part in program(group):
-            part.check_canonical()
-            yield part
+        else:
+            group.w = _relabel(group.w, group.support)
+            program(group)
+            group.check_canonical()
+        yield group
 
 
 def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
@@ -431,7 +416,6 @@ def canonicalize(g: AdjacencyMatrix) -> CanonicalResult:
 def _reduce_star(r: _Group):
     for v in range(3):  # normalize the edges of the star at vertex 3
         r.normalize_edge(v, 3)
-    return (r,)
 
 
 def _reduce_chain(r: _Group):
@@ -442,30 +426,23 @@ def _reduce_chain(r: _Group):
     r.normalize_edge(1, 0)
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
-    return (r,)
 
 
 def _reduce_six_edged(r: _Group):
-    d = r.d
     # Kill the 1-3 edge with a star at 2, then normalize the 1-2 and 2-3 edges.
-    r.star(2, -r.weight(1, 3) * r.inverse(_mod(r.weight(1, 2) * r.weight(2, 3), d)))
+    r.star(2, -r.weight(1, 3) * r.inverse(_mod(r.weight(1, 2) * r.weight(2, 3), r.d)))
     r.normalize_edge(2, 1)
     r.normalize_edge(3, 2)
-    star, rest = r.split((r.weight(0, 1) == 0) & (r.weight(0, 3) == 0))
-    flipped, kept = rest.split(rest.weight(0, 1) == 0)
-    # Operations run on the nonempty parts only; a single graph fills one part.
-    if len(star):
-        # Remaining graph is a star at vertex 2 with one non-unit edge.
-        star.swap(2, 3)
-        star.normalize_edge(0, 3)
-    if len(flipped):
-        flipped.swap(1, 3)  # exchange the roles of the 0-1 and 0-3 edges
-    for part in (flipped, kept):
-        if len(part):
-            # Kill the 0-2 edge with a star at 1, then normalize the 0-1 edge.
-            part.star(1, -part.weight(0, 2) * part.inverse(part.weight(0, 1)))
-            part.normalize_edge(0, 1)
-    return [part for part in (star, flipped, kept) if len(part)]
+    # Where the 0-1 and 0-3 edges are both gone (the star rows), the graph is a
+    # star at 2 that swapping 2 and 3 moves to 3; where only 0-1 is gone,
+    # swapping 1 and 3 exchanges the roles of the 0-1 and 0-3 edges.
+    star = (r.weight(0, 1) == 0) & (r.weight(0, 3) == 0)
+    r.swap(2, 3, where=star)
+    r.swap(1, 3, where=(r.weight(0, 1) == 0) & ~star)
+    # Kill the 0-2 edge with a star at 1 (by 0 on the star rows, whose 0-2 weight
+    # the swap zeroed), then normalize their 0-3 edge and the other rows' 0-1 edge.
+    r.star(1, -r.weight(0, 2) * r.inverse(r.weight(0, 1)))
+    r.scale(0, r.inverse(np.where(star, r.weight(0, 3), r.weight(0, 1))))
 
 
 # Reduction program by shape; disconnected graphs run none.
@@ -524,11 +501,17 @@ def cut_rank_classes(d: int, weights) -> list[str]:
     the graph is disconnected. Otherwise each 2|2 block has rank 1 (its
     determinant vanishes mod d) or 2, and the number of rank-1 cuts is 3, 1
     or 0 for classes G, C and P; complementary pairs share a cut, so this is
-    the purity pair pattern 6, 2, 0 halved. A weight outside [0, d) raises
-    ValueError, as does a d that is not prime.
+    the purity pair pattern 6, 2, 0 halved. A float or bool weight, or one
+    outside [0, d), raises ValueError, as does a d that is not prime.
     """
     d = check_prime(d)
-    w = np.asarray(weights)
+    w = weights
+    if not isinstance(w, np.ndarray) or w.dtype.kind not in "iu":
+        # as Python ints: numpy would read big ints as floats, and bools as ints
+        w = np.asarray(weights, dtype=object)
+        bad = [v for v in w.flat if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+        if bad:
+            raise ValueError(f"weight {bad[0]!r} is not an integer")
     if ((w < 0) | (w >= d)).any():
         raise ValueError(f"weights must lie in [0, {d}) for d = {d}")
     w = w.astype(_dtype(d)).reshape(-1, len(_PAIRS))
@@ -571,8 +554,8 @@ def _checked(w, d: int, inverse):
                 f"cut-rank oracle says {_LABELS[oracle[i]]}"
             )
         replayed = _relabel([c[group.rows] for c in w], group.support)
-        for op in group.ops:
-            replayed = _apply(replayed, d, op)
+        for op, where in group.ops:
+            replayed = _apply(replayed, d, op, where)
         bad = np.flatnonzero(np.any([a != b for a, b in zip(replayed, group.w)], axis=0))
         if bad.size:
             raise VerificationFailure(
@@ -641,6 +624,8 @@ def census_random(d: int, samples: int, seed: int) -> ClassCensus:
         raise ValueError(f"sample count must be non-negative, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if d >= 2**63:  # the weights are drawn as int64
+        raise ValueError(f"random census supports d < 2**63, got {d}")
     rng, rows = np.random.default_rng(seed), _chunk_rows(d)
     return _sweep(d, (  # drawn chunk by chunk: memory stays flat in samples
         list(np.ascontiguousarray(

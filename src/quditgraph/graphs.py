@@ -53,17 +53,17 @@ class AdjacencyMatrix:
 
     @classmethod
     def from_array(cls, arr, d: int) -> "AdjacencyMatrix":
-        a = np.asarray(arr, dtype=int) % d
-        return cls(d, tuple(tuple(int(v) for v in row) for row in a))
+        # reduced as Python ints: a numpy int column would overflow for d >= 2**63
+        return cls(d, tuple(tuple(int(v) % d for v in row) for row in np.asarray(arr).tolist()))
 
     @classmethod
     def from_edges(cls, d: int, edges: Mapping[tuple[int, int], int]) -> "AdjacencyMatrix":
         """Build from a {(n, m): weight} mapping over unordered vertex pairs."""
-        a = np.zeros((N_VERTICES, N_VERTICES), dtype=int)
+        a = [[0] * N_VERTICES for _ in range(N_VERTICES)]
         for (n, m), w in edges.items():
             if n == m:
                 raise ValueError("self-loops are not allowed")
-            a[n, m] = a[m, n] = w % d
+            a[n][m] = a[m][n] = w % d
         return cls.from_array(a, d)
 
     def as_array(self) -> np.ndarray:

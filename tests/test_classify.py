@@ -1,5 +1,6 @@
 """Local-equivalence operations, canonicalization, and the exhaustive sweep."""
 
+import random
 from itertools import product
 from operator import itemgetter
 
@@ -404,12 +405,14 @@ def test_plan_table_shapes():
 
 
 def test_reduce_runs_one_group_per_program_shape():
-    # all 729 matrices at d = 3 in one call: one disconnected, one star and one
-    # chain group, and at most three parts of the six-edged group's split
+    # all 729 matrices at d = 3 in one call: one disconnected, one star, one
+    # chain and one six-edged group, which together hold each row once
     d = 3
     w = list(np.array(list(product(range(d), repeat=6))).T)
     groups = list(classify._reduce(w, d, classify._inverter(d)))
-    assert len(groups) <= 6
+    shapes = [set(classify._SHAPE[g.support].tolist()) for g in groups]
+    assert shapes == [{classify._UNREDUCED}, {classify._STAR}, {classify._CHAIN},
+                      {classify._SIX_EDGED}]
     assert sorted(int(r) for g in groups for r in g.rows) == list(range(d**6))
 
 
@@ -473,6 +476,39 @@ def test_cut_rank_oracle_exact_beyond_int64_products(rng):
     expected = [canonicalize(g).cls for g in graphs]
     assert cut_rank_classes(d, weights) == expected
     assert expected == [CLASS_G] * 10 + [CLASS_C] * 10 + [CLASS_P] * 10 + [DISCONNECTED]
+
+
+# A prime between 2**63 and 2**64, where numpy reads an int as uint64 or float64.
+D_BEYOND_INT64 = 10000000000000000051
+
+
+def test_cut_rank_oracle_exact_beyond_int64_weights():
+    d = D_BEYOND_INT64
+    row = [9733044862419154824, 6377047045578648634, 7677164818041690486,
+           1844679518563690324, 5467437777444762814, 9238123869591611896]
+    assert cut_rank_classes(d, [row]) == [canonicalize(_weights_graph(d, row)).cls] == [CLASS_P]
+    rng = random.Random(d)
+    rows = [[rng.randrange(d) for _ in PAIRS] for _ in range(200)]
+    assert cut_rank_classes(d, rows) == [canonicalize(_weights_graph(d, w)).cls for w in rows]
+
+
+@pytest.mark.parametrize("weights", [
+    [[1.5, 2.9, 1, 0, 0, 0]],
+    np.array([[1.0, 1, 1, 0, 0, 0]]),
+    [[True, 1, 1, 0, 0, 0]],
+    np.ones((1, 6), dtype=bool),
+], ids=["float-list", "float-array", "bool-list", "bool-array"])
+def test_cut_rank_classes_rejects_weights_that_are_not_integers(weights):
+    # a float used to be truncated, so [1.5, 2.9, 1, 0, 0, 0] read as class G
+    with pytest.raises(ValueError, match="is not an integer"):
+        cut_rank_classes(5, weights)
+
+
+def test_census_random_refuses_a_d_beyond_int64_draws():
+    for d in (2**63 + 29, D_BEYOND_INT64):
+        with pytest.raises(ValueError, match=rf"^random census supports d < 2\*\*63, got {d}$"):
+            census_random(d, 3, 0)
+    assert census_random(2**63 - 25, 20, 0).total == 20  # the largest prime below
 
 
 def test_census_random_d7():
@@ -777,7 +813,7 @@ def _batched_results(d, weights):
     w = list(np.ascontiguousarray(np.asarray(weights).T, dtype=dtype))
     for group in classify._reduce(w, d, classify._inverter(d)):
         assert all(c.dtype == dtype for c in group.w)
-        assert all(op.factor.dtype == dtype for op in group.ops if not isinstance(op, SwapOp))
+        assert all(op.factor.dtype == dtype for op, _ in group.ops if not isinstance(op, SwapOp))
         for i, row in enumerate(group.rows):
             yield int(row), group.result(i)
 

@@ -536,6 +536,8 @@ def test_last_single_valued_option_wins_and_d_repeats_in_order(capsys):
     ["tables", "--format", "csv"],
     ["state", "build", "--family", "psi", "--d", "5", "--gamma", "7"],  # gamma outside [0, d)
     ["state", "build", "--family", "psi", "--d", "5", "--gamma", "-1"],
+    ["state", "build", "--family", "G", "--d", "10000000000000000051"],  # a prime above 2**63
+    ["state", "build", "--family", "G", "--d", "99999999999999999999999999999"],
 ])
 def test_usage_errors_are_invalid_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -555,6 +557,25 @@ def test_usage_errors_are_invalid_input(capsys, argv):
      "--gamma must be in [0, 5), got 7"),
 ])
 def test_negative_values_reach_the_command(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"quditgraph: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["state", "build", "--family", "G", "--d", "10000000000000000051"],
+     "state commands support d <= 23"),
+    (["state", "build", "--family", "P", "--d", "10000000000000000051"],
+     "state commands support d <= 23"),
+    (["state", "build", "--family", "G", "--d", "99999999999999999999999999999"],
+     "99999999999999999999999999999 is beyond the exact primality test "
+     "(below 3317044064679887385961981)"),
+    (["classify", "--random", "3", "--d", "10000000000000000051"],
+     "random census supports d < 2**63, got 10000000000000000051"),
+])
+def test_huge_d_names_its_bound(capsys, argv, message):
+    # a family's weights are reduced mod d as Python ints, and the census
+    # draws int64 weights: neither may overflow into a traceback
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_INVALID and out == ""
     assert err == f"quditgraph: error: {message}\n"
@@ -824,7 +845,7 @@ def _corrupt_one_factor(reduce):
 
     def corrupted(w, d, inverse):
         groups = list(reduce(w, d, inverse))
-        factors = [op.factor for g in groups for op in g.ops if not isinstance(op, SwapOp)]
+        factors = [op.factor for g in groups for op, _ in g.ops if not isinstance(op, SwapOp)]
         factors[0][0] = (factors[0][0] + 1) % d
         return groups
 
