@@ -53,8 +53,9 @@ class AdjacencyMatrix:
 
     @classmethod
     def from_array(cls, arr, d: int) -> "AdjacencyMatrix":
-        # reduced as Python ints: a numpy int column would overflow for d >= 2**63
-        return cls(d, tuple(tuple(int(v) % d for v in row) for row in np.asarray(arr).tolist()))
+        # read as objects: numpy would turn ints >= 2**63 beside smaller ones into floats
+        return cls(d, [[_reduced(v, d) for v in row]
+                       for row in np.asarray(arr, dtype=object).tolist()])
 
     @classmethod
     def from_edges(cls, d: int, edges: Mapping[tuple[int, int], int]) -> "AdjacencyMatrix":
@@ -63,8 +64,8 @@ class AdjacencyMatrix:
         for (n, m), w in edges.items():
             if n == m:
                 raise ValueError("self-loops are not allowed")
-            a[n][m] = a[m][n] = w % d
-        return cls.from_array(a, d)
+            a[n][m] = a[m][n] = _reduced(w, d)
+        return cls(d, a)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=int)
@@ -83,6 +84,13 @@ class AdjacencyMatrix:
                 for n in range(N_VERTICES)
             ),
         )
+
+
+def _reduced(w, d: int) -> int:
+    """w mod d as a Python int; bool and float weights are not coerced."""
+    if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
+        raise ValueError(f"edge weight {w!r} is not an integer")
+    return int(w) % d
 
 
 def graph_from_json_dict(obj: Mapping) -> AdjacencyMatrix:

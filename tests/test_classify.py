@@ -487,9 +487,25 @@ def test_cut_rank_oracle_exact_beyond_int64_weights():
     row = [9733044862419154824, 6377047045578648634, 7677164818041690486,
            1844679518563690324, 5467437777444762814, 9238123869591611896]
     assert cut_rank_classes(d, [row]) == [canonicalize(_weights_graph(d, row)).cls] == [CLASS_P]
+    # Uniform rows are nearly all class P, so scaled G, C and P representatives
+    # and a disconnected row, each with a weight >= 2**63, tell the classes apart.
     rng = random.Random(d)
-    rows = [[rng.randrange(d) for _ in PAIRS] for _ in range(200)]
-    assert cut_rank_classes(d, rows) == [canonicalize(_weights_graph(d, w)).cls for w in rows]
+    rows = []
+    for base in (ghz_graph(d), cluster_graph(d), p_graph(d)):
+        scaled = []
+        while len(scaled) < 10:
+            g = replay(base, tuple(ScaleOp(v, rng.randrange(1, d)) for v in range(4)))
+            w = [g[n, m] for n, m in PAIRS]
+            if max(w) >= 2**63:
+                scaled.append(w)
+        rows += scaled
+    rows.append([d - 1, 0, 0, 0, 0, d - 2])
+    rows += [[rng.randrange(d) for _ in PAIRS] for _ in range(200)]
+    graphs = [_weights_graph(d, w) for w in rows]
+    assert [[g[n, m] for n, m in PAIRS] for g in graphs] == rows
+    expected = [canonicalize(g).cls for g in graphs]
+    assert expected[:31] == [CLASS_G] * 10 + [CLASS_C] * 10 + [CLASS_P] * 10 + [DISCONNECTED]
+    assert cut_rank_classes(d, rows) == expected
 
 
 @pytest.mark.parametrize("weights", [

@@ -70,6 +70,28 @@ def test_adjacency_validation():
         AdjacencyMatrix.from_edges(6, {(0, 1): 1})
 
 
+def test_builders_keep_weights_beyond_int64_exact():
+    # a prime above 2**63: numpy reads a list that mixes such ints with
+    # smaller ones as float64, which rounded the P graph's d - 1 to 10**19
+    d = 10000000000000000051
+    assert p_graph(d)[1, 2] == d - 1 and gamma_graph(d - 2, d)[0, 3] == d - 2
+    rows = [[0, d - 1, 2, 3], [d - 1, 0, 0, d - 4], [2, 0, 0, 0], [3, d - 4, 0, 0]]
+    assert AdjacencyMatrix.from_array(rows, d).entries == tuple(map(tuple, rows))
+    assert AdjacencyMatrix.from_array(np.array(rows, dtype=object), d).entries == tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: AdjacencyMatrix.from_edges(5, {(0, 1): 1.5, (1, 2): 2.9}),
+    lambda: AdjacencyMatrix.from_edges(5, {(0, 1): True}),
+    lambda: AdjacencyMatrix.from_array([[0, 1.5, 0, 0], [1.5, 0, 0, 0], [0] * 4, [0] * 4], 5),
+    lambda: AdjacencyMatrix.from_array(np.zeros((4, 4)), 5),
+], ids=["float-edges", "bool-edges", "float-list", "float-array"])
+def test_builders_refuse_weights_that_are_not_integers(build):
+    # a float used to be truncated: edges 1.5 and 2.9 read as weights 1 and 2
+    with pytest.raises(ValueError, match="is not an integer"):
+        build()
+
+
 def test_build_state_zero_index_amplitude():
     for d in (2, 3, 5):
         s = build_state(ghz_graph(d))
