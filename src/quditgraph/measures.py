@@ -1,13 +1,14 @@
 """Entropies, purities and the maximal-mixing test of four-qudit states.
 
-The exact route builds no state: ``tableau_entropies`` reads the entropy
-S(A) of every one- and two-site set A, in units of log d, off stabilizer
-``Tableau``s, all in one batch, as ints; the purity of A is d^-S(A), and
-exactly d^(|A| - S(A)) stabilizers act as the identity outside A (Fattal
-et al., quant-ph/0406168). ``is_k_mm`` and ``max_identity_factors`` read
-that profile. ``partial_trace``, ``purity`` and ``purity_profile`` are the
-dense route on a ``StateVector``: no command runs them, and they stay in
-the package only as spans the benchmark tracer names (``SPANS`` in
+The exact route builds no state: ``graph_entropies`` reads the entropy S(A)
+of every one- and two-site set A of a graph state, in units of log d, off
+its weights as ints: S(A) is the GF(d) rank of the cut block Gamma[A, rest]
+(Hein, Eisert and Briegel, PRA 69, 062311). The purity of A is d^-S(A), and
+exactly d^(|A| - S(A)) stabilizers act as the identity outside A (Fattal et
+al., quant-ph/0406168). ``is_k_mm`` and ``max_identity_factors`` read that
+profile. ``partial_trace``, ``purity`` and ``purity_profile`` are the dense
+route on a ``StateVector``: no command runs them, and they stay in the
+package only as spans the benchmark tracer names (``SPANS`` in
 ``perfbench/child.py``).
 """
 
@@ -15,23 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
-from .graphs import N_VERTICES
-from .states import StateVector, Tableau, tableau_entropy
+from .graphs import N_VERTICES, AdjacencyMatrix
+from .states import StateVector
 
 __all__ = [
     "PurityProfile",
     "all_subsystems",
+    "graph_entropies",
     "is_k_mm",
     "max_identity_factors",
     "partial_trace",
     "purity",
     "purity_profile",
     "subsystem_label",
-    "tableau_entropies",
 ]
 
 # Float purities within this of 1/d (pairs) or 1 (profile_class) count as equal.
@@ -106,32 +106,43 @@ def purity_profile(s: StateVector) -> PurityProfile:
     return PurityProfile(s.d, s.n_qudits, values)
 
 
-def tableau_entropies(tableaux: Sequence[Tableau]) -> list[dict[tuple[int, ...], int]]:
+# The 2|2 cuts (a, b, c, e), {a, b} against {c, e}, and the cut of each pair
+# of all_subsystems, in its order.
+_CUTS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+_PAIR_CUTS = (((0, 1), 0), ((0, 2), 1), ((0, 3), 2), ((1, 2), 2), ((1, 3), 1), ((2, 3), 0))
+
+
+def graph_entropies(g: AdjacencyMatrix) -> dict[tuple[int, ...], int]:
     """Entropy S, in units of log d, of every one- and two-site subsystem of
-    each tableau, of any mix of primes d, in ``all_subsystems`` order, from
-    one batched ``tableau_entropy`` call."""
-    keeps = all_subsystems(N_VERTICES, 2)
-    d = np.array([t.d for t in tableaux], dtype=np.int64)
-    xz = np.array([t.xz for t in tableaux], dtype=np.int64)
-    entropy = tableau_entropy(xz.reshape(len(d), N_VERTICES, 2 * N_VERTICES), keeps, d).tolist()
-    return [dict(zip(keeps, row)) for row in entropy]
+    the graph state of g, in ``all_subsystems`` order: 1 for a site with an
+    edge and 0 for one without, and for a pair the rank of its 2x2 cut block,
+    which its complement shares: 0 if the block is zero, 2 if its
+    determinant is nonzero mod d, else 1."""
+    w, d = g.entries, g.d
+    ranks = [0 if not (w[a][c] or w[a][e] or w[b][c] or w[b][e])
+             else 2 if (w[a][c] * w[b][e] - w[a][e] * w[b][c]) % d else 1
+             for a, b, c, e in _CUTS]
+    entropy = {(n,): 1 if any(w[n]) else 0 for n in range(N_VERTICES)}
+    entropy.update((pair, ranks[cut]) for pair, cut in _PAIR_CUTS)
+    return entropy
 
 
 def is_k_mm(entropy: dict, k: int) -> bool:
     """True when every subsystem of size <= k has entropy S(A) = |A|, its
-    purity d^-|A| (maximal mixing), in a ``tableau_entropies`` profile."""
+    purity d^-|A| (maximal mixing), in a ``graph_entropies`` profile."""
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2 for four-particle systems")
     return all(s == len(keep) for keep, s in entropy.items() if len(keep) <= k)
 
 
-def max_identity_factors(t: Tableau) -> int:
-    """Largest number of identity site factors over all non-identity stabilizers.
+def max_identity_factors(g: AdjacencyMatrix) -> int:
+    """Largest number of identity site factors over the non-identity
+    stabilizers of the graph state of g.
 
     Exactly d^(|A| - S(A)) stabilizers are the identity outside a site set A,
     so one besides the identity exists iff S(A) < |A|; every triple has one,
     as its S is its complement's, at most 1. At most 1 exactly when every
     two-site subsystem is maximally mixed.
     """
-    (entropy,) = tableau_entropies([t])
+    entropy = graph_entropies(g)
     return max((N_VERTICES - len(keep) for keep, s in entropy.items() if s < len(keep)), default=1)

@@ -2,13 +2,15 @@
 
 A bundle collects, per prime dimension, the purity profiles, the first- and
 second-measurement tallies, the per-branch path tree, the persistency
-statistics, and the maximal-mixing flags of the three reduced family states,
+statistics, and the maximal-mixing flags of the three family states,
 together with a checklist comparing every value against its closed-form
-expectation. Every number comes from one stabilizer ``Tableau`` per family
-and d, and no dense state is built: each purity is d^-S, S an exact cut rank
-read off the tableau's entropy profile (``measures.tableau_entropies``).
-Numeric entries carry both an exact-rational string and a float rounded to
-12 significant digits, so repeated runs are byte-identical.
+expectation. Every number is a closed form of the family graph's six
+weights, in O(1) GF(d) arithmetic per graph, and no state or tableau is
+built: each purity is d^-S, S an exact cut rank (``measures.graph_entropies``),
+and each tally counts the lines that leave each residue site pure
+(``steering.enumerate_paths``). Numeric entries carry both an exact-rational
+string and a float rounded to 12 significant digits, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from fractions import Fraction
 from typing import Sequence
 
 # purity_profile and family_reduced_state stay bound for perfbench/child.py's tracer.
-from .measures import is_k_mm, purity_profile, subsystem_label, tableau_entropies
+from .measures import all_subsystems, graph_entropies, is_k_mm, purity_profile, subsystem_label
 from .pauli import check_prime
 from .serialize import BASIS_ORDER, exact_and_float, metadata, rational_str
-from .states import family_fourier_sites, family_graph, family_reduced_state, stabilizer_tableaux
+from .states import family_graph, family_reduced_state
 from .steering import BELL, GHZ3, PRODUCT, SNB, enumerate_paths, persistency_stats
 
 __all__ = [
@@ -31,10 +33,10 @@ __all__ = [
 ]
 
 FAMILIES = ("G", "C", "P")
-# Every int64 product in the tableau arithmetic multiplies two residues mod d,
-# so all intermediates stay below 2d^2 (about 2e8 here). Memory stays flat in
-# d, so the cap bounds time: build_report([10007]) takes about 0.08 s
-# in-process on 2 AMD EPYC vCPUs (Python 3.11, numpy 2.4).
+# Every value is a closed form of six weights in Python ints, so neither
+# memory nor time grows with d: build_report([10007]) takes 0.3-0.5 ms
+# in-process (medians of 15 warm calls on 2 AMD EPYC vCPUs, Python 3.11).
+# The cap is kept until every cap is set from one budget.
 MAX_TABLES_D = 10007
 
 # Checked purity columns, in the order of expected_purity_columns; (0,2) and
@@ -113,14 +115,14 @@ class _Checklist:
         return all(row["pass"] for row in self.rows)
 
 
-def _purity_section(d: int, profiles: dict, checks: _Checklist) -> tuple[dict, dict]:
-    """(purity profiles, k-MM flags) of the family entropy profiles. Each
-    entropy is 0, 1 or 2, so the three purities 1, 1/d and 1/d^2 are
-    formatted once and indexed by it."""
+def _purity_section(d: int, profiles: dict, labels: list, checks: _Checklist) -> tuple[dict, dict]:
+    """(purity profiles, k-MM flags) of the family entropy profiles, each
+    subsystem under its ``labels`` entry. Each entropy is 0, 1 or 2, so the
+    three purities 1, 1/d and 1/d^2 are formatted once and indexed by it."""
     forms = [exact_and_float(Fraction(1, d**e)) for e in range(3)]
     section, mmes = {}, {}
     for family, entropy in profiles.items():
-        section[family] = {subsystem_label(k): forms[e] for k, e in entropy.items()}
+        section[family] = {label: forms[entropy[keep]] for keep, label in labels}
         for (name, keeps), exp in zip(PURITY_COLUMNS, expected_purity_columns(family, d)):
             actual = tuple(forms[entropy[keep]]["float"] for keep in keeps)
             checks.add(d, f"purity:{family}:{name}", (forms[exp]["float"],) * len(keeps), actual)
@@ -130,10 +132,11 @@ def _purity_section(d: int, profiles: dict, checks: _Checklist) -> tuple[dict, d
     return section, mmes
 
 
-def _steering_section(d: int, runs: dict, checks: _Checklist) -> dict:
-    """Tallies, path trees and persistency of the family (tableau, tally) runs."""
-    firsts, pairs, trees, persistency = {}, {}, {}, {}
-    for family, (tableau, tally) in runs.items():
+def _steering_section(d: int, tallies: dict, checks: _Checklist) -> tuple[dict, dict]:
+    """(tallies, path trees and persistency, the ``PersistencyStats`` by
+    family) of the family tallies."""
+    firsts, pairs, trees, persistency, stats_of = {}, {}, {}, {}, {}
+    for family, tally in tallies.items():
         fc, pc = tally.first_counts(), tally.pair_counts()
         firsts[family] = fc
         pairs[family] = pc
@@ -142,26 +145,22 @@ def _steering_section(d: int, runs: dict, checks: _Checklist) -> dict:
         checks.add(d, f"pair_tally:{family}", expected_pair_counts(family, d), pc)
         checks.add(d, f"pair_total:{family}", 12 * (d + 1) ** 2, sum(pc.values()))
 
-        stats = persistency_stats(tableau, tally)
-        persistency[family] = {
-            "n_ave": exact_and_float(stats.n_ave),
-            "n_min": stats.n_min,
-            "delta": exact_and_float(stats.delta),
-        }
+        stats = stats_of[family] = persistency_stats(tally)
+        n_ave, delta = exact_and_float(stats.n_ave), exact_and_float(stats.delta)
+        persistency[family] = {"n_ave": n_ave, "n_min": stats.n_min, "delta": delta}
         checks.add(d, f"persistency_n_min:{family}", expected_n_min(family, d), stats.n_min)
         checks.add(d, f"n_ave_below_3:{family}", True, stats.n_ave < 3)
         if d == 3:
             exp_ave, _, exp_delta = _PERSISTENCY_D3[family]
-            checks.add(d, f"persistency_n_ave:{family}", rational_str(exp_ave),
-                       rational_str(stats.n_ave))
-            checks.add(d, f"persistency_delta:{family}", rational_str(exp_delta),
-                       rational_str(stats.delta))
-    return {
+            checks.add(d, f"persistency_n_ave:{family}", rational_str(exp_ave), n_ave["exact"])
+            checks.add(d, f"persistency_delta:{family}", rational_str(exp_delta), delta["exact"])
+    section = {
         "first_measurement_tallies": firsts,
         "pair_tallies": pairs,
         "path_tree": trees,
         "persistency": persistency,
     }
+    return section, stats_of
 
 
 def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
@@ -169,31 +168,30 @@ def build_report(d_values: Sequence[int]) -> tuple[dict, bool]:
 
     The dimensions must be distinct primes up to MAX_TABLES_D. Returns
     (bundle, all_pass); every comparison row also appears under ``checks``.
-    The family tableaux are built and checked as one batch, the purities come
-    from one batched entropy call and the tallies from one ``enumerate_paths``.
+    The purities come from each family graph's cut ranks and the tallies from
+    one ``enumerate_paths`` over all family graphs.
     """
     d_values = [check_prime(d) for d in d_values]
     if any(d > MAX_TABLES_D for d in d_values):
         raise ValueError(f"tables supports prime dimensions up to {MAX_TABLES_D}")
     if len(set(d_values)) != len(d_values):
         raise ValueError(f"each dimension may be given once, got {d_values}")
-    tableaux = stabilizer_tableaux((family_graph(f, d), family_fourier_sites(f))
-                                   for d in d_values for f in FAMILIES)
-    profiles = tableau_entropies(tableaux)
-    tallies = enumerate_paths(tableaux)
+    graphs = [family_graph(f, d) for d in d_values for f in FAMILIES]
+    tallies = enumerate_paths(graphs)
+    labels = [(keep, subsystem_label(keep)) for keep in all_subsystems()]
     checks = _Checklist()
-    sections = {}
+    sections, n_aves = {}, {family: [] for family in FAMILIES}
     for i, d in enumerate(d_values):
         of_d = slice(i * len(FAMILIES), (i + 1) * len(FAMILIES))
-        purities, mmes = _purity_section(d, dict(zip(FAMILIES, profiles[of_d])), checks)
-        runs = dict(zip(FAMILIES, zip(tableaux[of_d], tallies[of_d])))
-        steering = _steering_section(d, runs, checks)
+        profiles = {f: graph_entropies(g) for f, g in zip(FAMILIES, graphs[of_d])}
+        purities, mmes = _purity_section(d, profiles, labels, checks)
+        steering, stats = _steering_section(d, dict(zip(FAMILIES, tallies[of_d])), checks)
+        for family in FAMILIES:
+            n_aves[family].append(stats[family].n_ave)
         sections[str(d)] = {"purities": purities, "mmes": mmes, **steering}
     if len(d_values) >= 2 and sorted(d_values) == d_values:
-        for family in FAMILIES:
+        for family, seq in n_aves.items():
             # exact: adjacent primes near 3e6 share a 12-digit float
-            seq = [Fraction(sections[str(d)]["persistency"][family]["n_ave"]["exact"])
-                   for d in d_values]
             increasing = all(a < b for a, b in zip(seq, seq[1:]))
             checks.add(0, f"n_ave_monotone:{family}", True, increasing)
     bundle = {

@@ -34,7 +34,7 @@ def rational_str(x: Fraction | int) -> str:
     int raises TypeError."""
     if type(x) is not int and not isinstance(x, Fraction):
         raise TypeError(f"exact rendering takes a Fraction or an int, not {type(x).__name__}")
-    return str(Fraction(x))
+    return str(x)
 
 
 def exact_and_float(x: Fraction | int) -> dict:

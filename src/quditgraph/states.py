@@ -4,8 +4,7 @@ A graph state over the standard product basis |j1, j2, j3, j4> (first qudit
 slowest) carries the amplitude omega^(sum over edges of w_nm * j_n * j_m) / d^2,
 each edge counted once, and is the simultaneous +1 eigenstate of the four
 generators X_n (x) Z_m^w_nm, whose phase-free rows form its ``Tableau``
-(``stabilizer_group`` lists all d^4 of their products, phases included);
-``tableau_entropy`` reads the exact entanglement of any sites off the rows,
+(``stabilizer_group`` lists all d^4 of their products, phases included),
 and ``stabilizer_exponents`` checks the rows on the exact ``phase_exponents``.
 ``StateVector``, ``build_state``, ``apply_local_fourier`` and
 ``family_reduced_state`` are the dense complex form: no command runs them,
@@ -38,7 +37,6 @@ __all__ = [
     "stabilizer_tableau",
     "stabilizer_tableaux",
     "tableau_batch",
-    "tableau_entropy",
 ]
 
 NORM_TOL = 1e-10
@@ -190,29 +188,6 @@ def stabilizer_exponents(e: np.ndarray, t: Tableau) -> list[int | None]:
         same = np.array_equal(moved >= 0, support) and (r == r[0]).all()
         exponents.append(int(r[0]) if same else None)
     return exponents
-
-
-def tableau_entropy(t: np.ndarray, site_sets: Sequence[Sequence[int]],
-                    d: int | np.ndarray) -> np.ndarray:
-    """Entanglement of each of k site sets with the rest, in units of log d,
-    for a batch of tableaux (..., rows, 2n) reduced mod d, d an int or an
-    integer array broadcasting over the batch axes (...): shape (..., k), the
-    GF(d) rank of a set's columns minus its size (Hein, Eisert and Briegel,
-    PRA 69, 062311). Smaller sets are padded with zero columns. A lone site's
-    two columns have rank (any entry nonzero) + (any 2x2 minor nonzero)."""
-    sizes = [len(s) for s in site_sets]
-    width = max(sizes)
-    cols = np.array([[c for i in s for c in (2 * i, 2 * i + 1)] + [0] * (2 * (width - len(s)))
-                     for s in site_sets])
-    m = np.moveaxis(t[..., cols], -3, -2)  # (..., k, rows, 2 width)
-    d = np.asarray(d)[..., None]  # over the batch axes and k
-    if width == 1:
-        x, z = m[..., :, None, 0], m[..., None, :, 1]
-        minors = (x * z - np.swapaxes(x * z, -1, -2)) % d[..., None, None]
-        rank = m.any(axis=(-2, -1)).astype(np.int64) + minors.any(axis=(-2, -1))
-    else:
-        rank = rank_mod(m * (np.arange(2 * width) < 2 * np.array(sizes)[:, None])[:, None], d)
-    return rank - np.array(sizes)
 
 
 def apply_local_fourier(s: StateVector, sites: Iterable[int]) -> StateVector:

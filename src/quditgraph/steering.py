@@ -1,29 +1,56 @@
 """Projective-measurement steering of four-qudit graph states.
 
 Each qudit offers d+1 measurement bases (Z and XZ^k for k = 0..d-1), which
-are pairwise mutually unbiased for prime d. The engine enumerates every
-ordered single measurement and measurement pair, classifies the residual
-state by its single-site purity pattern, and aggregates the results into
-tallies, per-branch trees, and averaged persistency statistics.
+are pairwise mutually unbiased for prime d. Every ordered single measurement
+and measurement pair is classed by the single-site purity pattern of what it
+leaves, and the classes are aggregated into tallies, per-branch trees and
+averaged persistency statistics. All of it is a closed form of the graph's
+six weights, in O(1) GF(d) arithmetic per graph: no state, no tableau and no
+loop over the d+1 bases.
 
-The engine is exact: bases are lines of GF(d)^2, (0, 1) for Z and (1, k)
-for XZ^k, and measuring qudit q of a ``Tableau`` along one clears the rows
-with a nonzero symplectic product against a pivot row, zeroes the pivot, and
-deletes q's columns (Gottesman, quant-ph/9802007). ``enumerate_paths`` takes
-a batch of tableaux of any mix of primes, each row of its arithmetic reduced
-by its own tableau's d. One batched elimination measures all four first
-qudits of every tableau along all d+1 lines, and ``states.tableau_entropy``
-classes each 3-qudit residue R by which of its sites are pure (Hein, Eisert
-and Briegel, PRA 69, 062311). Every second measurement is then classed from
-R's purity pattern alone, with no further elimination:
+Bases are lines of GF(d)^2, (0, 1) for Z and (1, k) for XZ^k. The graph
+state of Gamma is stabilized by the words that carry (p_n, (Gamma p)_n) on
+each site n, one per p in GF(d)^4 (Gottesman, quant-ph/9802007). Measuring
+qudit q along the line l = (x, z) keeps the words whose part on q lies in
+<l> and drops q. A site s of the 3-qudit residue R is pure exactly when a
+kept word acts on s alone, and nontrivially. With t1 and t2 the other two
+sites, such a word vanishes at t1 and t2, so p = alpha e_q + beta e_s with
 
-Let R's rows span V (dim V = 3), measure site c along line l, and let a, b
-be the other two sites. The measurement keeps the v in V with v_c in <l>
-and adds l on c, so the pair (a, b) is stabilized by those v's restrictions;
-it is a product exactly when site a is pure there, that is, when some v in V
-has v_b = 0, v_a != 0 and v_c in <l>. With W = {v in V : v_b = 0}, a site
-set's entropy being its size minus the dimension of V's vectors supported on
-it gives dim W = 2 - S(b) and, for each site s, a nonzero v supported on s
+- alpha Gamma_tq + beta Gamma_ts = 0 at t = t1, t2: (alpha, beta) lies in
+  the kernel of the block B = [[Gamma_t1q, Gamma_t1s], [Gamma_t2q, Gamma_t2s]];
+- (beta, alpha Gamma_sq) != 0, its part on s;
+- z alpha = x beta Gamma_qs, its part (alpha, beta Gamma_qs) on q lying in <l>.
+
+Hence, by the rank of B over GF(d), the lines on which s is pure are
+
+- at rank 0, every line: (0, 1) serves when x Gamma_qs = 0, and
+  (x Gamma_qs, z) otherwise, its part (z, x Gamma_qs^2) on s being nonzero;
+- at rank 2, none: the kernel is 0;
+- at rank 1, with kernel <(alpha, beta)>: none if beta = alpha Gamma_sq = 0;
+  otherwise every line if (alpha, beta Gamma_qs) = 0, and else the one line
+  through it, Z if alpha = 0 and XZ^(beta Gamma_qs / alpha) if not.
+
+Two cases show the rule at work. Z (x = 0) forces alpha = 0, so s is pure
+exactly when it has no neighbour among t1 and t2: as far as the residue's
+pure sites go, Z deletes q. XZ^k with k != 0 gives alpha = beta Gamma_qs / k,
+so s is pure exactly when Gamma_ts + Gamma_tq Gamma_qs / k = 0 at both t:
+the weight-1/k local complementation at q, then deletion (Hein, Eisert and
+Briegel, PRA 69, 062311, give the qubit rules).
+
+So for each first qudit q the three residue sites are pure on every line,
+on none or on one, and the lines leaving 0, 1 or 3 pure sites are counted
+from those three sets without visiting the lines. Exactly two pure sites
+is no stabilizer state (S(c) = S(ab) <= S(a) + S(b) = 0), so a line with
+two raises ``ClassificationError``.
+
+Every second measurement is classed from R's purity pattern alone. Let R's
+words span V (dim V = 3), measure site c along line l, and let a, b be the
+other two sites. The measurement keeps the v in V with v_c in <l> and adds
+l on c, so the pair (a, b) is stabilized by those v's restrictions; it is a
+product exactly when site a is pure there, that is, when some v in V has
+v_b = 0, v_a != 0 and v_c in <l>. With W = {v in V : v_b = 0}, a site set's
+entropy being its size minus the dimension of V's vectors supported on it
+gives dim W = 2 - S(b) and, for each site s, a nonzero v supported on s
 alone exactly when s is pure. Hence, by R's purity pattern:
 
 - all three sites pure: take v on a alone; a product for every l;
@@ -35,19 +62,13 @@ alone exactly when s is pure. Hence, by R's purity pattern:
   a product for every l;
 - no pure site: W = <n>, where n_a != 0 (else c would be pure) and n_c != 0
   (else a would be); a product exactly when n_c in <l>, i.e. when l is
-  n_c's line, Z if n_c = (0, z) and XZ^(z/x) if n_c = (x, z) with x != 0;
-- two pure sites: no stabilizer state (S(c) = S(ab) <= S(a) + S(b) = 0),
-  so ``ClassificationError``.
+  n_c's line.
 
-So the class of every pair follows from R's purity pattern: each site of a
-product residue has d+1 second measurements that leave a product, each
-mixed site of an S_nB residue d+1 and its pure site none, and each site of
-a GHZ3 residue exactly one, the line of n_c. A tally keeps only the first
-level, the pure sites of each residue, and every pair count is a closed
-form of it. The first measurements of all tableaux, 4(d+1) per tableau,
-are cut into batches of 4,096, whatever their d, and each batch costs one
-elimination: d = 2..13 runs as one, and a tableau at large d spans many,
-so no batch's temporaries grow with d.
+So each site of a product residue has d+1 second measurements that leave a
+product, each mixed site of an S_nB residue d+1 and its pure site none, and
+each site of a GHZ3 residue exactly one. A tally keeps only the per-qudit
+count of first moves by pure sites, and every pair count is a closed form of
+it.
 
 ``project`` is the single-event form on a dense ``StateVector``: it
 measures one qudit along a line of ``all_bases``, with the eigenvectors of
@@ -66,9 +87,10 @@ from typing import Iterable
 import numpy as np
 
 from .classify import VerificationFailure
-from .measures import tableau_entropies
-from .pauli import check_prime, eliminate_mod, omega_powers, pauli_str
-from .states import StateVector, Tableau, tableau_entropy
+from .graphs import AdjacencyMatrix
+from .measures import graph_entropies
+from .pauli import check_prime, inv_mod, omega_powers, pauli_str
+from .states import StateVector
 
 __all__ = [
     "ClassificationError",
@@ -186,52 +208,29 @@ def project(s: StateVector, event: MeasurementEvent) -> tuple[StateVector, float
     return residual, prob
 
 
-def _refuse_two_pure_sites(patterns: np.ndarray) -> None:
-    """Raise ClassificationError at the first residue pattern of ``patterns``
-    (..., 3 sites) with exactly two pure sites, which no stabilizer state has."""
-    two = patterns[patterns.sum(-1) == 2]
-    if len(two):
-        kinds = ["pure" if p else "mixed" for p in two[0]]
-        raise ClassificationError(f"purity pattern {kinds} is not a graph-state residue")
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PathTally:
     """Classified outcomes of all single measurements and measurement pairs,
-    held as the read-only booleans ``first`` (4 q1, d+1 b1, 3 sites) over the
-    lines of ``all_bases``: which sites of the residue of measuring qudit q1
-    along b1 are pure. Three pure sites make a product, one an S_nB state and
-    none a GHZ3 state; two raise ClassificationError. Residue sites are
-    positions within the 3-qudit residual state.
+    held as the 4x3 tuple of ints ``moves``: per first qudit q1, how many of
+    its d+1 first moves leave 0, 1 or 3 pure residue sites, that is a GHZ3
+    state, an S_nB state or a product.
 
     By the module docstring's rule the pattern decides every pair, so a first
     move leaves 3(d+1) product pairs if all three residue sites are pure,
     2(d+1) if one is and 3 if none is. Every reader is thus a closed form of
-    the 4x3 tuple of ints ``moves``: per first qudit, the first moves leaving
-    0, 1 or 3 pure residue sites. First-measurement classes total 4(d+1); ordered
-    pairs total 12(d+1)^2. The readers take a first qudit 0..3, or None for
-    all four.
+    ``moves``. First-measurement classes total 4(d+1); ordered pairs total
+    12(d+1)^2. The readers take a first qudit 0..3, or None for all four.
     """
 
     d: int
-    first: np.ndarray
+    moves: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        n = self.d + 1
-        first = np.asarray(self.first, dtype=bool).view()
-        if first.shape != (4, n, 3):
-            raise ValueError(f"expected an array of shape (4, {n}, 3)")
-        _refuse_two_pure_sites(first)
-        n_pure = first.sum(-1)
-        counts = np.bincount((4 * np.arange(4)[:, None] + n_pure).ravel(), minlength=16)
-        first.flags.writeable = False
-        moves = tuple(map(tuple, counts.reshape(4, 4)[:, [0, 1, 3]].tolist()))
-        vars(self).update(first=first, moves=moves)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PathTally):
-            return NotImplemented
-        return self.d == other.d and np.array_equal(self.first, other.first)
+        moves = tuple(tuple(map(operator.index, row)) for row in self.moves)
+        if (len(moves) != 4 or any(len(row) != 3 or min(row) < 0 or sum(row) != self.d + 1
+                                   for row in moves)):
+            raise ValueError(f"expected 4 rows of 3 counts >= 0 summing to {self.d + 1}")
+        object.__setattr__(self, "moves", moves)
 
     def first_counts(self, qudit: int | None = None) -> dict[str, int]:
         ghz3, snb, product = self._moves(qudit)
@@ -268,59 +267,63 @@ class PathTally:
         return {PRODUCT: products, BELL: 3 * n * (ghz3 + snb + product) - products}
 
 
-# First-measurement rows that ``enumerate_paths`` eliminates together: it cuts
-# the rows of all its tableaux into slices of this many, whatever their d.
-_GROUP_ROWS = 4096
+# A set of lines on which a residue site is pure: every line, no line (None),
+# or the one line all_bases(d)[k], held as k >= 0.
+EVERY_LINE = -1
+# Per first qudit q, each residue site s in order with the other two, t1 and t2.
+_RESIDUES = tuple(tuple((s, *(t for t in range(4) if t not in (q, s))) for s in range(4) if s != q)
+                  for q in range(4))
 
 
-def _qudit_first(t: np.ndarray) -> np.ndarray:
-    """Each qudit q's view of a batch ``t`` (..., rows, 2n): shape (n, ..., rows,
-    2n), q's columns first and the other qudits' columns after them in order."""
-    n = t.shape[-1] // 2
-    order = [[q] + [p for p in range(n) if p != q] for q in range(n)]
-    cols = np.array([[c for p in sites for c in (2 * p, 2 * p + 1)] for sites in order])
-    return np.moveaxis(t[..., cols], -2, 0)
+def _pure_lines(w, d: int, q: int, s: int, t1: int, t2: int) -> int | None:
+    """The lines of qudit q whose measurement leaves site s pure, for the graph
+    of weights ``w`` mod d, by the rank and kernel of the block B of the module
+    docstring."""
+    a, b, c, e = w[t1][q], w[t1][s], w[t2][q], w[t2][s]
+    if not (a or b or c or e):
+        return EVERY_LINE
+    if (a * e - b * c) % d:
+        return None
+    alpha, beta = (b, -a) if a or b else (e, -c)  # a nonzero row (r, t) has kernel <(t, -r)>
+    if not beta and not alpha * w[s][q] % d:
+        return None
+    z = beta * w[q][s] % d
+    if alpha:
+        return 1 + z * inv_mod(alpha, d) % d  # XZ^(beta Gamma_qs / alpha)
+    return 0 if z else EVERY_LINE
 
 
-def _measure(g: np.ndarray, line: np.ndarray, d: int | np.ndarray) -> np.ndarray:
-    """Residual tableaux (..., rows, 2n-2) of measuring the first qudit of each
-    tableau of ``g`` (..., rows, 2n) along the line ``line`` (..., 2) mod d, d
-    broadcasting over (...). Row operations commute with deleting columns, so
-    the measured qudit's columns are split off before the elimination."""
-    d = np.asarray(d)
-    # each row's symplectic product with the line
-    col = (g[..., 0] * line[..., None, 1] - g[..., 1] * line[..., None, 0]) % d[..., None]
-    return eliminate_mod(np.broadcast_to(g[..., 2:], col.shape + (g.shape[-1] - 2,)), col, d)
+def _qudit_moves(d: int, lines: list) -> tuple[int, int, int]:
+    """How many of a first qudit's d+1 lines leave 0, 1 or 3 pure residue
+    sites, from each site's ``_pure_lines``; a line leaving two raises
+    ClassificationError."""
+    every = lines.count(EVERY_LINE)
+    special = {}  # the lines with a site of their own, and how many
+    for k in lines:
+        if k is not None and k != EVERY_LINE:
+            special[k] = special.get(k, 0) + 1
+    counts = [0, 0, 0, 0]
+    counts[every] += d + 1 - len(special)
+    for extra in special.values():
+        counts[every + extra] += 1
+    if counts[2]:
+        k = next((k for k, extra in special.items() if every + extra == 2), EVERY_LINE)
+        kinds = ["pure" if k_s in (EVERY_LINE, k) else "mixed" for k_s in lines]
+        raise ClassificationError(f"purity pattern {kinds} is not a graph-state residue")
+    return counts[0], counts[1], counts[3]
 
 
-def _classify_rows(g: np.ndarray, line: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Pure residue sites, shape (rows, 3), of measuring the first qudit of
-    each tableau ``g`` (rows, 4, 8) along ``line`` (rows, 2) mod d (rows,)."""
-    return tableau_entropy(_measure(g, line, d), ((0,), (1,), (2,)), d) == 0
-
-
-def enumerate_paths(tableaux: Iterable[Tableau]) -> list[PathTally]:
-    """The tally of each tableau, in order, of any mix of primes d: the residue
-    of every ordered single and pair of measurements. The first measurements
-    of all tableaux, one row per (tableau, q1, b1), are eliminated in slices
-    of _GROUP_ROWS rows, each row reduced by its own tableau's d, and each
-    second measurement is classed by the rule of the module docstring."""
-    tableaux = list(tableaux)
-    if not tableaux:
-        return []
-    d_t = np.array([t.d for t in tableaux])
-    n_rows = 4 * (d_t + 1)
-    stops = np.cumsum(n_rows)
-    xz = _qudit_first(np.stack([t.xz.reshape(4, 8) for t in tableaux]))
-    first = np.empty((stops[-1], 3), bool)
-    for start in range(0, len(first), _GROUP_ROWS):
-        row = np.arange(start, min(start + _GROUP_ROWS, len(first)))
-        tab = np.searchsorted(stops, row, side="right")  # each row's tableau
-        q1, b1 = np.divmod(row - (stops - n_rows)[tab], d_t[tab] + 1)
-        lines = np.stack([b1 > 0, np.where(b1 > 0, b1 - 1, 1)], axis=-1)  # Z, then XZ^k
-        first[row] = _classify_rows(xz[q1, tab], lines, d_t[tab])
-    return [PathTally(t.d, f.reshape(4, t.d + 1, 3))
-            for t, f in zip(tableaux, np.split(first, stops[:-1]))]
+def enumerate_paths(graphs: Iterable[AdjacencyMatrix]) -> list[PathTally]:
+    """The tally of each graph state, in order, of any mix of primes d: the
+    residue of every ordered single and pair of measurements, by the rule of
+    the module docstring."""
+    tallies = []
+    for g in graphs:
+        w, d = g.entries, g.d
+        moves = tuple(_qudit_moves(d, [_pure_lines(w, d, q, *sites) for sites in residue])
+                      for q, residue in enumerate(_RESIDUES))
+        tallies.append(PathTally(d, moves))
+    return tallies
 
 
 @dataclass(frozen=True)
@@ -333,52 +336,46 @@ class PersistencyStats:
     delta: Fraction
 
 
-def persistency_stats(t: Tableau, tally: PathTally | None = None) -> PersistencyStats:
-    """Persistency statistics of a four-qudit stabilizer state.
+def persistency_stats(tally: PathTally) -> PersistencyStats:
+    """Persistency statistics of a four-qudit graph state from its tally.
 
     A path scores 1 if entanglement is gone after the first measurement, 2 if
     after the second, and 3 otherwise; the average runs over the 3(d+1)^2
-    paths with a fixed first qudit. The per-qudit statistics, closed forms of
-    the tally's ``moves`` table, are checked to agree before the common value
-    is returned. A fully product input scores 0. An already computed
-    ``tally`` for the same state may be passed to avoid re-enumeration.
+    paths with a fixed first qudit. The statistics are closed forms of one
+    row of ``moves``, and distinct rows give distinct statistics, so every
+    first qudit is checked to have the same row. A fully product input
+    scores 0.
     """
-    d = t.d
-    if tally is None:
-        (tally,) = enumerate_paths([t])
+    n = tally.d + 1
     # A state is a product exactly when every first move leaves three pure
     # sites: were site a mixed while every move on another site b left a pure,
     # then for each line at b some stabilizer on {a, b} would be nonzero on a
     # and on that line; those span two dimensions, a Bell pair of a and b,
     # which measuring a third site leaves mixed.
-    if tally.first_counts()[PRODUCT] == 4 * (d + 1):
+    if all(row[2] == n for row in tally.moves):
         return PersistencyStats(Fraction(0), 0, Fraction(0))
-    total = 3 * (d + 1) ** 2
-    per_qudit = []
-    for q in range(4):
-        hist = tally.persistency_histogram(q)
-        pairs = tally.pair_counts(q)
-        n_sum = sum(n * c for n, c in hist.items())
-        per_qudit.append((n_sum, pairs[BELL], pairs[PRODUCT]))
-    if len(set(per_qudit)) != 1:
+    if len(set(tally.moves)) != 1:
         raise ClassificationError(
             "path statistics unexpectedly depend on the first qudit measured"
         )
-    n_sum, bell, prod = per_qudit[0]
-    hist = tally.persistency_histogram(0)
-    n_min = 1 if hist[1] else (2 if hist[2] else 3)
-    return PersistencyStats(Fraction(n_sum, total), n_min, Fraction(bell - prod, total))
+    total = 3 * n * n
+    hist, pairs = tally.persistency_histogram(0), tally.pair_counts(0)
+    n_sum = sum(k * paths for k, paths in hist.items())
+    # without a first move to a product, a path ends at 2: a GHZ3 or S_nB
+    # residue has a second measurement that leaves a product
+    return PersistencyStats(Fraction(n_sum, total), 1 if hist[1] else 2,
+                            Fraction(pairs[BELL] - pairs[PRODUCT], total))
 
 
-def schmidt_bounds(t: Tableau) -> tuple[int, int]:
+def schmidt_bounds(g: AdjacencyMatrix) -> tuple[int, int]:
     """(lower, upper) bounds on the Schmidt measure log_d N_min, exact ints.
 
     Lower: the largest entropy of a bipartition, log_d of its Schmidt rank,
-    a rank over GF(d): the largest of ``tableau_entropies``, as complementary
+    a rank over GF(d): the largest of ``graph_entropies``, as complementary
     site sets have equal entropy.
     Upper: the minimum number of single-site measurements that removes all
-    entanglement, ``persistency_stats(t).n_min``. For the canonical graph
+    entanglement, ``persistency_stats``' ``n_min``. For the canonical graph
     states the two coincide and equal the Schmidt measure.
     """
-    (entropy,) = tableau_entropies([t])
-    return max(entropy.values()), persistency_stats(t).n_min
+    (tally,) = enumerate_paths([g])
+    return max(graph_entropies(g).values()), persistency_stats(tally).n_min

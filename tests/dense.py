@@ -21,7 +21,9 @@ from quditgraph.graphs import N_VERTICES, AdjacencyMatrix
 from quditgraph.measures import PurityProfile, partial_trace, purity, purity_profile
 from quditgraph.pauli import check_prime, omega_powers
 from quditgraph.states import StateVector, build_state, stabilizer_group
-from quditgraph.steering import ClassificationError, _refuse_two_pure_sites
+from quditgraph.steering import ClassificationError
+
+from engine import _refuse_two_pure_sites
 
 # Hermiticity and unit-trace deviation of a density matrix, and its most
 # negative eigenvalue.
@@ -228,7 +230,7 @@ def pure_sites(purities: np.ndarray, d: int) -> np.ndarray:
 
 def classify3(s: StateVector) -> tuple[bool, bool, bool]:
     """Pure-site pattern of a 3-qudit projection residue, a row of
-    ``PathTally.first``: three pure sites make a product, one an S_nB state
+    ``engine.first_patterns``: three pure sites make a product, one an S_nB state
     and none a GHZ3 state."""
     if s.n_qudits != 3:
         raise ValueError("classify3 expects a 3-qudit state")

@@ -78,7 +78,7 @@ PINS = {
             "tables at three-digit d"),
         Pin("tables-d1009", (("tables", *_d_args(1009)),),
             "e10a4c646ace024d766234d950ee1b1946f20651f63e00bedce7d4f9005dde16",
-            "tables at four-digit d, each family's 4,040 first measurements a slice of its own"),
+            "tables at four-digit d"),
         Pin("tables-d1009-2-3", (("tables", *_d_args(1009, 2, 3)),),
             "3353749a44925124dea4c312c6560352fc564869ee623c9c428bbf53f2a91cbe",
             "large and small d in unsorted order, batched together"),
@@ -87,7 +87,7 @@ PINS = {
             "tables at its cap"),
         Pin("tables-d10007-2-3", (("tables", *_d_args(10007, 2, 3)),),
             "f120867358eba99f15f356e82a8d99da6e3400735c40b1e7e271b4d4125fc230",
-            "tables at its cap with small d in the same row slices"),
+            "tables at its cap with small d in the same call"),
         Pin("classify-matrix-supports",
             tuple(("classify", "--matrix", _support_matrix(d, s))
                   for d in (5, 13) for s in range(2 ** len(_PAIRS))),

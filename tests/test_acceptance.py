@@ -14,6 +14,7 @@ from quditgraph import (
     classify_exhaustive,
     canonicalize,
     cluster_graph,
+    family_graph,
     gamma_graph,
     ghz_graph,
     max_identity_factors,
@@ -36,7 +37,7 @@ from quditgraph.steering import (
     project,
 )
 
-from conftest import family_tableau, random_state_amps, random_word
+from conftest import random_state_amps, random_word
 from dense import (
     classify3,
     concurrence,
@@ -85,7 +86,7 @@ def test_criterion_02_first_measurement_tallies():
     }
     for d in (3, 5, 7):
         for fam, exp in expected.items():
-            (tally,) = enumerate_paths([family_tableau(fam, d)])
+            (tally,) = enumerate_paths([family_graph(fam, d)])
             assert tally.first_counts() == exp(d)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -101,7 +102,7 @@ def test_criterion_03_pair_tallies():
     }
     for d in (3, 5, 7):
         for fam, exp in expected.items():
-            (tally,) = enumerate_paths([family_tableau(fam, d)])
+            (tally,) = enumerate_paths([family_graph(fam, d)])
             pairs = tally.pair_counts()
             assert pairs == exp(d)
             assert sum(pairs.values()) == 12 * (d + 1) ** 2
@@ -118,12 +119,12 @@ def test_criterion_04_persistency_values():
         "P": (2.75, 0.500, 2),
     }
     for fam, (ave, delta, nmin) in targets.items():
-        tableau = family_tableau(fam, d)
-        stats = persistency_stats(tableau)
+        graph = family_graph(fam, d)
+        stats = persistency_stats(*enumerate_paths([graph]))
         assert abs(stats.n_ave - ave) <= 5e-3
         assert abs(stats.delta - delta) <= 1e-3
         assert stats.n_min == nmin
-        lower, upper = schmidt_bounds(tableau)
+        lower, upper = schmidt_bounds(graph)
         assert upper == nmin
         assert abs(lower - nmin) <= 1e-9  # bounds coincide: this is the measure
     report(4, "persistency averages 2.31/2.65/2.75, deltas, and N_min = (1,2,2)")
@@ -131,10 +132,8 @@ def test_criterion_04_persistency_values():
 
 def test_criterion_05_asymptotics():
     for fam in ("G", "C", "P"):
-        values = [
-            persistency_stats(family_tableau(fam, d)).n_ave
-            for d in (3, 5, 7, 11)
-        ]
+        values = [stats.n_ave for stats in map(persistency_stats, enumerate_paths(
+            family_graph(fam, d) for d in (3, 5, 7, 11)))]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < 3.0 for v in values)
     report(5, "N_ave strictly increasing over d in {3,5,7,11} and below 3")
@@ -168,8 +167,8 @@ def test_criterion_07_stabilizer_trace_cross_check():
                 assert np.max(np.abs(left - right)) <= 1e-9
         for gm in range(d):
             expected = 1 if gm not in (0, 1) else 2
-            assert max_identity_factors(stabilizer_tableau(gamma_graph(gm, d), ())) == expected
-        assert max_identity_factors(stabilizer_tableau(ghz_graph(d), ())) == 2
+            assert max_identity_factors(gamma_graph(gm, d)) == expected
+        assert max_identity_factors(ghz_graph(d)) == 2
     report(7, "stabilizer-trace route equals partial trace; identity-factor counts")
 
 

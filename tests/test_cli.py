@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import quditgraph
-from quditgraph import SwapOp, classify, cli, measures, report, states
+from quditgraph import SwapOp, classify, cli, measures, report, states, steering
 from quditgraph.cli import (
     EXIT_INTERRUPTED,
     EXIT_INVALID,
@@ -28,7 +28,7 @@ from quditgraph.cli import (
 )
 from quditgraph.pauli import omega_powers, pauli_str
 from quditgraph.serialize import fmt_float
-from quditgraph.steering import ClassificationError
+from quditgraph.steering import EVERY_LINE, ClassificationError
 
 from conftest import random_graph, reference_phase_exponents
 from dense import site_matrix
@@ -153,10 +153,10 @@ def test_n_ave_monotone_compares_exact_values(monkeypatch):
     assert planted[5] < planted[7] and fmt_float(planted[5]) == fmt_float(planted[7])
     stats = report.persistency_stats
 
-    def planting(tableau, tally):
-        s = stats(tableau, tally)
+    def planting(tally):
+        s = stats(tally)
         if s.n_min == 1:  # only G has a path that ends after one measurement
-            s = dataclasses.replace(s, n_ave=planted[tableau.d])
+            s = dataclasses.replace(s, n_ave=planted[tally.d])
         return s
 
     monkeypatch.setattr(report, "persistency_stats", planting)
@@ -349,6 +349,25 @@ def test_tables_steering_failure_is_mismatch(capsys, monkeypatch, error):
     assert out == ""
     assert err.count("\n") == 1
     assert "injected steering failure" in err
+
+
+def test_tables_two_pure_residue_sites_is_mismatch(capsys, monkeypatch):
+    # planted pure-line sets for first qudit 0 of every graph: residue site 0
+    # (qudit 1) pure on every line and site 1 (qudit 2) on the Z line alone,
+    # so measuring Z leaves exactly two pure sites, which no graph state does
+    pure_lines = steering._pure_lines
+
+    def planted(w, d, q, s, t1, t2):
+        if q == 0:
+            return {1: EVERY_LINE, 2: 0, 3: None}[s]
+        return pure_lines(w, d, q, s, t1, t2)
+
+    monkeypatch.setattr(steering, "_pure_lines", planted)
+    with pytest.raises(ClassificationError, match=r"\['pure', 'pure', 'mixed'\]"):
+        steering.enumerate_paths([quditgraph.ghz_graph(3)])
+    code, out, err = run_cli(capsys, "tables", "--d", "3")
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err.count("\n") == 1 and "is not a graph-state residue" in err
 
 
 def test_interrupt_exits_quietly():

@@ -9,15 +9,16 @@ import pytest
 from quditgraph import (
     AdjacencyMatrix,
     cluster_graph,
+    family_graph,
     gamma_graph,
     ghz_graph,
+    graph_entropies,
     is_k_mm,
     max_identity_factors,
     p_graph,
     schmidt_bounds,
     stabilizer_group,
     stabilizer_tableau,
-    tableau_entropies,
 )
 from quditgraph.measures import (
     PurityProfile,
@@ -29,7 +30,7 @@ from quditgraph.measures import (
 )
 from quditgraph.states import StateVector, apply_local_fourier, build_state, family_reduced_state
 
-from conftest import family_tableau, random_graph, random_state_amps, z_tableau
+from conftest import family_tableau, random_graph, random_state_amps
 from dense import (
     basis_state,
     checked_density,
@@ -40,6 +41,7 @@ from dense import (
     site_matrix,
     wedge_measure,
 )
+from engine import tableau_entropies
 
 CANONICAL_GRAPHS = {
     "G": ghz_graph,
@@ -175,7 +177,7 @@ def test_is_k_mm_is_exact_on_entropies(d):
     # an exact profile is maximally mixed or not, however close its purities:
     # one entropy off by one breaks 2-MM, and breaks 1-MM too when it is a
     # site's; only the dense test route compares purities within a tolerance
-    (exact,) = tableau_entropies([family_tableau("P", d)])
+    exact = graph_entropies(family_graph("P", d))
     assert is_k_mm(exact, 1) and is_k_mm(exact, 2)
     for keep in exact:
         off = {**exact, keep: exact[keep] - 1}
@@ -298,15 +300,11 @@ def test_stabilizer_trace_equals_partial_trace(d):
             np.testing.assert_allclose(left, right, atol=1e-9)
 
 
-def _graph_tableau(g):
-    return stabilizer_tableau(g, ())
-
-
 def test_max_identity_factors_values():
-    assert max_identity_factors(_graph_tableau(gamma_graph(2, 3))) == 1
-    assert max_identity_factors(_graph_tableau(gamma_graph(1, 3))) == 2
-    assert max_identity_factors(_graph_tableau(gamma_graph(0, 3))) == 2
-    assert max_identity_factors(_graph_tableau(ghz_graph(3))) == 2
+    assert max_identity_factors(gamma_graph(2, 3)) == 1
+    assert max_identity_factors(gamma_graph(1, 3)) == 2
+    assert max_identity_factors(gamma_graph(0, 3)) == 2
+    assert max_identity_factors(ghz_graph(3)) == 2
 
 
 def _enumerated_identity_factors(g) -> int:
@@ -327,26 +325,23 @@ def _edges(d, *edges):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_max_identity_factors_matches_stabilizer_group(d):
     # the entropy rule against the enumeration of all d^4 stabilizers, on
-    # random graphs in random local Fourier frames and on the product,
-    # Bell x Bell and GHZ3 x 1 states
+    # random graphs and on the product, Bell x Bell and GHZ3 x 1 states
     rng = np.random.default_rng(3300 + d)
     cases = [(_edges(d), 3), (_edges(d, (0, 1), (2, 3)), 2), (_edges(d, (0, 1), (0, 2)), 3)]
     cases += [(random_graph(rng, d), None) for _ in range(40)]
     for g, expected in cases:
-        sites = tuple(int(q) for q in np.flatnonzero(rng.integers(0, 2, size=4)))
-        rule = max_identity_factors(stabilizer_tableau(g, sites))
+        rule = max_identity_factors(g)
         assert rule == _enumerated_identity_factors(g), g.entries
         if expected is not None:
             assert rule == expected, g.entries
-    assert max_identity_factors(z_tableau(d)) == 3
 
 
 def test_max_identity_factors_at_d1009_stays_small():
     # the d^4 enumeration would hold 1e12 stabilizers; the rule reads ten ranks
-    tableaux = [family_tableau(family, 1009) for family in ("G", "C", "P")]
+    graphs = [family_graph(family, 1009) for family in ("G", "C", "P")]
     tracemalloc.start()
     try:
-        counts = [max_identity_factors(t) for t in tableaux]
+        counts = [max_identity_factors(g) for g in graphs]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -358,19 +353,19 @@ def test_two_mm_iff_single_identity_factors(d):
     for gm in range(d):
         g = gamma_graph(gm, d)
         two_mm = is_k_mm_float(purity_profile(build_state(g)), 2)
-        assert two_mm == (max_identity_factors(_graph_tableau(g)) <= 1)
+        assert two_mm == (max_identity_factors(g) <= 1)
         assert two_mm == (gm not in (0, 1))
 
 
 def test_schmidt_bounds_canonical():
     # the lower bound is a GF(d) rank: both bounds are exact ints
     for family, bounds in (("G", (1, 1)), ("P", (2, 2)), ("C", (2, 2))):
-        lower, upper = schmidt_bounds(family_tableau(family, 3))
+        lower, upper = schmidt_bounds(family_graph(family, 3))
         assert (lower, upper) == bounds and type(lower) is int and type(upper) is int
 
 
 def test_schmidt_bounds_product():
-    lower, upper = schmidt_bounds(z_tableau(3))
+    lower, upper = schmidt_bounds(_edges(3))  # no edge: a product state
     assert (lower, upper) == (0, 0) and type(lower) is int and type(upper) is int
 
 
@@ -385,10 +380,10 @@ def _assert_profiles_agree(entropy, dense):
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_tableau_profile_matches_dense_on_families(family, d):
-    _assert_profiles_agree(
-        tableau_entropies([family_tableau(family, d)])[0],
-        purity_profile(family_reduced_state(family, d)),
-    )
+    # the closed form on the graph and the oracle on the reduced frame's tableau
+    dense = purity_profile(family_reduced_state(family, d))
+    _assert_profiles_agree(graph_entropies(family_graph(family, d)), dense)
+    _assert_profiles_agree(tableau_entropies([family_tableau(family, d)])[0], dense)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -397,26 +392,28 @@ def test_tableau_profile_matches_dense_on_random_graphs(d):
     for _ in range(20):
         g = random_graph(rng, d)
         sites = tuple(int(q) for q in np.flatnonzero(rng.integers(0, 2, size=4)))
-        _assert_profiles_agree(
-            tableau_entropies([stabilizer_tableau(g, sites)])[0],
-            purity_profile(apply_local_fourier(build_state(g), sites)),
-        )
+        dense = purity_profile(apply_local_fourier(build_state(g), sites))
+        _assert_profiles_agree(graph_entropies(g), dense)
+        _assert_profiles_agree(tableau_entropies([stabilizer_tableau(g, sites)])[0], dense)
 
 
 def test_tableau_profiles_mixed_d_match_one_call_per_tableau():
-    # one batched call over random graph tableaux of shuffled primes, in
-    # random Fourier frames, against one call per tableau
+    # one batched oracle call over random graph tableaux of shuffled primes,
+    # in random Fourier frames, against one call per tableau and the closed form
     rng = np.random.default_rng(1100)
     d_values = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101], 3)).tolist()
-    tableaux = [stabilizer_tableau(random_graph(rng, d), np.flatnonzero(rng.integers(0, 2, size=4)))
-                for d in d_values]
+    graphs = [random_graph(rng, d) for d in d_values]
+    tableaux = [stabilizer_tableau(g, np.flatnonzero(rng.integers(0, 2, size=4))) for g in graphs]
     batch = tableau_entropies(tableaux)
     assert batch == [tableau_entropies([t])[0] for t in tableaux]
+    assert batch == [graph_entropies(g) for g in graphs]
     assert [list(e) for e in batch] == [list(all_subsystems())] * len(tableaux)
 
 
 def test_tableau_profile_is_exact():
     # the entropies are ints in units of log d: the purities 1/5, 1/25, 1/5
-    (entropy,) = tableau_entropies([family_tableau("C", 5)])
-    assert (entropy[(0,)], entropy[(0, 1)], entropy[(0, 2)]) == (1, 2, 1)
-    assert all(type(s) is int for s in entropy.values())
+    for entropy in (graph_entropies(family_graph("C", 5)),
+                    tableau_entropies([family_tableau("C", 5)])[0]):
+        assert (entropy[(0,)], entropy[(0, 1)], entropy[(0, 2)]) == (1, 2, 1)
+        assert list(entropy) == list(all_subsystems())
+        assert all(type(s) is int for s in entropy.values())

@@ -28,7 +28,6 @@ from quditgraph.states import (
     phase_exponents,
     stabilizer_exponents,
     stabilizer_tableau,
-    tableau_entropy,
 )
 
 from conftest import (
@@ -49,6 +48,7 @@ from dense import (
     psi_gamma,
     verify_eigen,
 )
+from engine import tableau_entropy
 
 
 def state_from_phase_fn(d, phase_fn):

@@ -1,5 +1,11 @@
-"""Measurement bases, projections, residue classification, and path tallies."""
+"""Measurement bases, projections, residue classification, and path tallies.
 
+The tallies and entropies of ``steering`` and ``measures`` are closed forms
+of a graph's weights; ``engine``, the elimination engine on tableaux, is the
+oracle they are held to."""
+
+import hashlib
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,15 +15,15 @@ from quditgraph import (
     ClassificationError,
     all_bases,
     enumerate_paths,
-    pauli,
+    graph_entropies,
     persistency_stats,
-    report,
     steering,
 )
 from quditgraph.classify import DISCONNECTED, cut_rank_classes
 from quditgraph.graphs import AdjacencyMatrix, cluster_graph, ghz_graph, p_graph
-from quditgraph.pauli import omega_powers, pauli_str, rank_mod
+from quditgraph.pauli import is_prime, omega_powers, pauli_str, rank_mod
 from quditgraph.report import _family_effective, build_report
+from quditgraph.serialize import json_text
 from quditgraph.states import (
     StateVector,
     Tableau,
@@ -29,27 +35,47 @@ from quditgraph.states import (
     stabilizer_tableau,
     stabilizer_tableaux,
     tableau_batch,
-    tableau_entropy,
 )
 from quditgraph.steering import (
     BELL,
+    EVERY_LINE,
     GHZ3,
     PRODUCT,
     SNB,
     MeasurementEvent,
     PathTally,
     ZeroProbabilityError,
-    _measure,
-    _qudit_first,
     basis_eigenvalue,
     mub_eigenstate,
     project,
 )
 
+import engine
 from conftest import family_tableau, random_state_amps, z_tableau
 from dense import basis_state, classify2, classify3, dense_matrix, ghz3_state, site_matrix, verify_eigen
+from engine import first_patterns, moves_of, tableau_entropy
+from pins import PINS
 
 Z, X = (0, 1), (1, 0)  # the lines of the Z and X bases
+
+
+def family_tally(family, d):
+    """The closed-form tally of a family's graph."""
+    (tally,) = enumerate_paths([family_graph(family, d)])
+    return tally
+
+
+def graph_of(w, d):
+    """The graph of six weights (w01, w02, w03, w12, w13, w23) mod d."""
+    grid = np.zeros((4, 4), dtype=int)
+    grid[np.triu_indices(4, 1)] = w
+    return AdjacencyMatrix.from_array(grid + grid.T, d)
+
+
+def empty_graph(d):
+    """The graph with no edge: its state is a product, held in the Fourier
+    frame on every site by the rows Z_n of ``z_tableau``."""
+    return AdjacencyMatrix.from_edges(d, {})
 
 
 def bell_state(d):
@@ -235,7 +261,7 @@ EXPECTED_PAIRS = {
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_path_tallies(d, family):
-    (tally,) = enumerate_paths([family_tableau(family, d)])
+    tally = family_tally(family, d)
     assert tally.first_counts() == EXPECTED_FIRST[family](d)
     assert tally.pair_counts() == EXPECTED_PAIRS[family](d)
     assert sum(tally.first_counts().values()) == 4 * (d + 1)
@@ -249,15 +275,17 @@ def test_persistency_d3_exact():
         "P": (Fraction(11, 4), 2, Fraction(1, 2)),
     }
     for fam, (ave, nmin, delta) in expected.items():
-        stats = persistency_stats(family_tableau(fam, 3))
+        stats = persistency_stats(family_tally(fam, 3))
         assert stats.n_ave == ave
         assert stats.n_min == nmin
         assert stats.delta == delta
 
 
 def test_persistency_product_input():
-    stats = persistency_stats(z_tableau(3))
-    assert (stats.n_ave, stats.n_min, stats.delta) == (Fraction(0), 0, Fraction(0))
+    (oracle,) = engine.enumerate_paths([z_tableau(3)])
+    for tally in (*enumerate_paths([empty_graph(3)]), oracle):
+        stats = persistency_stats(tally)
+        assert (stats.n_ave, stats.n_min, stats.delta) == (Fraction(0), 0, Fraction(0))
 
 
 def test_outcome_independence_exhaustive_d3():
@@ -304,7 +332,7 @@ def test_second_level_outcome_independence_d3():
 def test_first_qudit_symmetry():
     d = 3
     for fam in ("G", "C", "P"):
-        (tally,) = enumerate_paths([family_tableau(fam, d)])
+        tally = family_tally(fam, d)
         firsts = [tally.first_counts(q) for q in range(4)]
         pairs = [tally.pair_counts(q) for q in range(4)]
         assert all(fc == firsts[0] for fc in firsts)
@@ -314,19 +342,22 @@ def test_first_qudit_symmetry():
 
 
 def test_ghz_vulnerable_basis_is_z_on_every_qudit():
+    # in the reduced frame, by the oracle; the closed form's tally counts the
+    # one product line per qudit
     d = 3
-    (tally,) = enumerate_paths([family_tableau("G", d)])
+    (first,) = first_patterns([family_tableau("G", d)])
     bases = all_bases(d)
     for q in range(4):
-        product_bases = [bases[b] for b in np.flatnonzero(tally.first[q].all(axis=-1))]
+        product_bases = [bases[b] for b in np.flatnonzero(first[q].all(axis=-1))]
         assert product_bases == [Z]
+    assert [row[2] for row in family_tally("G", d).moves] == [1] * 4
 
 
 def test_p_has_no_vulnerable_first_basis():
     d = 3
-    (tally,) = enumerate_paths([family_tableau("P", d)])
-    assert not tally.first.any()  # no pure residue site: every first move is GHZ3
-    assert tally.first_counts() == {PRODUCT: 0, SNB: 0, GHZ3: 4 * (d + 1)}
+    (first,) = first_patterns([family_tableau("P", d)])
+    assert not first.any()  # no pure residue site: every first move is GHZ3
+    assert family_tally("P", d).first_counts() == {PRODUCT: 0, SNB: 0, GHZ3: 4 * (d + 1)}
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -339,39 +370,36 @@ def test_p_every_basis_appears_vulnerable_to_second_measurements(d):
 
 def test_n_ave_monotone_and_below_three():
     for fam in ("G", "C", "P"):
-        values = [
-            persistency_stats(family_tableau(fam, d)).n_ave for d in (3, 5, 7, 11)
-        ]
+        values = [persistency_stats(family_tally(fam, d)).n_ave for d in (3, 5, 7, 11)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < 3 for v in values)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_bell_fractions(d):
-    (tally,) = enumerate_paths([family_tableau("G", d)])
-    g_pairs = tally.pair_counts()
+    g_pairs = family_tally("G", d).pair_counts()
     total = 12 * (d + 1) ** 2
     assert Fraction(g_pairs[BELL], total) == Fraction(d * d, (d + 1) ** 2)
     for fam in ("C", "P"):
-        (tally,) = enumerate_paths([family_tableau(fam, d)])
-        pairs = tally.pair_counts()
+        pairs = family_tally(fam, d).pair_counts()
         assert Fraction(pairs[BELL], total) > Fraction(d * d, (d + 1) ** 2)
 
 
 def test_unprimed_graph_states_give_same_tallies():
-    # the tallies are invariant under the local Fourier reduction
+    # the tallies are invariant under the local Fourier reduction: the
+    # oracle's in the graph and reduced frames equal the closed form's
     d = 3
     for fam, graph_fn in (("G", ghz_graph), ("C", cluster_graph), ("P", p_graph)):
-        (raw,) = enumerate_paths([stabilizer_tableau(graph_fn(d), ())])
-        (reduced,) = enumerate_paths([family_tableau(fam, d)])
+        raw, reduced = engine.enumerate_paths([stabilizer_tableau(graph_fn(d), ()),
+                                               family_tableau(fam, d)])
+        assert raw == reduced == family_tally(fam, d)
         assert raw.first_counts() == reduced.first_counts()
         assert raw.pair_counts() == reduced.pair_counts()
 
 
 def test_persistency_histogram_totals():
     d = 3
-    (tally,) = enumerate_paths([family_tableau("G", d)])
-    hist = tally.persistency_histogram()
+    hist = family_tally("G", d).persistency_histogram()
     assert hist == {1: 48, 2: 36, 3: 108}
     assert sum(hist.values()) == 12 * (d + 1) ** 2
 
@@ -379,7 +407,7 @@ def test_persistency_histogram_totals():
 def test_branch_tree_marginals_match_tallies():
     d = 3
     for fam in ("G", "C", "P"):
-        (tally,) = enumerate_paths([family_tableau(fam, d)])
+        tally = family_tally(fam, d)
         tree = tally.branch_tree(0)
         assert sum(node["first_count"] for node in tree) == d + 1
         pair_total = sum(
@@ -420,9 +448,9 @@ def test_cluster_residual_generators_after_z2():
 
 
 def reference_paths(s):
-    """Single-projection form of ``enumerate_paths``, as a tally's ``first``
-    and ``pure`` arrays: one ``project`` call per outcome tried, lowest
-    outcome of nonzero probability first, each residue classed by
+    """Single-projection form of the tally, as an oracle ``first_patterns``
+    array and a ``pure`` array: one ``project`` call per outcome tried,
+    lowest outcome of nonzero probability first, each residue classed by
     ``classify3`` and each pair by ``classify2``."""
 
     def first_valid(state, qudit, basis):
@@ -449,7 +477,7 @@ def reference_paths(s):
 
 def rule_product_lines(first):
     """Per residue site, how many of its d+1 second measurements leave a
-    product pair, by the module docstring's rule applied to a tally's
+    product pair, by the module docstring's rule applied to a pattern array
     ``first`` (4 q1, d+1 b1, 3 sites): d+1 on every site of a residue with
     three pure sites, d+1 on each mixed site and 0 on the pure one of a
     residue with one, and exactly 1 on every site of a residue with none."""
@@ -458,18 +486,21 @@ def rule_product_lines(first):
     return np.where(n_pure == 3, n, np.where(n_pure == 1, n * ~first, 1))
 
 
-def matches_reference(tally, s):
-    first, pure = reference_paths(s)
-    return (np.array_equal(tally.first, first)
-            and np.array_equal(pure.sum(-1), rule_product_lines(tally.first)))
+def matches_reference(t, s, tally):
+    """Whether the oracle's patterns of tableau t and the pair classes they
+    imply match the single-event reference on the state s of t, and the
+    closed-form ``tally`` counts those patterns."""
+    (first,) = first_patterns([t])
+    ref_first, pure = reference_paths(s)
+    return (np.array_equal(first, ref_first) and tally.moves == moves_of(first)
+            and np.array_equal(pure.sum(-1), rule_product_lines(first)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("family", ["G", "C", "P"])
 def test_batched_paths_match_reference_families(d, family):
     s = family_reduced_state(family, d)
-    (tally,) = enumerate_paths([family_tableau(family, d)])
-    assert matches_reference(tally, s)
+    assert matches_reference(family_tableau(family, d), s, family_tally(family, d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -483,16 +514,13 @@ def test_batched_paths_match_reference_random_graphs(d):
     classes = cut_rank_classes(d, weights)
     assert DISCONNECTED in classes and set(classes) != {DISCONNECTED}
     for w in weights:
-        grid = np.zeros((4, 4), dtype=int)
-        grid[np.triu_indices(4, 1)] = w
-        g = AdjacencyMatrix.from_array(grid + grid.T, d)
-        (tally,) = enumerate_paths([stabilizer_tableau(g, ())])
-        assert matches_reference(tally, build_state(g))
+        g = graph_of(w, d)
+        (tally,) = enumerate_paths([g])
+        assert matches_reference(stabilizer_tableau(g, ()), build_state(g), tally)
         if d <= 5:  # the same graph with the Fourier gate on random sites
             sites = tuple(np.flatnonzero(rng.integers(0, 2, size=4)))
             state = apply_local_fourier(build_state(g), sites)
-            (tally,) = enumerate_paths([stabilizer_tableau(g, sites)])
-            assert matches_reference(tally, state)
+            assert matches_reference(stabilizer_tableau(g, sites), state, tally)
 
 
 def test_batched_paths_match_reference_basis_state():
@@ -500,8 +528,8 @@ def test_batched_paths_match_reference_basis_state():
     # reference tries later outcomes at both levels; the tableau holds the
     # same state as the rows Z_n
     s = basis_state(3, (1, 2, 0, 1))
-    (tally,) = enumerate_paths([z_tableau(3)])
-    assert matches_reference(tally, s)
+    (tally,) = enumerate_paths([empty_graph(3)])
+    assert matches_reference(z_tableau(3), s, tally)
     assert tally.first_counts() == {PRODUCT: 16, SNB: 0, GHZ3: 0}
 
 
@@ -518,11 +546,11 @@ def _measure_each(t, d):
     2n) along every line, in ``all_bases`` order: shape (n, ..., d+1, rows,
     2n-2), the other qudits' columns in order."""
     lines = np.array([(0, 1)] + [(1, k) for k in range(d)])
-    return _measure(_qudit_first(t)[..., None, :, :], lines, d)
+    return engine._measure(engine._qudit_first(t)[..., None, :, :], lines, d)
 
 
 def per_line_second_level(t):
-    """Per-line form of the second level of ``enumerate_paths``: every
+    """Per-line form of the second level of the tally: every
     first-level residue measured along every line by one elimination per first
     qudit, each pair classed by its first site's entropy. Shape (4 q1, d+1 b1,
     3 q2, d+1 b2), True for a product pair."""
@@ -534,87 +562,99 @@ def per_line_second_level(t):
 
 
 def random_graph_tableau(rng, d, w=None):
-    """A graph's tableau in a frame with the Fourier gate on random sites, its
-    rows mixed by a random invertible matrix mod d. The edge weights ``w``
-    default to random ones, one graph in three keeping a random subset."""
+    """A graph and its tableau in a frame with the Fourier gate on random
+    sites, its rows mixed by a random invertible matrix mod d. The edge
+    weights ``w`` default to random ones, one graph in three keeping a random
+    subset."""
     if w is None:
         w = rng.integers(0, d, size=6)
         w = w * (rng.integers(0, 2, size=6) if rng.random() < 1 / 3 else 1)
-    grid = np.zeros((4, 4), dtype=int)
-    grid[np.triu_indices(4, 1)] = w
-    g = AdjacencyMatrix.from_array(grid + grid.T, d)
+    g = graph_of(w, d)
     xz = stabilizer_tableau(g, tuple(np.flatnonzero(rng.integers(0, 2, size=4)))).xz
     mix = rng.integers(0, d, size=(4, 4))
     while rank_mod(mix, d) < 4:
         mix = rng.integers(0, d, size=(4, 4))
-    return Tableau(d, np.einsum("mn,nqk->mqk", mix, xz) % d)
+    return g, Tableau(d, np.einsum("mn,nqk->mqk", mix, xz) % d)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13, 31, 101])
 def test_second_level_rule_matches_per_line_oracle(d):
-    # the purity-pattern rule of enumerate_paths against one elimination per
+    # the purity-pattern rule of the tally against one elimination per
     # second measurement, over tableaux whose residues take every pattern
     rng = np.random.default_rng(2000 + d)
     kinds = set()
     for _ in range(12 if d > 13 else 24):
-        t = random_graph_tableau(rng, d)
-        (tally,) = enumerate_paths([t])
+        g, t = random_graph_tableau(rng, d)
+        (first,) = first_patterns([t])
+        (tally,) = enumerate_paths([g])
+        assert tally.moves == moves_of(first)
         pure = per_line_second_level(t)
-        assert np.array_equal(pure.sum(-1), rule_product_lines(tally.first))
+        assert np.array_equal(pure.sum(-1), rule_product_lines(first))
         kinds |= {k for k, n in tally.first_counts().items() if n}
     assert kinds == {PRODUCT, SNB, GHZ3}
 
 
 def test_mixed_d_batch_matches_one_call_per_tableau():
-    # one enumerate_paths call over random graph tableaux of shuffled primes,
-    # in random Fourier frames with their rows mixed, eliminated as one slice
+    # one oracle call over random graph tableaux of shuffled primes, in random
+    # Fourier frames with their rows mixed, eliminated as one slice, against
+    # one call per tableau and the closed form over the graphs in one call
     rng = np.random.default_rng(2500)
     d_values = rng.permutation(np.repeat([2, 3, 5, 7, 11, 13, 31, 101], 3)).tolist()
-    tableaux = [random_graph_tableau(rng, d) for d in d_values]
-    assert sum(4 * (d + 1) for d in d_values) <= steering._GROUP_ROWS
-    batch = enumerate_paths(tableaux)
+    graphs, tableaux = zip(*(random_graph_tableau(rng, d) for d in d_values))
+    assert sum(4 * (d + 1) for d in d_values) <= engine._GROUP_ROWS
+    batch = engine.enumerate_paths(tableaux)
     assert [tally.d for tally in batch] == d_values
     for t, tally in zip(tableaux, batch):
-        (alone,) = enumerate_paths([t])
+        (alone,) = engine.enumerate_paths([t])
         assert tally == alone
+    assert enumerate_paths(graphs) == batch
 
 
 def test_row_slices_cut_through_tableaux(monkeypatch):
     # 4(d+1) first-measurement rows per tableau; slices of 7 rows cut through
-    # most tableaux, and d = 1009 spans hundreds of them, yet each tally
-    # equals the one of a call of its own
+    # most tableaux, and d = 1009 spans hundreds of them, yet each oracle
+    # tally equals the one of a call of its own, and the closed form's
     rng = np.random.default_rng(2600)
     d_values = [13, 1009, 11, 7, 3, 2, 5]
-    tableaux = [random_graph_tableau(rng, d) for d in d_values]
-    alone = [enumerate_paths([t])[0] for t in tableaux]
-    sizes, classify_rows = [], steering._classify_rows
-    monkeypatch.setattr(steering, "_GROUP_ROWS", 7)
-    monkeypatch.setattr(steering, "_classify_rows",
+    graphs, tableaux = zip(*(random_graph_tableau(rng, d) for d in d_values))
+    alone = [engine.enumerate_paths([t])[0] for t in tableaux]
+    assert enumerate_paths(graphs) == alone
+    sizes, classify_rows = [], engine._classify_rows
+    monkeypatch.setattr(engine, "_GROUP_ROWS", 7)
+    monkeypatch.setattr(engine, "_classify_rows",
                         lambda g, line, d: sizes.append(len(d)) or classify_rows(g, line, d))
-    assert enumerate_paths(tableaux) == alone
+    assert engine.enumerate_paths(tableaux) == alone
     rows = sum(4 * (d + 1) for d in d_values)
     assert sizes == [min(7, rows - start) for start in range(0, rows, 7)]
 
 
 def test_two_pure_site_residue_raises():
-    # no stabilizer residue has exactly two pure sites
+    # no stabilizer residue has exactly two pure sites: the oracle refuses
+    # such a pattern, and the closed form such pure-line sets, on every line
+    # or on the one line the two sites share
     first = np.zeros((4, 4, 3), dtype=bool)
     first[2, 1, :2] = True
     with pytest.raises(ClassificationError):
-        PathTally(3, first)
+        moves_of(first)
+    for lines in ([EVERY_LINE, EVERY_LINE, None], [EVERY_LINE, 2, None], [None, 3, 3],
+                  [EVERY_LINE, EVERY_LINE, 0]):
+        with pytest.raises(ClassificationError, match="purity pattern"):
+            steering._qudit_moves(3, lines)
+    assert steering._qudit_moves(3, [EVERY_LINE, EVERY_LINE, EVERY_LINE]) == (0, 0, 4)
+    assert steering._qudit_moves(3, [None, 1, None]) == (3, 1, 0)
 
 
-def looped_readers(tally, pure, qudit):
+def looped_readers(tally, first, pure, qudit):
     """first_counts, pair_counts, persistency_histogram and branch_tree of a
-    tally, by a plain loop over its ``first`` array and the per-line oracle's
-    pairs ``pure``."""
+    tally, by a plain loop over the oracle's pattern array ``first`` and its
+    per-line pairs ``pure``."""
     d = tally.d
-    first, pairs, hist = {PRODUCT: 0, SNB: 0, GHZ3: 0}, {PRODUCT: 0, BELL: 0}, {1: 0, 2: 0, 3: 0}
+    counts, pairs, hist = {PRODUCT: 0, SNB: 0, GHZ3: 0}, {PRODUCT: 0, BELL: 0}, {1: 0, 2: 0, 3: 0}
     branches = {}
     for q1 in range(4) if qudit is None else (qudit,):
         for b1 in range(d + 1):
-            kind = {3: PRODUCT, 1: SNB, 0: GHZ3}[int(tally.first[q1, b1].sum())]
-            first[kind] += 1
+            kind = {3: PRODUCT, 1: SNB, 0: GHZ3}[int(first[q1, b1].sum())]
+            counts[kind] += 1
             node = branches.setdefault(
                 kind, {"first_class": kind, "first_count": 0, "pairs": {PRODUCT: 0, BELL: 0}})
             node["first_count"] += 1
@@ -624,40 +664,47 @@ def looped_readers(tally, pure, qudit):
                     pairs[pair] += 1
                     node["pairs"][pair] += 1
                     hist[1 if kind == PRODUCT else 2 if pair == PRODUCT else 3] += 1
-    return first, pairs, hist, [branches[k] for k in (PRODUCT, SNB, GHZ3) if k in branches]
+    return counts, pairs, hist, [branches[k] for k in (PRODUCT, SNB, GHZ3) if k in branches]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_tally_readers_match_loop_over_arrays(d):
     rng = np.random.default_rng(3000 + d)
-    tableaux = [family_tableau(f, d) for f in ("G", "C", "P")] + [z_tableau(d)]
-    tableaux += [random_graph_tableau(rng, d) for _ in range(6)]
-    for t in tableaux:
-        (tally,) = enumerate_paths([t])
+    cases = [(family_graph(f, d), family_tableau(f, d)) for f in ("G", "C", "P")]
+    cases += [(empty_graph(d), z_tableau(d))]
+    cases += [random_graph_tableau(rng, d) for _ in range(6)]
+    for g, t in cases:
+        (tally,) = enumerate_paths([g])
+        (first,) = first_patterns([t])
         pure = per_line_second_level(t)
         for qudit in (None, 0, 1, 2, 3):
             readers = (tally.first_counts(qudit), tally.pair_counts(qudit),
                        tally.persistency_histogram(qudit), tally.branch_tree(qudit))
-            assert readers == looped_readers(tally, pure, qudit)
+            assert readers == looped_readers(tally, first, pure, qudit)
             assert all(type(n) is int for reader in readers[:3] for n in reader.values())
 
 
 def test_path_tally_arrays_are_read_only_and_checked():
-    (tally,) = enumerate_paths([family_tableau("C", 3)])
+    # the oracle's pattern arrays are read-only; a tally holds only d and its
+    # checked table of moves, and compares by them
+    (first,) = first_patterns([family_tableau("C", 3)])
     with pytest.raises(ValueError):
-        tally.first[0, 0, 0] = True
-    assert tally == PathTally(3, tally.first.copy())
-    ghz = ~tally.first.any(-1)  # the moves that leave no pure site
-    assert tally != PathTally(3, tally.first | ghz[..., None])  # now leave a product
-    with pytest.raises(ValueError):
-        PathTally(5, tally.first)
-    with pytest.raises(ValueError):
-        PathTally(3, tally.first[:, :3])
+        first[0, 0, 0] = True
+    tally = family_tally("C", 3)
+    assert tally.moves == moves_of(first) == ((3, 1, 0),) * 4
+    assert tally == PathTally(3, [list(row) for row in tally.moves])
+    assert tally != PathTally(3, ((0, 0, 4),) * 4)  # every move now leaves a product
+    for d, moves in ((5, tally.moves), (3, tally.moves[:3]), (3, ((3, 1),) * 4),
+                     (3, ((5, -1, 0),) * 4), (3, ((3.0, 1, 0),) * 4)):
+        with pytest.raises((ValueError, TypeError)):
+            PathTally(d, moves)
+    with pytest.raises(AttributeError):
+        tally.moves = ((0, 0, 4),) * 4
 
 
 @pytest.mark.parametrize("qudit", [-1, 4, 7, 9])
 def test_tally_readers_reject_a_bad_qudit(qudit):
-    (tally,) = enumerate_paths([family_tableau("C", 3)])
+    tally = family_tally("C", 3)
     for reader in (tally.first_counts, tally.pair_counts,
                    tally.persistency_histogram, tally.branch_tree):
         with pytest.raises(ValueError, match="qudit"):
@@ -665,27 +712,14 @@ def test_tally_readers_reject_a_bad_qudit(qudit):
 
 
 def test_enumerate_paths_eliminates_once_per_row_slice(monkeypatch):
-    # the 18 tableaux of the tables bundle at d = 2..13 fit one row slice
+    # the oracle: the 18 family tableaux at d = 2..13 fit one row slice
     tableaux = [family_tableau(f, d) for d in (2, 3, 5, 7, 11, 13) for f in ("G", "C", "P")]
-    assert sum(4 * (t.d + 1) for t in tableaux) <= steering._GROUP_ROWS
-    calls, eliminate = [], steering.eliminate_mod
-    monkeypatch.setattr(steering, "eliminate_mod",
+    assert sum(4 * (t.d + 1) for t in tableaux) <= engine._GROUP_ROWS
+    calls, eliminate = [], engine.eliminate_mod
+    monkeypatch.setattr(engine, "eliminate_mod",
                         lambda *args: calls.append(1) or eliminate(*args))
-    enumerate_paths(tableaux)
+    engine.enumerate_paths(tableaux)
     assert len(calls) == 1
-
-
-def test_build_report_eliminates_nine_times(monkeypatch):
-    # at d = 2..13 the 18 family tableaux are checked by one rank_mod call (4
-    # eliminations), their pair purities taken by one entropy call (4) and
-    # their first measurements eliminated as one row slice (1); checking each
-    # tableau on its own took 4 apiece, 77 in all
-    calls = []
-    for module in (pauli, steering):
-        monkeypatch.setattr(module, "eliminate_mod", lambda *args, eliminate=module.eliminate_mod:
-                            calls.append(1) or eliminate(*args))
-    report.build_report([2, 3, 5, 7, 11, 13])
-    assert len(calls) == 9
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -694,8 +728,9 @@ def test_tally_moves_table_matches_per_move_counts(d):
     # pure residue sites; check them against sums over the moves themselves
     rng = np.random.default_rng(4100 + d)
     n = d + 1
-    for tally in enumerate_paths([random_graph_tableau(rng, d) for _ in range(40)]):
-        n_pure = tally.first.sum(-1)  # (4 q1, d+1 b1)
+    graphs, tableaux = zip(*(random_graph_tableau(rng, d) for _ in range(40)))
+    for tally, first in zip(enumerate_paths(graphs), first_patterns(tableaux)):
+        n_pure = first.sum(-1)  # (4 q1, d+1 b1), by the oracle
         counts = tuple(tuple(int((row == k).sum()) for k in (0, 1, 3)) for row in n_pure)
         assert tally.moves == counts
         assert all(type(c) is int for row in tally.moves for c in row)
@@ -724,13 +759,16 @@ def test_all_pure_first_moves_mean_a_product_state(d):
     # lone Bell pair, in random Fourier frames with their rows mixed
     rng = np.random.default_rng(3500 + d)
     weights = rng.integers(1, d, size=(300, 6)) * (rng.random((300, 6)) < rng.random((300, 1)))
-    tableaux = [random_graph_tableau(rng, d, w) for w in weights]
-    all_pure = np.array([tally.first.all() for tally in enumerate_paths(tableaux)])
+    graphs, tableaux = zip(*(random_graph_tableau(rng, d, w) for w in weights))
+    all_pure = np.array([first.all() for first in first_patterns(tableaux)])
     entropy = tableau_entropy(np.stack([t.xz.reshape(4, 8) for t in tableaux]),
                               [(i,) for i in range(4)], d)
     product = (entropy == 0).all(-1)
     assert np.array_equal(all_pure, product)
     assert 0 < product.sum() < len(tableaux)
+    # the closed form: every move of every qudit leaves a product
+    moves_all_pure = [tally.moves == ((0, 0, d + 1),) * 4 for tally in enumerate_paths(graphs)]
+    assert np.array_equal(moves_all_pure, product)
 
 
 def closed_form_persistency(family, d):
@@ -751,7 +789,7 @@ CLOSED_FORM_CASES = [
 
 @pytest.mark.parametrize("family,d", CLOSED_FORM_CASES)
 def test_persistency_closed_forms(d, family):
-    stats = persistency_stats(family_tableau(family, d))
+    stats = persistency_stats(family_tally(family, d))
     n_ave, delta = closed_form_persistency(_family_effective(family, d), d)
     assert stats.n_ave == n_ave
     assert stats.delta == delta
@@ -775,9 +813,86 @@ def test_report_persistency_matches_closed_forms():
 
 @pytest.mark.parametrize("family,d", CLOSED_FORM_CASES)
 def test_tally_closed_forms(d, family):
-    (tally,) = enumerate_paths([family_tableau(family, d)])
+    tally = family_tally(family, d)
     assert tally.first_counts() == EXPECTED_FIRST[_family_effective(family, d)](d)
     assert tally.pair_counts() == EXPECTED_PAIRS[_family_effective(family, d)](d)
+
+
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def random_weights(rng, d, n):
+    """n rows of six random weights mod d over a random edge density each,
+    zero weights and isolated vertices included, and every support: row k
+    keeps the support of the six bits of k."""
+    weights = rng.integers(0, d, size=(n, 6)) * (rng.random((n, 6)) < rng.random((n, 1)))
+    supports = (np.arange(64)[:, None] >> np.arange(6)) & 1
+    weights[:64] = supports[:n] * rng.integers(1, d, size=(min(n, 64), 6))
+    return weights
+
+
+@pytest.mark.parametrize("d", [p for p in range(2, 102) if is_prime(p)])
+def test_closed_form_matches_oracle_on_random_graphs(d):
+    # every support of the six edges, disconnected ones included, and random
+    # weights of random density, each in a random Fourier frame: the moves
+    # and entropies of the closed form against the elimination engine
+    rng = np.random.default_rng(5000 + d)
+    graphs = [graph_of(w, d) for w in random_weights(rng, d, 96)]
+    tableaux = [stabilizer_tableau(g, tuple(np.flatnonzero(rng.integers(0, 2, size=4))))
+                for g in graphs]
+    assert enumerate_paths(graphs) == engine.enumerate_paths(tableaux)
+    assert [graph_entropies(g) for g in graphs] == engine.tableau_entropies(tableaux)
+    classes = set(cut_rank_classes(d, [[g[n, m] for n, m in PAIRS] for g in graphs]))
+    assert DISCONNECTED in classes and len(classes) == (3 if d == 2 else 4)  # P = C at d = 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 13, 101])
+def test_closed_form_matches_oracle_in_every_fourier_frame(d):
+    # G, C and P with the Fourier gate on each of the 16 site sets: the tally
+    # and entropies of a state do not depend on its local frame
+    graphs = [family_graph(f, d) for f in ("G", "C", "P")]
+    frames = [tuple(q for q in range(4) if mask >> q & 1) for mask in range(16)]
+    tableaux = stabilizer_tableaux((g, sites) for g in graphs for sites in frames)
+    expected = [t for t in enumerate_paths(graphs) for _ in frames]
+    assert engine.enumerate_paths(tableaux) == expected
+    entropies = [graph_entropies(g) for g in graphs for _ in frames]
+    assert engine.tableau_entropies(tableaux) == entropies
+
+
+@pytest.mark.parametrize("d", [1009, 10007])
+def test_closed_form_matches_oracle_on_families_at_large_d(d):
+    graphs = [family_graph(f, d) for f in ("G", "C", "P")]
+    tableaux = [family_tableau(f, d) for f in ("G", "C", "P")]
+    assert enumerate_paths(graphs) == engine.enumerate_paths(tableaux)
+    assert [graph_entropies(g) for g in graphs] == engine.tableau_entropies(tableaux)
+
+
+def test_build_report_runs_no_elimination(monkeypatch):
+    # the bundle is closed forms of the weights: with every GF(d) elimination
+    # and rank route made to raise, wherever it is bound, build_report still
+    # gives the pinned bytes at d = 2..13 and at the cap, and the two in one call
+    def refuse(*args, **kwargs):
+        raise AssertionError("tables ran an elimination")
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "engine" or name.startswith("quditgraph")]
+    patched = 0
+    for module in modules:
+        for name in ("eliminate_mod", "rank_mod", "tableau_entropy", "tableau_entropies"):
+            if callable(getattr(module, name, None)):
+                monkeypatch.setattr(module, name, refuse)
+                patched += 1
+    assert patched >= 5  # pauli's two, states' rank_mod, the engine's four
+    with pytest.raises(AssertionError, match="elimination"):
+        stabilizer_tableau(ghz_graph(3), ())
+    bundles = {}
+    for name, d_values in (("tables-d2to13", [2, 3, 5, 7, 11, 13]), ("tables-d10007", [10007])):
+        bundles[name], ok = build_report(d_values)
+        text = json_text(bundles[name]).encode()
+        assert ok and hashlib.sha256(text).hexdigest() == PINS[name].sha256
+    both, ok = build_report([2, 3, 5, 7, 11, 13, 10007])
+    assert ok and both["sections"] == {**bundles["tables-d2to13"]["sections"],
+                                       **bundles["tables-d10007"]["sections"]}
 
 
 def bad_tableau_inputs():
