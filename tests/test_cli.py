@@ -1,6 +1,7 @@
 """Command-line surface: outputs, verification gating, and determinism."""
 
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -808,6 +809,24 @@ def test_cli_import_leaves_numpy_random_unloaded():
                           env=cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_main_freezes_the_heap_once_and_import_does_not(capsys):
+    # importing the module changes nothing process-wide; main() freezes the heap
+    # its first time in a process, and a later call freezes no more (else every
+    # in-process call would keep its garbage for good)
+    code = "import gc, quditgraph.cli; print(gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+    assert run_cli(capsys, "--version")[0] == EXIT_OK
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    # tracked objects a second freeze would count; frozen objects freed since lower it
+    alive = [[k] for k in range(1000)]
+    assert run_cli(capsys, "tables", "--d", "3")[0] == EXIT_OK
+    assert gc.get_freeze_count() <= frozen and len(alive) == 1000
 
 
 def test_classify_rejects_bad_json(capsys):

@@ -11,11 +11,12 @@ must reject d = 10009, the prime just above its cap of 10007, while d = 37 and
 import contextlib
 import io
 import json
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
+from quditgraph.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, _is_int, _is_value, main
 
 HUGE_D_VALUES = (2**61 - 1, 10**18)
 D_VALUES = (-1, 0, 1, 2, 3, 4, 5, 9, 11, 13, 37, 103, 10009) + HUGE_D_VALUES
@@ -172,3 +173,22 @@ def test_repeated_matrix_key_is_invalid_input(command, keyed):
     code, out, err = _run([*command, "--matrix", text])
     assert code == EXIT_INVALID and out == ""
     assert err == f"quditgraph: error: invalid matrix JSON: repeated key {key!r}\n", err
+
+
+# The regexes the parse predicates replaced, kept as their reference: a value is
+# not an option, "-" or a negative number; a CLI int is ASCII digits.
+_VALUE = re.compile(r"-|-\d+|-\d*\.\d+")
+_INT = re.compile(r"-?[0-9]+")
+# U+0663 is a decimal digit outside ASCII, and "\u00b2" a digit that is not decimal
+_piece = st.lists(st.sampled_from(
+    ["-", ".", "0", "7", "19", "\u0663", "\u00b2", "+", "_", "e", " ", "\n"]), max_size=3)
+# sign, whole part, point, fraction: the shapes the regexes tell apart
+_token = st.tuples(st.sampled_from(["", "-", "--"]), _piece, st.sampled_from(["", ".", ".."]),
+                   _piece).map(lambda parts: "".join("".join(p) for p in parts))
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=1000)
+@given(st.one_of(_token, st.text(max_size=6)))
+def test_parse_predicates_match_their_regexes(token):
+    assert _is_value(token) == (not token.startswith("-") or _VALUE.fullmatch(token) is not None)
+    assert _is_int(token) == (_INT.fullmatch(token) is not None)
