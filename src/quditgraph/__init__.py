@@ -33,7 +33,7 @@ from .graphs import (
     p_graph,
     path_graph,
 )
-from .measures import graph_entropies, is_k_mm, max_identity_factors
+from .measures import cut_ranks, graph_entropies, is_k_mm, max_identity_factors
 from .pauli import inv_mod, is_prime, pauli_mul
 from .states import Tableau, family_graph, stabilizer_group, stabilizer_tableau
 from .steering import (

@@ -1,6 +1,6 @@
 """Local-equivalence calculus on 4-vertex graphs and class canonicalization.
 
-Two operations generate local-unitary equivalence of graph states at the
+Two operations generate local-Clifford equivalence of graph states at the
 adjacency-matrix level: scaling a vertex (multiply its row and column by a
 nonzero field element) and the star update Gamma_lm += f * Gamma_ln * Gamma_nm
 applied off the diagonal. Together with vertex permutations they reduce any
@@ -8,8 +8,8 @@ connected 4-vertex graph to one of three canonical forms: the unit star
 (GHZ class G), or the chain-plus-chord form with parameter gamma_tilde,
 which is class C for gamma_tilde in {0, 1} and class P otherwise.
 
-A batch of graphs is held as six weight columns (w01, w02, w03, w12, w13,
-w23), one entry per graph, and every operation is a column operation mod d.
+A batch of graphs is held as six weight columns in ``graphs.PAIRS`` order,
+one entry per graph, and every operation is a column operation mod d.
 Three programs take these edge supports (which weights are nonzero): the
 star at vertex 3; the chain 0-1-2-3 with any chords but 1-3 (a star at vertex
 1, by 0 where there is no 0-2 chord, then the chain's normalization); and the
@@ -40,13 +40,10 @@ columns; a group of mixed relabellings, as a random census draws, gathers
 per row. Every row is held to three checks: the reduced matrix must be a
 canonical form; its class must equal an exact oracle's; and each group's
 trace, replayed from the original rows after their relabelling, must give
-the reduced rows. The oracle uses that
-the purity of a subsystem A of a graph state is d**-rank, the rank taken
-over GF(d) of the cut block Gamma[A, complement of A] (Hein, Eisert,
-Briegel, PRA 69, 062311; Hostens, Dehaene, De Moor, PRA 71, 042315 for
-qudits). A zero vertex row or a zero 2|2 block marks a disconnected graph;
-otherwise the number of 2|2 cuts of rank 1 is 3, 1 or 0 for classes G, C
-and P. ``profile_class``, the same fingerprint read off a purity profile,
+the reduced rows. The oracle reads the GF(d) cut ranks of the weight
+columns, ``measures.cut_ranks``: a zero vertex row or 2|2 block marks a
+disconnected graph, and otherwise 3, 1 or 0 cuts of rank 1 mark classes G,
+C and P. ``profile_class``, the same fingerprint read off a purity profile,
 stays only as a span the benchmark tracer names (``SPANS`` in
 ``perfbench/child.py``).
 """
@@ -60,9 +57,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .graphs import N_VERTICES, AdjacencyMatrix
+from .graphs import N_VERTICES, PAIR_INDEX, PAIRS, AdjacencyMatrix
 # purity_profile and build_state stay bound for perfbench/child.py's tracer.
-from .measures import PAIR_TOL, PurityProfile, purity_profile
+from .measures import PAIR_TOL, PurityProfile, cut_ranks, purity_profile
 from .pauli import check_prime, inv_mod_array
 from .states import build_state
 
@@ -92,9 +89,6 @@ MAX_EXHAUSTIVE_D = 13
 # not the output.
 _CHUNK = 32 * 1024
 
-# Vertex pairs in the order of the weight columns (w01, ..., w23).
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_INDEX = {p: k for k, (n, m) in enumerate(_PAIRS) for p in ((n, m), (m, n))}
 # Class codes index the labels; cut_rank_classes relies on this order.
 _P, _C, _DISCONNECTED, _G = range(4)
 _LABELS = np.array([CLASS_P, CLASS_C, DISCONNECTED, CLASS_G], dtype=object)
@@ -154,21 +148,21 @@ def _mod(x, d: int):
 
 
 def _scale(w, d: int, vertex: int, factor):
-    return [_mod(c * factor, d) if vertex in pair else c for c, pair in zip(w, _PAIRS)]
+    return [_mod(c * factor, d) if vertex in pair else c for c, pair in zip(w, PAIRS)]
 
 
 def _star(w, d: int, vertex: int, factor):
     # Weights at the star vertex are unchanged: the added term carries Gamma_vv = 0.
     return [
         c if vertex in (n, m)
-        else _mod(c + factor * w[_PAIR_INDEX[n, vertex]] * w[_PAIR_INDEX[vertex, m]], d)
-        for c, (n, m) in zip(w, _PAIRS)
+        else _mod(c + factor * w[PAIR_INDEX[n, vertex]] * w[PAIR_INDEX[vertex, m]], d)
+        for c, (n, m) in zip(w, PAIRS)
     ]
 
 
 def _swap(w, a: int, b: int):
     t = {a: b, b: a}
-    return [w[_PAIR_INDEX[t.get(n, n), t.get(m, m)]] for n, m in _PAIRS]
+    return [w[PAIR_INDEX[t.get(n, n), t.get(m, m)]] for n, m in PAIRS]
 
 
 def _apply(w, d: int, op: LCOperation, where=None):
@@ -184,8 +178,7 @@ def _apply(w, d: int, op: LCOperation, where=None):
 
 
 def _columns(g: AdjacencyMatrix):
-    dtype = _dtype(g.d)
-    return [np.array([g[pair]], dtype=dtype) for pair in _PAIRS]
+    return list(np.array([g.weights], dtype=_dtype(g.d)).T)
 
 
 def _entries(w, i: int):
@@ -272,7 +265,7 @@ class _Group:
         self.codes = None
 
     def weight(self, n: int, m: int):
-        return self.w[_PAIR_INDEX[n, m]]
+        return self.w[PAIR_INDEX[n, m]]
 
     def _record(self, op: LCOperation, where=None) -> None:
         self.w = _apply(self.w, self.d, op, where)
@@ -333,12 +326,12 @@ def _plan_table():
     (new vertex i is old vertex order[i]) that makes it a support a program
     takes; a disconnected support keeps its labels."""
     orders = list(permutations(range(N_VERTICES)))  # the identity first
-    columns = np.array([[_PAIR_INDEX[o[n], o[m]] for n, m in _PAIRS] for o in orders])
-    bit = {pair: 1 << k for pair, k in _PAIR_INDEX.items()}
+    columns = np.array([[PAIR_INDEX[o[n], o[m]] for n, m in PAIRS] for o in orders])
+    bit = {pair: 1 << k for pair, k in PAIR_INDEX.items()}
     star, chain = bit[0, 3] | bit[1, 3] | bit[2, 3], bit[0, 1] | bit[1, 2] | bit[2, 3]
-    support = np.arange(2 ** len(_PAIRS))
+    support = np.arange(2 ** len(PAIRS))
     # (support, order): the support each order relabels it to
-    t = ((support[:, None, None] >> columns & 1) << np.arange(len(_PAIRS))).sum(axis=2)
+    t = ((support[:, None, None] >> columns & 1) << np.arange(len(PAIRS))).sum(axis=2)
     shapes = np.select(
         [t == star, t & (chain | bit[1, 3]) == chain, t == support[-1]],
         [_STAR, _CHAIN, _SIX_EDGED], _UNREDUCED,
@@ -466,43 +459,27 @@ def profile_class(profile: PurityProfile) -> str:
     return mapping[n_loose]
 
 
-# Weight columns of the cut block of each one- and two-site subsystem: the
-# four vertex rows, then the 2|2 cuts {0,1}|{2,3}, {0,2}|{1,3}, {0,3}|{1,2}
-# as (a, b, c, e) with block determinant w_a w_b - w_c w_e.
-_VERTEX_ROWS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
-_CUT_BLOCKS = ((1, 4, 2, 3), (0, 5, 2, 3), (0, 5, 1, 4))
-
-
 def _cut_rank_codes(d: int, w):
-    """Class codes of the graphs of six weight columns, by cut ranks."""
-    zero = [c == 0 for c in w]
-    disconnected = np.zeros(len(w[0]), dtype=bool)
-    for cols in _VERTEX_ROWS + _CUT_BLOCKS:
-        disconnected |= np.logical_and.reduce([zero[k] for k in cols])
-    rank_one = np.zeros(len(w[0]), dtype=np.int64)
-    for a, b, c, e in _CUT_BLOCKS:
-        # every block of a connected graph is nonzero, so det = 0 means rank 1
-        rank_one += _mod(w[a] * w[b] - w[c] * w[e], d) == 0
-    bad = np.flatnonzero(~disconnected & (rank_one == 2))
+    """Class codes of the graphs of six weight columns, by ``cut_ranks``."""
+    rows, ranks = cut_ranks(w, d)
+    connected = np.logical_and.reduce([*rows, *(rank != 0 for rank in ranks)])
+    # the cuts of a connected graph have rank 1 or 2: 6 less their sum counts the 1s
+    rank_one = 6 - sum(ranks)
+    bad = np.flatnonzero(connected & (rank_one == 2))
     if bad.size:
         weights = [int(c[bad[0]]) for c in w]
-        raise VerificationFailure(
-            f"cut-rank pattern of weights {weights} matches no class"
-        )
+        raise VerificationFailure(f"cut-rank pattern of weights {weights} matches no class")
     # The rank-1 cut count is the class code; count 2 is excluded above, so
     # its code marks the disconnected graphs.
-    return np.where(disconnected, _DISCONNECTED, rank_one)
+    return np.where(connected, rank_one, _DISCONNECTED)
 
 
 def cut_rank_classes(d: int, weights) -> list[str]:
-    """Class of each graph of an (N, 6) weight array (w01, w02, w03, w12, w13, w23).
-
-    A vertex row or a 2|2 cut block of rank 0 (all zero) is a pure subsystem:
-    the graph is disconnected. Otherwise each 2|2 block has rank 1 (its
-    determinant vanishes mod d) or 2, and the number of rank-1 cuts is 3, 1
-    or 0 for classes G, C and P; complementary pairs share a cut, so this is
-    the purity pair pattern 6, 2, 0 halved. A float or bool weight, or one
-    outside [0, d), raises ValueError, as does a d that is not prime.
+    """Class of each graph of an (N, 6) weight array in ``PAIRS`` order, by
+    the oracle's cut ranks: 3, 1 or 0 cuts of rank 1, the purity pair pattern
+    6, 2, 0 halved, as complementary pairs share a cut. Weights of any shape
+    but (N, 6), a float or bool weight, or one outside [0, d), raise
+    ValueError, as does a d that is not prime.
     """
     d = check_prime(d)
     w = weights
@@ -512,9 +489,11 @@ def cut_rank_classes(d: int, weights) -> list[str]:
         bad = [v for v in w.flat if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
         if bad:
             raise ValueError(f"weight {bad[0]!r} is not an integer")
+    if w.ndim != 2 or w.shape[1] != len(PAIRS):
+        raise ValueError(f"weights must be an (N, {len(PAIRS)}) array, got shape {w.shape}")
     if ((w < 0) | (w >= d)).any():
         raise ValueError(f"weights must lie in [0, {d}) for d = {d}")
-    w = w.astype(_dtype(d)).reshape(-1, len(_PAIRS))
+    w = w.astype(_dtype(d))
     return _LABELS[_cut_rank_codes(d, list(np.ascontiguousarray(w.T)))].tolist()
 
 
@@ -594,15 +573,15 @@ def classify_exhaustive(d: int) -> ClassCensus:
         # reduction groups. Support s owns the rows offset[s] to offset[s + 1]:
         # its i-th row puts the base-(d-1) digits of i, plus one, on the
         # columns of s, the lowest column taking the least significant digit.
-        supports = [[k for k in range(len(_PAIRS)) if s >> k & 1]
-                    for s in range(2 ** len(_PAIRS))]
+        supports = [[k for k in range(len(PAIRS)) if s >> k & 1]
+                    for s in range(2 ** len(PAIRS))]
         offset = [0]
         for cols in supports:
             offset.append(offset[-1] + (d - 1) ** len(cols))
         n, rows = offset[-1], _chunk_rows(d)  # n = d**6, by the binomial theorem
         for start in range(0, n, rows):
             stop = min(start + rows, n)
-            w = [np.zeros(stop - start, dtype=_dtype(d)) for _ in _PAIRS]
+            w = [np.zeros(stop - start, dtype=_dtype(d)) for _ in PAIRS]
             s = bisect_right(offset, start) - 1
             while offset[s] < stop:
                 lo, hi = max(start, offset[s]), min(stop, offset[s + 1])
@@ -629,7 +608,7 @@ def census_random(d: int, samples: int, seed: int) -> ClassCensus:
     rng, rows = np.random.default_rng(seed), _chunk_rows(d)
     return _sweep(d, (  # drawn chunk by chunk: memory stays flat in samples
         list(np.ascontiguousarray(
-            rng.integers(0, d, size=(min(rows, samples - start), len(_PAIRS))).T,
+            rng.integers(0, d, size=(min(rows, samples - start), len(PAIRS))).T,
             dtype=_dtype(d)))
         for start in range(0, samples, rows)
     ))

@@ -9,13 +9,15 @@ and m, with 0 meaning no edge. Vertices are indexed 0..3 in code and reported
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .pauli import check_prime
 
 __all__ = [
+    "PAIRS",
+    "PAIR_INDEX",
     "AdjacencyMatrix",
     "cluster_graph",
     "gamma_graph",
@@ -26,6 +28,10 @@ __all__ = [
 ]
 
 N_VERTICES = 4
+# The vertex pairs in the order of a graph's six weights (w01, ..., w23), and
+# the index among them of each pair, in either order.
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+PAIR_INDEX = {p: k for k, (n, m) in enumerate(PAIRS) for p in ((n, m), (m, n))}
 
 
 @dataclass(frozen=True)
@@ -73,17 +79,10 @@ class AdjacencyMatrix:
     def __getitem__(self, nm: tuple[int, int]) -> int:
         return self.entries[nm[0]][nm[1]]
 
-    def permuted(self, axes: Sequence[int]) -> "AdjacencyMatrix":
-        """Relabel vertices so that new vertex i is old vertex axes[i]."""
-        if sorted(axes) != list(range(N_VERTICES)):
-            raise ValueError("axes must be a permutation of 0..3")
-        return AdjacencyMatrix(
-            self.d,
-            tuple(
-                tuple(self.entries[axes[n]][axes[m]] for m in range(N_VERTICES))
-                for n in range(N_VERTICES)
-            ),
-        )
+    @property
+    def weights(self) -> tuple[int, ...]:
+        """The six edge weights, in ``PAIRS`` order."""
+        return tuple([self.entries[n][m] for n, m in PAIRS])
 
 
 def _reduced(w, d: int) -> int:

@@ -1,14 +1,16 @@
 """Entropies, purities and the maximal-mixing test of four-qudit states.
 
-The exact route builds no state: ``graph_entropies`` reads the entropy S(A)
-of every one- and two-site set A of a graph state, in units of log d, off
-its weights as ints: S(A) is the GF(d) rank of the cut block Gamma[A, rest]
-(Hein, Eisert and Briegel, PRA 69, 062311). The purity of A is d^-S(A), and
-exactly d^(|A| - S(A)) stabilizers act as the identity outside A (Fattal et
-al., quant-ph/0406168). ``is_k_mm`` and ``max_identity_factors`` read that
-profile. ``partial_trace``, ``purity`` and ``purity_profile`` are the dense
-route on a ``StateVector``: no command runs them, and they stay in the
-package only as spans the benchmark tracer names (``SPANS`` in
+The exact route builds no state. ``cut_ranks``, the one cut rule, reads the
+entropy S(A) of every one- and two-site set A of a graph state, in units of
+log d, off its six weights, per graph or as columns: S(A) is the GF(d) rank
+of the cut block Gamma[A, rest] (Hein, Eisert and Briegel, PRA 69, 062311;
+Hostens, Dehaene and De Moor, PRA 71, 042315, for qudits).
+``graph_entropies`` is one graph's profile of them. The purity of A is
+d^-S(A), and exactly d^(|A| - S(A)) stabilizers act as the identity outside
+A (Fattal et al., quant-ph/0406168). ``is_k_mm`` and ``max_identity_factors``
+read that profile. ``partial_trace``, ``purity`` and ``purity_profile`` are
+the dense route on a ``StateVector``: no command runs them, and they stay in
+the package only as spans the benchmark tracer names (``SPANS`` in
 ``perfbench/child.py``).
 """
 
@@ -19,12 +21,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import N_VERTICES, AdjacencyMatrix
+from .graphs import N_VERTICES, PAIR_INDEX, PAIRS, AdjacencyMatrix
 from .states import StateVector
 
 __all__ = [
+    "CUTS",
     "PurityProfile",
     "all_subsystems",
+    "cut_ranks",
     "graph_entropies",
     "is_k_mm",
     "max_identity_factors",
@@ -106,25 +110,39 @@ def purity_profile(s: StateVector) -> PurityProfile:
     return PurityProfile(s.d, s.n_qudits, values)
 
 
-# The 2|2 cuts (a, b, c, e), {a, b} against {c, e}, and the cut of each pair
-# of all_subsystems, in its order.
-_CUTS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-_PAIR_CUTS = (((0, 1), 0), ((0, 2), 1), ((0, 3), 2), ((1, 2), 2), ((1, 3), 1), ((2, 3), 0))
+# The 2|2 cuts (a, b, c, e), {a, b} against {c, e}: the cut of both pairs.
+CUTS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+_ROWS = [[PAIR_INDEX[n, m] for m in range(N_VERTICES) if m != n] for n in range(N_VERTICES)]
+_BLOCKS = [[PAIR_INDEX[p] for p in ((a, c), (b, e), (a, e), (b, c))] for a, b, c, e in CUTS]
+# The cut of each pair of PAIRS, the order all_subsystems lists the pairs in.
+_PAIR_CUT = [k for pair in PAIRS for k, (a, b, c, e) in enumerate(CUTS) if pair in ((a, b), (c, e))]
+_SUBSYSTEMS = all_subsystems()
+
+
+def cut_ranks(w, d: int):
+    """(vertex-row flags, cut ranks) of six weights ``w`` in ``PAIRS`` order
+    mod the prime d, Python ints or equal-length integer columns: whether each
+    vertex row has an edge, and per cut of ``CUTS`` the GF(d) rank of its block
+    [[w_ac, w_ae], [w_bc, w_be]], 0 if it is zero, 2 if its determinant is
+    nonzero mod d, else 1."""
+    nonzero = [c != 0 for c in w]
+    rows = [nonzero[i] | nonzero[j] | nonzero[k] for i, j, k in _ROWS]
+    ranks = []
+    for ac, be, ae, bc in _BLOCKS:
+        det = w[ac] * w[be] - w[ae] * w[bc]
+        # det - det // d * d is det % d, which numpy runs without a divide for a
+        # scalar d; 1 * makes a bool column a count, as bool columns add as "or"
+        ranks.append(1 * (nonzero[ac] | nonzero[be] | nonzero[ae] | nonzero[bc])
+                     + (det - det // d * d != 0))
+    return rows, ranks
 
 
 def graph_entropies(g: AdjacencyMatrix) -> dict[tuple[int, ...], int]:
     """Entropy S, in units of log d, of every one- and two-site subsystem of
-    the graph state of g, in ``all_subsystems`` order: 1 for a site with an
-    edge and 0 for one without, and for a pair the rank of its 2x2 cut block,
-    which its complement shares: 0 if the block is zero, 2 if its
-    determinant is nonzero mod d, else 1."""
-    w, d = g.entries, g.d
-    ranks = [0 if not (w[a][c] or w[a][e] or w[b][c] or w[b][e])
-             else 2 if (w[a][c] * w[b][e] - w[a][e] * w[b][c]) % d else 1
-             for a, b, c, e in _CUTS]
-    entropy = {(n,): 1 if any(w[n]) else 0 for n in range(N_VERTICES)}
-    entropy.update((pair, ranks[cut]) for pair, cut in _PAIR_CUTS)
-    return entropy
+    the graph state of g, in ``all_subsystems`` order, by ``cut_ranks``: a
+    site's is its row flag, a pair's the rank of its cut, its complement's."""
+    rows, ranks = cut_ranks(g.weights, g.d)
+    return dict(zip(_SUBSYSTEMS, [*map(int, rows), *[ranks[k] for k in _PAIR_CUT]]))
 
 
 def is_k_mm(entropy: dict, k: int) -> bool:

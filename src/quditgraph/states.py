@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import N_VERTICES, AdjacencyMatrix, cluster_graph, gamma_graph, ghz_graph, p_graph
+from .graphs import (N_VERTICES, PAIRS, AdjacencyMatrix, cluster_graph, gamma_graph, ghz_graph,
+                     p_graph)
 from .pauli import check_prime, omega_powers, rank_mod
 
 __all__ = [
@@ -82,8 +83,7 @@ def phase_exponents(g: AdjacencyMatrix, fourier_sites: Iterable[int] = ()) -> np
         raise ValueError(f"Fourier sites {sites} must be pairwise unjoined vertices")
     idx = np.indices((d,) * N_VERTICES, sparse=True)  # broadcast axes, not d^4 x 4 digits
     exponent = np.zeros((d,) * N_VERTICES, dtype=int)
-    for n, m in combinations(range(N_VERTICES), 2):
-        w = g.entries[n][m]
+    for (n, m), w in zip(PAIRS, g.weights):
         if w and n not in sites and m not in sites:
             exponent += w * idx[n] * idx[m]
     exponent %= d

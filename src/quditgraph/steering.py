@@ -16,8 +16,9 @@ qudit q along the line l = (x, z) keeps the words whose part on q lies in
 kept word acts on s alone, and nontrivially. With t1 and t2 the other two
 sites, such a word vanishes at t1 and t2, so p = alpha e_q + beta e_s with
 
-- alpha Gamma_tq + beta Gamma_ts = 0 at t = t1, t2: (alpha, beta) lies in
-  the kernel of the block B = [[Gamma_t1q, Gamma_t1s], [Gamma_t2q, Gamma_t2s]];
+- alpha Gamma_tq + beta Gamma_ts = 0 at t = t1, t2: (alpha, beta) lies in the
+  kernel of B = [[Gamma_t1q, Gamma_t1s], [Gamma_t2q, Gamma_t2s]], the cut block
+  Gamma[{t1, t2}, {q, s}] of the pair {q, s}, whose rank is S({q, s});
 - (beta, alpha Gamma_sq) != 0, its part on s;
 - z alpha = x beta Gamma_qs, its part (alpha, beta Gamma_qs) on q lying in <l>.
 
@@ -270,20 +271,16 @@ class PathTally:
 # A set of lines on which a residue site is pure: every line, no line (None),
 # or the one line all_bases(d)[k], held as k >= 0.
 EVERY_LINE = -1
-# Per first qudit q, each residue site s in order with the other two, t1 and t2.
-_RESIDUES = tuple(tuple((s, *(t for t in range(4) if t not in (q, s))) for s in range(4) if s != q)
-                  for q in range(4))
+# Per first qudit q, each residue site s in order as ({q, s}, s, t1, t2).
+_RESIDUES = tuple(tuple(((min(q, s), max(q, s)), s, *(t for t in range(4) if t not in (q, s)))
+                        for s in range(4) if s != q) for q in range(4))
 
 
 def _pure_lines(w, d: int, q: int, s: int, t1: int, t2: int) -> int | None:
     """The lines of qudit q whose measurement leaves site s pure, for the graph
-    of weights ``w`` mod d, by the rank and kernel of the block B of the module
-    docstring."""
+    of weights ``w`` mod d whose block B of the module docstring has rank 1,
+    by the kernel of B."""
     a, b, c, e = w[t1][q], w[t1][s], w[t2][q], w[t2][s]
-    if not (a or b or c or e):
-        return EVERY_LINE
-    if (a * e - b * c) % d:
-        return None
     alpha, beta = (b, -a) if a or b else (e, -c)  # a nonzero row (r, t) has kernel <(t, -r)>
     if not beta and not alpha * w[s][q] % d:
         return None
@@ -319,8 +316,12 @@ def enumerate_paths(graphs: Iterable[AdjacencyMatrix]) -> list[PathTally]:
     the module docstring."""
     tallies = []
     for g in graphs:
-        w, d = g.entries, g.d
-        moves = tuple(_qudit_moves(d, [_pure_lines(w, d, q, *sites) for sites in residue])
+        w, d, entropy = g.entries, g.d, graph_entropies(g)
+        # B is the cut block of {q, s}, so its rank is S({q, s}): s is pure on
+        # every line at rank 0, on none at rank 2, and by B's kernel at rank 1
+        moves = tuple(_qudit_moves(d, [_pure_lines(w, d, q, s, t1, t2) if entropy[pair] == 1
+                                       else EVERY_LINE if entropy[pair] == 0 else None
+                                       for pair, s, t1, t2 in residue])
                       for q, residue in enumerate(_RESIDUES))
         tallies.append(PathTally(d, moves))
     return tallies

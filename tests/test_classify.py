@@ -18,9 +18,12 @@ from quditgraph import (
     classify_exhaustive,
     cluster_graph,
     cut_rank_classes,
+    cut_ranks,
     gamma_graph,
     ghz_graph,
+    graph_entropies,
     inv_mod,
+    is_prime,
     p_graph,
     path_graph,
     replay,
@@ -35,15 +38,11 @@ from quditgraph.classify import (
     ghz_canonical_graph,
     profile_class,
 )
-from quditgraph.graphs import N_VERTICES
+from quditgraph.graphs import N_VERTICES, PAIRS
 from quditgraph.measures import purity_profile
 from quditgraph.states import build_state
 
 from dense import purity_class
-
-# Vertex pairs in the order of the weight columns cut_rank_classes takes.
-PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-
 
 def all_ones_graph(d):
     return AdjacencyMatrix.from_array(np.ones((4, 4), dtype=int) - np.eye(4, dtype=int), d)
@@ -401,7 +400,7 @@ def test_plan_table_shapes():
             assert len(edges) == 6
         # the swaps move each weight to where the column map reads it from
         h = replay(g, classify._SWAPS[support])
-        assert [h[pair] for pair in PAIRS] == [int(k) + 1 for k in relabel]
+        assert list(h.weights) == [int(k) + 1 for k in relabel]
 
 
 def test_reduce_runs_one_group_per_program_shape():
@@ -472,7 +471,7 @@ def test_cut_rank_oracle_exact_beyond_int64_products(rng):
                 g = replay(g, (ScaleOp(v, int(rng.integers(1, d))),))
             graphs.append(replay(g, (StarOp(int(rng.integers(0, 4)), int(rng.integers(0, d))),)))
     graphs.append(AdjacencyMatrix.from_edges(d, {(0, 1): d - 1, (2, 3): d - 2}))
-    weights = np.array([[g[n, m] for n, m in PAIRS] for g in graphs])
+    weights = np.array([g.weights for g in graphs])
     expected = [canonicalize(g).cls for g in graphs]
     assert cut_rank_classes(d, weights) == expected
     assert expected == [CLASS_G] * 10 + [CLASS_C] * 10 + [CLASS_P] * 10 + [DISCONNECTED]
@@ -495,14 +494,14 @@ def test_cut_rank_oracle_exact_beyond_int64_weights():
         scaled = []
         while len(scaled) < 10:
             g = replay(base, tuple(ScaleOp(v, rng.randrange(1, d)) for v in range(4)))
-            w = [g[n, m] for n, m in PAIRS]
+            w = list(g.weights)
             if max(w) >= 2**63:
                 scaled.append(w)
         rows += scaled
     rows.append([d - 1, 0, 0, 0, 0, d - 2])
     rows += [[rng.randrange(d) for _ in PAIRS] for _ in range(200)]
     graphs = [_weights_graph(d, w) for w in rows]
-    assert [[g[n, m] for n, m in PAIRS] for g in graphs] == rows
+    assert [list(g.weights) for g in graphs] == rows
     expected = [canonicalize(g).cls for g in graphs]
     assert expected[:31] == [CLASS_G] * 10 + [CLASS_C] * 10 + [CLASS_P] * 10 + [DISCONNECTED]
     assert cut_rank_classes(d, rows) == expected
@@ -583,6 +582,49 @@ def test_cut_rank_classes_rejects_weights_outside_the_field(d, bad):
         cut_rank_classes(d, [[weight, weight, weight, 0, 0, 0]])
     with pytest.raises(ValueError):
         cut_rank_classes(d, np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, weight]]))
+
+
+@pytest.mark.parametrize("weights", [
+    [[1, 1, 1], [0, 0, 0]],
+    np.ones((1, 12), dtype=int),
+    np.ones((2, 7), dtype=int),
+    [1, 1, 1, 0, 0, 0],
+    [[[1, 1, 1, 0, 0, 0]]],
+    [],
+], ids=["2x3", "1x12", "2x7", "flat", "1x1x6", "empty-list"])
+def test_cut_rank_classes_refuses_weights_that_are_not_n_rows_of_six(weights):
+    # such input used to be reshaped: [[1, 1, 1], [0, 0, 0]] read as one class G
+    # graph, and a (1, 12) array as two graphs
+    with pytest.raises(ValueError, match=r"must be an \(N, 6\) array, got shape"):
+        cut_rank_classes(3, weights)
+    assert cut_rank_classes(3, np.zeros((0, 6), dtype=int)) == []
+
+
+def _entropy_class(entropy):
+    """The class of a ``graph_entropies`` profile: disconnected if a site or a
+    pair is pure, else by the count of pairs of entropy 1, 6, 2 or 0."""
+    if 0 in entropy.values():
+        return DISCONNECTED
+    loose = sum(s == 1 for keep, s in entropy.items() if len(keep) == 2)
+    return {6: CLASS_G, 2: CLASS_C, 0: CLASS_P}[loose]
+
+
+@pytest.mark.parametrize("d", [p for p in range(2, 32) if is_prime(p)] + [D_BEYOND_INT64])
+def test_cut_rank_kernel_int_and_column_forms_agree_on_every_support(d):
+    # cut_ranks per graph in Python ints (graph_entropies) and over weight
+    # columns (cut_rank_classes) give the same class, on random nonzero
+    # weights over each of the 64 edge supports
+    rng = random.Random(d)
+    rows = [[rng.randrange(1, d) if support >> k & 1 else 0 for k in range(len(PAIRS))]
+            for support in range(2 ** len(PAIRS)) for _ in range(3)]
+    entropies = [graph_entropies(_weights_graph(d, w)) for w in rows]
+    assert all(type(s) is int for entropy in entropies for s in entropy.values())
+    assert cut_rank_classes(d, rows) == [_entropy_class(entropy) for entropy in entropies]
+    # and the column form's flags and ranks, row by row, are the int form's
+    columns = [np.array(col, dtype=np.int64 if d < 2**31 else object) for col in zip(*rows)]
+    flags, ranks = cut_ranks(columns, d)
+    assert [([*map(bool, f)], [*map(int, r)]) for f, r in zip(zip(*flags), zip(*ranks))] \
+        == [cut_ranks(w, d) for w in rows]
 
 
 @pytest.mark.parametrize("d", [4, 9, 1, 0, True, 3.0])

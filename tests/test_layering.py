@@ -111,6 +111,36 @@ def test_benchmark_tracer_bindings_resolve():
     assert child.SPANS and unresolved == []
 
 
+# The six-pair order of a graph's weights and the cut tables, in each spelling
+# the package has had: the 2|2 cuts by vertex, and the vertex rows and the
+# cut blocks by weight column.
+PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+CUT_TABLES = (((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)),
+              ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)),
+              ((1, 4, 2, 3), (0, 5, 2, 3), (0, 5, 1, 4)))
+
+
+def _as_tuples(value):
+    return tuple(map(_as_tuples, value)) if isinstance(value, (tuple, list)) else value
+
+
+def test_pair_order_and_cut_table_are_spelled_once():
+    """The pair order is written out only as ``graphs.PAIRS`` and the cut rule's
+    table only as ``measures.CUTS``: every other table derives from them, so
+    the rule cannot be re-spelled beside the one kernel, ``cut_ranks``."""
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Tuple, ast.List)):
+                try:
+                    value = _as_tuples(ast.literal_eval(node))
+                except ValueError:
+                    continue
+                if value == PAIR_ORDER or value in CUT_TABLES:
+                    found.append((name, value))
+    assert found == [("graphs", PAIR_ORDER), ("measures", CUT_TABLES[0])]
+
+
 # The dense residue of the package: the functions perfbench/child.py's SPANS
 # wraps by name (steering.project, states.build_state and
 # family_reduced_state, measures.purity_profile, classify.profile_class) and

@@ -818,9 +818,6 @@ def test_tally_closed_forms(d, family):
     assert tally.pair_counts() == EXPECTED_PAIRS[_family_effective(family, d)](d)
 
 
-PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
 def random_weights(rng, d, n):
     """n rows of six random weights mod d over a random edge density each,
     zero weights and isolated vertices included, and every support: row k
@@ -842,7 +839,7 @@ def test_closed_form_matches_oracle_on_random_graphs(d):
                 for g in graphs]
     assert enumerate_paths(graphs) == engine.enumerate_paths(tableaux)
     assert [graph_entropies(g) for g in graphs] == engine.tableau_entropies(tableaux)
-    classes = set(cut_rank_classes(d, [[g[n, m] for n, m in PAIRS] for g in graphs]))
+    classes = set(cut_rank_classes(d, [g.weights for g in graphs]))
     assert DISCONNECTED in classes and len(classes) == (3 if d == 2 else 4)  # P = C at d = 2
 
 
